@@ -136,9 +136,9 @@ class StoreError(ReproError):
 class CampaignInterrupted(ReproError):
     """A batch run was deliberately cut short after a checkpoint commit.
 
-    Raised by the sweep engines when an ``interrupt_after`` budget is
-    exhausted — the crash-simulation hook used by the resume tests and the
-    CI resume-smoke job.  Already-committed results survive in the run
+    Raised by the campaign executor (:mod:`repro.sweep.executor`) when an
+    ``interrupt_after`` budget is exhausted — the crash-simulation hook used by the resume tests and the
+    CI campaign-smoke job.  Already-committed results survive in the run
     store; resuming the same spec against the same store completes the
     remaining scenarios.
     """

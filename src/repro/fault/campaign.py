@@ -31,7 +31,8 @@ coverage matrices and reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -283,7 +284,6 @@ class FaultCampaignRunner:
         workers: int = 1,
         cpu_block_cycles: int = 256,
         nrmse_threshold: float = 1e-3,
-        cosim_options: "Mapping[str, int] | None" = None,
         store: "RunStore | str | None" = None,
         resume: bool = False,
         interrupt_after: "int | None" = None,
@@ -293,23 +293,28 @@ class FaultCampaignRunner:
     ) -> None:
         if nrmse_threshold <= 0.0:
             raise FaultError("the NRMSE divergence threshold must be positive")
-        self.factory = factory
-        self.output = output
-        self.stimuli = stimuli
-        self.timestep = float(timestep)
-        self.cpu_clock_hz = float(cpu_clock_hz)
-        self.method = method
-        self.families = families
-        self.workers = int(workers)
-        self.cpu_block_cycles = int(cpu_block_cycles)
         self.nrmse_threshold = float(nrmse_threshold)
-        self.cosim_options = cosim_options
-        self.store = store
-        self.resume = bool(resume)
-        self.interrupt_after = interrupt_after
-        self.trace = trace
-        self.progress = progress
         self.lint = bool(lint)
+        # Error capture records a fault that takes the platform down as a
+        # crash outcome; the ADC trace feeds the trace-divergence verdict.
+        self.platform = PlatformSweepRunner(
+            factory,
+            output,
+            stimuli,
+            timestep=timestep,
+            cpu_clock_hz=cpu_clock_hz,
+            method=method,
+            families=families,
+            workers=workers,
+            record_analog=True,
+            cpu_block_cycles=cpu_block_cycles,
+            capture_errors=True,
+            store=store,
+            resume=resume,
+            interrupt_after=interrupt_after,
+            trace=trace,
+            progress=progress,
+        )
 
     def run(self, spec: FaultCampaignSpec, duration: float) -> FaultCampaignResult:
         """Execute every run of ``spec`` for ``duration`` seconds each."""
@@ -326,32 +331,22 @@ class FaultCampaignRunner:
                     f"would never strike"
                 )
         scenarios = [self._as_scenario(position, run) for position, run in enumerate(runs)]
-        runner = PlatformSweepRunner(
-            FaultableCircuitFactory(self.factory, spec.analog_faults(), lint=self.lint),
-            self.output,
-            self.stimuli,
-            timestep=self.timestep,
-            cpu_clock_hz=self.cpu_clock_hz,
-            method=self.method,
-            families=self.families,
-            workers=self.workers,
-            record_analog=True,
-            cpu_block_cycles=self.cpu_block_cycles,
-            cosim_options=self.cosim_options,
-            capture_errors=True,
-            store=self.store,
-            resume=self.resume,
-            interrupt_after=self.interrupt_after,
-            trace=self.trace,
-            progress=self.progress,
+        # The same platform runner, building circuits through this
+        # campaign's fault table.
+        platform = copy.copy(self.platform)
+        platform.engine = replace(
+            platform.engine,
+            factory=FaultableCircuitFactory(
+                platform.engine.factory, spec.analog_faults(), lint=self.lint
+            ),
         )
-        sweep = runner.run(scenarios, duration, firmwares=spec.firmware_table())
+        sweep = platform.run(scenarios, duration, firmwares=spec.firmware_table())
         return FaultCampaignResult(
             runs=runs,
             results=sweep.results,
             elapsed=sweep.elapsed,
             duration=float(duration),
-            timestep=self.timestep,
+            timestep=sweep.timestep,
             workers=sweep.workers,
             nrmse_threshold=self.nrmse_threshold,
             timings=dict(sweep.timings),

@@ -19,7 +19,7 @@ finishes, and ``--resume`` loads committed runs instead of re-executing
 them — an interrupted campaign picks up where it left off with
 bit-identical verdicts.  ``--interrupt-after N`` simulates the crash (each
 worker stops after executing N runs, exit code 3), which is how the CI
-resume-smoke job exercises the store round-trip.
+campaign-smoke job exercises the store round-trip.
 
 Typical use::
 

@@ -6,8 +6,9 @@ instrumentation points in the DE kernel, the block-stepped ISS, the
 abstraction flow, the compile cache and the run store; multiprocessing-safe
 payload collection merged into campaign-level
 :class:`~repro.obs.telemetry.TelemetryReport` objects; and exporters for
-Chrome/Perfetto ``trace_event`` JSON, flat JSONL and markdown/HTML reports
-(fronted by the ``repro-trace`` console script).
+Chrome/Perfetto ``trace_event`` JSON, flat JSONL and markdown reports
+(fronted by the ``repro-trace`` console script; HTML dashboards are
+:mod:`repro.report`'s job).
 
 Keep this module import-light: instrumented subsystems import
 ``repro.obs.tracer`` at module load, so anything heavy here would tax every

@@ -5,7 +5,7 @@ Reads a Chrome ``trace_event`` JSON file produced by the ``--trace`` flag of
 
 - prints a summary (event counts by phase, top spans, counters),
 - ``--validate`` checks the payload against the trace_event schema
-  (exit code 2 on problems) — what the CI ``obs-smoke`` job runs,
+  (exit code 2 on problems) — what the CI ``campaign-smoke`` job runs,
 - ``--expect-counter NAME=VALUE`` asserts a merged counter's final value
   (exit code 1 on mismatch) — how CI reconciles event and scenario counts,
 - ``--jsonl OUT`` re-exports the events as flat JSONL for line-based tools.

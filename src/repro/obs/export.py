@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON, flat JSONL, HTML report.
+"""Exporters: Chrome/Perfetto ``trace_event`` JSON and flat JSONL.
 
 The Chrome exporter emits the JSON object format — ``{"traceEvents": [...]}``
 — with complete (``"X"``) spans, instant (``"i"``) events and one final
@@ -13,7 +13,6 @@ output loads directly in ``chrome://tracing`` and https://ui.perfetto.dev.
 
 from __future__ import annotations
 
-import html
 import json
 from pathlib import Path
 
@@ -107,63 +106,6 @@ def write_jsonl(path: "str | Path", report: TelemetryReport) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_jsonl(report), encoding="utf-8")
-    return path
-
-
-def to_html(report: TelemetryReport) -> str:
-    """A self-contained HTML rendering of the campaign report."""
-    summary_rows = "\n".join(
-        f"<tr><th>{html.escape(str(key))}</th><td>{html.escape(json.dumps(value))}</td></tr>"
-        for key, value in report.summary().items()
-    )
-    counter_rows = "\n".join(
-        f"<tr><td>{html.escape(name)}</td><td>{report.counters[name]:g}</td></tr>"
-        for name in sorted(report.counters)
-    )
-    span_rows = "\n".join(
-        f"<tr><td>{html.escape(name)}</td><td>{int(stats['count'])}</td>"
-        f"<td>{stats['total']:.3f}</td><td>{1e3 * stats['mean']:.2f}</td></tr>"
-        for name, stats in report.span_stats().items()
-    )
-    truncation = ""
-    if report.dropped:
-        truncation = (
-            f"<p><strong>WARNING — telemetry truncated:</strong> the tracer "
-            f"dropped {report.dropped} event(s) at its buffer cap; span "
-            f"tallies are partial. Raise <code>max_events</code> to capture "
-            f"everything.</p>"
-        )
-    return f"""<!doctype html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>Telemetry — {html.escape(report.engine)}</title>
-<style>
-body {{ font-family: system-ui, sans-serif; margin: 2rem; color: #1a1a2e; }}
-table {{ border-collapse: collapse; margin: 1rem 0; }}
-th, td {{ border: 1px solid #ccd; padding: 0.3rem 0.7rem; text-align: left; }}
-th {{ background: #eef; }}
-</style>
-</head>
-<body>
-<h1>Telemetry — {html.escape(report.engine)}</h1>
-{truncation}
-<h2>Summary</h2>
-<table>{summary_rows}</table>
-<h2>Counters</h2>
-<table><tr><th>counter</th><th>value</th></tr>{counter_rows}</table>
-<h2>Spans</h2>
-<table><tr><th>span</th><th>count</th><th>total s</th><th>mean ms</th></tr>{span_rows}</table>
-</body>
-</html>
-"""
-
-
-def write_html(path: "str | Path", report: TelemetryReport) -> Path:
-    """Write the HTML campaign report; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_html(report), encoding="utf-8")
     return path
 
 

@@ -207,47 +207,28 @@ class Kernel:
         end_time = None if duration is None else quantize(self.now + duration)
         self.end_time = end_time
         timed = self._timed
-        # Observability: a single attribute check selects between two copies
-        # of the scheduler loop — the plain one is the loop the seed shipped,
-        # so disabled tracing adds zero per-event work.
+        # Observability: tracing only brackets the scheduler loop, so
+        # disabled tracing adds no per-event work.
         tracer = TRACER
         trace = tracer.enabled
         if trace:
             run_start = tracer.now()
             events_before = self.event_count
             deltas_before = self.delta_count
-            queue_max = len(timed)
         try:
-            if trace:
-                while not self._finished:
-                    self._run_delta_cycles()
-                    if not timed:
-                        break
-                    next_time = timed[0][0]
-                    if end_time is not None and next_time > end_time + 1e-18:
-                        self.now = end_time
-                        break
-                    self.now = next_time
-                    if len(timed) > queue_max:
-                        queue_max = len(timed)
-                    horizon = next_time + 1e-18
-                    runnable = self._runnable
-                    while timed and timed[0][0] <= horizon:
-                        runnable.append(heappop(timed)[2])
-            else:
-                while not self._finished:
-                    self._run_delta_cycles()
-                    if not timed:
-                        break
-                    next_time = timed[0][0]
-                    if end_time is not None and next_time > end_time + 1e-18:
-                        self.now = end_time
-                        break
-                    self.now = next_time
-                    horizon = next_time + 1e-18
-                    runnable = self._runnable
-                    while timed and timed[0][0] <= horizon:
-                        runnable.append(heappop(timed)[2])
+            while not self._finished:
+                self._run_delta_cycles()
+                if not timed:
+                    break
+                next_time = timed[0][0]
+                if end_time is not None and next_time > end_time + 1e-18:
+                    self.now = end_time
+                    break
+                self.now = next_time
+                horizon = next_time + 1e-18
+                runnable = self._runnable
+                while timed and timed[0][0] <= horizon:
+                    runnable.append(heappop(timed)[2])
         finally:
             self._running = False
             self.end_time = None
@@ -257,14 +238,7 @@ class Kernel:
                 tracer.add("de.runs", 1.0)
                 tracer.add("de.events", float(events))
                 tracer.add("de.deltas", float(deltas))
-                tracer.end(
-                    "de.run",
-                    run_start,
-                    "de",
-                    events=events,
-                    deltas=deltas,
-                    queue_max=queue_max,
-                )
+                tracer.end("de.run", run_start, "de", events=events, deltas=deltas)
         if end_time is not None and self.now < end_time:
             self.now = end_time
         return self.now

@@ -13,7 +13,8 @@ checkpoint/resume:
 * :mod:`~repro.store.keys` — address-free structural fingerprints and
   canonical-JSON SHA-256 digests of a unit of work's full inputs;
 * :mod:`~repro.store.runstore` — :class:`RunStore`, the content-addressed
-  campaign directory that workers consult before simulating and commit
+  campaign directory that the campaign executor
+  (:mod:`repro.sweep.executor`) consults before simulating and commits
   into as results complete.
 
 Pass ``store=<dir>`` to any batch runner to persist results as they are

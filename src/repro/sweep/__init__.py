@@ -9,8 +9,13 @@ them.  This package provides it:
   lists;
 * :mod:`~repro.sweep.runner` — :class:`SweepRunner`, which abstracts every
   scenario, batches structurally identical models through the vectorized
-  NumPy backend, chunks across ``multiprocessing`` workers, and reuses
-  compiled classes through the source-digest cache;
+  NumPy backend and reuses compiled classes through the source-digest
+  cache;
+* :mod:`~repro.sweep.executor` — the one campaign executor behind every
+  batch runner (fault campaigns included): ``multiprocessing`` fan-out with
+  serial fallback, and the per-job run store protocol.  The resume and
+  ``interrupt_after`` rules, progress and worker telemetry live there and
+  nowhere else;
 * :mod:`~repro.sweep.results` — :class:`SweepResult`, the ensemble waveform
   matrices with envelope/summary aggregation and markdown/CSV reports;
 * :mod:`~repro.sweep.platform` — the same idea one level up:
@@ -45,8 +50,9 @@ from .platform import (
     PlatformSweepResult,
     PlatformSweepRunner,
 )
+from .executor import SweepError, map_scenario_chunks
 from .results import SweepResult
-from .runner import SweepConfig, SweepError, SweepRunner, map_scenario_chunks
+from .runner import SweepConfig, SweepRunner
 from .seeds import derive_seed, spawn_seeds
 from .spec import (
     CompositeSpec,

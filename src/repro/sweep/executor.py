@@ -1,0 +1,281 @@
+"""The campaign executor: one job protocol behind every batch runner.
+
+:class:`~repro.sweep.runner.SweepRunner`,
+:class:`~repro.sweep.platform.PlatformSweepRunner` and (through the latter)
+:class:`~repro.fault.campaign.FaultCampaignRunner` all run lists of
+independent jobs; only the unit of work differs.  Everything around it
+lives here, once:
+
+* fan-out: :func:`map_scenario_chunks` spreads contiguous chunks of jobs
+  over a ``multiprocessing`` pool, or everything runs serially with
+  identical outcomes;
+* the per-job protocol, in the process that owns the chunk: job → store
+  key → load or execute → commit → telemetry.  Keys are derived only when
+  a run store is configured, and every fresh outcome is committed the
+  moment the engine yields it, so a killed chunk keeps its finished work;
+* the rules: ``resume`` loads committed jobs instead of executing them;
+  ``interrupt_after`` executes and commits that many jobs per chunk, then
+  raises :class:`~repro.errors.CampaignInterrupted`;
+* progress, worker tracing (enable, mark, collect) and the merged
+  :class:`~repro.obs.telemetry.TelemetryReport`.
+
+An *engine* is the picklable recipe for one kind of job
+(:class:`~repro.sweep.runner.SweepConfig`,
+:class:`~repro.sweep.platform.PlatformSweepConfig`).  It provides the
+telemetry tag ``ENGINE`` and progress label ``UNITS``;
+``store_inputs(job)``, the payload whose digest keys a job;
+``execute(jobs, pending)``, which runs ``jobs[i]`` for each ``i`` in
+``pending`` and yields ``(i, outcome)`` as each unit finishes (a batch
+engine may finish several at once); the record codec ``encode(outcome)`` /
+``decode(record)``, where ``decode`` returns ``None`` to refuse a record so
+the job re-executes; and ``latency(outcome)``, an executed outcome's wall
+seconds or ``None`` for units simulated jointly.
+"""
+
+from __future__ import annotations
+
+import time as _time
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..errors import CampaignInterrupted, ReproError, StoreError
+from ..obs.progress import ProgressReporter
+from ..obs.telemetry import TelemetryReport
+from ..obs.tracer import TRACER, disable_tracing, enable_tracing, tracing_enabled
+from ..store import RunStore, as_run_store
+
+
+class SweepError(ReproError):
+    """Raised when a sweep cannot be expanded or executed."""
+
+
+def map_scenario_chunks(
+    worker: Callable[[tuple], object],
+    config: object,
+    scenarios: Sequence,
+    workers: int,
+    progress: "Callable[[int], None] | None" = None,
+) -> "list | None":
+    """Run ``worker((config, chunk))`` over contiguous chunks in a process pool.
+
+    The executor's fan-out.  Returns the chunk results in scenario order, or
+    ``None`` when the pool cannot be built or the payload cannot be pickled
+    — the caller then falls back to the serial path, which by construction
+    produces identical results.
+
+    ``progress`` (scenario-count callback) is invoked in the parent as each
+    chunk completes; chunk results still arrive in submission order.
+
+    Payload picklability is probed *before* submission (``pickle.dumps`` of
+    the exact task list), so an unpicklable recipe is a clean serial
+    fallback while any exception raised by ``pool.map`` itself is a genuine
+    worker error (bad factory arguments, abstraction failures, a simulated
+    campaign interruption...) and propagates unchanged — a worker error
+    that merely *mentions* pickling in its message must not be misrouted
+    into a silent serial retry.
+    """
+    import multiprocessing
+    import pickle
+    import warnings
+
+    workers = min(workers, len(scenarios))
+    bounds = np.linspace(0, len(scenarios), workers + 1).astype(int)
+    chunks = [
+        scenarios[start:stop]
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        if stop > start
+    ]
+    payloads = [(config, chunk) for chunk in chunks]
+
+    class _NullSink:
+        """Discards pickle output: the probe needs the errors, not the bytes."""
+
+        @staticmethod
+        def write(data: bytes) -> int:
+            return len(data)
+
+    try:
+        # Probe the submission path: exactly what the pool would serialize.
+        # Unpicklable objects raise PicklingError (lambdas), AttributeError
+        # (local functions) or TypeError (unpicklable C objects).  One extra
+        # serialization pass on startup buys deterministic error routing —
+        # any exception out of pool.map below is then a *worker* error.
+        pickle.Pickler(_NullSink()).dump(payloads)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        warnings.warn(
+            f"sweep payload is not picklable, running serially ({error})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    try:
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
+        pool = context.Pool(processes=len(chunks))
+    except (OSError, ValueError, AttributeError, ImportError) as error:
+        # The *pool* could not be built (no fork, fd limits...): fall back.
+        warnings.warn(
+            f"sweep falling back to serial execution ({error})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    with pool:
+        results = []
+        # imap preserves submission order while letting the parent observe
+        # each chunk as it lands — exactly what the progress line needs.
+        for chunk, result in zip(chunks, pool.imap(worker, payloads)):
+            results.append(result)
+            if progress is not None:
+                progress(len(chunk))
+        return results
+
+
+@dataclass
+class CampaignRun:
+    """What one executor run produced, in job order."""
+
+    outcomes: list
+    #: ``True`` for jobs this run executed, ``False`` for loaded ones.
+    executed: np.ndarray
+    #: Processes the jobs ran in (1 for the serial path).
+    workers: int
+    wall: float
+    #: Merged worker telemetry when the run was traced; ``None`` otherwise.
+    telemetry: "TelemetryReport | None"
+
+
+@dataclass
+class CampaignExecutor:
+    """How a batch runner executes its jobs: fan-out, run store and tracing.
+
+    The fields are the runners' parameters of the same names; a ``trace``
+    of ``None`` follows the process-wide tracing switch at run time, and a
+    ``progress`` of ``None`` shows the progress line only on a terminal.
+    """
+
+    workers: int = 1
+    store: "RunStore | str | None" = None
+    resume: bool = False
+    interrupt_after: "int | None" = None
+    trace: "bool | None" = None
+    progress: "bool | None" = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.interrupt_after is not None and self.interrupt_after < 0:
+            raise ValueError("interrupt_after must be non-negative")
+        self.workers = int(self.workers)
+        self.store = as_run_store(self.store)
+        self.resume = bool(self.resume)
+        if self.resume and self.store is None:
+            raise SweepError("resume=True needs a store to resume from")
+        if self.interrupt_after is not None and self.store is None:
+            raise SweepError("interrupt_after without a store would lose all work")
+
+    def run(self, engine, jobs: Sequence) -> CampaignRun:
+        """Execute every job through ``engine``, serially or across a pool."""
+        plan = replace(
+            self, trace=tracing_enabled() if self.trace is None else bool(self.trace)
+        )
+        reporter = ProgressReporter(len(jobs), engine.UNITS, enabled=self.progress)
+        advance = reporter.advance if reporter.active else None
+        start = _time.perf_counter()
+        chunks = None
+        try:
+            if self.workers > 1 and len(jobs) > 1:
+                chunks = map_scenario_chunks(
+                    _run_chunk, (plan, engine), jobs, self.workers, advance
+                )
+            if chunks is None:
+                chunks = [_run_chunk(((plan, engine), jobs), progress=advance)]
+        finally:
+            reporter.finish()
+        wall = _time.perf_counter() - start
+        outcomes = [outcome for chunk in chunks for outcome in chunk["outcomes"]]
+        executed = np.array(
+            [flag for chunk in chunks for flag in chunk["executed"]], dtype=bool
+        )
+        telemetry = None
+        if plan.trace:
+            latencies = [
+                engine.latency(outcome)
+                for outcome, ran in zip(outcomes, executed)
+                if ran
+            ]
+            telemetry = TelemetryReport.merge(
+                engine.ENGINE,
+                [chunk["telemetry"] for chunk in chunks],
+                scenarios=len(jobs),
+                executed=int(np.count_nonzero(executed)),
+                wall=wall,
+                workers=len(chunks),
+                latencies=[seconds for seconds in latencies if seconds is not None],
+            )
+        return CampaignRun(outcomes, executed, len(chunks), wall, telemetry)
+
+
+def _run_chunk(
+    payload: "tuple[tuple[CampaignExecutor, object], Sequence]",
+    progress: "Callable[[int], None] | None" = None,
+) -> dict:
+    """Run the per-job protocol over one contiguous chunk (worker entry point).
+
+    The serial path calls it with the whole job list and may pass a
+    ``progress`` callback; pool submissions never do, keeping the payload a
+    plain picklable tuple.
+    """
+    (plan, engine), jobs = payload
+    store = plan.store
+    enabled_here = plan.trace and not TRACER.enabled
+    if enabled_here:
+        enable_tracing()
+    mark = TRACER.mark() if plan.trace else None
+    outcomes: list = [None] * len(jobs)
+    executed = [False] * len(jobs)
+    pending = list(range(len(jobs)))
+    try:
+        if store is not None:
+            inputs = [engine.store_inputs(job) for job in jobs]
+            keys = [store.key(job_inputs) for job_inputs in inputs]
+            if plan.resume:
+                for position, key in enumerate(keys):
+                    record = store.load(key)
+                    try:
+                        if record is not None:
+                            outcomes[position] = engine.decode(record)
+                    except (KeyError, TypeError, ValueError) as error:
+                        raise StoreError(
+                            f"malformed store record {store.path_for(key)}: {error}"
+                        ) from error
+                pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+                if progress is not None:
+                    progress(len(jobs) - len(pending))
+        budget = pending[: plan.interrupt_after]
+        for position, outcome in engine.execute(jobs, budget):
+            if store is not None:
+                store.commit(
+                    keys[position], engine.encode(outcome), inputs=inputs[position]
+                )
+            outcomes[position] = outcome
+            executed[position] = True
+            if progress is not None:
+                progress(1)
+        if len(budget) < len(pending):
+            raise CampaignInterrupted(
+                f"worker interrupted after executing {len(budget)} "
+                f"scenario(s); {len(store)} record(s) committed"
+            )
+    finally:
+        if enabled_here:
+            disable_tracing()
+    return {
+        "outcomes": outcomes,
+        "executed": executed,
+        "telemetry": TRACER.collect(mark) if mark is not None else None,
+    }

@@ -272,16 +272,12 @@ class TestExport:
     def test_truncation_warning_in_markdown_and_html(self):
         from dataclasses import replace
 
-        from repro.obs.export import to_html
-
         complete = self.report()
         assert "truncated" not in complete.to_markdown()
-        assert "truncated" not in to_html(complete)
-        truncated = replace(complete, dropped=41)
-        for text in (truncated.to_markdown(), to_html(truncated)):
-            assert "WARNING — telemetry truncated" in text
-            assert "41 event(s)" in text
-            assert "max_events" in text
+        text = replace(complete, dropped=41).to_markdown()
+        assert "WARNING — telemetry truncated" in text
+        assert "41 event(s)" in text
+        assert "max_events" in text
 
     def test_report_round_trips_through_trace_export(self):
         from repro.obs.export import report_from_trace

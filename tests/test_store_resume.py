@@ -28,7 +28,13 @@ from repro.fault import (
 )
 from repro.sim import SquareWave
 from repro.store import RunStore
-from repro.sweep import GridSpec, PlatformScenarioSpec, PlatformSweepRunner, SweepError
+from repro.sweep import (
+    GridSpec,
+    PlatformScenarioSpec,
+    PlatformSweepRunner,
+    SweepError,
+    SweepRunner,
+)
 from repro.vp import threshold_monitor_source
 
 TIMESTEP = 50e-9
@@ -274,6 +280,49 @@ class TestFaultCampaignResume:
             spec_at(ACTIVATION / 2), CAMPAIGN_DURATION
         )
         assert resumed.executed_count == 1
+
+
+class TestPinnedStoreKeys:
+    """Store keys are an on-disk format: a changed key orphans every store.
+
+    The digests below are the keys these runs have always been stored
+    under; key derivation may only change deliberately, together with them.
+    """
+
+    def test_engine_keys_are_stable(self, tmp_path):
+        SweepRunner(
+            BENCH.build, "out", WAVE, timestep=TIMESTEP, store=tmp_path / "sweep"
+        ).run(GridSpec(axes={"resistance": [4e3]}), 2e-5)
+        platform_runner(store=tmp_path / "platform").run(
+            PlatformScenarioSpec(styles=("python", "cosim"), firmwares=FIRMWARES),
+            2e-5,
+        )
+        campaign_runner(store=tmp_path / "fault").run(
+            FaultCampaignSpec(
+                faults=[AdcStuckBitFault(bit=9, stuck_at=1)],
+                activation_times=(1e-5,),
+                scenarios=PlatformScenarioSpec(firmwares=FIRMWARES),
+                seed=3,
+            ),
+            2e-5,
+        )
+        keys = {
+            engine: RunStore(tmp_path / engine).keys()
+            for engine in ("sweep", "platform", "fault")
+        }
+        assert keys == {
+            "sweep": [
+                "6e27940bd83a0820abf0ec8c4d8d4da69b036f9bcdfbba8be4af75dde3c0de2a",
+            ],
+            "platform": [
+                "2f5ddbc6de708fd9c69626fe904e619aa40dbbd1f5e8e8cdbec273c37a470c52",
+                "5839c870e7a8646633faff3d1db255d6d17dbdaa7392d3030324a751c3ad3727",
+            ],
+            "fault": [
+                "7b12301c4a1e07882d87d169a1ebf12bb9299be2c41457eb37546c3e9cf76ff0",
+                "b639f26f85977073bf0c95eb3bf95cfb34f12fb71d663ae6cb6e779db16f2456",
+            ],
+        }
 
 
 class TestEmptyCoverageRendering:
