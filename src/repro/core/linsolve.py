@@ -9,14 +9,15 @@ O(|N|³) cost for this, i.e. Gaussian elimination, which is what
 :func:`repro.expr.linear.solve_linear_system` performs.
 
 After the solve, every selected quantity is expressed explicitly in terms of
-inputs and previous-step values only, and the result is packaged as a
+inputs and previous-step values only.  Only the quantities the model needs —
+its outputs and its state variables — become assignments of the resulting
 :class:`~repro.core.signalflow.SignalFlowModel`.
 """
 
 from __future__ import annotations
 
 from ..errors import AbstractionError, NonLinearExpressionError
-from ..expr.linear import solve_affine_system, solve_linear_system
+from ..expr.linear import solve_affine, solve_linear_system
 from ..expr.simplify import simplify
 from .assemble import AssembledModel
 from .enrichment import EnrichmentResult
@@ -32,6 +33,13 @@ def to_signal_flow(
     initial_state: dict[str, float] | None = None,
 ) -> SignalFlowModel:
     """Solve the assembled relations and build the signal-flow model.
+
+    Only the kept rows become assignments: the outputs and every quantity
+    whose previous-step value is referenced (the state variables), in
+    ``assembled.order``.  The other unknowns were needed for the elimination
+    but would be dead code in the generated model.  On the numeric path the
+    state set is read off the solution matrix, so the dropped rows are never
+    built or simplified.
 
     Parameters
     ----------
@@ -57,7 +65,7 @@ def to_signal_flow(
         # Fast path: every coefficient is numeric (parameters known at
         # abstraction time), so the elimination is done with numbers and the
         # generated expressions stay compact.
-        solved = solve_affine_system(assembled.resolutions, unknowns)
+        solution = solve_affine(assembled.resolutions, unknowns)
     except NonLinearExpressionError:
         # Symbolic parameters: fall back to expression-valued Gaussian
         # elimination (slower and bulkier, but general).
@@ -67,22 +75,24 @@ def to_signal_flow(
             raise AbstractionError(
                 f"could not solve the assembled linear system for {name!r}: {exc}"
             ) from exc
+        expressions = {target: simplify(solved[target]) for target in unknowns}
+        states: set[str] = set()
+        for expression in expressions.values():
+            states |= expression.previous_values()
+        expression_of = expressions.__getitem__
     except Exception as exc:
         raise AbstractionError(
             f"could not solve the assembled linear system for {name!r}: {exc}"
         ) from exc
-
-    assignments = [Assignment(target, simplify(solved[target])) for target in unknowns]
-
-    states: set[str] = set()
-    for assignment in assignments:
-        states |= assignment.expression.previous_values()
+    else:
+        states = solution.previous_values()
+        expression_of = solution.expression
 
     # Only keep assignments that contribute to the outputs or to a state
     # update; everything else was needed during elimination but is dead code
     # in the generated model.
     needed = set(assembled.outputs) | states
-    kept = [a for a in assignments if a.target in needed]
+    kept = [Assignment(target, expression_of(target)) for target in unknowns if target in needed]
 
     model = SignalFlowModel(
         name=name,

@@ -115,11 +115,11 @@ class Expr:
 
     def variables(self) -> set[str]:
         """Return the names of all :class:`Variable` leaves in the expression."""
-        return {node.name for node in self.walk() if isinstance(node, Variable)}
+        return _leaf_names(self, Variable)
 
     def previous_values(self) -> set[str]:
         """Return the names referenced through :class:`Previous` nodes."""
-        return {node.name for node in self.walk() if isinstance(node, Previous)}
+        return _leaf_names(self, Previous)
 
     def contains_variable(self, name: str) -> bool:
         """Return ``True`` when the variable ``name`` appears in the expression."""
@@ -370,8 +370,21 @@ class Conditional(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Tree rebuilding helpers
+# Tree queries and rebuilding helpers
 # ---------------------------------------------------------------------------
+def _leaf_names(node: Expr, leaf_type: type) -> set[str]:
+    """Names of every ``leaf_type`` node (:class:`Variable` or :class:`Previous`)."""
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, leaf_type):
+            names.add(current.name)
+        else:
+            stack.extend(current.children())
+    return names
+
+
 def rebuild(node: Expr, children: Sequence[Expr]) -> Expr:
     """Return a copy of ``node`` with its children replaced by ``children``."""
     if isinstance(node, (Constant, Variable, Previous)):
@@ -407,8 +420,10 @@ def transform(node: Expr, visit) -> Expr:
     children = node.children()
     if children:
         new_children = [transform(child, visit) for child in children]
-        if any(new is not old for new, old in zip(new_children, children)):
-            node = rebuild(node, new_children)
+        for new, old in zip(new_children, children):
+            if new is not old:
+                node = rebuild(node, new_children)
+                break
     return visit(node)
 
 

@@ -15,11 +15,14 @@ circuit parameters are numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import NonLinearExpressionError, UnsolvableEquationError
 from .ast import BinaryOp, Call, Conditional, Constant, Derivative, Expr, Integral, Previous, UnaryOp, Variable
 from .simplify import constant_value, is_constant, simplify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def linear_form(expr: Expr, unknowns: Sequence[str] | set[str]) -> LinearForm:
                 )
             return {}, node
         if isinstance(node, (Call, Conditional, Derivative, Integral)):
-            if any(name in unknown_set for name in node.variables()):
+            if not unknown_set.isdisjoint(node.variables()):
                 raise NonLinearExpressionError(
                     f"unknowns appear inside a non-linear construct: {node}"
                 )
@@ -157,12 +160,17 @@ def linear_form(expr: Expr, unknowns: Sequence[str] | set[str]) -> LinearForm:
 
     coefficients, remainder = visit(expr)
     simplified = {name: simplify(value) for name, value in coefficients.items()}
-    nonzero = {
-        name: value
-        for name, value in simplified.items()
-        if constant_value(value) != 0.0
-    }
+    nonzero = {name: value for name, value in simplified.items() if not _is_zero(value)}
     return LinearForm(nonzero, simplify(remainder))
+
+
+def _is_zero(simplified: Expr) -> bool:
+    """``constant_value(simplified) == 0.0`` without simplifying it again.
+
+    ``simplify`` is idempotent: a simplified expression folds to a constant
+    only when it already is one.
+    """
+    return isinstance(simplified, Constant) and simplified.value == 0.0
 
 
 def solve_for(lhs: Expr, rhs: Expr, name: str) -> Expr:
@@ -185,8 +193,7 @@ def solve_for(lhs: Expr, rhs: Expr, name: str) -> Expr:
             f"equation is not linear in {name!r}: {exc}"
         ) from exc
     coefficient = form.coefficient(name)
-    coefficient_value = constant_value(coefficient)
-    if coefficient_value == 0.0 or (coefficient_value is None and not form.depends_on(name)):
+    if _is_zero(coefficient):
         raise UnsolvableEquationError(f"{name!r} does not appear in the equation")
     solution = BinaryOp("/", UnaryOp("-", form.remainder), coefficient)
     return simplify(solution)
@@ -381,33 +388,63 @@ def affine_decompose(expr: Expr, unknowns: Sequence[str] | set[str]) -> AffineDe
     return visit(expr)
 
 
-def solve_affine_system(
+@dataclass
+class AffineSolution:
+    """Numeric solution of ``unknown == expression`` for every unknown.
+
+    Row ``i`` of ``values`` expresses ``unknowns[i]`` through the ``atoms``
+    (inputs and previous-step values, one column each) plus a constant in the
+    last column.  Entries with ``abs(c) <= tolerance`` count as zero, both in
+    :meth:`expression` and in :meth:`previous_values`, so callers can ask
+    which previous-step values are referenced before building any row.
+    """
+
+    unknowns: list[str]
+    atoms: list[tuple[str, str]]
+    values: "np.ndarray"
+    tolerance: float
+
+    def previous_values(self) -> set[str]:
+        """Names whose previous-step value has a coefficient in some row."""
+        negligible = abs(self.values[:, :-1]) <= self.tolerance
+        return {
+            name
+            for column, (kind, name) in enumerate(self.atoms)
+            if kind == "prev" and not negligible[:, column].all()
+        }
+
+    def expression(self, name: str) -> Expr:
+        """The simplified expression of ``name`` in the atoms."""
+        *coefficients, constant = self.values[self.unknowns.index(name)].tolist()
+        terms: list[Expr] = []
+        for coefficient, (kind, atom_name) in zip(coefficients, self.atoms):
+            if abs(coefficient) <= self.tolerance:
+                continue
+            leaf: Expr = Previous(atom_name) if kind == "prev" else Variable(atom_name)
+            terms.append(BinaryOp("*", Constant(coefficient), leaf))
+        if abs(constant) > self.tolerance or not terms:
+            terms.insert(0, Constant(constant))
+        expression = terms[0]
+        for term in terms[1:]:
+            expression = BinaryOp("+", expression, term)
+        return simplify(expression)
+
+
+def solve_affine(
     equations: Mapping[str, Expr],
     unknowns: Sequence[str],
     tolerance: float = 1e-18,
-) -> dict[str, Expr]:
+) -> AffineSolution:
     """Numerically solve ``unknown == expression`` for all ``unknowns``.
 
-    This is the fast path of the paper's "solution of the linear equation":
-    when every coefficient folds to a number (circuit parameters are known at
-    abstraction time), the implicit system is solved with dense numeric
-    Gaussian elimination and each unknown becomes a compact affine combination
-    of inputs and previous-step values.
-
-    Raises
-    ------
-    NonLinearExpressionError
-        When a coefficient is not numeric; callers should then fall back to
-        :func:`solve_linear_system`.
-    UnsolvableEquationError
-        When the system is singular.
+    The solution is kept as a matrix; :meth:`AffineSolution.expression`
+    builds the expression of one unknown on demand.  See
+    :func:`solve_affine_system` for the errors raised.
     """
     import numpy as np
 
     order = list(unknowns)
     n = len(order)
-    if n == 0:
-        return {}
     index = {name: i for i, name in enumerate(order)}
 
     decompositions = [affine_decompose(equations[name], order) for name in order]
@@ -434,29 +471,32 @@ def solve_affine_system(
         raise UnsolvableEquationError(
             "the assembled algebraic system is singular"
         ) from exc
+    return AffineSolution(order, atoms, solution, tolerance)
 
-    results: dict[str, Expr] = {}
-    for row, name in enumerate(order):
-        terms: list[Expr] = []
-        for column, atom in enumerate(atoms):
-            coefficient = solution[row, column]
-            if abs(coefficient) <= tolerance:
-                continue
-            kind, atom_name = atom
-            leaf: Expr = Previous(atom_name) if kind == "prev" else Variable(atom_name)
-            terms.append(BinaryOp("*", Constant(float(coefficient)), leaf))
-        constant = solution[row, -1]
-        expression: Expr
-        if abs(constant) > tolerance or not terms:
-            expression = Constant(float(constant))
-            for term in terms:
-                expression = BinaryOp("+", expression, term)
-        else:
-            expression = terms[0]
-            for term in terms[1:]:
-                expression = BinaryOp("+", expression, term)
-        results[name] = simplify(expression)
-    return results
+
+def solve_affine_system(
+    equations: Mapping[str, Expr],
+    unknowns: Sequence[str],
+    tolerance: float = 1e-18,
+) -> dict[str, Expr]:
+    """Numerically solve ``unknown == expression`` for all ``unknowns``.
+
+    This is the fast path of the paper's "solution of the linear equation":
+    when every coefficient folds to a number (circuit parameters are known at
+    abstraction time), the implicit system is solved with dense numeric
+    Gaussian elimination and each unknown becomes a compact affine combination
+    of inputs and previous-step values.
+
+    Raises
+    ------
+    NonLinearExpressionError
+        When a coefficient is not numeric; callers should then fall back to
+        :func:`solve_linear_system`.
+    UnsolvableEquationError
+        When the system is singular.
+    """
+    solution = solve_affine(equations, unknowns, tolerance)
+    return {name: solution.expression(name) for name in solution.unknowns}
 
 
 def _select_pivot(matrix: list[list[Expr]], pivot_index: int, n: int) -> int:

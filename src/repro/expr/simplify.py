@@ -194,28 +194,38 @@ def _simplify_conditional(node: Conditional) -> Expr:
     return node
 
 
+def _simplify_derivative(node: Derivative) -> Expr:
+    if isinstance(node.operand, Constant):
+        return Constant(0.0)
+    return node
+
+
+#: The rewrite rule of each node type; leaves and ``idt`` have none.  Keyed by
+#: exact type: no node type of the engine is subclassed except ``Access``,
+#: a ``Variable``.
+_RULES = {
+    BinaryOp: _simplify_binary,
+    UnaryOp: _simplify_unary,
+    Call: _simplify_call,
+    Conditional: _simplify_conditional,
+    Derivative: _simplify_derivative,
+}
+
+
+def _apply_rule(node: Expr) -> Expr:
+    rule = _RULES.get(type(node))
+    return node if rule is None else rule(node)
+
+
 def simplify(expr: Expr) -> Expr:
     """Return a simplified, semantically equivalent copy of ``expr``.
 
     The rewrite is a single bottom-up pass applying constant folding,
     arithmetic identities (``x + 0``, ``x * 1``, ``x * 0``, ``x - x``,
     double negation, ...) and folding of calls whose arguments are literal.
+    The pass is idempotent: simplifying its result again changes nothing.
     """
-
-    def visit(node: Expr) -> Expr:
-        if isinstance(node, BinaryOp):
-            return _simplify_binary(node)
-        if isinstance(node, UnaryOp):
-            return _simplify_unary(node)
-        if isinstance(node, Call):
-            return _simplify_call(node)
-        if isinstance(node, Conditional):
-            return _simplify_conditional(node)
-        if isinstance(node, Derivative) and isinstance(node.operand, Constant):
-            return Constant(0.0)
-        return node
-
-    return transform(expr, visit)
+    return transform(expr, _apply_rule)
 
 
 def is_constant(expr: Expr) -> bool:

@@ -43,8 +43,15 @@ from .keys import digest_key
 STORE_FORMAT = 1
 
 
+#: Types JSON renders as they are.  Matched by exact type: a numpy scalar
+#: (``np.float64`` subclasses ``float``) must still go through ``.item()``.
+_PRIMITIVES = frozenset({float, int, str, bool, type(None)})
+
+
 def _jsonable(value: object) -> object:
     """Recursively convert numpy scalars/arrays so records serialize exactly."""
+    if type(value) in _PRIMITIVES:
+        return value
     if isinstance(value, np.ndarray):
         return [_jsonable(item) for item in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):

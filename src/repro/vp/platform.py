@@ -103,9 +103,15 @@ class PlatformRunResult:
         Every field is a Python primitive (the analog trace is a list of
         floats, which JSON renders shortest-round-trip exact), so a result
         committed to a :class:`~repro.store.RunStore` and loaded back
-        compares equal — same fingerprint, same trace bits.
+        compares equal — same fingerprint, same trace bits.  The two
+        containers are copied one level deep, as their items are immutable;
+        ``dataclasses.asdict`` would deep-copy the trace one float at a time.
         """
-        return dataclasses.asdict(self)
+        payload = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        payload["extra"] = dict(self.extra)
+        if self.analog_trace is not None:
+            payload["analog_trace"] = list(self.analog_trace)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PlatformRunResult":

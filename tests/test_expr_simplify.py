@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import math
 
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from repro.errors import EvaluationError
 from repro.expr import (
     BinaryOp,
     Call,
@@ -17,6 +20,7 @@ from repro.expr import (
     constant_value,
     evaluate,
     is_constant,
+    rebuild,
     simplify,
 )
 
@@ -62,6 +66,11 @@ class TestIdentities:
     def test_subtracting_a_negation_becomes_addition(self):
         x, y = Variable("x"), Variable("y")
         assert simplify(BinaryOp("-", x, UnaryOp("-", y))) == BinaryOp("+", x, y)
+
+    def test_a_rule_exposed_by_a_rewrite_applies_in_the_same_pass(self):
+        x = Variable("x")
+        # x + (-x) becomes x - x, which must fold now: simplify is idempotent.
+        assert simplify(BinaryOp("+", x, UnaryOp("-", x))) == Constant(0.0)
 
 
 class TestConstantFolding:
@@ -135,3 +144,74 @@ def test_simplify_is_idempotent(expr):
     once = simplify(expr)
     twice = simplify(once)
     assert once == twice
+
+
+# -- property-based: the full grammar the rewrite rules act on ----------------------------
+_full_leaf = st.one_of(
+    st.floats(min_value=-10, max_value=10, allow_nan=False).map(Constant),
+    # The literals the identity rules key on.
+    st.sampled_from([0.0, 1.0, -1.0]).map(Constant),
+    st.sampled_from([Variable("x"), Variable("y"), Previous("x")]),
+)
+
+
+def _shared(op, operand, negated):
+    """``operand`` on both sides, as substitution produces: ``e - e``, ``e + (-e)``, ..."""
+    return BinaryOp(op, operand, UnaryOp("-", operand) if negated else operand)
+
+
+def _combine_full(children):
+    operators = st.sampled_from(["+", "-", "*", "/"])
+    return st.one_of(
+        st.builds(BinaryOp, operators, children, children),
+        st.builds(_shared, operators, children, st.booleans()),
+        st.builds(UnaryOp, st.sampled_from(["-", "+"]), children),
+        st.builds(
+            lambda func, arg: Call(func, (arg,)), st.sampled_from(["exp", "sin", "abs"]), children
+        ),
+        st.builds(Conditional, children, children, children),
+        st.builds(Derivative, children),
+    )
+
+
+_full_expression = st.recursive(_full_leaf, _combine_full, max_leaves=12)
+
+
+def _bindings(step: int) -> dict[str, float]:
+    """Variable values at ``step``; ``prev(x)`` reads them one step earlier."""
+    return {"x": 1.37 + 0.25 * step, "y": -2.5 + 0.5 * step}
+
+
+def _value(expr, step: int = 0) -> float:
+    """Evaluate ``expr`` at ``step``, where ``ddt(e)`` is ``e`` minus ``e`` a step earlier.
+
+    Every sub-expression is evaluated, branches not taken included, and must
+    be finite, else :class:`EvaluationError` is raised: the simplifier may
+    drop a sub-expression (``e * 0``, ``e - e``), so it promises the same
+    value only where every sub-expression has one.
+    """
+    if isinstance(expr, Derivative):
+        value = _value(expr.operand, step) - _value(expr.operand, step - 1)
+    else:
+        folded = rebuild(expr, [Constant(_value(child, step)) for child in expr.children()])
+        value = evaluate(folded, _bindings(step), previous=_bindings(step - 1))
+    if not math.isfinite(value):
+        raise EvaluationError(f"{expr} is not finite at step {step}")
+    return value
+
+
+@settings(max_examples=300)
+@given(_full_expression)
+def test_simplify_preserves_value_over_the_full_grammar(expr):
+    try:
+        original = _value(expr)
+    except EvaluationError:
+        reject()
+    assert _value(simplify(expr)) == pytest.approx(original, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=300)
+@given(_full_expression)
+def test_simplify_is_idempotent_over_the_full_grammar(expr):
+    once = simplify(expr)
+    assert simplify(once) == once

@@ -8,6 +8,7 @@ module covers the primitives and the signal-flow sweep integration.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -29,6 +30,7 @@ from repro.store import (
 )
 from repro.store.atomic import TMP_SUFFIX
 from repro.sweep import MonteCarloSpec, SweepError, SweepRunner
+from repro.vp import PlatformRunResult
 
 TIMESTEP = 50e-9
 SHORT = 2e-5
@@ -179,6 +181,32 @@ class TestRunStore:
         loaded = store.load(key)
         assert np.asarray(loaded["row"]).tolist() == row.tolist()
         assert loaded["count"] == 3
+
+    def test_platform_record_bytes_match_an_asdict_payload(self, tmp_path):
+        trace = np.random.default_rng(5).normal(size=4000).tolist()
+        # Engines may hand back numpy scalars; they must still go through .item().
+        trace[:3] = [np.float64(1 / 3), np.float32(0.1), -0.0]
+        result = PlatformRunResult(
+            simulated_time=2e-4,
+            instructions=4321,
+            bus_transactions=87,
+            uart_output="T\n",
+            analog_samples=len(trace),
+            crossings_reported=2,
+            analog_style="python",
+            extra={"wall": np.float64(0.25), "steps": np.int64(4000)},
+            analog_trace=trace,
+        )
+        payload = result.to_payload()
+        assert payload == dataclasses.asdict(result)
+        assert payload["analog_trace"] is not result.analog_trace
+        written = {}
+        for name, result_payload in (("shallow", payload), ("asdict", dataclasses.asdict(result))):
+            store = RunStore(tmp_path / name)
+            key = store.key({"run": 1})
+            store.commit(key, {"result": result_payload, "elapsed": 0.5}, inputs={"run": 1})
+            written[name] = store.path_for(key).read_bytes()
+        assert written["shallow"] == written["asdict"]
 
     def test_missing_key_loads_none(self, tmp_path):
         assert RunStore(tmp_path).load("0" * 64) is None
