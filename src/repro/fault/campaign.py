@@ -102,6 +102,18 @@ class FaultScenario(PlatformScenario):
                 platform, self.at_time, np.random.default_rng(self.fault_seed)
             )
 
+    def fork_time(self) -> "float | None":
+        """A time-gated digital fault's activation time, else ``None``.
+
+        The run then starts from a clone of its golden run taken just
+        before the activation (see :meth:`DigitalFault.arm
+        <repro.fault.models.DigitalFault.arm>` for the contract this
+        relies on).
+        """
+        if isinstance(self.fault, DigitalFault) and self.at_time > 0.0:
+            return self.at_time
+        return None
+
     def store_key_extras(self) -> dict:
         """Content-key material for the run store: the full fault spec.
 

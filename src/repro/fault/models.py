@@ -101,6 +101,12 @@ class DigitalFault(FaultModel):
         ``rng`` is the fault run's deterministic generator (derived through
         :mod:`repro.sweep.seeds`); faults with randomized targets draw from
         it, so serial and multiprocess campaign runs inject identically.
+
+        The contract campaigns rely on: nothing observable changes before
+        ``at_time``, and scheduled injections go through
+        :meth:`~repro.vp.platform.SmartSystemPlatform.schedule_injection`.
+        A campaign may therefore arm the fault on a clone of the golden run
+        taken just before ``at_time`` instead of on a fresh platform.
         """
         raise NotImplementedError
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -201,6 +201,12 @@ class FaultCampaignResult:
         """One verdict per *faulted* run (golden runs are the reference)."""
         if self._verdicts is None:
             golden = self.golden_results()
+            # Golden traces become float arrays once, not once per faulted
+            # run: trace_nrmse's np.asarray of an array is free.
+            for index, result in golden.items():
+                if result.analog_trace is not None:
+                    trace = np.asarray(result.analog_trace, dtype=float)
+                    golden[index] = replace(result, analog_trace=trace)
             verdicts: list[FaultVerdict] = []
             for run, result in zip(self.runs, self.results):
                 if run.golden:

@@ -205,13 +205,12 @@ def main(argv: "list[str] | None" = None) -> int:
             arguments.history = str(root / DEFAULT_HISTORY_DIR)
 
     for directory in arguments.store:
+        slug = f"store-{len(anchors)}" if len(arguments.store) > 1 else "store"
         try:
-            store = RunStore(directory)
+            dashboard.add(store_section(RunStore(directory), slug=slug))
         except StoreError as error:
             print(f"repro-report: {error}", file=sys.stderr)
             return 2
-        slug = f"store-{len(anchors)}" if len(arguments.store) > 1 else "store"
-        dashboard.add(store_section(store, slug=slug))
         anchors.append(slug)
 
     for index, file_name in enumerate(arguments.telemetry):

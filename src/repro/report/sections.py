@@ -13,7 +13,6 @@ page; this module owns *what* each result type shows, not page chrome.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -473,18 +472,15 @@ def store_section(store, slug: str = "store") -> Section:
     census: dict[str, int] = {}
     traces: list[np.ndarray] = []
     for key in store.keys():
-        path = store.path_for(key)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        inputs = payload.get("inputs") or {}
+        entry = store.entry(key)
+        inputs = entry["inputs"]
         engine = str(inputs.get("engine", "unknown")) if isinstance(
             inputs, Mapping
         ) else "unknown"
         census[engine] = census.get(engine, 0) + 1
-        record = payload.get("record")
-        if isinstance(record, Mapping):
-            result = record.get("result")
-            if isinstance(result, Mapping) and result.get("analog_trace"):
-                traces.append(np.asarray(result["analog_trace"], dtype=float))
+        result = entry["record"].get("result")
+        if isinstance(result, Mapping) and result.get("analog_trace"):
+            traces.append(np.asarray(result["analog_trace"], dtype=float))
     tiles = [stat_tile("Committed records", str(len(store)))]
     parts = [tile_row(tiles)]
     if census:

@@ -3,7 +3,8 @@
 The kernel implements the subset of SystemC's simulation semantics the
 virtual platform and the generated SystemC-DE models need:
 
-* timed event notifications kept in a binary heap;
+* timed event notifications kept in a binary heap, ordered at one instant
+  by the time each was scheduled, then first-in first-out;
 * evaluate/update *delta cycles* so that signals written during one
   evaluation phase only become visible in the next one;
 * method processes with static or dynamic sensitivity, and thread processes
@@ -120,7 +121,10 @@ class Kernel:
         #: ``now`` they may execute without overshooting the run boundary.
         self.end_time: float | None = None
         self._sequence = 0
-        self._timed: list[tuple[float, int, Callable[[], None]]] = []
+        #: ``(time, scheduled, sequence, action)`` entries: events at one
+        #: instant fire in the order they were scheduled in simulated time,
+        #: then first-in first-out (see :meth:`schedule_abs`).
+        self._timed: list[tuple[float, float, int, Callable[[], None]]] = []
         self._runnable: list[Callable[[], None]] = []
         self._delta_pending: list[Callable[[], None]] = []
         self._update_requests: list["SignalUpdate"] = []
@@ -139,26 +143,36 @@ class Kernel:
         if delay < 0.0:
             raise SimulationError("cannot schedule an action in the past")
         self._sequence += 1
-        heappush(self._timed, (quantize(self.now + delay), self._sequence, action))
+        now = self.now
+        heappush(self._timed, (quantize(now + delay), now, self._sequence, action))
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at the absolute time ``time``."""
         self.schedule(max(0.0, time - self.now), action)
 
-    def schedule_abs(self, time: float, action: Callable[[], None]) -> None:
+    def schedule_abs(
+        self, time: float, action: Callable[[], None], scheduled: float
+    ) -> None:
         """Schedule ``action`` at the absolute (quantised) time ``time``.
 
-        Equivalent to :meth:`schedule_at` but skips the relative-delay round
-        trip; times earlier than ``now`` are clamped to ``now``.  This is the
-        fast path used by periodic processes, which already know the absolute
-        grid point they fire at next.
+        Skips the relative-delay round trip of :meth:`schedule_at`; times
+        earlier than ``now`` are clamped to ``now``.  This is the fast path
+        used by periodic processes, which already know the absolute grid
+        point they fire at next.
+
+        ``scheduled`` is the simulated time the event counts as scheduled
+        at, which orders it among the events of its instant (earlier first,
+        then first-in first-out).  :meth:`schedule` uses ``now``.  A process
+        that runs ahead of the clock, like the virtual platform's CPU block
+        driver, passes the time a one-event-per-tick process would have
+        scheduled the event at; ``-inf`` fires first at the instant.
         """
         at = quantize(time)
         now = self.now
         if at < now:
             at = now
         self._sequence += 1
-        heappush(self._timed, (at, self._sequence, action))
+        heappush(self._timed, (at, scheduled, self._sequence, action))
 
     def _schedule_delta(self, action: Callable[[], None]) -> None:
         self._delta_pending.append(action)
@@ -200,11 +214,19 @@ class Kernel:
         omitted the kernel runs until no work is left.  Returns the final
         simulated time.
         """
+        return self.run_until(None if duration is None else self.now + duration)
+
+    def run_until(self, time: float | None) -> float:
+        """Run every event up to and including the absolute time ``time``.
+
+        ``None`` runs until no work is left.  Returns the final simulated
+        time, which is ``time`` (quantised) for a bounded run.
+        """
         if self._running:
             raise SimulationError("the kernel is already running")
         self._running = True
         self._finished = False
-        end_time = None if duration is None else quantize(self.now + duration)
+        end_time = None if time is None else quantize(time)
         self.end_time = end_time
         timed = self._timed
         # Observability: tracing only brackets the scheduler loop, so
@@ -228,7 +250,7 @@ class Kernel:
                 horizon = next_time + 1e-18
                 runnable = self._runnable
                 while timed and timed[0][0] <= horizon:
-                    runnable.append(heappop(timed)[2])
+                    runnable.append(heappop(timed)[3])
         finally:
             self._running = False
             self.end_time = None

@@ -123,7 +123,8 @@ class PeriodicTicker(Module):
 
     def _tick(self) -> None:
         self.tick_count += 1
-        self.callback(self.kernel.now)
-        self.kernel.schedule_abs(
-            self._grid_origin + self.tick_count * self.period, self._tick
+        kernel = self.kernel
+        self.callback(kernel.now)
+        kernel.schedule_abs(
+            self._grid_origin + self.tick_count * self.period, self._tick, kernel.now
         )

@@ -32,12 +32,14 @@ class TdfSignal:
         self.name = name or f"tdf_signal_{id(self):x}"
         self.writer: "TdfOutPort | None" = None
         self.readers: list["TdfInPort"] = []
-        self._buffers: dict[int, deque] = {}
+        # Keyed by the port itself, not its id(), so a deep copy of the
+        # cluster maps each copied port to its copied buffer.
+        self._buffers: dict["TdfInPort", deque] = {}
         self._initial = list(initial_samples)
 
     def _attach_reader(self, port: "TdfInPort") -> None:
         self.readers.append(port)
-        self._buffers[id(port)] = deque(self._initial)
+        self._buffers[port] = deque(self._initial)
 
     def push(self, value: float) -> None:
         """Append a sample for every reader."""
@@ -46,7 +48,7 @@ class TdfSignal:
 
     def pull(self, port: "TdfInPort") -> float:
         """Pop the next sample for ``port``."""
-        buffer = self._buffers[id(port)]
+        buffer = self._buffers[port]
         if not buffer:
             raise SimulationError(
                 f"TDF signal {self.name!r} underflow when read by {port.name!r}"
@@ -55,7 +57,7 @@ class TdfSignal:
 
     def available(self, port: "TdfInPort") -> int:
         """Number of samples waiting for ``port``."""
-        return len(self._buffers[id(port)])
+        return len(self._buffers[port])
 
     @property
     def delay(self) -> int:

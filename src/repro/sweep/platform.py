@@ -14,7 +14,8 @@ configuration out:
 * :class:`PlatformSweepRunner` fans the scenarios across ``multiprocessing``
   workers through the campaign executor (:mod:`repro.sweep.executor`:
   serial fallback, run store, resume) and runs each one through a fresh
-  :class:`~repro.vp.platform.SmartSystemPlatform`;
+  :class:`~repro.vp.platform.SmartSystemPlatform`, or through a clone of
+  its base run when the scenario has a fork time (time-gated faults);
 * :class:`PlatformSweepResult` aggregates the
   :class:`~repro.vp.platform.PlatformRunResult` of every scenario into
   Table-III-style per-style summaries — wall-clock time, speed-up versus the
@@ -102,6 +103,19 @@ class PlatformScenario:
         saboteurs, schedule injections, or otherwise instrument the platform.
         Runs inside the worker process, so overrides must be picklable.
         """
+
+    def fork_time(self) -> "float | None":
+        """When this run first departs from its un-instrumented base run.
+
+        ``None`` (the base scenario) runs from scratch.  A time ``t`` is a
+        promise about :meth:`prepare_platform`: nothing observable changes
+        before ``t``, and injections go through
+        :meth:`~repro.vp.platform.SmartSystemPlatform.schedule_injection`.
+        The engine then simulates the base run once up to just before ``t``
+        and arms this scenario on a clone of it (see
+        :meth:`PlatformSweepConfig.execute`).
+        """
+        return None
 
     def store_key_extras(self) -> dict:
         """Extra content-key material contributed by scenario subclasses.
@@ -299,20 +313,46 @@ class PlatformSweepConfig:
     def execute(
         self, scenarios: Sequence[PlatformScenario], pending: Sequence[int]
     ) -> Iterator[tuple[int, "tuple[PlatformRunResult, float]"]]:
-        """Run the ``pending`` scenarios one by one, yielding each as it ends."""
+        """Run the ``pending`` scenarios, yielding each as it ends.
+
+        Scenarios with a :meth:`~PlatformScenario.fork_time` inside the run
+        are grouped by base configuration (parameters, style, firmware,
+        stimulus, seed).  Each group simulates its base run once, through
+        the fork times in ascending order, and runs every member from a
+        clone taken just before its fork time; a group whose base run
+        raises runs its remaining members from scratch.  Every other
+        scenario runs from scratch.
+        """
         # The abstracted model depends only on the analog parameters, so the
         # three abstracted styles of one analog point share one abstraction.
         model_memo: dict[tuple, SignalFlowModel] = dict(self.premade_models)
+        groups: dict[tuple, list[int]] = {}
         for position in pending:
-            result, wall = _run_platform_scenario(self, scenarios[position], model_memo)
-            if TRACER.enabled:
-                TRACER.add("platform.runs")
-                TRACER.add("platform.instructions", float(result.instructions))
-                TRACER.add("platform.bus_transactions", float(result.bus_transactions))
-                TRACER.add("platform.analog_samples", float(result.analog_samples))
-                if result.crashed is not None:
-                    TRACER.add("platform.crashes")
-            yield position, (result, wall)
+            scenario = scenarios[position]
+            at = scenario.fork_time()
+            if at is not None and 0.0 < at < self.duration:
+                base = (scenario.analog_key(), scenario.style, scenario.seed)
+                groups.setdefault(base, []).append(position)
+        grouped = {position: group for group in groups.values() for position in group}
+        for position in pending:
+            group = grouped.get(position)
+            if group is None:
+                outcomes = [
+                    (position, _run_platform_scenario(self, scenarios[position], model_memo))
+                ]
+            elif group[0] == position:
+                outcomes = _run_forked(self, scenarios, group, model_memo)
+            else:
+                continue
+            for done, (result, wall) in outcomes:
+                if TRACER.enabled:
+                    TRACER.add("platform.runs")
+                    TRACER.add("platform.instructions", float(result.instructions))
+                    TRACER.add("platform.bus_transactions", float(result.bus_transactions))
+                    TRACER.add("platform.analog_samples", float(result.analog_samples))
+                    if result.crashed is not None:
+                        TRACER.add("platform.crashes")
+                yield done, (result, wall)
 
     @staticmethod
     def encode(outcome: "tuple[PlatformRunResult, float]") -> dict:
@@ -337,46 +377,72 @@ class PlatformSweepConfig:
         return outcome[1]
 
 
-def _run_platform_scenario(
-    config: PlatformSweepConfig,
-    scenario: PlatformScenario,
-    model_memo: dict,
-) -> tuple[PlatformRunResult, float]:
-    """Build, attach and run one platform configuration; returns (result, wall)."""
-    family = config.stimuli[scenario.stimulus]
-    stimuli = family(scenario.seed) if callable(family) else family
-    platform = SmartSystemPlatform(
+def _new_platform(
+    config: PlatformSweepConfig, scenario: PlatformScenario
+) -> SmartSystemPlatform:
+    return SmartSystemPlatform(
         cpu_clock_hz=config.cpu_clock_hz,
         analog_timestep=config.timestep,
         firmware=config.firmwares[scenario.firmware],
         record_analog=config.record_analog,
         cpu_block_cycles=config.cpu_block_cycles,
     )
+
+
+def _attach(
+    config: PlatformSweepConfig,
+    scenario: PlatformScenario,
+    platform: SmartSystemPlatform,
+    model_memo: dict,
+) -> None:
+    """Attach the scenario's analog subsystem, driven by its stimulus family."""
+    family = config.stimuli[scenario.stimulus]
+    stimuli = family(scenario.seed) if callable(family) else family
+    if scenario.style in ABSTRACTED_STYLES:
+        # Build the circuit only on a memo miss: with a seeded/memoised
+        # model the netlist is never needed (and the factory never called).
+        key = tuple(sorted(scenario.params.items()))
+        model = model_memo.get(key)
+        if model is None:
+            circuit = config.factory(**scenario.params)
+            flow = AbstractionFlow(config.timestep, method=config.method)
+            model = flow.abstract(circuit, config.output, name=circuit.name).model
+            model_memo[key] = model
+        platform.attach_analog(scenario.style, stimuli, model=model)
+    else:
+        platform.attach_analog(
+            scenario.style,
+            stimuli,
+            circuit=config.factory(**scenario.params),
+            output=canonical_quantity(config.output),
+        )
+
+
+def _run_platform_scenario(
+    config: PlatformSweepConfig,
+    scenario: PlatformScenario,
+    model_memo: dict,
+    base: "SmartSystemPlatform | None" = None,
+) -> tuple[PlatformRunResult, float]:
+    """Build, attach and run one platform configuration; returns (result, wall).
+
+    With ``base``, an attached platform simulated up to just before the
+    scenario's fork time, the run continues a clone of it instead, and its
+    wall time starts before the clone.
+    """
     start = None
-    try:
-        if scenario.style in ABSTRACTED_STYLES:
-            # Build the circuit only on a memo miss: with a seeded/memoised
-            # model the netlist is never needed (and the factory never called).
-            key = tuple(sorted(scenario.params.items()))
-            model = model_memo.get(key)
-            if model is None:
-                circuit = config.factory(**scenario.params)
-                flow = AbstractionFlow(config.timestep, method=config.method)
-                model = flow.abstract(
-                    circuit, config.output, name=circuit.name
-                ).model
-                model_memo[key] = model
-            platform.attach_analog(scenario.style, stimuli, model=model)
-        else:
-            platform.attach_analog(
-                scenario.style,
-                stimuli,
-                circuit=config.factory(**scenario.params),
-                output=canonical_quantity(config.output),
-            )
-        scenario.prepare_platform(platform)
+    if base is None:
+        platform = _new_platform(config, scenario)
+    else:
         start = _time.perf_counter()
-        result = platform.run(config.duration)
+        platform = base.clone()
+    try:
+        if base is None:
+            _attach(config, scenario, platform, model_memo)
+        scenario.prepare_platform(platform)
+        if start is None:
+            start = _time.perf_counter()
+        result = platform.run_until(config.duration)
         return result, _time.perf_counter() - start
     except ReproError as error:
         if not config.capture_errors:
@@ -384,6 +450,38 @@ def _run_platform_scenario(
         result = platform.snapshot(crashed=f"{type(error).__name__}: {error}")
         wall = _time.perf_counter() - start if start is not None else 0.0
         return result, wall
+
+
+def _run_forked(
+    config: PlatformSweepConfig,
+    scenarios: Sequence[PlatformScenario],
+    group: Sequence[int],
+    model_memo: dict,
+) -> Iterator[tuple[int, "tuple[PlatformRunResult, float]"]]:
+    """Run one base configuration's forking scenarios from clones of its
+    base run; each ``(position, outcome)`` is yielded as it ends."""
+    order = sorted(group, key=lambda position: scenarios[position].fork_time())
+    base = _new_platform(config, scenarios[order[0]])
+    try:
+        _attach(config, scenarios[order[0]], base, model_memo)
+    except ReproError:
+        base = None
+    while order and base is not None:
+        at = scenarios[order[0]].fork_time()
+        TRACER.add("platform.checkpoints")
+        try:
+            base.advance_before(at)
+        except ReproError:
+            break
+        while order and scenarios[order[0]].fork_time() == at:
+            position = order.pop(0)
+            yield position, _run_platform_scenario(
+                config, scenarios[position], model_memo, base
+            )
+    # What the base run could not reach runs from scratch, where its failure
+    # is recorded (or raised) per scenario.
+    for position in order:
+        yield position, _run_platform_scenario(config, scenarios[position], model_memo)
 
 
 class PlatformSweepRunner:

@@ -10,6 +10,8 @@ here, and the firmware reads it as a signed millivolt value over the APB bus.
 
 from __future__ import annotations
 
+import copy
+
 from .apb import ApbPeripheral
 
 #: Register offsets.
@@ -40,6 +42,15 @@ class AdcBridge(ApbPeripheral):
         #: Every pushed sample in arrival order when ``record`` is set (the
         #: platform sweep layer uses this to compare analog styles), else None.
         self.history: list[float] | None = [] if record else None
+
+    def __deepcopy__(self, memo: dict) -> "AdcBridge":
+        """Copy the bridge; the recorded samples are floats, so a flat copy
+        of the history is a deep one (and far cheaper, sample by sample)."""
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        if self.history is not None:
+            clone.history = list(self.history)
+        return clone
 
     # -- analog side -----------------------------------------------------------------------
     def push_sample(self, value: float) -> None:

@@ -28,6 +28,7 @@ at code), so self-modifying code re-decodes and stays architecturally exact.
 
 from __future__ import annotations
 
+import copy
 import sys
 from typing import Callable
 
@@ -260,6 +261,29 @@ class MipsCpu:
         #: Scratch list through which superblocks flush pc and counters.
         self._sb_out: list[int] = [0] * 7
         memory.add_write_watcher(self._on_external_write)
+
+    def __deepcopy__(self, memo: dict) -> "MipsCpu":
+        """Copy the architectural state; share what never mutates in place.
+
+        Decoded instruction tuples and compiled superblock functions are
+        immutable, so the clone gets new containers holding the same entries
+        instead of a per-entry deep copy of two RAM-sized tables.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            if name in ("_decoded", "_superblocks", "_sb_spans"):
+                value = copy.copy(value)
+            elif name == "_sb_cover":
+                # The only mutable cells are the sets inside registered spans.
+                value = list(value)
+                for first, last in self._sb_spans.values():
+                    for index in range(first, last + 1):
+                        value[index] = set(value[index])
+            else:
+                value = copy.deepcopy(value, memo)
+            setattr(clone, name, value)
+        return clone
 
     # -- register helpers ---------------------------------------------------------------
     def read_register(self, index: int) -> int:

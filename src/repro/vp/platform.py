@@ -17,7 +17,9 @@ analog integration style evaluated in Table III:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -30,6 +32,7 @@ from ..obs.tracer import TRACER
 from ..sim.ams import ReferenceAmsSimulator
 from ..sim.cosim import AnalogCosimServer, CoSimulationBridge
 from ..sim.de import Kernel, Module, PeriodicTicker, Signal
+from ..sim.de.simtime import RESOLUTION, quantize
 from ..sim.eln import ElnModel
 from ..sim.integration import (
     DeSignalFlowModule,
@@ -142,6 +145,10 @@ class _CpuBlockDriver(Module):
       peripheral-window load/store that is not the first instruction of a
       block, so every UART/APB/ADC access executes as the first instruction
       of an event scheduled on precisely its own clock cycle;
+    * that event counts as scheduled at the previous clock cycle, as the
+      per-tick model's would be, so at an instant it shares with other
+      events (an analog tick pushing an ADC sample) it fires in the same
+      order as in the per-tick model;
     * instructions between peripheral accesses touch only CPU-private state
       (registers and RAM), so executing them early within one kernel event
       is unobservable;
@@ -224,7 +231,27 @@ class _CpuBlockDriver(Module):
             # ticker would fire on each of them and do nothing).
             executed = budget
         self.cycle += executed
-        kernel.schedule_abs(self._grid_origin + self.cycle * self.period, self._wake)
+        origin = self._grid_origin
+        kernel.schedule_abs(
+            origin + self.cycle * self.period,
+            self._wake,
+            quantize(origin + (self.cycle - 1) * self.period),
+        )
+
+
+class _PythonAnalog:
+    """Steps a generated model at every analog tick and pushes its output
+    straight into the ADC bridge (the ``python`` integration style)."""
+
+    def __init__(self, instance, stimuli: Stimuli, adc: AdcBridge) -> None:
+        self.step = instance.step
+        self.waveforms = [stimuli[name] for name in instance.INPUTS]
+        self.single_output = len(instance.OUTPUTS) == 1
+        self.push = adc.push_sample
+
+    def tick(self, now: float) -> None:
+        result = self.step(*[waveform(now) for waveform in self.waveforms], now)
+        self.push(result if self.single_output else result[0])
 
 
 class _AdcSampler(Module):
@@ -358,16 +385,10 @@ class SmartSystemPlatform:
     def attach_analog_python(self, model: "SignalFlowModel | type | object", stimuli: Stimuli) -> None:
         """Integrate the generated model as plain code called every timestep."""
         self._ensure_unattached()
-        instance = _instantiate(model)
-        input_names = list(instance.INPUTS)
-        waveforms = [stimuli[name] for name in input_names]
-        single_output = len(instance.OUTPUTS) == 1
-
-        def tick(now: float) -> None:
-            result = instance.step(*[w(now) for w in waveforms], now)
-            self.adc.push_sample(result if single_output else result[0])
-
-        ticker = PeriodicTicker(self.kernel, "analog.cpp", self.analog_timestep, tick)
+        analog = _PythonAnalog(_instantiate(model), stimuli, self.adc)
+        ticker = PeriodicTicker(
+            self.kernel, "analog.cpp", self.analog_timestep, analog.tick
+        )
         self._analog_modules.append(ticker)
         self.analog_style = "python"
 
@@ -474,7 +495,9 @@ class SmartSystemPlatform:
         subsystem's equivalence guarantee rests on this.
         """
         self._cpu_driver.add_sync_point(time)
-        self.kernel.schedule_abs(time, action)
+        # Scheduled "before time began": the injection fires first at its
+        # instant whether it was armed before the run or on a clone.
+        self.kernel.schedule_abs(time, action, -math.inf)
 
     # -- execution ----------------------------------------------------------------------------------
     def snapshot(self, crashed: str | None = None) -> PlatformRunResult:
@@ -499,22 +522,51 @@ class SmartSystemPlatform:
 
     def run(self, duration: float) -> PlatformRunResult:
         """Simulate the platform for ``duration`` seconds of virtual time."""
+        return self.run_until(self.kernel.now + duration)
+
+    def run_until(self, time: float) -> PlatformRunResult:
+        """Simulate up to and including the absolute virtual time ``time``."""
+        self._simulate(time)
+        return self.snapshot()
+
+    def advance_before(self, time: float) -> None:
+        """Simulate every event earlier than the absolute time ``time``.
+
+        No event at ``time`` fires and no instruction whose clock cycle lies
+        at or after it executes, so a :meth:`clone` taken now and armed
+        with an injection at ``time`` continues exactly like a platform
+        armed before its run.
+        """
+        self._cpu_driver.add_sync_point(time)
+        self._simulate(quantize(time) - RESOLUTION)
+
+    def clone(self) -> "SmartSystemPlatform":
+        """An independent copy of the complete simulation state.
+
+        Running either platform afterwards leaves the other untouched.  The
+        CPU's decoded instructions and compiled superblocks are immutable
+        and shared (see :meth:`MipsCpu.__deepcopy__
+        <repro.vp.mips.cpu.MipsCpu.__deepcopy__>`).  Clone between runs:
+        the kernel's delta queues are empty then.
+        """
+        return copy.deepcopy(self)
+
+    def _simulate(self, end_time: float) -> None:
         if self.analog_style is None:
             raise PlatformError(
                 "attach an analog subsystem before running the platform"
             )
         tracer = TRACER
         if not tracer.enabled:
-            self.kernel.run(duration)
-            return self.snapshot()
+            self.kernel.run_until(end_time)
+            return
         start = tracer.now()
         cpu = self.cpu
         instructions_before = cpu.instruction_count
         compiles_before = cpu.superblock_compile_count
         hits_before = cpu.superblock_hit_count
         invalidations_before = cpu.superblock_invalidation_count
-        self.kernel.run(duration)
-        result = self.snapshot()
+        self.kernel.run_until(end_time)
         compiles = cpu.superblock_compile_count - compiles_before
         hits = cpu.superblock_hit_count - hits_before
         invalidations = cpu.superblock_invalidation_count - invalidations_before
@@ -523,7 +575,7 @@ class SmartSystemPlatform:
             start,
             "platform",
             style=self.analog_style,
-            instructions=result.instructions - instructions_before,
+            instructions=cpu.instruction_count - instructions_before,
             blocks=cpu.block_count,
             decode_misses=cpu.decode_miss_count,
             decode_invalidations=cpu.decode_invalidation_count,
@@ -534,7 +586,6 @@ class SmartSystemPlatform:
         tracer.add("iss.superblock.compiles", float(compiles))
         tracer.add("iss.superblock.hits", float(hits))
         tracer.add("iss.superblock.invalidations", float(invalidations))
-        return result
 
 
 def _instantiate(model: "SignalFlowModel | type | object"):

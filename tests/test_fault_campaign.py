@@ -152,6 +152,40 @@ class TestFaultCampaignExecution:
         # (see test_lint.py); every execution verdict occurs here.
         assert set(by_name.values()) == set(VERDICTS) - {VERDICT_LINT}
 
+    def test_golden_traces_are_converted_once_with_identical_verdicts(
+        self, result, monkeypatch
+    ):
+        from repro.fault import classify_run
+        from repro.fault import report
+
+        golden = result.golden_results()
+        expected = [
+            classify_run(golden[entry.run.scenario.index], entry.result, 1e-3)
+            for entry in result.verdicts()
+        ]
+        converted = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def asarray(value, *args, **kwargs):
+                converted.append(id(value))
+                return np.asarray(value, *args, **kwargs)
+
+        monkeypatch.setattr(report, "np", CountingNumpy())
+        fresh = report.FaultCampaignResult(
+            runs=result.runs,
+            results=result.results,
+            elapsed=result.elapsed,
+            duration=result.duration,
+            timestep=result.timestep,
+        )
+        assert [(e.verdict, e.nrmse, e.detail) for e in fresh.verdicts()] == expected
+        golden_traces = {id(run.analog_trace) for run in golden.values()}
+        assert sum(key in golden_traces for key in converted) == len(golden_traces)
+
     def test_crash_detail_names_the_cpu_fault(self, result):
         crash = [e for e in result.verdicts() if e.verdict == VERDICT_CRASH]
         assert len(crash) == 1

@@ -395,7 +395,13 @@ class TestCounterReconciliation:
         assert telemetry.engine == "fault-campaign"
         assert telemetry.counters["platform.runs"] == result.executed_count
         assert result.executed_count == result.n_runs == len(spec)
-        assert telemetry.counters["de.runs"] == result.n_runs
+        # One kernel run per job plus one per golden-prefix segment: the two
+        # digital faults share one activation time and one worker chunk.
+        assert telemetry.counters["platform.checkpoints"] == 1
+        assert (
+            telemetry.counters["de.runs"]
+            == result.n_runs + telemetry.counters["platform.checkpoints"]
+        )
         # worker payloads arrived from more than one process
         assert len({event["pid"] for event in telemetry.events}) >= 1
         payload = to_trace_events(telemetry)

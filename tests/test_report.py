@@ -33,6 +33,7 @@ from repro.report import (
     fuzz_section,
     history_path,
     load_history,
+    store_section,
     load_history_file,
     merge_latest,
     self_contained_problems,
@@ -402,3 +403,38 @@ class TestFaultSectionUnit:
         assert "coverage" in section.body.lower() or "Coverage" in section.body
         assert "<svg" in section.body  # the envelope plot
         assert result.n_runs == 16
+
+
+class TestStoreSection:
+    def test_trace_envelope_from_a_fault_campaign_store(self, tmp_path, monkeypatch):
+        from repro.circuits import rc_benchmark
+        from repro.fault import AdcStuckBitFault, FaultCampaignRunner, FaultCampaignSpec
+        from repro.report import sections
+        from repro.sim import SquareWave
+        from repro.store import RunStore
+
+        spec = FaultCampaignSpec(
+            faults=[AdcStuckBitFault(bit=9)], activation_times=(1e-5,)
+        )
+        result = FaultCampaignRunner(
+            rc_benchmark(1).build,
+            "out",
+            {"vin": SquareWave(period=1e-5)},
+            store=tmp_path,
+            progress=False,
+        ).run(spec, 2e-5)
+        plotted = {}
+
+        def envelope(x, low, high, center, **labels):
+            plotted.update(low=low, high=high, title=labels["title"])
+            return "<svg></svg>"
+
+        monkeypatch.setattr(sections, "envelope_chart", envelope)
+        section = store_section(RunStore(tmp_path))
+        assert "platform-sweep" in section.body
+        # The band spans exactly the stored traces, decoded from their blocks.
+        traces = np.array([run.analog_trace for run in result.results])
+        assert traces.shape == (2, 400)
+        assert plotted["low"] == traces.min(axis=0).tolist()
+        assert plotted["high"] == traces.max(axis=0).tolist()
+        assert "envelope of 2 runs" in plotted["title"]

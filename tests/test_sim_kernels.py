@@ -4,9 +4,32 @@ from __future__ import annotations
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.errors import SchedulingError, SimulationError
 from repro.sim import Clock, Kernel, Module, PeriodicTicker, Signal, TdfCluster, TdfModule
 from repro.sim.de import Event
+from repro.sim.de.simtime import RESOLUTION, quantize
+
+
+def reference_quantize(time: float) -> float:
+    return round(time / RESOLUTION) * RESOLUTION
+
+
+class TestQuantize:
+    @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+    def test_matches_round_on_the_femtosecond_grid(self, time):
+        assert quantize(time).hex() == reference_quantize(time).hex()
+
+    def test_ties_round_to_even_like_round(self):
+        for step in range(-2000, 2000):
+            time = (step + 0.5) * RESOLUTION
+            assert quantize(time).hex() == reference_quantize(time).hex()
+
+    def test_grid_points_and_large_times(self):
+        for time in (0.0, -0.0, 5e-8 * 123457, 2.2517998136852485, 7.5, -1e3):
+            assert quantize(time).hex() == reference_quantize(time).hex()
 
 
 class TestDeKernel:

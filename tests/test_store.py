@@ -20,6 +20,7 @@ from repro.circuits import build_rc_filter
 from repro.errors import StoreError
 from repro.sim import SquareWave
 from repro.store import (
+    STORE_FORMAT,
     RunStore,
     as_run_store,
     atomic_write_json,
@@ -29,6 +30,7 @@ from repro.store import (
     fingerprint,
 )
 from repro.store.atomic import TMP_SUFFIX
+from repro.store.runstore import BLOCK, BLOCK_MIN
 from repro.sweep import MonteCarloSpec, SweepError, SweepRunner
 from repro.vp import PlatformRunResult
 
@@ -207,6 +209,55 @@ class TestRunStore:
             store.commit(key, {"result": result_payload, "elapsed": 0.5}, inputs={"run": 1})
             written[name] = store.path_for(key).read_bytes()
         assert written["shallow"] == written["asdict"]
+
+    def test_float_sequences_are_written_as_binary_blocks(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = store.key({"n": 1})
+        trace = np.random.default_rng(3).normal(size=4000).tolist()
+        trace[:4] = [-0.0, 5e-324, 1 / 3, float("inf")]
+        rows = np.linspace(0.0, 1.0, BLOCK_MIN, dtype=np.float32)
+        store.commit(key, {"result": {"trace": trace}, "rows": rows})
+        on_disk = json.loads(store.path_for(key).read_text())
+        assert on_disk["format"] == STORE_FORMAT == 2
+        assert set(on_disk["record"]["result"]["trace"]) == {BLOCK}
+        assert set(on_disk["record"]["rows"]) == {BLOCK}
+        loaded = store.load(key)
+        assert loaded["result"]["trace"] == trace
+        assert all(type(value) is float for value in loaded["result"]["trace"])
+        assert np.signbit(loaded["result"]["trace"][0])
+        assert loaded["rows"] == rows.tolist()
+
+    def test_short_or_mixed_sequences_stay_json_lists(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = store.key({"n": 1})
+        short = [0.5] * (BLOCK_MIN - 1)
+        mixed = [0.5] * BLOCK_MIN + [1]
+        store.commit(key, {"short": short, "mixed": mixed, "ints": list(range(40))})
+        on_disk = json.loads(store.path_for(key).read_text())["record"]
+        assert on_disk == {"short": short, "mixed": mixed, "ints": list(range(40))}
+
+    def test_records_may_not_use_the_block_key(self, tmp_path):
+        store = RunStore(tmp_path)
+        with pytest.raises(StoreError, match="reserved"):
+            store.commit(store.key({"n": 1}), {"nested": {BLOCK: "AAAAAAAAAAA="}})
+        assert len(store) == 0
+
+    @pytest.mark.parametrize("block", ["not base64!", "AAAA", 7])
+    def test_malformed_block_fails_loud(self, tmp_path, block):
+        store = RunStore(tmp_path)
+        key = store.key({"n": 1})
+        store.commit(key, {"trace": [0.25] * BLOCK_MIN})
+        path = store.path_for(key)
+        payload = json.loads(path.read_text())
+        payload["record"]["trace"] = {BLOCK: block}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StoreError, match=str(path)):
+            store.load(key)
+
+    def test_format_one_stores_are_refused(self, tmp_path):
+        (tmp_path / RunStore.MARKER).write_text(json.dumps({"format": 1}))
+        with pytest.raises(StoreError, match="format-1 store"):
+            RunStore(tmp_path)
 
     def test_missing_key_loads_none(self, tmp_path):
         assert RunStore(tmp_path).load("0" * 64) is None
