@@ -49,7 +49,7 @@ from ..sweep.platform import (
     Stimuli,
 )
 from ..sweep.seeds import spawn_seeds
-from ..vp.platform import SmartSystemPlatform
+from ..vp.platform import CPU_BLOCK_CYCLES, SmartSystemPlatform
 from .models import AnalogFault, DigitalFault, FaultModel
 from .report import FaultCampaignResult
 
@@ -273,9 +273,12 @@ class FaultCampaignRunner:
     and faulted alike) is committed to the content-addressed store as it
     finishes, and a resumed campaign loads committed runs instead of
     re-executing them — verdicts, coverage and reports of a resumed
-    campaign are bit-identical to an uninterrupted one's.
+    campaign are bit-identical to an uninterrupted one's.  The calling
+    process loads them before any fan-out; workers execute and commit
+    only the missing runs, and a fully stored campaign starts none.
     ``interrupt_after`` is the crash-simulation hook used by the resume
-    tests and the CI smoke job (see
+    tests and the CI smoke job: each chunk of the runs left to execute
+    stops after executing that many (see
     :class:`~repro.sweep.platform.PlatformSweepRunner`).
 
     ``lint`` enables the strict static-analysis gate: every built circuit is
@@ -294,7 +297,7 @@ class FaultCampaignRunner:
         method: str = "backward_euler",
         families: "bool | None" = None,
         workers: int = 1,
-        cpu_block_cycles: int = 256,
+        cpu_block_cycles: int = CPU_BLOCK_CYCLES,
         nrmse_threshold: float = 1e-3,
         store: "RunStore | str | None" = None,
         resume: bool = False,

@@ -88,7 +88,16 @@ def classify_run(
     nrmse_threshold: float,
 ) -> tuple[str, "float | None", str]:
     """Classify one faulted run; returns ``(verdict, nrmse, detail)``."""
-    error = trace_nrmse(golden, faulted)
+    return _classify(golden, faulted, trace_nrmse(golden, faulted), nrmse_threshold)
+
+
+def _classify(
+    golden: PlatformRunResult,
+    faulted: PlatformRunResult,
+    error: "float | None",
+    nrmse_threshold: float,
+) -> tuple[str, "float | None", str]:
+    """:func:`classify_run` given the run's :func:`trace_nrmse`."""
     if faulted.crashed is not None:
         if faulted.crashed.startswith("LintError"):
             return VERDICT_LINT, error, faulted.crashed
@@ -202,10 +211,20 @@ class FaultCampaignResult:
         if self._verdicts is None:
             golden = self.golden_results()
             # Golden traces become float arrays once, not once per faulted
-            # run: trace_nrmse's np.asarray of an array is free.
+            # run: trace_nrmse's np.asarray of an array is free.  A faulted
+            # stream equal to an all-finite golden list (digital faults act
+            # at the bus, so theirs mostly are) gets the NRMSE nrmse would
+            # compute for it, exactly 0.0, without being converted.
+            finite: dict[int, list] = {}
             for index, result in golden.items():
                 if result.analog_trace is not None:
                     trace = np.asarray(result.analog_trace, dtype=float)
+                    if (
+                        isinstance(result.analog_trace, list)
+                        and trace.size
+                        and np.isfinite(trace).all()
+                    ):
+                        finite[index] = result.analog_trace
                     golden[index] = replace(result, analog_trace=trace)
             verdicts: list[FaultVerdict] = []
             for run, result in zip(self.runs, self.results):
@@ -217,8 +236,15 @@ class FaultCampaignResult:
                         f"no golden run for the platform scenario of "
                         f"{run.describe()}"
                     )
-                verdict, error, detail = classify_run(
-                    reference, result, self.nrmse_threshold
+                stream = result.analog_trace
+                if isinstance(stream, list) and stream == finite.get(
+                    run.scenario.index
+                ):
+                    error = 0.0
+                else:
+                    error = trace_nrmse(reference, result)
+                verdict, error, detail = _classify(
+                    reference, result, error, self.nrmse_threshold
                 )
                 verdicts.append(FaultVerdict(run, result, verdict, error, detail))
             self._verdicts = verdicts

@@ -16,7 +16,7 @@ from typing import Callable
 
 from ..sim.de import Kernel, PeriodicTicker
 from ..vp import Memory, MipsCpu, assemble
-from ..vp.platform import _CpuBlockDriver
+from ..vp.platform import CPU_BLOCK_CYCLES, _CpuBlockDriver
 from .baseline import BenchmarkRecord, best_of
 
 #: The platform's nominal CPU clock period (20 MHz), used by the ISS bench.
@@ -56,7 +56,7 @@ def make_firmware_loop_cpu(superblocks: bool = False) -> MipsCpu:
 def iss_throughput(
     instructions: int,
     stepper: "str" = "block",
-    block_cycles: int = 256,
+    block_cycles: int = CPU_BLOCK_CYCLES,
 ) -> float:
     """Instructions/second of the ISS on the firmware-style loop.
 

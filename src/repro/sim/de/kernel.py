@@ -207,26 +207,26 @@ class Kernel:
         """Stop the simulation at the end of the current delta cycle."""
         self._finished = True
 
-    def run(self, duration: float | None = None) -> float:
+    def run(
+        self, duration: float | None = None, *, until: float | None = None
+    ) -> float:
         """Run the simulation.
 
-        ``duration`` bounds the simulated time starting from ``now``; when
-        omitted the kernel runs until no work is left.  Returns the final
-        simulated time.
+        ``duration`` bounds the simulated time starting from ``now``;
+        ``until`` instead runs every event up to and including that
+        absolute time.  With neither, the kernel runs until no work is
+        left.  Returns the final simulated time, which is the end time
+        (quantised) for a bounded run.
         """
-        return self.run_until(None if duration is None else self.now + duration)
-
-    def run_until(self, time: float | None) -> float:
-        """Run every event up to and including the absolute time ``time``.
-
-        ``None`` runs until no work is left.  Returns the final simulated
-        time, which is ``time`` (quantised) for a bounded run.
-        """
+        if duration is not None:
+            if until is not None:
+                raise SimulationError("run takes a duration or an end time, not both")
+            until = self.now + duration
         if self._running:
             raise SimulationError("the kernel is already running")
         self._running = True
         self._finished = False
-        end_time = None if time is None else quantize(time)
+        end_time = None if until is None else quantize(until)
         self.end_time = end_time
         timed = self._timed
         # Observability: tracing only brackets the scheduler loop, so

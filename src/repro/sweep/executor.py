@@ -6,18 +6,21 @@
 independent jobs; only the unit of work differs.  Everything around it
 lives here, once:
 
-* fan-out: :func:`map_scenario_chunks` spreads contiguous chunks of jobs
-  over a ``multiprocessing`` pool, or everything runs serially with
-  identical outcomes;
-* the per-job protocol, in the process that owns the chunk: job → store
-  key → load or execute → commit → telemetry.  Keys are derived only when
-  a run store is configured, and every fresh outcome is committed the
-  moment the engine yields it, so a killed chunk keeps its finished work;
+* the run store, in the coordinating process: it derives every job's store
+  key once (only when a store is configured) and, with ``resume``, loads
+  and decodes the committed jobs before anything fans out;
+* fan-out: :func:`map_scenario_chunks` spreads even contiguous chunks of the
+  *pending* jobs over a ``multiprocessing`` pool, or they run serially with
+  identical outcomes; a run with nothing pending starts no pool;
+* the per-job protocol, in the process that owns the chunk: execute →
+  commit → telemetry.  Every fresh outcome is committed under the key the
+  coordinator derived the moment the engine yields it, so a killed chunk
+  keeps its finished work;
 * the rules: ``resume`` loads committed jobs instead of executing them;
   ``interrupt_after`` executes and commits that many jobs per chunk, then
   raises :class:`~repro.errors.CampaignInterrupted`;
-* progress, worker tracing (enable, mark, collect) and the merged
-  :class:`~repro.obs.telemetry.TelemetryReport`.
+* progress, tracing (enable, mark, collect — in the coordinator and in
+  every chunk) and the merged :class:`~repro.obs.telemetry.TelemetryReport`.
 
 An *engine* is the picklable recipe for one kind of job
 (:class:`~repro.sweep.runner.SweepConfig`,
@@ -142,10 +145,12 @@ class CampaignRun:
     outcomes: list
     #: ``True`` for jobs this run executed, ``False`` for loaded ones.
     executed: np.ndarray
-    #: Processes the jobs ran in (1 for the serial path).
+    #: Processes the jobs ran in (1 for the serial path and for a run with
+    #: nothing pending).
     workers: int
     wall: float
-    #: Merged worker telemetry when the run was traced; ``None`` otherwise.
+    #: Merged coordinator and worker telemetry when the run was traced;
+    #: ``None`` otherwise.
     telemetry: "TelemetryReport | None"
 
 
@@ -179,103 +184,131 @@ class CampaignExecutor:
             raise SweepError("interrupt_after without a store would lose all work")
 
     def run(self, engine, jobs: Sequence) -> CampaignRun:
-        """Execute every job through ``engine``, serially or across a pool."""
+        """Execute every job through ``engine``, serially or across a pool.
+
+        The run store is resolved here, before any fan-out; only the jobs
+        it does not serve are chunked and executed.
+        """
         plan = replace(
             self, trace=tracing_enabled() if self.trace is None else bool(self.trace)
         )
         reporter = ProgressReporter(len(jobs), engine.UNITS, enabled=self.progress)
         advance = reporter.advance if reporter.active else None
         start = _time.perf_counter()
-        chunks = None
         try:
-            if self.workers > 1 and len(jobs) > 1:
+            (outcomes, keys, inputs), resolved = _traced(
+                plan, _resolve, plan, engine, jobs
+            )
+            pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+            if advance is not None:
+                advance(len(jobs) - len(pending))
+            work = [(jobs[i], keys[i], inputs[i]) for i in pending]
+            chunks = None
+            if self.workers > 1 and len(work) > 1:
                 chunks = map_scenario_chunks(
-                    _run_chunk, (plan, engine), jobs, self.workers, advance
+                    _run_chunk, (plan, engine), work, self.workers, advance
                 )
             if chunks is None:
-                chunks = [_run_chunk(((plan, engine), jobs), progress=advance)]
+                chunks = [_run_chunk(((plan, engine), work), advance)] if work else []
         finally:
             reporter.finish()
         wall = _time.perf_counter() - start
-        outcomes = [outcome for chunk in chunks for outcome in chunk["outcomes"]]
-        executed = np.array(
-            [flag for chunk in chunks for flag in chunk["executed"]], dtype=bool
-        )
+        fresh = [outcome for chunk in chunks for outcome in chunk["outcomes"]]
+        for position, outcome in zip(pending, fresh):
+            outcomes[position] = outcome
+        executed = np.zeros(len(jobs), dtype=bool)
+        executed[pending] = True
+        workers = max(len(chunks), 1)
         telemetry = None
         if plan.trace:
-            latencies = [
-                engine.latency(outcome)
-                for outcome, ran in zip(outcomes, executed)
-                if ran
-            ]
+            latencies = [engine.latency(outcome) for outcome in fresh]
             telemetry = TelemetryReport.merge(
                 engine.ENGINE,
-                [chunk["telemetry"] for chunk in chunks],
+                [resolved, *(chunk["telemetry"] for chunk in chunks)],
                 scenarios=len(jobs),
-                executed=int(np.count_nonzero(executed)),
+                executed=len(pending),
                 wall=wall,
-                workers=len(chunks),
+                workers=workers,
                 latencies=[seconds for seconds in latencies if seconds is not None],
             )
-        return CampaignRun(outcomes, executed, len(chunks), wall, telemetry)
+        return CampaignRun(outcomes, executed, workers, wall, telemetry)
 
 
-def _run_chunk(
-    payload: "tuple[tuple[CampaignExecutor, object], Sequence]",
-    progress: "Callable[[int], None] | None" = None,
-) -> dict:
-    """Run the per-job protocol over one contiguous chunk (worker entry point).
-
-    The serial path calls it with the whole job list and may pass a
-    ``progress`` callback; pool submissions never do, keeping the payload a
-    plain picklable tuple.
-    """
-    (plan, engine), jobs = payload
-    store = plan.store
-    enabled_here = plan.trace and not TRACER.enabled
+def _traced(plan: CampaignExecutor, function: Callable, *args) -> tuple:
+    """``(function(*args), payload)``: the payload is this process's
+    telemetry of the call when the plan traces (switching the tracer on
+    for it if needed), else ``None``."""
+    if not plan.trace:
+        return function(*args), None
+    enabled_here = not TRACER.enabled
     if enabled_here:
         enable_tracing()
-    mark = TRACER.mark() if plan.trace else None
-    outcomes: list = [None] * len(jobs)
-    executed = [False] * len(jobs)
-    pending = list(range(len(jobs)))
+    mark = TRACER.mark()
     try:
-        if store is not None:
-            inputs = [engine.store_inputs(job) for job in jobs]
-            keys = [store.key(job_inputs) for job_inputs in inputs]
-            if plan.resume:
-                for position, key in enumerate(keys):
-                    record = store.load(key)
-                    try:
-                        if record is not None:
-                            outcomes[position] = engine.decode(record)
-                    except (KeyError, TypeError, ValueError) as error:
-                        raise StoreError(
-                            f"malformed store record {store.path_for(key)}: {error}"
-                        ) from error
-                pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
-                if progress is not None:
-                    progress(len(jobs) - len(pending))
-        budget = pending[: plan.interrupt_after]
-        for position, outcome in engine.execute(jobs, budget):
-            if store is not None:
-                store.commit(
-                    keys[position], engine.encode(outcome), inputs=inputs[position]
-                )
-            outcomes[position] = outcome
-            executed[position] = True
-            if progress is not None:
-                progress(1)
-        if len(budget) < len(pending):
-            raise CampaignInterrupted(
-                f"worker interrupted after executing {len(budget)} "
-                f"scenario(s); {len(store)} record(s) committed"
-            )
+        result = function(*args)
     finally:
         if enabled_here:
             disable_tracing()
-    return {
-        "outcomes": outcomes,
-        "executed": executed,
-        "telemetry": TRACER.collect(mark) if mark is not None else None,
-    }
+    return result, TRACER.collect(mark)
+
+
+def _resolve(plan: CampaignExecutor, engine, jobs: Sequence) -> tuple[list, list, list]:
+    """Per job: the committed outcome (``None`` = pending), store key and
+    store inputs; keys and inputs are ``None`` without a store, and
+    outcomes are loaded only on ``resume``."""
+    store = plan.store
+    outcomes: list = [None] * len(jobs)
+    if store is None:
+        return outcomes, [None] * len(jobs), [None] * len(jobs)
+    inputs = [engine.store_inputs(job) for job in jobs]
+    keys = [store.key(job_inputs) for job_inputs in inputs]
+    if plan.resume:
+        for position, key in enumerate(keys):
+            record = store.load(key)
+            try:
+                if record is not None:
+                    outcomes[position] = engine.decode(record)
+            except (KeyError, TypeError, ValueError) as error:
+                raise StoreError(
+                    f"malformed store record {store.path_for(key)}: {error}"
+                ) from error
+    return outcomes, keys, inputs
+
+
+def _run_chunk(
+    payload: "tuple[tuple[CampaignExecutor, object], Sequence[tuple]]",
+    progress: "Callable[[int], None] | None" = None,
+) -> dict:
+    """Execute and commit one contiguous chunk of pending jobs (worker entry point).
+
+    The chunk holds one ``(job, key, inputs)`` per job.  The serial path
+    calls it with every pending job and may pass a ``progress`` callback;
+    pool submissions never do, keeping the payload a plain picklable tuple.
+    """
+    (plan, engine), work = payload
+    outcomes, telemetry = _traced(plan, _execute, plan, engine, work, progress)
+    return {"outcomes": outcomes, "telemetry": telemetry}
+
+
+def _execute(
+    plan: CampaignExecutor,
+    engine,
+    work: Sequence[tuple],
+    progress: "Callable[[int], None] | None",
+) -> list:
+    store = plan.store
+    outcomes: list = [None] * len(work)
+    budget = list(range(len(work)))[: plan.interrupt_after]
+    for position, outcome in engine.execute([job for job, _, _ in work], budget):
+        if store is not None:
+            _, key, inputs = work[position]
+            store.commit(key, engine.encode(outcome), inputs=inputs)
+        outcomes[position] = outcome
+        if progress is not None:
+            progress(1)
+    if len(budget) < len(work):
+        raise CampaignInterrupted(
+            f"worker interrupted after executing {len(budget)} "
+            f"scenario(s); {len(store)} record(s) committed"
+        )
+    return outcomes

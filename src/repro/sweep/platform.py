@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +46,12 @@ from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER
 from ..sim.runners import resolve_steps
 from ..store import RunStore, fingerprint
-from ..vp.platform import ANALOG_STYLES, PlatformRunResult, SmartSystemPlatform
+from ..vp.platform import (
+    ANALOG_STYLES,
+    CPU_BLOCK_CYCLES,
+    PlatformRunResult,
+    SmartSystemPlatform,
+)
 from .executor import CampaignExecutor, SweepError
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
@@ -262,7 +268,7 @@ class PlatformSweepConfig:
     #: :class:`~repro.vp.platform.SmartSystemPlatform`); 1 is the historical
     #: one-instruction-per-tick model, larger blocks are faster with
     #: identical scenario fingerprints.
-    cpu_block_cycles: int = 256
+    cpu_block_cycles: int = CPU_BLOCK_CYCLES
     #: Pre-abstracted models keyed by the sorted parameter tuple; seeds the
     #: per-chunk abstraction memo so callers that already ran the abstraction
     #: flow (e.g. the Table III harness) do not pay for it twice.
@@ -287,9 +293,10 @@ class PlatformSweepConfig:
         identical work shares a record no matter where it sits in the
         expansion.
         """
+        factory, stimuli = self._fingerprints
         return {
             "engine": "platform-sweep",
-            "factory": fingerprint(self.factory),
+            "factory": factory,
             "output": self.output,
             "timestep": self.timestep,
             "duration": self.duration,
@@ -298,7 +305,7 @@ class PlatformSweepConfig:
             "record_analog": self.record_analog,
             "cosim_options": [],  # a removed option, kept so stored keys stay valid
             "firmware": self.firmwares[scenario.firmware],
-            "stimulus": fingerprint(self.stimuli[scenario.stimulus]),
+            "stimulus": stimuli[scenario.stimulus],
             "seed": scenario.seed,
             "style": scenario.style,
             # fingerprint() also canonicalizes numpy-typed parameter values
@@ -308,6 +315,14 @@ class PlatformSweepConfig:
                 for name, value in sorted(scenario.params.items())
             ],
             "extras": scenario.store_key_extras(),
+        }
+
+    @cached_property
+    def _fingerprints(self) -> tuple[object, dict[str, object]]:
+        """The factory's and every stimulus family's key fingerprint, taken
+        once per run (each run binds a fresh config) instead of per job."""
+        return fingerprint(self.factory), {
+            name: fingerprint(family) for name, family in self.stimuli.items()
         }
 
     def execute(
@@ -529,13 +544,16 @@ class PlatformSweepRunner:
         optional ADC trace — is committed atomically as it finishes.
     resume:
         Load runs already committed to ``store`` instead of re-executing
-        them (requires ``store``).  A resumed sweep's fingerprints are
-        bit-identical to an uninterrupted run's.
+        them (requires ``store``).  The calling process loads them before
+        any fan-out, and only the missing runs are split into even
+        contiguous chunks across workers; with none missing, no worker
+        starts and the result reports one worker.  A resumed sweep's
+        fingerprints are bit-identical to an uninterrupted run's.
     interrupt_after:
-        Testing/CI hook simulating a crash: each worker raises
-        :class:`~repro.errors.CampaignInterrupted` after *executing* (not
-        loading) this many scenarios, leaving the store with exactly the
-        committed prefix.
+        Testing/CI hook simulating a crash: each chunk of the runs left to
+        execute raises :class:`~repro.errors.CampaignInterrupted` after
+        *executing* (loads do not count) this many of them, leaving the
+        store with exactly what was committed.
     trace:
         Collect per-worker telemetry and attach a merged
         :class:`~repro.obs.telemetry.TelemetryReport` to the result.
@@ -557,7 +575,7 @@ class PlatformSweepRunner:
         families: "bool | None" = None,
         workers: int = 1,
         record_analog: bool = True,
-        cpu_block_cycles: int = 256,
+        cpu_block_cycles: int = CPU_BLOCK_CYCLES,
         premade_models: "Sequence[tuple[Mapping[str, float], SignalFlowModel]] | None" = None,
         capture_errors: bool = False,
         store: "RunStore | str | None" = None,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import time as _time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -104,9 +105,12 @@ class SweepConfig:
         deliberately excluded — identical work shares a record no matter
         where it sits in the expansion.
         """
+        factory, stimuli = self._fingerprints
+        if scenario.stimuli is not None:
+            stimuli = fingerprint(dict(scenario.stimuli))
         return {
             "engine": "sweep",
-            "factory": fingerprint(self.factory),
+            "factory": factory,
             "outputs": list(self.outputs),
             "timestep": self.timestep,
             "duration": self.duration,
@@ -118,8 +122,14 @@ class SweepConfig:
                 [name, fingerprint(value)]
                 for name, value in sorted(scenario.params.items())
             ],
-            "stimuli": fingerprint(dict(_scenario_stimuli(self, scenario))),
+            "stimuli": stimuli,
         }
+
+    @cached_property
+    def _fingerprints(self) -> tuple[object, object]:
+        """The factory's and the default stimuli's key fingerprint, taken
+        once per run (each run binds a fresh config) instead of per job."""
+        return fingerprint(self.factory), fingerprint(dict(self.stimuli))
 
     def execute(
         self, scenarios: Sequence[Scenario], pending: Sequence[int]
@@ -332,8 +342,10 @@ class SweepRunner:
         they are produced.
     resume:
         Load scenarios already committed to ``store`` instead of
-        re-executing them (requires ``store``).  Resumed ensembles are
-        bit-identical to uninterrupted runs.
+        re-executing them (requires ``store``).  The calling process loads
+        them before any fan-out, and only the missing scenarios are split
+        across workers; with none missing, no worker starts.  Resumed
+        ensembles are bit-identical to uninterrupted runs.
     trace:
         Collect per-worker telemetry and attach a merged
         :class:`~repro.obs.telemetry.TelemetryReport` to the result.

@@ -128,6 +128,12 @@ class PlatformRunResult:
         return cls(**{name: payload[name] for name in payload})
 
 
+#: Default cap on the instructions :class:`_CpuBlockDriver` retires per
+#: kernel event.  Any cap gives identical run fingerprints; larger ones are
+#: faster.
+CPU_BLOCK_CYCLES = 256
+
+
 class _CpuBlockDriver(Module):
     """Advances the CPU one instruction *block* per kernel event.
 
@@ -165,7 +171,7 @@ class _CpuBlockDriver(Module):
         name: str,
         cpu: MipsCpu,
         period: float,
-        block_cycles: int = 256,
+        block_cycles: int = CPU_BLOCK_CYCLES,
     ) -> None:
         super().__init__(kernel, name)
         if period <= 0.0:
@@ -302,7 +308,7 @@ class SmartSystemPlatform:
         ram_size: int = 64 * 1024,
         uart_baud: int = 115200,
         record_analog: bool = False,
-        cpu_block_cycles: int = 256,
+        cpu_block_cycles: int = CPU_BLOCK_CYCLES,
         cpu_superblocks: bool = True,
     ) -> None:
         self.kernel = Kernel()
@@ -558,7 +564,7 @@ class SmartSystemPlatform:
             )
         tracer = TRACER
         if not tracer.enabled:
-            self.kernel.run_until(end_time)
+            self.kernel.run(until=end_time)
             return
         start = tracer.now()
         cpu = self.cpu
@@ -566,7 +572,7 @@ class SmartSystemPlatform:
         compiles_before = cpu.superblock_compile_count
         hits_before = cpu.superblock_hit_count
         invalidations_before = cpu.superblock_invalidation_count
-        self.kernel.run_until(end_time)
+        self.kernel.run(until=end_time)
         compiles = cpu.superblock_compile_count - compiles_before
         hits = cpu.superblock_hit_count - hits_before
         invalidations = cpu.superblock_invalidation_count - invalidations_before

@@ -10,6 +10,9 @@ needs the opt-in static-analysis gate and is exercised in test_lint.py.)
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,18 +27,22 @@ from repro.fault import (
     VERDICT_TRACE,
     VERDICTS,
     AdcStuckBitFault,
+    FaultCampaignResult,
     FaultCampaignRunner,
     FaultCampaignSpec,
+    FaultRun,
     InstructionCorruptionFault,
     MemoryBitFlipFault,
     ParameterDriftFault,
     ResistorShortFault,
     analog_fault_universe,
+    classify_run,
     digital_fault_universe,
 )
+from repro.fault import report
 from repro.sim import SquareWave
 from repro.sweep import GridSpec, PlatformScenarioSpec, spawn_seeds
-from repro.vp import SmartSystemPlatform, threshold_monitor_source
+from repro.vp import PlatformRunResult, SmartSystemPlatform, threshold_monitor_source
 
 TIMESTEP = 50e-9
 DURATION = 1.2e-4
@@ -323,3 +330,105 @@ class TestAcceptanceCampaign:
         assert "faulted runs" in markdown
         csv = serial_result.to_csv()
         assert len(csv.splitlines()) == 1 + len(serial_result.verdicts())
+
+
+class TestEqualStreamShortcut:
+    """A faulted ADC stream equal to its all-finite golden stream skips numpy.
+
+    Every verdict and every NRMSE bit must equal what :func:`classify_run`,
+    which always computes the NRMSE, gives for the run.
+    """
+
+    SAMPLES = 200
+
+    def campaign(self, seed: int, non_finite: float) -> FaultCampaignResult:
+        """Two platform scenarios; the second one's golden stream holds
+        ``non_finite``.  Per scenario: digital faults whose streams equal
+        golden, analog faults whose streams differ, a crash cut short."""
+        rng = np.random.default_rng(seed)
+        scenarios = PlatformScenarioSpec(stimuli=("a", "b")).expand()
+        streams = [rng.normal(size=self.SAMPLES).tolist() for _ in scenarios]
+        streams[1][int(rng.integers(self.SAMPLES))] = non_finite
+        runs: list[FaultRun] = []
+        results: list[PlatformRunResult] = []
+
+        def add(fault, scenario, stream, uart="", crashed=None):
+            runs.append(FaultRun(len(runs), fault, 0.0, scenario, len(runs)))
+            results.append(
+                PlatformRunResult(
+                    simulated_time=1e-5,
+                    instructions=100,
+                    bus_transactions=len(stream),
+                    uart_output=uart,
+                    analog_samples=len(stream),
+                    crossings_reported=0,
+                    analog_style="python",
+                    analog_trace=stream,
+                    crashed=crashed,
+                )
+            )
+
+        for scenario, stream in zip(scenarios, streams):
+            add(None, scenario, stream)
+        for scenario, stream in zip(scenarios, streams):
+            # Equal streams: the golden float objects, equal new floats, and
+            # one whose firmware reacted anyway.
+            add(MemoryBitFlipFault(bit=0), scenario, list(stream))
+            add(MemoryBitFlipFault(bit=1), scenario, np.array(stream).tolist())
+            add(MemoryBitFlipFault(bit=2), scenario, list(stream), uart="!")
+            noise = rng.normal(scale=0.1, size=self.SAMPLES)
+            add(ParameterDriftFault("r1", 2.0), scenario, (np.array(stream) + noise).tolist())
+            add(ParameterDriftFault("c1", 1.5), scenario, (np.array(stream) * 1.5).tolist())
+            cut = int(rng.integers(1, self.SAMPLES))
+            add(
+                InstructionCorruptionFault(0x40),
+                scenario,
+                stream[:cut],
+                crashed="CpuFault: staged",
+            )
+        return FaultCampaignResult(
+            runs=runs,
+            results=results,
+            elapsed=np.zeros(len(runs)),
+            duration=1e-5,
+            timestep=TIMESTEP,
+        )
+
+    @staticmethod
+    def bits(rows) -> list[tuple]:
+        return [
+            (verdict, None if error is None else struct.pack("<d", error), detail)
+            for verdict, error, detail in rows
+        ]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("non_finite", [math.inf, -math.inf, math.nan])
+    def test_verdicts_and_nrmse_bits_equal_the_numpy_reference(
+        self, seed, non_finite, monkeypatch
+    ):
+        result = self.campaign(seed, non_finite)
+        golden = result.golden_results()
+        expected = [
+            classify_run(golden[run.scenario.index], outcome, result.nrmse_threshold)
+            for run, outcome in zip(result.runs, result.results)
+            if not run.golden
+        ]
+        computed = []
+        numpy_nrmse = report.trace_nrmse
+        monkeypatch.setattr(
+            report,
+            "trace_nrmse",
+            lambda reference, faulted: computed.append(faulted)
+            or numpy_nrmse(reference, faulted),
+        )
+        rows = [(e.verdict, e.nrmse, e.detail) for e in result.verdicts()]
+        assert self.bits(rows) == self.bits(expected)
+        # Only the finite scenario's three equal streams skipped numpy.
+        assert len(computed) == len(expected) - 3
+        assert {entry.verdict for entry in result.verdicts()} == {
+            VERDICT_SILENT,
+            VERDICT_DETECTED,
+            VERDICT_TRACE,
+            VERDICT_CRASH,
+        }

@@ -13,11 +13,15 @@ multiprocess.
 
 from __future__ import annotations
 
+import multiprocessing.pool
+import re
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.circuits import rc_benchmark
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, StoreError
 from repro.fault import (
     AdcStuckBitFault,
     FaultCampaignRunner,
@@ -34,6 +38,7 @@ from repro.sweep import (
     PlatformSweepRunner,
     SweepError,
     SweepRunner,
+    executor,
 )
 from repro.vp import threshold_monitor_source
 
@@ -280,6 +285,178 @@ class TestFaultCampaignResume:
             spec_at(ACTIVATION / 2), CAMPAIGN_DURATION
         )
         assert resumed.executed_count == 1
+
+
+def verdict_rows(result) -> list[tuple]:
+    return [(entry.verdict, entry.nrmse, entry.detail) for entry in result.verdicts()]
+
+
+class TestCoordinatorResolution:
+    """The coordinating process resolves the store; workers get pending runs only."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        """12 runs: golden, two analog faults, three digital faults at three times."""
+        return FaultCampaignSpec(
+            faults=[
+                ParameterDriftFault("r1", 2.0),
+                ParameterDriftFault("c1", 0.5),
+                AdcStuckBitFault(bit=9, stuck_at=1),
+                MemoryBitFlipFault(bit=0),
+                UartCorruptionFault(0x20),
+            ],
+            activation_times=(3e-5, ACTIVATION, 9e-5),
+            scenarios=PlatformScenarioSpec(firmwares=FIRMWARES),
+            seed=3,
+        )
+
+    @pytest.fixture(scope="class")
+    def executed(self, spec, tmp_path_factory):
+        """The campaign executed into a fresh store, and that store."""
+        directory = tmp_path_factory.mktemp("full-store")
+        result = campaign_runner(store=directory).run(spec, CAMPAIGN_DURATION)
+        assert result.executed.all() and len(RunStore(directory)) == len(spec)
+        return result, directory
+
+    @staticmethod
+    def store_keeping(executed, spec, tmp_path, keep) -> "tuple[RunStore, list[str]]":
+        """A copy of the full store holding only the runs ``keep`` accepts,
+        and every run's key in run order."""
+        shutil.copytree(executed[1], tmp_path / "store")
+        store = RunStore(tmp_path / "store")
+        # Every run has its own fault seed, which its store inputs record.
+        index_of = {run.seed: run.index for run in spec.expand()}
+        keys = [""] * len(spec)
+        for key in store.keys():
+            index = index_of[store.entry(key)["inputs"]["extras"]["fault_seed"]]
+            keys[index] = key
+            if not keep(index):
+                store.path_for(key).unlink()
+        return store, keys
+
+    @staticmethod
+    def spy_fan_out(monkeypatch) -> list[dict]:
+        """Record what each fan-out receives and the chunks it returns."""
+        calls = []
+        fan_out = executor.map_scenario_chunks
+
+        def spy(worker, config, work, workers, progress=None):
+            chunks = fan_out(worker, config, work, workers, progress)
+            calls.append(
+                {
+                    "keys": [key for _, key, _ in work],
+                    "chunks": [len(chunk["outcomes"]) for chunk in chunks],
+                }
+            )
+            return chunks
+
+        monkeypatch.setattr(executor, "map_scenario_chunks", spy)
+        return calls
+
+    def test_fully_stored_resume_starts_no_pool(self, spec, executed, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a fully stored resume requested a process pool")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        first, directory = executed
+        resumed = campaign_runner(store=directory, resume=True, workers=2).run(
+            spec, CAMPAIGN_DURATION
+        )
+        assert not resumed.executed.any()
+        assert resumed.workers == 1
+        assert resumed.results == first.results
+        assert verdict_rows(resumed) == verdict_rows(first)
+        assert resumed.to_csv() == first.to_csv()
+
+    def test_non_contiguous_subset_executes_the_missing_runs_in_two_even_chunks(
+        self, spec, executed, tmp_path, monkeypatch
+    ):
+        store, keys = self.store_keeping(
+            executed, spec, tmp_path, lambda index: index % 3 == 0
+        )
+        missing = [index for index in range(len(spec)) if index % 3]
+        calls = self.spy_fan_out(monkeypatch)
+        resumed = campaign_runner(store=store, resume=True, workers=2).run(
+            spec, CAMPAIGN_DURATION
+        )
+        assert calls == [
+            {"keys": [keys[index] for index in missing], "chunks": [4, 4]}
+        ]
+        assert list(np.flatnonzero(resumed.executed)) == missing
+        assert resumed.workers == 2
+        first = executed[0]
+        assert resumed.results == first.results
+        assert verdict_rows(resumed) == verdict_rows(first)
+        assert resumed.to_csv() == first.to_csv()
+
+    def test_interrupt_after_counts_executed_runs_per_chunk(
+        self, spec, executed, tmp_path
+    ):
+        # Runs 0, 3 and 6 stored: nine pending runs split 4 + 5.  With a
+        # budget of 4 the first chunk completes and the second commits 4
+        # runs, then interrupts; its fifth run is all that is left.
+        store, keys = self.store_keeping(
+            executed, spec, tmp_path, lambda index: index in (0, 3, 6)
+        )
+        with pytest.raises(CampaignInterrupted, match="after executing 4"):
+            campaign_runner(
+                store=store, resume=True, workers=2, interrupt_after=4
+            ).run(spec, CAMPAIGN_DURATION)
+        assert sorted(store.keys()) == sorted(keys[:11])
+        resumed = campaign_runner(store=store, resume=True).run(
+            spec, CAMPAIGN_DURATION
+        )
+        assert list(np.flatnonzero(resumed.executed)) == [11]
+        assert resumed.results == executed[0].results
+
+    def test_serial_interrupt_after_counts_from_the_first_pending_run(
+        self, spec, executed, tmp_path
+    ):
+        store, keys = self.store_keeping(
+            executed, spec, tmp_path, lambda index: index % 3 == 0
+        )
+        with pytest.raises(CampaignInterrupted, match="after executing 2"):
+            campaign_runner(store=store, resume=True, interrupt_after=2).run(
+                spec, CAMPAIGN_DURATION
+            )
+        assert sorted(store.keys()) == sorted(keys[index] for index in (0, 1, 2, 3, 6, 9))
+
+    def test_torn_record_raises_store_error_naming_its_file(
+        self, spec, executed, tmp_path
+    ):
+        store, _ = self.store_keeping(executed, spec, tmp_path, lambda index: True)
+        victim = store.path_for(store.keys()[5])
+        victim.write_text("{torn", encoding="utf-8")
+        with pytest.raises(StoreError, match=re.escape(str(victim))):
+            campaign_runner(store=store, resume=True, workers=2).run(
+                spec, CAMPAIGN_DURATION
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_resume_counts_each_store_hit_once(self, spec, executed, workers):
+        resumed = campaign_runner(
+            store=executed[1], resume=True, workers=workers, trace=True
+        ).run(spec, CAMPAIGN_DURATION)
+        counters = resumed.telemetry.counters
+        assert counters["store.hits"] == len(spec)
+        assert counters["platform.loaded"] == len(spec)
+        assert "store.misses" not in counters and "store.commits" not in counters
+        assert resumed.telemetry.workers == 1
+
+    def test_traced_pooled_resume_merges_coordinator_and_worker_counters(
+        self, spec, executed, tmp_path
+    ):
+        store, _ = self.store_keeping(
+            executed, spec, tmp_path, lambda index: index % 3 == 0
+        )
+        resumed = campaign_runner(
+            store=store, resume=True, workers=2, trace=True
+        ).run(spec, CAMPAIGN_DURATION)
+        counters = resumed.telemetry.counters
+        assert counters["store.hits"] == counters["platform.loaded"] == 4
+        assert counters["store.misses"] == 8
+        assert counters["store.commits"] == counters["platform.runs"] == 8
+        assert resumed.telemetry.workers == 2
 
 
 class TestPinnedStoreKeys:

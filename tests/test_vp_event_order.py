@@ -18,8 +18,10 @@ import pytest
 
 from repro.circuits import rc_benchmark
 from repro.core.flow import AbstractionFlow
+from repro.errors import SimulationError
 from repro.network.circuit import canonical_quantity
 from repro.sim import Kernel, SquareWave
+from repro.sim.de.simtime import RESOLUTION, quantize
 from repro.vp import SmartSystemPlatform, threshold_monitor_source
 from repro.vp.firmware import averaging_monitor_source
 
@@ -69,10 +71,14 @@ class TestKernelSameInstantOrder:
         kernel = Kernel()
         fired = []
         kernel.schedule_abs(2e-6, lambda: fired.append(kernel.now), 0.0)
-        assert kernel.run_until(2e-6 - 1e-15) == pytest.approx(2e-6 - 1e-15)
+        assert kernel.run(until=2e-6 - 1e-15) == pytest.approx(2e-6 - 1e-15)
         assert fired == []
-        kernel.run_until(2e-6)
+        kernel.run(until=2e-6)
         assert fired == [pytest.approx(2e-6)]
+
+    def test_run_takes_a_duration_or_an_end_time_not_both(self):
+        with pytest.raises(SimulationError, match="not both"):
+            Kernel().run(1e-6, until=2e-6)
 
 
 def platform(style, ratio, firmware, blocks, models):
@@ -148,3 +154,30 @@ class TestBlockSteppedOrder:
                     blocks,
                 )
                 assert result.analog_trace == reference.analog_trace, (firmware, blocks)
+
+
+class TestPlatformSchedulerEntry:
+    def test_every_platform_path_enters_through_kernel_run(self, models):
+        # Probes time the scheduler by wrapping ``kernel.run`` on the
+        # instance; each platform path must reach it with its absolute end.
+        vp = platform("python", 1.0, "threshold", 256, models)
+        calls = []
+        run = vp.kernel.run
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return run(*args, **kwargs)
+
+        vp.kernel.run = wrapper
+        vp.run(1e-6)
+        vp.run_until(3e-6)
+        vp.advance_before(5e-6)
+        now = vp.kernel.now
+        vp.run(1e-6)
+        assert calls == [
+            ((), {"until": 1e-6}),
+            ((), {"until": 3e-6}),
+            ((), {"until": quantize(5e-6) - RESOLUTION}),
+            ((), {"until": now + 1e-6}),
+        ]
+        assert vp.kernel.now == quantize(now + 1e-6)
