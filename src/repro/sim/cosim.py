@@ -102,9 +102,9 @@ class CoSimulationBridge(Module):
     def _synchronise(self, now: float) -> None:
         # Wait one delta cycle so that stimulus signals written at this
         # synchronisation point are visible before values are marshalled.
-        self.kernel._schedule_delta(lambda: self._exchange(now))
+        self.kernel._delta_pending.append(self._exchange)
 
-    def _exchange(self, now: float) -> None:
+    def _exchange(self) -> None:
         inputs = {name: signal.read() for name, signal in self.input_signals.items()}
         request = self.server.pack_request(inputs)
         response = self.server.transact(request)

@@ -111,7 +111,19 @@ class ThreadProcess:
 
 
 class Kernel:
-    """The discrete-event scheduler."""
+    """The discrete-event scheduler.
+
+    Periodic processes share heap entries.  A :class:`~.module.PeriodicTicker`
+    whose next entry would be pushed right after another ticker's, with an
+    equal ``(time, scheduled)`` key, joins that entry instead of pushing its
+    own; one entry then fires its members in push order.  That is the order
+    separate entries would get: entries with equal keys fire first-in
+    first-out, and nothing can sort between two consecutive pushes.  The
+    join is checked at every push: ``_open`` is the shared entry pushed
+    last, a ticker joins it only if no timed push happened since (its
+    ``sequence`` still equals ``_sequence``) and its keys are equal, and the
+    run loop closes it (``_open = None``) whenever it pops an instant.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -132,6 +144,8 @@ class Kernel:
         # lists every delta dominated the kernel's allocation profile.
         self._runnable_spare: list[Callable[[], None]] = []
         self._update_spare: list["SignalUpdate"] = []
+        #: The shared periodic entry pushed last, until an instant is popped.
+        self._open = None
         self._running = False
         self._finished = False
         self.delta_count = 0
@@ -156,15 +170,13 @@ class Kernel:
         """Schedule ``action`` at the absolute (quantised) time ``time``.
 
         Skips the relative-delay round trip of :meth:`schedule_at`; times
-        earlier than ``now`` are clamped to ``now``.  This is the fast path
-        used by periodic processes, which already know the absolute grid
-        point they fire at next.
+        earlier than ``now`` are clamped to ``now``.
 
         ``scheduled`` is the simulated time the event counts as scheduled
         at, which orders it among the events of its instant (earlier first,
         then first-in first-out).  :meth:`schedule` uses ``now``.  A process
         that runs ahead of the clock, like the virtual platform's CPU block
-        driver, passes the time a one-event-per-tick process would have
+        driver, uses the time a one-event-per-tick process would have
         scheduled the event at; ``-inf`` fires first at the instant.
         """
         at = quantize(time)
@@ -191,10 +203,6 @@ class Kernel:
             for process in waiting:
                 runnable.append(process.resume)
 
-    def request_update(self, update: "SignalUpdate") -> None:
-        """Queue a signal update to be applied at the end of the evaluation phase."""
-        self._update_requests.append(update)
-
     # -- processes ------------------------------------------------------------------------
     def spawn_thread(self, generator, name: str = "") -> ThreadProcess:
         """Create and start a thread process from a generator."""
@@ -204,7 +212,12 @@ class Kernel:
 
     # -- simulation loop -------------------------------------------------------------------
     def stop(self) -> None:
-        """Stop the simulation at the end of the current delta cycle."""
+        """Stop the simulation at the end of the current delta cycle.
+
+        ``now`` stays at the stop instant, and :meth:`run` returns it.  Work
+        left at that instant and every pending timed event stay queued; a
+        later :meth:`run` picks them up at their own times.
+        """
         self._finished = True
 
     def run(
@@ -216,7 +229,7 @@ class Kernel:
         ``until`` instead runs every event up to and including that
         absolute time.  With neither, the kernel runs until no work is
         left.  Returns the final simulated time, which is the end time
-        (quantised) for a bounded run.
+        (quantised) for a bounded run that was not stopped.
         """
         if duration is not None:
             if until is not None:
@@ -238,15 +251,59 @@ class Kernel:
             events_before = self.event_count
             deltas_before = self.delta_count
         try:
-            while not self._finished:
-                self._run_delta_cycles()
-                if not timed:
+            while True:
+                # Delta cycles at the current instant.
+                while self._runnable or self._delta_pending:
+                    if self._finished:
+                        break
+                    # Evaluation phase: triggered processes, then delta
+                    # actions.  The drained lists are recycled as the next
+                    # delta's spares instead of being re-allocated; actions
+                    # triggered during evaluation land in the (empty)
+                    # swapped-in lists, so they run in the next delta.
+                    runnable = self._runnable
+                    pending = self._delta_pending
+                    if pending:
+                        if runnable:
+                            runnable.extend(pending)
+                            pending.clear()
+                        else:
+                            self._delta_pending = runnable
+                            runnable = pending
+                    # Swap BEFORE running the actions and clear in a finally,
+                    # so an exception escaping a process can neither alias
+                    # the two lists nor leave stale actions behind for the
+                    # next run() call.
+                    self._runnable = self._runnable_spare
+                    self._runnable_spare = runnable
+                    try:
+                        for action in runnable:
+                            action()
+                    finally:
+                        runnable.clear()
+                    # Update phase.  Updates requested while applying updates
+                    # belong to the next delta, hence the swap first.
+                    updates = self._update_requests
+                    if updates:
+                        self._update_requests = self._update_spare
+                        self._update_spare = updates
+                        try:
+                            for update in updates:
+                                update.apply()
+                        finally:
+                            updates.clear()
+                    self.delta_count += 1
+                if self._finished or not timed:
                     break
                 next_time = timed[0][0]
                 if end_time is not None and next_time > end_time + 1e-18:
                     self.now = end_time
                     break
+                # Advance to the next instant and move its events to the
+                # runnable list.  Popping closes the open shared entry: a
+                # periodic process must not join an entry already popped.
                 self.now = next_time
+                self._open = None
                 horizon = next_time + 1e-18
                 runnable = self._runnable
                 while timed and timed[0][0] <= horizon:
@@ -261,45 +318,9 @@ class Kernel:
                 tracer.add("de.events", float(events))
                 tracer.add("de.deltas", float(deltas))
                 tracer.end("de.run", run_start, "de", events=events, deltas=deltas)
-        if end_time is not None and self.now < end_time:
+        if end_time is not None and self.now < end_time and not self._finished:
             self.now = end_time
         return self.now
-
-    def _run_delta_cycles(self) -> None:
-        while self._runnable or self._delta_pending:
-            if self._finished:
-                return
-            # Evaluation phase.  The drained lists are recycled as the next
-            # delta's spares instead of being re-allocated; actions triggered
-            # during evaluation land in the (empty) swapped-in lists, so the
-            # visibility semantics are identical to the allocating version.
-            runnable = self._runnable
-            pending = self._delta_pending
-            if pending:
-                runnable.extend(pending)
-                pending.clear()
-            # Swap BEFORE running the actions and clear in a finally, so an
-            # exception escaping a process can neither alias the two lists
-            # nor leave stale actions behind for the next run() call.
-            self._runnable = self._runnable_spare
-            self._runnable_spare = runnable
-            try:
-                for action in runnable:
-                    action()
-            finally:
-                runnable.clear()
-            # Update phase.  Updates requested while applying updates belong
-            # to the next delta, hence the swap before iterating.
-            updates = self._update_requests
-            if updates:
-                self._update_requests = self._update_spare
-                self._update_spare = updates
-                try:
-                    for update in updates:
-                        update.apply()
-                finally:
-                    updates.clear()
-            self.delta_count += 1
 
     # -- queries ---------------------------------------------------------------------------
     def pending_activity(self) -> bool:

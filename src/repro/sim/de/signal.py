@@ -38,7 +38,7 @@ class Signal(Generic[T], SignalUpdate):
         self._next = value
         if not self._update_pending:
             self._update_pending = True
-            self.kernel.request_update(self)
+            self.kernel._update_requests.append(self)
 
     @property
     def value(self) -> T:
@@ -51,7 +51,12 @@ class Signal(Generic[T], SignalUpdate):
         self._update_pending = False
         if self._next != self._current:
             self._current = self._next
-            self.changed.notify()
+            changed = self.changed
+            if changed._waiting_methods or changed._waiting_threads:
+                self.kernel._trigger_event(changed)
+            else:
+                # Nothing waits: the trigger would only count the event.
+                self.kernel.event_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Signal({self.name!r}, value={self._current!r})"

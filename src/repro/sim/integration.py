@@ -26,21 +26,6 @@ from .tdf import TdfModule
 from .trace import Trace, TraceSet
 
 
-def _after_deltas(kernel: Kernel, deltas: int, action: Callable[[], None]) -> None:
-    """Run ``action`` after ``deltas`` delta cycles at the current time.
-
-    Discrete-event signals update at the end of the evaluation phase, so a
-    consumer activated in the same phase as the producer would read the
-    previous value.  Deferring by one delta per producer/consumer hop keeps
-    the sampled waveforms aligned with the other engines without introducing
-    artificial timestep delays.
-    """
-    if deltas <= 0:
-        action()
-        return
-    kernel._schedule_delta(lambda: _after_deltas(kernel, deltas - 1, action))
-
-
 class DeSourceModule(Module):
     """Drives a discrete-event signal from a stimulus callable, every timestep."""
 
@@ -72,7 +57,16 @@ class DeProbeModule(Module):
     def _sample(self, now: float) -> None:
         # Defer past the source (1 delta) and device (1 delta) updates so that
         # the recorded sample reflects the value settled at this timestep.
-        _after_deltas(self.kernel, 2, lambda: self.trace.append(now, self.watched.read()))
+        # Discrete-event signals update at the end of the evaluation phase,
+        # so one delta per producer/consumer hop keeps the sampled waveform
+        # aligned with the other engines without an artificial step delay.
+        self.kernel._delta_pending.append(self._after_source)
+
+    def _after_source(self) -> None:
+        self.kernel._delta_pending.append(self._record)
+
+    def _record(self) -> None:
+        self.trace.append(self.kernel.now, self.watched.read())
 
 
 class DeSignalFlowModule(Module):
@@ -101,23 +95,24 @@ class DeSignalFlowModule(Module):
             output: self.signal(0.0, f"out_{index}")
             for index, output in enumerate(self.output_names)
         }
+        self._inputs = list(self.input_signals.values())
+        self._outputs = list(self.output_signals.values())
         self.step_count = 0
         self._ticker = PeriodicTicker(kernel, f"{name}.tick", self.timestep, self._step)
 
     def _step(self, now: float) -> None:
         # Wait one delta so that stimulus signals written at this timestep have
         # been updated before the model samples them.
-        _after_deltas(self.kernel, 1, lambda: self._evaluate(now))
+        self.kernel._delta_pending.append(self._evaluate)
 
-    def _evaluate(self, now: float) -> None:
-        values = [self.input_signals[name].read() for name in self.input_names]
-        result = self.model.step(*values, now)
-        if len(self.output_names) == 1:
-            outputs = (result,)
+    def _evaluate(self) -> None:
+        result = self.model.step(*[signal.read() for signal in self._inputs], self.kernel.now)
+        outputs = self._outputs
+        if len(outputs) == 1:
+            outputs[0].write(result)
         else:
-            outputs = tuple(result)
-        for name, value in zip(self.output_names, outputs):
-            self.output_signals[name].write(value)
+            for signal, value in zip(outputs, result):
+                signal.write(value)
         self.step_count += 1
 
     def output(self, name: str | None = None) -> Signal:
@@ -149,15 +144,30 @@ class ElnDeModule(Module):
             quantity: self.signal(0.0, f"out_{index}")
             for index, quantity in enumerate(self.observed)
         }
+        # Inputs go straight into the solver's input vector and outputs come
+        # straight from its state, through indices resolved once here.
+        self._input_slots = [
+            (model._input_index[name], signal) for name, signal in self.input_signals.items()
+        ]
+        self._output_slots = [
+            (model.system.index.unknown(quantity), signal)
+            for quantity, signal in self.output_signals.items()
+        ]
         self._ticker = PeriodicTicker(kernel, f"{name}.tick", model.timestep, self._step)
 
     def _step(self, now: float) -> None:
-        _after_deltas(self.kernel, 1, self._evaluate)
+        # One delta, as for DeSignalFlowModule: the stimulus update lands first.
+        self.kernel._delta_pending.append(self._evaluate)
 
     def _evaluate(self) -> None:
-        self.model.step({name: signal.read() for name, signal in self.input_signals.items()})
-        for quantity, signal in self.output_signals.items():
-            signal.write(self.model.value(quantity))
+        model = self.model
+        vector = model._input_vector
+        for index, signal in self._input_slots:
+            vector[index] = signal.read()
+        model.step()
+        state = model._state
+        for index, signal in self._output_slots:
+            signal.write(float(state[index]))
 
     def output(self, quantity: str | None = None) -> Signal:
         """Return the signal carrying ``quantity`` (default: first observed)."""
@@ -232,10 +242,7 @@ class TdfDeBridge(Module):
         cluster.schedule()
         if cluster.timestep is None:
             raise SimulationError("the TDF cluster has no timestep")
-        self._ticker = PeriodicTicker(kernel, f"{name}.tick", cluster.timestep, self._activate)
-
-    def _activate(self, now: float) -> None:
-        self.cluster.run_period(now)
+        self._ticker = PeriodicTicker(kernel, f"{name}.tick", cluster.timestep, cluster.run_period)
 
 
 class TdfToDeSignal(TdfModule):

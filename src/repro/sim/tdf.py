@@ -32,32 +32,20 @@ class TdfSignal:
         self.name = name or f"tdf_signal_{id(self):x}"
         self.writer: "TdfOutPort | None" = None
         self.readers: list["TdfInPort"] = []
-        # Keyed by the port itself, not its id(), so a deep copy of the
-        # cluster maps each copied port to its copied buffer.
-        self._buffers: dict["TdfInPort", deque] = {}
+        #: One sample queue per reader, in reader order.  The writer's port
+        #: appends to every queue and each reader's port pops its own.
+        self._queues: list[deque] = []
         self._initial = list(initial_samples)
 
-    def _attach_reader(self, port: "TdfInPort") -> None:
+    def _attach_reader(self, port: "TdfInPort") -> deque:
         self.readers.append(port)
-        self._buffers[port] = deque(self._initial)
-
-    def push(self, value: float) -> None:
-        """Append a sample for every reader."""
-        for buffer in self._buffers.values():
-            buffer.append(value)
-
-    def pull(self, port: "TdfInPort") -> float:
-        """Pop the next sample for ``port``."""
-        buffer = self._buffers[port]
-        if not buffer:
-            raise SimulationError(
-                f"TDF signal {self.name!r} underflow when read by {port.name!r}"
-            )
-        return buffer.popleft()
+        queue = deque(self._initial)
+        self._queues.append(queue)
+        return queue
 
     def available(self, port: "TdfInPort") -> int:
         """Number of samples waiting for ``port``."""
-        return len(self._buffers[port])
+        return len(self._queues[self.readers.index(port)])
 
     @property
     def delay(self) -> int:
@@ -90,19 +78,30 @@ class TdfPort:
 class TdfInPort(TdfPort):
     """An input port (``sca_tdf::sca_in<double>``)."""
 
+    #: This reader's sample queue in the bound signal.
+    _queue: "deque | None" = None
+
     def bind(self, signal: TdfSignal) -> None:
         self.signal = signal
-        signal._attach_reader(self)
+        self._queue = signal._attach_reader(self)
 
     def read(self) -> float:
         """Consume and return the next input sample."""
+        queue = self._queue
+        if queue:
+            return queue.popleft()
         if self.signal is None:
             raise SimulationError(f"TDF input port {self.name!r} is not bound")
-        return self.signal.pull(self)
+        raise SimulationError(
+            f"TDF signal {self.signal.name!r} underflow when read by {self.name!r}"
+        )
 
 
 class TdfOutPort(TdfPort):
     """An output port (``sca_tdf::sca_out<double>``)."""
+
+    #: The bound signal's reader queues (shared, so later readers count).
+    _queues: "list[deque] | None" = None
 
     def bind(self, signal: TdfSignal) -> None:
         if signal.writer is not None:
@@ -110,13 +109,16 @@ class TdfOutPort(TdfPort):
                 f"TDF signal {signal.name!r} already has a writer"
             )
         self.signal = signal
+        self._queues = signal._queues
         signal.writer = self
 
     def write(self, value: float) -> None:
-        """Produce one output sample."""
-        if self.signal is None:
+        """Produce one output sample for every reader."""
+        queues = self._queues
+        if queues is None:
             raise SimulationError(f"TDF output port {self.name!r} is not bound")
-        self.signal.push(value)
+        for queue in queues:
+            queue.append(value)
 
 
 class TdfModule:
@@ -132,6 +134,8 @@ class TdfModule:
         self.name = name
         self.activation_count = 0
         self.requested_timestep: float | None = None
+        #: Current cluster time, set by the scheduler before each activation.
+        self.time = 0.0
 
     # -- construction helpers --------------------------------------------------------
     def in_port(self, name: str, rate: int = 1) -> TdfInPort:
@@ -172,11 +176,6 @@ class TdfModule:
                 found.extend(item for item in value if isinstance(item, TdfPort))
         return found
 
-    @property
-    def time(self) -> float:
-        """Current cluster time (set by the scheduler before each activation)."""
-        return getattr(self, "_cluster_time", 0.0)
-
 
 class TdfCluster:
     """A set of connected TDF modules executed under one static schedule."""
@@ -186,6 +185,8 @@ class TdfCluster:
         self.modules: list[TdfModule] = []
         self.signals: list[TdfSignal] = []
         self._schedule: list[tuple[TdfModule, int]] | None = None
+        #: The schedule as ``(module, bound processing)`` pairs.
+        self._steps: list[tuple[TdfModule, Callable[[], None]]] | None = None
         self.timestep: float | None = None
         self.period_count = 0
 
@@ -292,6 +293,7 @@ class TdfCluster:
         for module in self.modules:
             module.initialize()
         self._schedule = schedule
+        self._steps = [(module, module.processing) for module, _ in schedule]
         return schedule
 
     def _can_fire(self, module: TdfModule, tokens: dict) -> bool:
@@ -333,10 +335,13 @@ class TdfCluster:
     # -- execution ---------------------------------------------------------------------------
     def run_period(self, time: float) -> None:
         """Execute one cluster period (every module its repetition count)."""
-        schedule = self.schedule()
-        for module, _ in schedule:
-            module._cluster_time = time
-            module.processing()
+        steps = self._steps
+        if steps is None:
+            self.schedule()
+            steps = self._steps
+        for module, processing in steps:
+            module.time = time
+            processing()
             module.activation_count += 1
         self.period_count += 1
 

@@ -22,6 +22,7 @@ import dataclasses
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Mapping
 
 from ..core.codegen.python_backend import compile_model_cached
@@ -189,7 +190,8 @@ class _CpuBlockDriver(Module):
         #: Injection events use these so a burst never runs an instruction
         #: whose clock cycle lies at or past a pending mutation.
         self._sync_times: list[float] = []
-        kernel.schedule(period, self._wake)
+        self._action = self._wake
+        kernel.schedule(period, self._action)
 
     def add_sync_point(self, time: float) -> None:
         """Forbid instruction blocks from crossing the absolute time ``time``.
@@ -236,12 +238,23 @@ class _CpuBlockDriver(Module):
             # Halted CPU: let the idle cycles pass in bulk (the per-tick
             # ticker would fire on each of them and do nothing).
             executed = budget
-        self.cycle += executed
+        cycle = self.cycle + executed
+        self.cycle = cycle
         origin = self._grid_origin
-        kernel.schedule_abs(
-            origin + self.cycle * self.period,
-            self._wake,
-            quantize(origin + (self.cycle - 1) * self.period),
+        period = self.period
+        # The next wake is pushed directly.  schedule_abs's clamp to ``now``
+        # is not needed: quantize is monotonic, and ``now`` is this wake's
+        # own grid time.
+        sequence = kernel._sequence + 1
+        kernel._sequence = sequence
+        heappush(
+            kernel._timed,
+            (
+                quantize(origin + cycle * period),
+                quantize(origin + (cycle - 1) * period),
+                sequence,
+                self._action,
+            ),
         )
 
 
@@ -273,13 +286,13 @@ class _AdcSampler(Module):
         # Defer three deltas: stimulus update, analog module update, then read.
         # Bound methods instead of nested lambdas: this runs once per analog
         # timestep, and the closure allocations showed up in profiles.
-        self.kernel._schedule_delta(self._after_first_delta)
+        self.kernel._delta_pending.append(self._after_first_delta)
 
     def _after_first_delta(self) -> None:
-        self.kernel._schedule_delta(self._after_second_delta)
+        self.kernel._delta_pending.append(self._after_second_delta)
 
     def _after_second_delta(self) -> None:
-        self.kernel._schedule_delta(self._push)
+        self.kernel._delta_pending.append(self._push)
 
     def _push(self) -> None:
         self.adc.push_sample(self.watched.read())

@@ -77,6 +77,28 @@ class TestDeKernel:
         kernel.run()
         assert not executed
 
+    def test_stop_keeps_the_clock_at_the_stop_instant(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule(1e-9, kernel.stop)
+        kernel.schedule(2e-9, lambda: fired.append(kernel.now))
+        kernel.schedule(3e-9, lambda: fired.append(kernel.now))
+        assert kernel.run(10e-9) == quantize(1e-9)
+        assert kernel.now == quantize(1e-9)
+        assert fired == [] and not kernel._runnable
+        # The pending events fire at their own times on the next run.
+        assert kernel.run(10e-9) == quantize(11e-9)
+        assert fired == [quantize(2e-9), quantize(3e-9)]
+
+    def test_stop_ends_an_unbounded_run_at_the_stop_instant(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule(1e-9, kernel.stop)
+        kernel.schedule(2e-9, lambda: fired.append(kernel.now))
+        assert kernel.run() == quantize(1e-9)
+        assert kernel.run() == quantize(2e-9)
+        assert fired == [quantize(2e-9)]
+
     def test_signal_update_is_delta_delayed(self):
         kernel = Kernel()
         signal = Signal(kernel, 0)
