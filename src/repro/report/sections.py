@@ -471,8 +471,9 @@ def store_section(store, slug: str = "store") -> Section:
     """
     census: dict[str, int] = {}
     traces: list[np.ndarray] = []
+    blocks: dict = {}
     for key in store.keys():
-        entry = store.entry(key)
+        entry = store.entry(key, blocks)
         inputs = entry["inputs"]
         engine = str(inputs.get("engine", "unknown")) if isinstance(
             inputs, Mapping

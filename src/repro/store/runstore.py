@@ -2,11 +2,12 @@
 
 A :class:`RunStore` is a campaign directory holding one JSON file per
 completed unit of work, named by the digest of the unit's full inputs (see
-:mod:`repro.store.keys`)::
+:mod:`repro.store.keys`), plus one binary file per distinct waveform::
 
     <campaign-dir>/
         store.json            # format marker
-        runs/<sha256>.json    # {"format": 2, "key": ..., "inputs": ..., "record": ...}
+        runs/<sha256>.json    # {"format": 3, "key": ..., "inputs": ..., "record": ...}
+        blocks/<sha256>.f64   # little-endian float64 samples, named by their digest
 
 Properties the batch engines rely on:
 
@@ -16,25 +17,28 @@ Properties the batch engines rely on:
   a *semantic* hit: the stored record is the result the engine would have
   recomputed bit-identically;
 * **atomic commits** — every file is published with
-  :func:`~repro.store.atomic.atomic_write_json`; killing a campaign at any
-  instant leaves the store with only whole records (plus at most ignorable
-  ``.tmp`` orphans);
+  :func:`~repro.store.atomic.atomic_write_bytes`, and a record's blocks
+  before the record; killing a campaign at any instant leaves the store
+  with only whole files (plus at most ignorable ``.tmp`` orphans), and no
+  record naming a block that is not there;
 * **concurrent writers** — worker processes commit as they finish.  Distinct
-  units write distinct files; identical units write identical content; both
-  races are harmless under ``os.replace``;
+  units write distinct files; identical units, and identical blocks, write
+  identical content; both races are harmless under ``os.replace``;
 * **exact round-trip** — records are JSON with Python's shortest-round-trip
-  float rendering, and every waveform-sized float sequence (a list of at
-  least :data:`BLOCK_MIN` Python floats, or a 1-D float ndarray that long)
-  is one binary block ``{"$f64": <base64 of little-endian float64>}``, so
-  waveforms and metrics reload bit-identically.  :meth:`RunStore.load`
-  turns blocks back into lists of Python floats.
+  float rendering.  Every waveform-sized float sequence (a list of at least
+  :data:`BLOCK_MIN` Python floats, or a 1-D float ndarray that long) is
+  written once as a block file named by the SHA-256 of its bytes, and the
+  record refers to it as ``{"$f64": "<sha256>"}``, so the many runs of a
+  campaign that share the golden trace share one file.  :meth:`RunStore.load`
+  checks and decodes each block once per ``blocks`` dict and hands every
+  record its own list of Python floats.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
+import hashlib
 import json
+import re
 import sys
 from array import array
 from pathlib import Path
@@ -44,14 +48,14 @@ import numpy as np
 
 from ..errors import StoreError
 from ..obs.tracer import TRACER
-from .atomic import atomic_write_json
+from .atomic import atomic_write_bytes, atomic_write_json
 from .keys import digest_key
 
-#: Schema version written into the marker and every record.  Format 2
-#: writes float sequences as binary blocks.
-STORE_FORMAT = 2
+#: Schema version written into the marker and every record.  Format 3
+#: writes each distinct float sequence once, as a content-addressed block.
+STORE_FORMAT = 3
 
-#: The key of a binary float block; a record may not use it otherwise.
+#: The key of a block reference; a record may not use it otherwise.
 BLOCK = "$f64"
 #: Shortest float sequence written as a block; shorter ones stay JSON lists.
 BLOCK_MIN = 16
@@ -60,53 +64,41 @@ BLOCK_MIN = 16
 #: (``np.float64`` subclasses ``float``) must still go through ``.item()``.
 _PRIMITIVES = frozenset({float, int, str, bool, type(None)})
 _BIG_ENDIAN = sys.byteorder == "big"
+#: A block reference: the lowercase hex SHA-256 of the block's bytes.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
-def _block(data: bytes) -> dict:
-    return {BLOCK: base64.b64encode(data).decode("ascii")}
+def _block(data: bytes, blocks: dict) -> dict:
+    """The reference to block ``data``, which is collected in ``blocks``."""
+    digest = hashlib.sha256(data).hexdigest()
+    blocks[digest] = data
+    return {BLOCK: digest}
 
 
-def _jsonable(value: object) -> object:
+def _jsonable(value: object, blocks: dict) -> object:
     """Recursively convert a record into JSON types, float sequences into
-    blocks, numpy scalars into Python numbers."""
+    block references (their bytes collected in ``blocks``), numpy scalars
+    into Python numbers."""
     if type(value) in _PRIMITIVES:
         return value
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.dtype.kind == "f" and value.size >= BLOCK_MIN:
-            return _block(value.astype("<f8").tobytes())
-        return [_jsonable(item) for item in value.tolist()]
+            return _block(value.astype("<f8").tobytes(), blocks)
+        return [_jsonable(item, blocks) for item in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, Mapping):
         if BLOCK in value:
             raise StoreError(f"a store record may not use the reserved key {BLOCK!r}")
-        return {str(key): _jsonable(item) for key, item in value.items()}
+        return {str(key): _jsonable(item, blocks) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         if len(value) >= BLOCK_MIN and set(map(type, value)) == {float}:
             samples = array("d", value)
             if _BIG_ENDIAN:
                 samples.byteswap()
-            return _block(samples.tobytes())
-        return [_jsonable(item) for item in value]
+            return _block(samples.tobytes(), blocks)
+        return [_jsonable(item, blocks) for item in value]
     return value
-
-
-def _unblock(obj: dict) -> object:
-    """``json.loads`` object hook: a block becomes its list of floats."""
-    if BLOCK not in obj:
-        return obj
-    if len(obj) != 1:
-        raise ValueError(f"a {BLOCK!r} block carries other keys")
-    try:
-        data = base64.b64decode(obj[BLOCK], validate=True)
-    except (binascii.Error, TypeError) as exc:
-        raise ValueError(f"undecodable {BLOCK!r} block: {exc}") from exc
-    if len(data) % 8:
-        raise ValueError(f"a {BLOCK!r} block of {len(data)} bytes is not float64 data")
-    samples = array("d", data)
-    if _BIG_ENDIAN:
-        samples.byteswap()
-    return samples.tolist()
 
 
 class RunStore:
@@ -114,6 +106,7 @@ class RunStore:
 
     MARKER = "store.json"
     RUNS_DIR = "runs"
+    BLOCKS_DIR = "blocks"
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
@@ -129,6 +122,13 @@ class RunStore:
 
     def path_for(self, key: str) -> Path:
         return self.runs_directory / f"{key}.json"
+
+    @property
+    def blocks_directory(self) -> Path:
+        return self.directory / self.BLOCKS_DIR
+
+    def block_path(self, digest: str) -> Path:
+        return self.blocks_directory / f"{digest}.f64"
 
     def _check_marker(self) -> None:
         marker = self.directory / self.MARKER
@@ -173,32 +173,47 @@ class RunStore:
         exact inputs it was computed from.  Committing the same key twice
         is allowed; the last write wins atomically.  A record using the
         reserved block key :data:`BLOCK` anywhere raises
-        :class:`StoreError`.
+        :class:`StoreError`.  Every block the record or its inputs name is
+        on disk before the record: a block file already present is kept,
+        an absent one is published first.
         """
+        blocks: dict[str, bytes] = {}
         payload = {
             "format": STORE_FORMAT,
             "key": key,
-            "inputs": _jsonable(inputs),
-            "record": _jsonable(record),
+            "inputs": _jsonable(inputs, blocks),
+            "record": _jsonable(record, blocks),
         }
         self._ensure_marker()
+        for digest, data in blocks.items():
+            block = self.block_path(digest)
+            if not block.exists():
+                atomic_write_bytes(block, data)
+                TRACER.add("store.block_writes")
         # Compact JSON: records are dominated by waveform arrays, which
         # pretty-printing would blow up to one line per sample.
         path = atomic_write_json(self.path_for(key), payload, indent=None)
         TRACER.add("store.commits")
         return path
 
-    def load(self, key: str) -> "dict | None":
+    def load(self, key: str, blocks: "dict | None" = None) -> "dict | None":
         """The record committed under ``key``, or ``None`` when absent.
 
-        A present-but-unreadable record raises :class:`StoreError` naming
-        the offending file — a store that lies about its contents must
-        never silently degrade into re-execution with half a cache.
+        A present-but-unreadable record, or one naming a missing or corrupt
+        block, raises :class:`StoreError` naming the offending files — a
+        store that lies about its contents must never silently degrade
+        into re-execution with half a cache.
+
+        ``blocks`` is the caller's memo of decoded blocks (digest →
+        samples) for one pass over the store: pass the same dict to every
+        load of the pass and each block file is read, checked and decoded
+        once.  Every loaded sequence is still a list of its own; lists
+        decoded from one block share their float objects.
         """
-        entry = self.entry(key)
+        entry = self.entry(key, blocks)
         return None if entry is None else entry["record"]
 
-    def entry(self, key: str) -> "dict | None":
+    def entry(self, key: str, blocks: "dict | None" = None) -> "dict | None":
         """Everything committed under ``key``: ``format``, ``key``, the
         ``inputs`` the record was computed from, and the ``record``.
 
@@ -212,8 +227,19 @@ class RunStore:
             return None
         except OSError as exc:
             raise StoreError(f"cannot read store record {path}: {exc}") from exc
+        if blocks is None:
+            blocks = {}
+
+        def resolve(obj: dict) -> object:
+            """``json.loads`` object hook: a block reference becomes a list."""
+            if BLOCK not in obj:
+                return obj
+            if len(obj) != 1:
+                raise ValueError(f"a {BLOCK!r} reference carries other keys")
+            return list(self._block_samples(obj[BLOCK], path, blocks))
+
         try:
-            payload = json.loads(text, object_hook=_unblock)
+            payload = json.loads(text, object_hook=resolve)
             if int(payload["format"]) != STORE_FORMAT:
                 raise ValueError(f"record format {payload['format']}")
             if payload["key"] != key:
@@ -227,6 +253,30 @@ class RunStore:
             raise StoreError(f"malformed store record {path}: {exc}") from exc
         TRACER.add("store.hits")
         return payload
+
+    def _block_samples(self, digest: object, record: Path, blocks: dict) -> list:
+        """The decoded block ``digest`` that ``record`` names: from
+        ``blocks``, or read, checked against its name and added there."""
+        if isinstance(digest, str) and digest in blocks:
+            return blocks[digest]
+        path = self.block_path(digest)
+        where = f"store record {record} names block {path}"
+        if not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
+            raise StoreError(f"{where}, but {digest!r} is not a SHA-256 digest")
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise StoreError(f"{where}, which cannot be read: {exc}") from exc
+        if len(data) % 8:
+            raise StoreError(f"{where}, whose {len(data)} bytes are not float64 data")
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise StoreError(f"{where}, whose bytes do not match its digest")
+        decoded = array("d", data)
+        if _BIG_ENDIAN:
+            decoded.byteswap()
+        samples = blocks[digest] = decoded.tolist()
+        TRACER.add("store.block_reads")
+        return samples
 
     # -- enumeration -------------------------------------------------------------------
     def keys(self) -> list[str]:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import CampaignInterrupted, ReproError, StoreError
+from ..errors import CampaignInterrupted, PlatformError, ReproError, StoreError
 from ..obs.progress import ProgressReporter
 from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER, disable_tracing, enable_tracing, tracing_enabled
@@ -263,12 +263,14 @@ def _resolve(plan: CampaignExecutor, engine, jobs: Sequence) -> tuple[list, list
     inputs = [engine.store_inputs(job) for job in jobs]
     keys = [store.key(job_inputs) for job_inputs in inputs]
     if plan.resume:
+        # One pass: each block the records share is read and decoded once.
+        blocks: dict = {}
         for position, key in enumerate(keys):
-            record = store.load(key)
+            record = store.load(key, blocks)
             try:
                 if record is not None:
                     outcomes[position] = engine.decode(record)
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, TypeError, ValueError, PlatformError) as error:
                 raise StoreError(
                     f"malformed store record {store.path_for(key)}: {error}"
                 ) from error

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
+import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.circuits import build_rc_filter
 from repro.errors import StoreError
+from repro.obs.tracer import TRACER, disable_tracing, enable_tracing
 from repro.sim import SquareWave
 from repro.store import (
     STORE_FORMAT,
@@ -29,6 +34,7 @@ from repro.store import (
     digest_key,
     fingerprint,
 )
+from repro.store import runstore
 from repro.store.atomic import TMP_SUFFIX
 from repro.store.runstore import BLOCK, BLOCK_MIN
 from repro.sweep import MonteCarloSpec, SweepError, SweepRunner
@@ -49,6 +55,26 @@ def rc_runner(**kwargs) -> SweepRunner:
 def poisoned_factory(**params):
     """Module-level (hence picklable) factory that fails inside workers."""
     raise RuntimeError("this circuit cannot pickle its destiny")
+
+
+def shared_traces() -> list[list[float]]:
+    """Three distinct 64-sample traces, the same in every process."""
+    return [
+        np.random.default_rng(seed).normal(size=64).tolist() for seed in (1, 2, 3)
+    ]
+
+
+def commit_shared_blocks(directory, worker: int, barrier) -> None:
+    """Spawned writer: 25 records, all naming the same three blocks."""
+    store = RunStore(directory)
+    traces = shared_traces()
+    barrier.wait()
+    for n in range(25):
+        store.commit(store.key({"worker": worker, "n": n}), {"traces": traces, "n": n})
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 def mc_spec(samples: int = 6, seed: int = 7) -> MonteCarloSpec:
@@ -218,9 +244,11 @@ class TestRunStore:
         rows = np.linspace(0.0, 1.0, BLOCK_MIN, dtype=np.float32)
         store.commit(key, {"result": {"trace": trace}, "rows": rows})
         on_disk = json.loads(store.path_for(key).read_text())
-        assert on_disk["format"] == STORE_FORMAT == 2
+        assert on_disk["format"] == STORE_FORMAT == 3
         assert set(on_disk["record"]["result"]["trace"]) == {BLOCK}
         assert set(on_disk["record"]["rows"]) == {BLOCK}
+        block = store.block_path(on_disk["record"]["result"]["trace"][BLOCK])
+        assert block.read_bytes() == np.asarray(trace, dtype="<f8").tobytes()
         loaded = store.load(key)
         assert loaded["result"]["trace"] == trace
         assert all(type(value) is float for value in loaded["result"]["trace"])
@@ -299,6 +327,161 @@ class TestRunStore:
         assert isinstance(store, RunStore)
         assert as_run_store(store) is store
         assert as_run_store(None) is None
+
+
+class TestContentAddressedBlocks:
+    """Format 3: each distinct float sequence is one ``blocks/<sha256>.f64``."""
+
+    @staticmethod
+    def block_files(store: RunStore) -> list[str]:
+        return sorted(path.name for path in store.blocks_directory.iterdir())
+
+    @staticmethod
+    def trace(seed: int) -> list[float]:
+        return np.random.default_rng(seed).normal(size=4000).tolist()
+
+    def test_each_distinct_sequence_is_written_once(self, tmp_path):
+        store = RunStore(tmp_path)
+        golden, other = self.trace(1), self.trace(2)
+        enable_tracing()
+        try:
+            mark = TRACER.mark()
+            for n in range(3):
+                store.commit(store.key({"n": n}), {"result": {"analog_trace": golden}})
+            assert len(self.block_files(store)) == 1
+            store.commit(store.key({"n": 3}), {"result": {"analog_trace": other}})
+            assert len(self.block_files(store)) == 2
+            # A sequence in both the inputs and the record is one file.
+            stimulus = self.trace(3)
+            key = store.key({"n": 4})
+            store.commit(key, {"echo": stimulus}, inputs={"stimulus": stimulus})
+            counters = TRACER.collect(mark)["counters"]
+        finally:
+            disable_tracing()
+        assert len(self.block_files(store)) == 3
+        assert counters["store.block_writes"] == 3
+        assert counters["store.commits"] == 5
+        entry = store.entry(key)
+        assert entry["inputs"]["stimulus"] == entry["record"]["echo"] == stimulus
+        assert not list(store.directory.rglob(f"*{TMP_SUFFIX}"))
+
+    def test_blocks_are_published_before_their_record(self, tmp_path, monkeypatch):
+        published = []
+
+        def spy(write):
+            def publish(path, *args, **kwargs):
+                published.append(Path(path).parent.name)
+                return write(path, *args, **kwargs)
+
+            return publish
+
+        for name in ("atomic_write_bytes", "atomic_write_json"):
+            monkeypatch.setattr(runstore, name, spy(getattr(runstore, name)))
+        store = RunStore(tmp_path)
+        store.commit(store.key({"n": 1}), {"trace": self.trace(1)})
+        store.commit(store.key({"n": 2}), {"trace": self.trace(1)})
+        # After the marker: the block, its record, then a record alone.
+        assert published[1:] == ["blocks", "runs", "runs"]
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped", "misaligned"])
+    def test_damaged_block_raises_store_error_naming_it(self, tmp_path, damage):
+        store = RunStore(tmp_path)
+        key = store.key({"n": 1})
+        store.commit(key, {"trace": self.trace(1)})
+        (block,) = store.blocks_directory.iterdir()
+        data = block.read_bytes()
+        if damage == "missing":
+            block.unlink()
+        elif damage == "truncated":
+            block.write_bytes(data[:-8])
+        elif damage == "flipped":
+            block.write_bytes(data[:100] + bytes([data[100] ^ 0x01]) + data[101:])
+        else:
+            # Named by its true digest, but not whole float64 values.
+            record = store.path_for(key)
+            block.unlink()
+            misaligned = store.block_path(hashlib.sha256(data[:12]).hexdigest())
+            misaligned.write_bytes(data[:12])
+            record.write_text(record.read_text().replace(block.stem, misaligned.stem))
+            block = misaligned
+        with pytest.raises(StoreError, match=re.escape(str(block))) as caught:
+            store.load(key)
+        assert str(store.path_for(key)) in str(caught.value)
+
+    def test_format_two_stores_are_refused(self, tmp_path):
+        (tmp_path / RunStore.MARKER).write_text(json.dumps({"format": 2}))
+        with pytest.raises(StoreError, match="format-2 store"):
+            RunStore(tmp_path)
+
+    def test_one_pass_reads_each_block_once_and_hands_out_own_lists(
+        self, tmp_path, monkeypatch
+    ):
+        store = RunStore(tmp_path)
+        golden, other = self.trace(1), self.trace(2)
+        keys = [store.key({"n": n}) for n in range(5)]
+        for n, key in enumerate(keys):
+            store.commit(key, {"trace": other if n == 4 else golden})
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def spy(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        blocks: dict = {}
+        loaded = [store.load(key, blocks)["trace"] for key in keys]
+        assert sorted(reads) == self.block_files(store)
+        assert len(blocks) == 2
+        assert all(float_bits(trace) == float_bits(golden) for trace in loaded[:4])
+        assert float_bits(loaded[4]) == float_bits(other)
+        assert len({id(trace) for trace in loaded}) == len(loaded)
+        assert all(a is b for a, b in zip(loaded[0], loaded[1]))
+        loaded[0][0] = 99.0
+        loaded[1].append(1.0)
+        assert float_bits(loaded[2]) == float_bits(golden)
+        assert float_bits(store.load(keys[3], blocks)["trace"]) == float_bits(golden)
+
+    def test_nothing_is_cached_across_passes(self, tmp_path):
+        spec = mc_spec(samples=3)
+        store = RunStore(tmp_path)
+        rc_runner(store=store).run(spec, SHORT)
+        runner = rc_runner(store=store, resume=True)
+        assert runner.run(spec, SHORT).executed_count == 0
+        block = next(store.blocks_directory.iterdir())
+        block.write_bytes(block.read_bytes()[:-8])
+        with pytest.raises(StoreError, match=re.escape(str(block))):
+            runner.run(spec, SHORT)
+
+    def test_concurrent_writers_share_blocks_safely(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        writers = [
+            context.Process(target=commit_shared_blocks, args=(tmp_path, worker, barrier))
+            for worker in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        try:
+            for writer in writers:
+                writer.join(timeout=120)
+            assert [writer.is_alive() for writer in writers] == [False] * 4
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.terminate()
+        assert [writer.exitcode for writer in writers] == [0] * 4
+        store = RunStore(tmp_path)
+        expected = [float_bits(trace) for trace in shared_traces()]
+        blocks: dict = {}
+        records = [store.load(key, blocks) for key in store.keys()]
+        assert len(records) == 100
+        assert all(
+            [float_bits(trace) for trace in record["traces"]] == expected
+            for record in records
+        )
+        assert len(self.block_files(store)) == 3
+        assert not list(store.directory.rglob(f"*{TMP_SUFFIX}"))
 
 
 class TestSweepStoreResume:

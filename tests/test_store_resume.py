@@ -13,6 +13,7 @@ multiprocess.
 
 from __future__ import annotations
 
+import json
 import multiprocessing.pool
 import re
 import shutil
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import rc_benchmark
-from repro.errors import CampaignInterrupted, StoreError
+from repro.errors import CampaignInterrupted, PlatformError, StoreError
 from repro.fault import (
     AdcStuckBitFault,
     FaultCampaignRunner,
@@ -431,6 +432,30 @@ class TestCoordinatorResolution:
             campaign_runner(store=store, resume=True, workers=2).run(
                 spec, CAMPAIGN_DURATION
             )
+
+    def test_undecodable_record_raises_store_error_naming_its_file(
+        self, spec, executed, tmp_path
+    ):
+        store, _ = self.store_keeping(executed, spec, tmp_path, lambda index: True)
+        victim = store.path_for(store.keys()[5])
+        payload = json.loads(victim.read_text(encoding="utf-8"))
+        payload["record"]["result"]["bogus"] = 1
+        victim.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StoreError, match=re.escape(str(victim))) as caught:
+            campaign_runner(store=store, resume=True, workers=2).run(
+                spec, CAMPAIGN_DURATION
+            )
+        assert isinstance(caught.value.__cause__, PlatformError)
+        assert "bogus" in str(caught.value)
+
+    def test_traced_resume_reads_each_block_file_once(self, spec, executed):
+        blocks = len(list(RunStore(executed[1]).blocks_directory.iterdir()))
+        assert 1 <= blocks < len(spec)
+        resumed = campaign_runner(store=executed[1], resume=True, trace=True).run(
+            spec, CAMPAIGN_DURATION
+        )
+        assert resumed.telemetry.counters["store.block_reads"] == blocks
+        assert "store.block_writes" not in resumed.telemetry.counters
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traced_resume_counts_each_store_hit_once(self, spec, executed, workers):
