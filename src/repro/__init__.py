@@ -22,8 +22,9 @@ Quick start::
     report = AbstractionFlow(timestep=50e-9).abstract(bench.circuit(), "out")
     print(report.model.describe())
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the system
-inventory and ``EXPERIMENTS.md`` for the paper-versus-measured results.
+See ``README.md`` for the architecture overview, ``docs/performance.md`` for
+the execution tiers and their measured effect, and the ``repro-tables``
+command to regenerate the paper's tables.
 """
 
 from .core.flow import AbstractionFlow, AbstractionReport, abstract_circuit
@@ -42,7 +43,7 @@ from .sweep import (
 )
 from .vams.parser import parse_module, parse_source
 
-__version__ = "1.5.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "AbstractionFlow",

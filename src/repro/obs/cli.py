@@ -1,7 +1,7 @@
 """``repro-trace`` — inspect, validate and convert exported trace files.
 
 Reads a Chrome ``trace_event`` JSON file produced by the ``--trace`` flag of
-``repro-bench`` / ``repro-faults`` (or any tool emitting the format) and:
+``repro-faults`` (or any tool emitting the format) and:
 
 - prints a summary (event counts by phase, top spans, counters),
 - ``--validate`` checks the payload against the trace_event schema

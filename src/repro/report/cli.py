@@ -8,24 +8,17 @@ adds one section to the dashboard:
 - ``--telemetry FILE``: a Chrome ``trace_event`` JSON file or a telemetry
   JSONL dump (span timeline, counters, latency percentiles);
 - ``--lint FILE``: a ``repro-lint --json`` findings report (severity
-  tiles, rule × severity matrix, per-file and per-finding tables);
-- ``--bench DIR``: a directory of ``BENCH_<name>.json`` snapshots;
-- ``--history DIR``: a ``benchmarks/history`` directory of per-benchmark
-  JSONL files — merged with the snapshots into cross-commit trend lines
-  with regression markers.
+  tiles, rule × severity matrix, per-file and per-finding tables).
 
 ``--smoke`` is the CI profile: it runs a 16-run traced fault campaign on
-the RC1 benchmark circuit, folds in the repository's committed
-``BENCH_*.json`` snapshots and ``benchmarks/history/``, writes the
-dashboard, and then *verifies* it — the page must parse, contain the
-fault/telemetry/bench section anchors, and reference nothing external.
-Exit status 1 when the verification fails.
+the RC1 benchmark circuit, writes the dashboard, and then *verifies* it —
+the page must parse, contain the fault/telemetry section anchors, and
+reference nothing external.  Exit status 1 when the verification fails.
 
 Typical use::
 
     repro-report --smoke --out dashboard.html
     repro-report --store campaign/ --telemetry trace.json --out report.html
-    repro-report --bench . --history benchmarks/history --out bench.html
 """
 
 from __future__ import annotations
@@ -36,12 +29,9 @@ import sys
 from pathlib import Path
 
 from ..obs.export import report_from_jsonl, report_from_trace
-from ..perf.baseline import BaselineStore, PerfError
 from ..store import RunStore, StoreError
 from .dashboard import Dashboard, verify_dashboard
-from .history import DEFAULT_HISTORY_DIR, load_history, merge_latest
 from .sections import (
-    bench_section,
     fault_section,
     lint_section,
     store_section,
@@ -53,7 +43,7 @@ from .sections import (
 SMOKE_ACTIVATION_FRACTIONS = (0.3, 0.45, 0.6, 0.75)
 SMOKE_DURATION = 1.2e-4
 #: Anchors the smoke dashboard must contain (checked by CI).
-SMOKE_ANCHORS = ("faults", "telemetry", "bench")
+SMOKE_ANCHORS = ("faults", "telemetry")
 
 
 def _load_telemetry(path: Path):
@@ -114,12 +104,6 @@ def run_smoke_campaign():
     return runner.run(spec, SMOKE_DURATION)
 
 
-def _repo_root() -> Path:
-    from ..perf.cli import repo_root
-
-    return repo_root()
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-report", description=__doc__)
     parser.add_argument(
@@ -140,13 +124,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="render a trace_event JSON or telemetry JSONL file (repeatable)",
     )
     parser.add_argument(
-        "--bench",
-        action="append",
-        default=[],
-        metavar="DIR",
-        help="render BENCH_*.json snapshots from this directory (repeatable)",
-    )
-    parser.add_argument(
         "--lint",
         action="append",
         default=[],
@@ -154,25 +131,12 @@ def main(argv: "list[str] | None" = None) -> int:
         help="render a repro-lint JSON report (written by repro-lint --json; "
         "repeatable)",
     )
-    parser.add_argument(
-        "--history",
-        default=None,
-        metavar="DIR",
-        help=f"benchmark history directory (default {DEFAULT_HISTORY_DIR}/ "
-        "under the repo root when present)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="regression-marker tolerance for trend lines (default 0.30)",
-    )
     parser.add_argument("--title", default="repro dashboard", help="page title")
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI profile: run a 16-run traced fault campaign, add the "
-        "committed bench snapshots and history, then verify the output",
+        help="CI profile: run a 16-run traced fault campaign, then verify "
+        "the output",
     )
     parser.add_argument(
         "--check",
@@ -198,11 +162,6 @@ def main(argv: "list[str] | None" = None) -> int:
         if result.telemetry is not None:
             dashboard.add(telemetry_section(result.telemetry))
             anchors.append("telemetry")
-        root = _repo_root()
-        if not arguments.bench:
-            arguments.bench = [str(root)]
-        if arguments.history is None and (root / DEFAULT_HISTORY_DIR).exists():
-            arguments.history = str(root / DEFAULT_HISTORY_DIR)
 
     for directory in arguments.store:
         slug = f"store-{len(anchors)}" if len(arguments.store) > 1 else "store"
@@ -239,24 +198,9 @@ def main(argv: "list[str] | None" = None) -> int:
         dashboard.add(lint_section(report, slug=slug))
         anchors.append(slug)
 
-    latest = {}
-    try:
-        for directory in arguments.bench:
-            latest.update(BaselineStore(directory).load_all())
-        history = load_history(arguments.history) if arguments.history else {}
-    except PerfError as error:
-        print(f"repro-report: {error}", file=sys.stderr)
-        return 2
-    if latest or history:
-        series = merge_latest(history, latest)
-        dashboard.add(
-            bench_section(series, tolerance=arguments.tolerance)
-        )
-        anchors.append("bench")
-
     if not dashboard.sections:
         parser.error(
-            "nothing to render: pass --store/--telemetry/--bench (or --smoke)"
+            "nothing to render: pass --store/--telemetry/--lint (or --smoke)"
         )
 
     path = dashboard.write(arguments.out)

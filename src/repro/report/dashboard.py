@@ -111,18 +111,14 @@ table.matrix td.cell{position:relative;text-align:center;min-width:4.5rem}
 svg.chart{max-width:100%;height:auto;display:block;margin:0.6rem 0}
 svg text{font-family:inherit}
 .chart-title{font-size:13px;font-weight:600;fill:var(--ink)}
-.chart-title.small{font-size:11px;fill:var(--ink2)}
 .tick{font-size:10px;fill:var(--muted);font-variant-numeric:tabular-nums}
 .lbl{font-size:10px;fill:var(--ink2)}
 .grid{stroke:var(--grid);stroke-width:1}
 .axis{stroke:var(--axis);stroke-width:1}
 .line{stroke-width:2;stroke-linejoin:round;stroke-linecap:round}
-.marker{stroke:var(--surface);stroke-width:2}
-.marker.st-critical{fill:var(--critical)}
 .span{stroke:var(--surface);stroke-width:1}
 .band{stroke:none}
 .s-other-fill{fill:var(--muted)}.s-other{stroke:var(--muted)}
-.trend-grid{display:flex;gap:0.6rem;flex-wrap:wrap}
 .legend{display:flex;gap:1rem;flex-wrap:wrap;color:var(--ink2);
   font-size:0.8rem;margin-top:0.1rem}
 .key{display:inline-flex;align-items:center;gap:0.35rem}

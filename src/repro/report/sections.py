@@ -4,11 +4,12 @@ Each ``*_section`` function accepts one of the repo's result types —
 :class:`~repro.sweep.results.SweepResult`,
 :class:`~repro.sweep.platform.PlatformSweepResult`,
 :class:`~repro.fault.report.FaultCampaignResult`,
-:class:`~repro.obs.telemetry.TelemetryReport`, benchmark history — and
-returns a :class:`Section`: an anchor slug, a title, and a self-contained
-HTML body built from the :mod:`repro.report.svg` primitives.  The
-:class:`~repro.report.dashboard.Dashboard` assembles sections into one
-page; this module owns *what* each result type shows, not page chrome.
+:class:`~repro.obs.telemetry.TelemetryReport`, lint and fuzz reports, run
+stores — and returns a :class:`Section`: an anchor slug, a title, and a
+self-contained HTML body built from the :mod:`repro.report.svg`
+primitives.  The :class:`~repro.report.dashboard.Dashboard` assembles
+sections into one page; this module owns *what* each result type shows,
+not page chrome.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ from .svg import (
     stat_tile,
     tile_row,
     timeline_chart,
-    trend_chart,
     warning_banner,
 )
-from .history import MetricTrend, trend_series
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fault.report import FaultCampaignResult
     from ..obs.telemetry import TelemetryReport
-    from ..perf.baseline import BenchmarkRecord
     from ..sweep.platform import PlatformSweepResult
     from ..sweep.results import SweepResult
 
@@ -47,13 +45,6 @@ class Section:
     slug: str
     title: str
     body: str
-
-
-def svg_slug(name: str) -> str:
-    """A conservative anchor slug (ASCII letters/digits/dashes only)."""
-    return "".join(
-        char if char.isalnum() else "-" for char in str(name).lower()
-    ).strip("-") or "x"
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -304,65 +295,6 @@ def platform_section(result: "PlatformSweepResult", slug: str = "platform") -> S
     return Section(
         slug, f"Platform sweep — {result.n_scenarios} scenarios", "".join(parts)
     )
-
-
-# -- benchmarks ------------------------------------------------------------------------
-def bench_section(
-    series: "dict[str, list[BenchmarkRecord]]",
-    slug: str = "bench",
-    tolerance: float = 0.30,
-) -> Section:
-    """Benchmark trends: per-metric lines across commits, one small multiple
-    per metric (metrics span orders of magnitude — never one shared axis),
-    with regression markers where a commit lost more than ``tolerance`` of
-    the prior commit's performance."""
-    parts = []
-    total_points = sum(len(records) for records in series.values())
-    tiles = [
-        stat_tile("Benchmarks", str(len(series))),
-        stat_tile("History points", str(total_points), "one per commit"),
-    ]
-    parts.append(tile_row(tiles))
-    for name in sorted(series):
-        records = series[name]
-        trends: list[MetricTrend] = trend_series(name, records, tolerance)
-        charts = []
-        regress_total = 0
-        for trend in trends:
-            regressed = {
-                index: point.regression
-                for index, point in enumerate(trend.points)
-                if point.regression
-            }
-            regress_total += len(regressed)
-            charts.append(
-                trend_chart(
-                    [point.label for point in trend.points],
-                    [point.value for point in trend.points],
-                    title=trend.metric,
-                    regressed=regressed,
-                )
-            )
-        latest = records[-1]
-        headline = (
-            f"{len(records)} commit(s), {len(trends)} metric(s)"
-            + (f", {regress_total} regression marker(s)" if regress_total else "")
-        )
-        parts.append(
-            f'<h3 id="bench-{svg_slug(name)}">{_esc(name)}</h3>'
-            f'<p class="sub">{_esc(headline)}</p>'
-            f'<div class="trend-grid">' + "".join(charts) + "</div>"
-        )
-        meta_rows = [
-            (key, latest.meta[key])
-            for key in ("git_commit", "git_dirty", "python", "machine", "smoke")
-            if key in latest.meta
-        ]
-        if meta_rows:
-            parts.append(kv_table(meta_rows, caption=f"Latest {name} provenance"))
-    if not series:
-        parts.append('<p class="empty">no benchmark snapshots found</p>')
-    return Section(slug, "Benchmark trends", "".join(parts))
 
 
 # -- fuzzing ---------------------------------------------------------------------------

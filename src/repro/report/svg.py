@@ -17,7 +17,7 @@ Conventions (shared with the page stylesheet):
   are assigned in first-appearance order and never cycled: past eight
   distinct names everything folds into the muted ``s-other`` class;
 * status classes ``st-good`` / ``st-warning`` / ``st-serious`` /
-  ``st-critical`` — reserved for verdict/regression state, never reused as
+  ``st-critical`` — reserved for verdict state, never reused as
   series colors;
 * chart chrome classes ``grid`` (hairline), ``axis`` (baseline),
   ``tick`` / ``lbl`` (muted / secondary text).
@@ -252,80 +252,6 @@ def envelope_chart(
         + (f' <span class="unit">{esc(y_label)}</span>' if y_label else "")
         + "</figcaption></figure>"
     )
-
-
-# -- trend lines -----------------------------------------------------------------------
-def trend_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    title: str,
-    regressed: "Mapping[int, str] | None" = None,
-    width: int = 250,
-    height: int = 120,
-) -> str:
-    """One metric's value across commits: a small-multiple trend line.
-
-    ``labels[i]`` names point ``i`` (short commit hash); ``regressed`` maps
-    point index → regression description, rendered as a critical marker
-    (plus tooltip) at that commit.  One metric per chart — benchmark metrics
-    span orders of magnitude, and small multiples keep every chart on its
-    own honest axis instead of a dual-axis mashup.
-    """
-    if not len(values) or len(labels) != len(values):
-        return f'<p class="empty">{esc(title)}: no history</p>'
-    regressed = regressed or {}
-    ml, mr, mt, mb = 10, 10, 24, 18
-    x0, x1, y0, y1 = ml, width - mr, height - mb, mt
-    dlo, dhi = _pad_domain(min(values), max(values))
-    sy = LinearScale(dlo, dhi, y0, y1)
-    if len(values) == 1:
-        px = [(x0 + x1) / 2.0]
-    else:
-        sx = LinearScale(0, len(values) - 1, x0, x1)
-        px = [sx(index) for index in range(len(values))]
-    py = [sy(value) for value in values]
-
-    parts = [
-        f'<svg class="chart trend" role="img" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" aria-label="{esc(title)}">',
-        f'<text class="chart-title small" x="{ml}" y="14">{esc(title)}</text>',
-    ]
-    if len(values) > 1:
-        parts.append(
-            f'<polyline class="line s1" fill="none" '
-            f'points="{_polyline(px, py)}"/>'
-        )
-    for index, (x, y) in enumerate(zip(px, py)):
-        tip = f"{labels[index]}: {values[index]:.6g}"
-        if index in regressed:
-            tip += f" — REGRESSION: {regressed[index]}"
-            parts.append(
-                f'<circle class="marker st-critical" cx="{_coord(x)}" '
-                f'cy="{_coord(y)}" r="5"><title>{esc(tip)}</title></circle>'
-            )
-        else:
-            parts.append(
-                f'<circle class="marker s1-fill-solid" cx="{_coord(x)}" '
-                f'cy="{_coord(y)}" r="4"><title>{esc(tip)}</title></circle>'
-            )
-    first_anchor = "start" if len(values) > 1 else "middle"
-    parts.append(
-        f'<text class="lbl" x="{_coord(px[-1])}" '
-        f'y="{_coord(max(py[-1] - 9, 10))}" text-anchor="end">'
-        f"{esc(_fmt(values[-1]))}</text>"
-    )
-    parts.append(
-        f'<text class="tick" x="{_coord(px[0])}" y="{height - 5}" '
-        f'text-anchor="{first_anchor}">{esc(labels[0])}</text>'
-    )
-    if len(labels) > 1:
-        parts.append(
-            f'<text class="tick" x="{_coord(px[-1])}" y="{height - 5}" '
-            f'text-anchor="end">{esc(labels[-1])}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
 
 
 # -- span timeline ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ checkpoint/resume:
 
 * :mod:`~repro.store.atomic` — write-temp-then-``os.replace`` file
   publication, the crash-safety primitive shared by every persistence path
-  (including :class:`~repro.perf.baseline.BaselineStore`);
+  (including the ``repro-lint`` baseline files);
 * :mod:`~repro.store.keys` — address-free structural fingerprints and
   canonical-JSON SHA-256 digests of a unit of work's full inputs;
 * :mod:`~repro.store.runstore` — :class:`RunStore`, the content-addressed

@@ -116,3 +116,21 @@ wait_tx:
 def default_firmware() -> str:
     """The firmware used by the Table III experiments."""
     return threshold_monitor_source()
+
+
+#: A firmware-style compute/memory/branch loop: the instruction mix of the
+#: threshold-monitor firmware (ALU ops, a RAM store + load, a backward
+#: branch) without the peripheral polling, so it measures the ISS itself.
+FIRMWARE_STYLE_LOOP = """
+        li    $t0, 0
+        li    $t1, 0x2000
+        li    $t3, 0
+loop:   addiu $t0, $t0, 1
+        andi  $t2, $t0, 0xFF
+        sll   $t4, $t2, 2
+        addu  $t5, $t4, $t2
+        sw    $t5, 0($t1)
+        lw    $t6, 0($t1)
+        subu  $t7, $t6, $t2
+        bne   $t0, $t3, loop
+"""

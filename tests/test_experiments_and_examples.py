@@ -81,6 +81,22 @@ class TestTable1:
         assert all(row.error is None for row in rows)
 
 
+class TestTable1Accuracy:
+    #: 2000 analog steps, the minimum ``scaled_duration`` keeps.
+    DURATION = 100e-6
+
+    @pytest.mark.parametrize("component", ["2IN", "RC1", "RC20", "OA"])
+    def test_every_target_tracks_the_reference(self, component):
+        """Every target stays within NRMSE 5e-2 of Verilog-AMS ("negligible
+        degradation of the output values of interest")."""
+        prepared = prepare_benchmarks([component])[0]
+        rows = run_table1_component(prepared, self.DURATION)
+        assert rows[0].target == "Verilog-AMS"
+        errors = {row.target: row.error for row in rows[1:]}
+        assert len(errors) == 4
+        assert all(error < 5e-2 for error in errors.values()), errors
+
+
 class TestTable2:
     def test_speedups_relative_to_eln(self, prepared_rc1):
         rows = run_table2_component(prepared_rc1, SHORT)

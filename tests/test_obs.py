@@ -477,17 +477,3 @@ class TestTraceCli:
         assert status == 2
         assert "INVALID" in capsys.readouterr().err
 
-
-class TestBenchmarkProvenance:
-    def test_environment_meta_carries_git_identity(self):
-        from repro.perf.baseline import BenchmarkRecord, git_identity
-
-        meta = BenchmarkRecord.environment_meta()
-        assert "git_commit" in meta and "git_dirty" in meta
-        commit, dirty = git_identity()
-        # This test runs from a git checkout, so the identity must resolve;
-        # the cached lookup and the meta must agree.
-        assert meta["git_commit"] == commit
-        assert meta["git_dirty"] == dirty
-        if commit is not None:
-            assert len(commit) == 40 and isinstance(dirty, bool)

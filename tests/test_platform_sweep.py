@@ -195,6 +195,42 @@ class TestPlatformSweepRunner:
         for a, b in zip(serial.results, parallel.results):
             assert a.analog_trace == b.analog_trace
 
+    def test_per_tick_block_stepped_and_parallel_runs_agree(self):
+        """Block stepping and worker fan-out change no scenario outcome:
+        1x1 corner x 4 styles x 2 firmwares x 2 stimulus families, run
+        per-tick (block 1), block-stepped (the default) and on 2 workers."""
+        spec = PlatformScenarioSpec(
+            parameters=GridSpec(
+                axes={"resistance": [4e3], "capacitance": [20e-9]},
+                base={"order": 1},
+            ),
+            styles=("python", "de", "tdf", "eln"),
+            firmwares={
+                "threshold": threshold_monitor_source(100),
+                "averaging": averaging_monitor_source(),
+            },
+            stimuli=("fast", "slow"),
+        )
+        stimuli = {
+            "fast": {"vin": SquareWave(period=40e-6)},
+            "slow": {"vin": SquareWave(period=80e-6, duty=0.3)},
+        }
+
+        def fingerprints(**kwargs):
+            return PlatformSweepRunner(
+                build_rc_filter,
+                "out",
+                stimuli,
+                timestep=TIMESTEP,
+                record_analog=False,
+                **kwargs,
+            ).run(spec, SHORT).fingerprints()
+
+        per_tick = fingerprints(cpu_block_cycles=1)
+        assert len(per_tick) == 16
+        assert fingerprints() == per_tick
+        assert fingerprints(workers=2) == per_tick
+
     def test_seeded_stimulus_families_reach_the_workers(self):
         def jittered(seed: int):
             rng = np.random.default_rng(seed)

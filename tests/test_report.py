@@ -3,44 +3,29 @@
 The layer's guarantees: every chart primitive HTML-escapes the dynamic
 text it embeds (span names, fault names, netlist names — ``<``, ``&`` and
 quotes included), the rendered page is fully self-contained (no external
-reference of any kind, machine-checked), benchmark history appends one
-line per commit with atomic replace-on-republish semantics, trend series
-carry regression markers from :func:`~repro.perf.baseline.compare_records`,
-and the ``repro-report --smoke`` acceptance path — a 16-run traced fault
-campaign plus the committed ``BENCH_*.json`` snapshots — produces one HTML
-file holding an envelope plot, a coverage matrix, a span timeline and a
-multi-point trend line.
+reference of any kind, machine-checked), and the ``repro-report --smoke``
+acceptance path — a 16-run traced fault campaign — produces one HTML file
+holding an envelope plot, a coverage matrix and a span timeline.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.obs.telemetry import TelemetryReport
-from repro.perf.baseline import BenchmarkRecord, PerfError
 from repro.report import (
     Dashboard,
     Section,
-    append_history,
-    bench_section,
     collect_ids,
     coverage_matrix_table,
     envelope_chart,
     fault_section,
     fuzz_section,
-    history_path,
-    load_history,
     store_section,
-    load_history_file,
-    merge_latest,
     self_contained_problems,
     telemetry_section,
     timeline_chart,
-    trend_chart,
-    trend_series,
     verify_dashboard,
 )
 from repro.report.svg import (
@@ -56,21 +41,6 @@ from repro.report.svg import (
 
 #: A name exercising every character class the escapers must neutralize.
 NASTY = '<script>&"evil"&\'x\'</script>'
-
-
-def record(
-    name: str = "bench",
-    commit: "str | None" = "aaaabbbbcccc",
-    smoke: bool = True,
-    **metrics: float,
-) -> BenchmarkRecord:
-    metrics = metrics or {"steps_per_second": 100.0}
-    return BenchmarkRecord(
-        name=name,
-        metrics=dict(metrics),
-        maximize=tuple(metrics),
-        meta={"git_commit": commit, "git_dirty": False, "smoke": smoke},
-    )
 
 
 def telemetry(events=(), dropped: int = 0, counters=None) -> TelemetryReport:
@@ -129,21 +99,6 @@ class TestSvgPrimitives:
         assert "no samples" in envelope_chart([], [], [], [], title="env")
         assert "no samples" in envelope_chart([1], [], [], [], title="env")
 
-    def test_trend_chart_marks_regressions_as_critical(self):
-        chart = trend_chart(
-            ["aaaa", "bbbb"], [100.0, 50.0], title="m",
-            regressed={1: "lost 50%"},
-        )
-        assert 'class="marker st-critical"' in chart
-        assert "REGRESSION: lost 50%" in chart
-        # non-regressed point keeps the series marker
-        assert 'class="marker s1-fill-solid"' in chart
-
-    def test_single_point_trend_has_no_line(self):
-        chart = trend_chart(["aaaa"], [1.0], title="m")
-        assert "polyline" not in chart
-        assert "circle" in chart
-
     def test_timeline_lanes_per_pid_and_fold_past_eight_names(self):
         spans = [span(f"name{i}", float(i), 1.0, pid=i % 2) for i in range(12)]
         chart = timeline_chart(spans)
@@ -190,7 +145,6 @@ class TestHtmlEscaping:
             envelope_chart([0, 1], [0, 0], [1, 1], [0.5, 0.5], title=NASTY,
                            x_label=NASTY, center_label=NASTY, band_label=NASTY)
         )
-        self.assert_escaped(trend_chart([NASTY], [1.0], title=NASTY))
 
     def test_span_names_in_timeline(self):
         self.assert_escaped(timeline_chart([span(NASTY, 0.0, 1.0)]))
@@ -256,88 +210,6 @@ class TestSelfContainment:
         assert {"first", "second"} <= collect_ids(page)
 
 
-class TestHistory:
-    def test_append_creates_one_line_per_commit(self, tmp_path):
-        append_history(record(commit="a" * 12), tmp_path)
-        append_history(record(commit="b" * 12), tmp_path)
-        lines = history_path(tmp_path, "bench").read_text().splitlines()
-        assert len(lines) == 2
-        assert [json.loads(line)["meta"]["git_commit"] for line in lines] == [
-            "a" * 12, "b" * 12,
-        ]
-
-    def test_republish_same_commit_replaces_not_duplicates(self, tmp_path):
-        append_history(record(steps_per_second=100.0), tmp_path)
-        append_history(record(steps_per_second=120.0), tmp_path)
-        records = load_history_file(history_path(tmp_path, "bench"))
-        assert len(records) == 1
-        assert records[0].metrics["steps_per_second"] == 120.0
-
-    def test_no_git_identity_always_appends(self, tmp_path):
-        append_history(record(commit=None), tmp_path)
-        append_history(record(commit=None), tmp_path)
-        assert len(load_history_file(history_path(tmp_path, "bench"))) == 2
-
-    def test_load_history_maps_name_to_records(self, tmp_path):
-        append_history(record(name="iss"), tmp_path)
-        append_history(record(name="de_kernel"), tmp_path)
-        history = load_history(tmp_path)
-        assert set(history) == {"iss", "de_kernel"}
-        assert load_history(tmp_path / "missing") == {}
-
-    def test_malformed_line_names_file_and_line(self, tmp_path):
-        path = history_path(tmp_path, "bench")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"name": "bench", "metrics": {"m": 1.0}}\n{"broken": 1}\n')
-        with pytest.raises(PerfError, match=r"bench\.jsonl:2"):
-            load_history_file(path)
-
-    def test_trend_series_marks_regressions(self):
-        records = [
-            record(commit="a" * 12, steps_per_second=100.0),
-            record(commit="b" * 12, steps_per_second=30.0),  # lost 70%
-            record(commit="c" * 12, steps_per_second=31.0),
-        ]
-        (trend,) = trend_series("bench", records, tolerance=0.30)
-        assert trend.metric == "steps_per_second"
-        assert [point.label for point in trend.points] == [
-            "aaaaaaaa", "bbbbbbbb", "cccccccc",
-        ]
-        assert trend.points[0].regression is None
-        assert trend.points[1].regression is not None
-        assert trend.points[2].regression is None
-
-    def test_trend_series_skips_cross_workload_comparison(self):
-        records = [
-            record(commit="a" * 12, smoke=True, steps_per_second=1000.0),
-            record(commit="b" * 12, smoke=False, steps_per_second=10.0),
-        ]
-        (trend,) = trend_series("bench", records)
-        assert all(point.regression is None for point in trend.points)
-
-    def test_merge_latest_replaces_same_commit_else_appends(self):
-        history = {"bench": [record(commit="a" * 12, steps_per_second=1.0),
-                             record(commit="b" * 12, steps_per_second=2.0)]}
-        merged = merge_latest(
-            history, {"bench": record(commit="b" * 12, steps_per_second=3.0)}
-        )
-        assert [r.metrics["steps_per_second"] for r in merged["bench"]] == [1.0, 3.0]
-        merged = merge_latest(
-            history, {"bench": record(commit="c" * 12, steps_per_second=4.0)}
-        )
-        assert len(merged["bench"]) == 3
-        # history dict is not mutated
-        assert len(history["bench"]) == 2
-
-    def test_bench_section_renders_multi_point_trend(self):
-        series = {"iss": [record(name="iss", commit="a" * 12),
-                          record(name="iss", commit="b" * 12)]}
-        section = bench_section(series)
-        assert section.slug == "bench"
-        assert 'id="bench-iss"' in section.body
-        assert "polyline" in section.body  # >= 2 points -> an actual line
-
-
 class TestTelemetrySection:
     def test_truncated_report_warns_loudly(self):
         section = telemetry_section(telemetry(dropped=7))
@@ -372,20 +244,17 @@ class TestSmokeAcceptance:
     def test_exit_zero_and_verified(self, smoke):
         code, page = smoke
         assert code == 0
-        assert verify_dashboard(page, ("faults", "telemetry", "bench")) == []
+        assert verify_dashboard(page, ("faults", "telemetry")) == []
 
     def test_sixteen_run_campaign_rendered(self, smoke):
         _, page = smoke
         assert "16 runs" in page
 
-    def test_envelope_coverage_timeline_and_trend_all_present(self, smoke):
+    def test_envelope_coverage_and_timeline_all_present(self, smoke):
         _, page = smoke
         assert "ADC stream envelope" in page
         assert 'class="matrix"' in page  # coverage matrix
         assert "Span timeline" in page
-        # the committed history gives >= 2 points, so trend polylines exist
-        assert 'class="chart trend"' in page
-        assert page.count('class="line s1"') >= 2
 
     def test_page_is_one_self_contained_file(self, smoke):
         _, page = smoke

@@ -124,6 +124,29 @@ class TestDeKernel:
         kernel.run()
         assert wakeups == [7, 9]
 
+    def test_every_write_wakes_every_static_method_once(self):
+        """One ticker writes a signal every step; eight statically sensitive
+        methods each wake exactly once per change (the fan-out pattern of the
+        platform's clock, analog ticker and ADC sampler chains)."""
+        fanout, steps, period = 8, 1000, 50e-9
+        kernel = Kernel()
+        signal = Signal(kernel, 0.0, "load")
+        wakeups = [0] * fanout
+        for index in range(fanout):
+            signal.changed.add_static_method(
+                lambda index=index: wakeups.__setitem__(index, wakeups[index] + 1)
+            )
+        ticks = [0]
+
+        def drive(now: float) -> None:
+            ticks[0] += 1
+            signal.write(float(ticks[0]))
+
+        PeriodicTicker(kernel, "drive", period, drive)
+        kernel.run(steps * period)
+        assert ticks[0] == steps
+        assert wakeups == [steps] * fanout
+
     def test_thread_process_waits(self):
         kernel = Kernel()
         log = []

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim import Kernel
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
+from repro.vp.firmware import FIRMWARE_STYLE_LOOP
 from repro.vp.mips.isa import register_number, to_signed_32
+from repro.vp.platform import _CpuBlockDriver
 
 #: A program exercising every hot path: ALU, shifts, signed compares, RAM
 #: loads/stores (word and byte), taken/untaken branches, jumps and call/ret.
@@ -337,3 +340,33 @@ class TestPlatformBlockScheduling:
     def test_signed_helpers_still_exported(self):
         # Regression guard: the ISA helpers remain the public signed-view API.
         assert to_signed_32(0xFFFFFFFF) == -1
+
+
+#: The platform's nominal CPU clock period (20 MHz).
+CPU_PERIOD = 50e-9
+
+
+def make_firmware_loop_cpu() -> MipsCpu:
+    """A CPU loaded with :data:`FIRMWARE_STYLE_LOOP` (no peripherals)."""
+    memory = Memory(size=64 * 1024)
+    memory.load_image(assemble(FIRMWARE_STYLE_LOOP).to_bytes())
+    return MipsCpu(memory, superblocks=False)
+
+
+def test_iss_block_and_tick_retire_identically():
+    """Block mode is a pure speedup: identical architectural outcomes."""
+    instructions = 20_000
+    outcomes = []
+    for stepper in ("tick", "block"):
+        # The ISS throughput gates drive a fresh CPU through the kernel;
+        # replicate their setup here to capture the final architectural state.
+        cpu = make_firmware_loop_cpu()
+        kernel = Kernel()
+        _CpuBlockDriver(
+            kernel, "cpu.clock", cpu, CPU_PERIOD, 1 if stepper == "tick" else 256
+        )
+        kernel.run(instructions * CPU_PERIOD)
+        outcomes.append(
+            (cpu.instruction_count, cpu.pc, tuple(cpu.registers), cpu.hi, cpu.lo)
+        )
+    assert outcomes[0] == outcomes[1]

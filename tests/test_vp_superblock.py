@@ -238,7 +238,7 @@ class TestTelemetry:
         TRACER.reset()
 
     def test_traced_platform_run_surfaces_superblock_counters(self):
-        from repro.perf.suite import FIRMWARE_STYLE_LOOP
+        from repro.vp.firmware import FIRMWARE_STYLE_LOOP
 
         enable_tracing()
         try:
