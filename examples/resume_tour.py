@@ -81,7 +81,7 @@ def main() -> None:
 
     # Stop 3: resume — only the missing runs execute.
     resumed = runner(bench, store=store_dir, resume=True).run(spec, DURATION)
-    loaded = resumed.n_runs - resumed.executed_count
+    loaded = resumed.n_scenarios - resumed.executed_count
     print(f"== resumed: {resumed.executed_count} executed, {loaded} loaded")
     print(f"fault coverage: {resumed.coverage_text()} non-silent")
 

@@ -152,7 +152,7 @@ class NativeArtifact:
     n_scenarios: int
     fallback_code: GeneratedCode
 
-    def instantiate(self, cache: bool = True, fallback: bool = False):
+    def instantiate(self, fallback: bool = False):
         """Compile (through the shared cache) and build a live batch instance.
 
         Raises :class:`CodegenError` when the toolchain is missing, unless
@@ -160,9 +160,9 @@ class NativeArtifact:
         batch class is instantiated instead (build-free, pure Python).
         """
         if toolchain_error() is None:
-            cls = compile_native(self.code, cache=cache)
+            cls = compile_native(self.code)
         elif fallback:
-            cls = compile_batch(self.fallback_code, cache=cache)
+            cls = compile_batch(self.fallback_code)
         else:
             ensure_toolchain()
             raise AssertionError("unreachable")
@@ -443,22 +443,16 @@ def _cc_compile(code: GeneratedCode) -> type:
     return cls
 
 
-def compile_native(code: GeneratedCode, cache: bool = True) -> type:
+def compile_native(code: GeneratedCode) -> type:
     """Compile a native artefact into its wrapper class, using the shared cache."""
     if code.language != "C":
         raise CodeGenerationError(
             f"can only compile C artefacts, not {code.language!r}"
         )
     ensure_toolchain()
-    if cache:
-        return compile_cached(code, _cc_compile)
-    return _cc_compile(code)
+    return compile_cached(code, _cc_compile)
 
 
-def native_batch_model(
-    models: Sequence[SignalFlowModel], cache: bool = True, fallback: bool = False
-):
+def native_batch_model(models: Sequence[SignalFlowModel], fallback: bool = False):
     """Convenience: generate, compile and instantiate a native batch in one call."""
-    return NativeGenerator().generate_batch(models).instantiate(
-        cache=cache, fallback=fallback
-    )
+    return NativeGenerator().generate_batch(models).instantiate(fallback=fallback)

@@ -166,9 +166,9 @@ class BatchArtifact:
     initial_state: np.ndarray
     n_scenarios: int
 
-    def instantiate(self, cache: bool = True):
-        """Compile (through the cache by default) and build a live instance."""
-        cls = compile_batch(self.code, cache=cache)
+    def instantiate(self):
+        """Compile (through the shared cache) and build a live instance."""
+        cls = compile_batch(self.code)
         return cls(self.parameters, self.initial_state, self.n_scenarios)
 
 
@@ -328,15 +328,13 @@ class NumpyGenerator(CodeGenerator):
         return formatter
 
 
-def compile_batch(code: GeneratedCode, cache: bool = True) -> type:
+def compile_batch(code: GeneratedCode) -> type:
     """Compile a NumPy batch artefact into its class, using the shared cache."""
     if code.language != "NumPy":
         raise CodeGenerationError(
             f"can only compile NumPy artefacts, not {code.language!r}"
         )
-    if cache:
-        return compile_cached(code, _exec_compile)
-    return _exec_compile(code)
+    return compile_cached(code, _exec_compile)
 
 
 def _exec_compile(code: GeneratedCode) -> type:
@@ -350,6 +348,6 @@ def _exec_compile(code: GeneratedCode) -> type:
     return cls
 
 
-def batch_model(models: Sequence[SignalFlowModel], cache: bool = True):
+def batch_model(models: Sequence[SignalFlowModel]):
     """Convenience: generate, compile and instantiate a batch in one call."""
-    return NumpyGenerator().generate_batch(models).instantiate(cache=cache)
+    return NumpyGenerator().generate_batch(models).instantiate()

@@ -10,9 +10,9 @@ makes those *what-if* questions executable across every layer of the stack:
   saboteurs, RAM and register bit flips, instruction corruption) with
   block-stepping-exact scheduled injection;
 * :mod:`~repro.fault.campaign` — :class:`FaultCampaignSpec` (fault universe ×
-  activation times × platform scenarios, seed-deterministic) and
-  :class:`FaultCampaignRunner`, executing campaigns through the platform
-  sweep multiprocessing fan-out with golden-run references and crash capture;
+  activation times × platform scenarios, seed-deterministic) expanding into
+  :class:`FaultScenario` runs, and :class:`FaultCampaignRunner`, the
+  platform sweep runner with golden-run references and crash capture;
 * :mod:`~repro.fault.report` — per-fault verdicts (silent / trace-divergent /
   firmware-detected / crash), fault-coverage matrices, equivalence collapse,
   markdown/CSV reports.
@@ -41,7 +41,6 @@ from .campaign import (
     FaultableCircuitFactory,
     FaultCampaignRunner,
     FaultCampaignSpec,
-    FaultRun,
     FaultScenario,
 )
 from .models import (
@@ -87,7 +86,6 @@ __all__ = [
     "FaultCampaignRunner",
     "FaultCampaignSpec",
     "FaultModel",
-    "FaultRun",
     "FaultScenario",
     "FaultVerdict",
     "GainDegradationFault",

@@ -1,7 +1,7 @@
 """The fault-campaign engine: fault universe × activation times × scenarios.
 
 A :class:`FaultCampaignSpec` crosses three axes into a flat, deterministically
-ordered list of :class:`FaultRun` experiments:
+ordered list of :class:`FaultScenario` runs:
 
 * the **fault universe** — any mix of analog netlist transforms and digital
   platform hooks from :mod:`repro.fault.models`;
@@ -19,37 +19,28 @@ come from :mod:`repro.sweep.seeds`, the same spawn-based derivation the sweep
 layer uses, so faults with randomized targets (e.g. random-address RAM
 upsets) inject identically in serial and multiprocess executions.
 
-:class:`FaultCampaignRunner` executes the expansion through the existing
-:class:`~repro.sweep.platform.PlatformSweepRunner` multiprocessing fan-out —
-a fault run *is* a platform scenario, carried by the picklable
-:class:`FaultScenario` subclass — with error capture on, so a fault that
-takes the CPU down (or makes the faulted netlist unabstractable) is recorded
-as a crash outcome instead of aborting the campaign.  The result is a
-:class:`~repro.fault.report.FaultCampaignResult` with per-fault verdicts,
-coverage matrices and reports.
+A fault campaign *is* a platform sweep: :class:`FaultCampaignRunner` is a
+:class:`~repro.sweep.platform.PlatformSweepRunner` that records every ADC
+stream, builds circuits through the campaign's analog faults and captures
+errors, so a fault that takes the CPU down (or makes the faulted netlist
+unabstractable) is recorded as a crash outcome instead of aborting the
+campaign.  Its result, a :class:`~repro.fault.report.FaultCampaignResult`,
+is the sweep result plus per-fault verdicts, coverage matrices and reports.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import FaultError
 from ..network.circuit import Circuit
-from ..store import RunStore
 from ..store import fingerprint as store_fingerprint
-from ..sweep.platform import (
-    PlatformScenario,
-    PlatformScenarioSpec,
-    PlatformSweepRunner,
-    StimulusFamily,
-    Stimuli,
-)
+from ..sweep.platform import PlatformScenario, PlatformScenarioSpec, PlatformSweepRunner
 from ..sweep.seeds import spawn_seeds
-from ..vp.platform import CPU_BLOCK_CYCLES, SmartSystemPlatform
+from ..vp.platform import SmartSystemPlatform
 from .models import AnalogFault, DigitalFault, FaultModel
 from .report import FaultCampaignResult
 
@@ -61,40 +52,25 @@ FAULT_PARAM = "_fault"
 
 
 @dataclass
-class FaultRun:
-    """One campaign experiment: a fault (or none) on one platform scenario."""
-
-    index: int
-    fault: "FaultModel | None"
-    at_time: float
-    scenario: PlatformScenario
-    seed: int
-
-    @property
-    def golden(self) -> bool:
-        return self.fault is None
-
-    def describe(self) -> str:
-        tag = "golden" if self.fault is None else self.fault.name
-        when = "" if self.fault is None or self.fault.layer == "analog" else (
-            f"@{self.at_time:g}s"
-        )
-        return f"[{self.index}] {tag}{when} on {self.scenario.describe()}"
-
-
-@dataclass
 class FaultScenario(PlatformScenario):
-    """A platform scenario with a fault riding along (picklable worker unit).
+    """One campaign run: a platform scenario with a fault (or none) riding along.
 
     Analog faults travel inside ``params`` (see :data:`FAULT_PARAM`) and are
     applied by the campaign's circuit factory; digital faults arm themselves
     on the assembled platform through the scenario preparation hook, inside
-    the worker process.
+    the worker process.  ``golden_index`` is the position of the fault-free
+    run of the same platform scenario, the reference its verdict compares
+    against; a golden run names itself.
     """
 
     fault: "FaultModel | None" = None
     at_time: float = 0.0
     fault_seed: int = 0
+    golden_index: int = 0
+
+    @property
+    def golden(self) -> bool:
+        return self.fault is None
 
     def prepare_platform(self, platform: SmartSystemPlatform) -> None:
         if isinstance(self.fault, DigitalFault):
@@ -134,7 +110,8 @@ class FaultScenario(PlatformScenario):
         base = super().describe()
         if self.fault is None:
             return f"{base} golden"
-        return f"{base} fault={self.fault.name}"
+        when = "" if self.fault.layer == "analog" else f"@{self.at_time:g}s"
+        return f"{base} fault={self.fault.name}{when}"
 
 
 @dataclass
@@ -224,33 +201,46 @@ class FaultCampaignSpec:
             return self.scenarios.firmware_table()
         return {"default": None}
 
-    def analog_faults(self) -> dict[str, AnalogFault]:
-        return {
-            fault.name: fault
-            for fault in self.faults
-            if isinstance(fault, AnalogFault)
-        }
-
-    def expand(self) -> list[FaultRun]:
+    def expand(self) -> list[FaultScenario]:
         """The flat campaign: golden runs first, then every faulted run.
 
         Ordering is deterministic and row-major (fault outermost, activation
         time, then platform scenario), so run indices are stable across
-        serial and multiprocess executions.
+        serial and multiprocess executions.  The golden runs sit at
+        positions ``0..n-1`` in platform-scenario order, so a run's
+        ``golden_index`` is its platform scenario's index.
         """
         scenarios = self.platform_scenarios()
-        runs: list[FaultRun] = []
-        for scenario in scenarios:
-            runs.append(FaultRun(len(runs), None, 0.0, scenario, 0))
+        strikes: list[tuple["FaultModel | None", float]] = [(None, 0.0)]
         for fault in self.faults:
             times = (
                 (0.0,) if isinstance(fault, AnalogFault) else self.activation_times
             )
-            for at_time in times:
-                for scenario in scenarios:
-                    runs.append(FaultRun(len(runs), fault, at_time, scenario, 0))
-        for run, seed in zip(runs, spawn_seeds(self.seed, len(runs))):
-            run.seed = seed
+            strikes.extend((fault, at_time) for at_time in times)
+        seeds = spawn_seeds(self.seed, len(strikes) * len(scenarios))
+        runs: list[FaultScenario] = []
+        for fault, at_time in strikes:
+            for scenario in scenarios:
+                params = dict(scenario.params)
+                if isinstance(fault, AnalogFault):
+                    params[FAULT_PARAM] = fault.name
+                position = len(runs)
+                runs.append(
+                    FaultScenario(
+                        index=position,
+                        label=scenario.label,
+                        params=params,
+                        style=scenario.style,
+                        firmware=scenario.firmware,
+                        stimulus=scenario.stimulus,
+                        seed=scenario.seed,
+                        origin="fault-campaign",
+                        fault=fault,
+                        at_time=at_time,
+                        fault_seed=seeds[position],
+                        golden_index=scenario.index,
+                    )
+                )
         return runs
 
     def __len__(self) -> int:
@@ -260,75 +250,39 @@ class FaultCampaignSpec:
         return scenarios * (1 + analog + digital * len(list(self.activation_times)))
 
 
-class FaultCampaignRunner:
+class FaultCampaignRunner(PlatformSweepRunner):
     """Expand a campaign spec, run every experiment, classify every fault.
 
-    Construction mirrors :class:`~repro.sweep.platform.PlatformSweepRunner`
-    (circuit factory, observed output, stimulus families, timestep, worker
-    count); ``nrmse_threshold`` is the ADC-trace divergence level above which
-    a fault that left the software outcome untouched still counts as
-    *trace-divergent* rather than *silent*.
+    A :class:`~repro.sweep.platform.PlatformSweepRunner` with the ADC
+    stream recorded (it feeds the trace-divergence verdict) and error
+    capture on (a fault that takes the platform down is a crash outcome);
+    every other parameter is the platform runner's, including
+    ``store``/``resume``/``interrupt_after`` for durable campaigns whose
+    resumed verdicts, coverage and reports are bit-identical to an
+    uninterrupted run's.  Those three platform parameters are not accepted.
 
-    ``store``/``resume`` make campaigns durable: every completed run (golden
-    and faulted alike) is committed to the content-addressed store as it
-    finishes, and a resumed campaign loads committed runs instead of
-    re-executing them — verdicts, coverage and reports of a resumed
-    campaign are bit-identical to an uninterrupted one's.  The calling
-    process loads them before any fan-out; workers execute and commit
-    only the missing runs, and a fully stored campaign starts none.
-    ``interrupt_after`` is the crash-simulation hook used by the resume
-    tests and the CI smoke job: each chunk of the runs left to execute
-    stops after executing that many (see
-    :class:`~repro.sweep.platform.PlatformSweepRunner`).
-
-    ``lint`` enables the strict static-analysis gate: every built circuit is
-    run through :func:`repro.lint.lint_circuit` after its fault is applied,
-    and a mutant the linter rejects is skipped with the ``lint-rejected``
-    verdict instead of simulating a non-physical circuit.
+    ``nrmse_threshold`` is the ADC-trace divergence level above which a
+    fault that left the software outcome untouched still counts as
+    *trace-divergent* rather than *silent*.  ``lint`` enables the strict
+    static-analysis gate: every built circuit is run through
+    :func:`repro.lint.lint_circuit` after its fault is applied, and a
+    mutant the linter rejects is skipped with the ``lint-rejected`` verdict
+    instead of simulating a non-physical circuit.
     """
 
     def __init__(
-        self,
-        factory: Callable[..., Circuit],
-        output: str,
-        stimuli: "Stimuli | Mapping[str, StimulusFamily]",
-        timestep: float = 50e-9,
-        cpu_clock_hz: float = 20e6,
-        method: str = "backward_euler",
-        families: "bool | None" = None,
-        workers: int = 1,
-        cpu_block_cycles: int = CPU_BLOCK_CYCLES,
-        nrmse_threshold: float = 1e-3,
-        store: "RunStore | str | None" = None,
-        resume: bool = False,
-        interrupt_after: "int | None" = None,
-        trace: "bool | None" = None,
-        progress: "bool | None" = None,
-        lint: bool = False,
+        self, *args, nrmse_threshold: float = 1e-3, lint: bool = False, **options
     ) -> None:
         if nrmse_threshold <= 0.0:
             raise FaultError("the NRMSE divergence threshold must be positive")
         self.nrmse_threshold = float(nrmse_threshold)
         self.lint = bool(lint)
-        # Error capture records a fault that takes the platform down as a
-        # crash outcome; the ADC trace feeds the trace-divergence verdict.
-        self.platform = PlatformSweepRunner(
-            factory,
-            output,
-            stimuli,
-            timestep=timestep,
-            cpu_clock_hz=cpu_clock_hz,
-            method=method,
-            families=families,
-            workers=workers,
+        super().__init__(
+            *args,
             record_analog=True,
-            cpu_block_cycles=cpu_block_cycles,
             capture_errors=True,
-            store=store,
-            resume=resume,
-            interrupt_after=interrupt_after,
-            trace=trace,
-            progress=progress,
+            premade_models=None,
+            **options,
         )
 
     def run(self, spec: FaultCampaignSpec, duration: float) -> FaultCampaignResult:
@@ -345,49 +299,22 @@ class FaultCampaignRunner:
                     f"beyond the {duration:g}s campaign duration — the fault "
                     f"would never strike"
                 )
-        scenarios = [self._as_scenario(position, run) for position, run in enumerate(runs)]
-        # The same platform runner, building circuits through this
-        # campaign's fault table.
-        platform = copy.copy(self.platform)
-        platform.engine = replace(
-            platform.engine,
-            factory=FaultableCircuitFactory(
-                platform.engine.factory, spec.analog_faults(), lint=self.lint
-            ),
-        )
-        sweep = platform.run(scenarios, duration, firmwares=spec.firmware_table())
-        return FaultCampaignResult(
-            runs=runs,
-            results=sweep.results,
-            elapsed=sweep.elapsed,
-            duration=float(duration),
-            timestep=sweep.timestep,
-            workers=sweep.workers,
-            nrmse_threshold=self.nrmse_threshold,
-            timings=dict(sweep.timings),
-            executed=sweep.executed,
-            telemetry=(
-                sweep.telemetry.retagged("fault-campaign")
-                if sweep.telemetry is not None
-                else None
-            ),
-        )
+        return super().run(runs, duration, firmwares=spec.firmware_table())
 
-    @staticmethod
-    def _as_scenario(position: int, run: FaultRun) -> FaultScenario:
-        params = dict(run.scenario.params)
-        if isinstance(run.fault, AnalogFault):
-            params[FAULT_PARAM] = run.fault.name
-        return FaultScenario(
-            index=position,
-            label=run.scenario.label,
-            params=params,
-            style=run.scenario.style,
-            firmware=run.scenario.firmware,
-            stimulus=run.scenario.stimulus,
-            seed=run.scenario.seed,
-            origin="fault-campaign",
-            fault=run.fault,
-            at_time=run.at_time,
-            fault_seed=run.seed,
+    def _circuit_factory(
+        self, scenarios: Sequence[PlatformScenario]
+    ) -> Callable[..., Circuit]:
+        """Build circuits through the analog faults the runs name."""
+        faults = {
+            run.fault.name: run.fault
+            for run in scenarios
+            if isinstance(run.fault, AnalogFault)
+        }
+        return FaultableCircuitFactory(self.engine.factory, faults, lint=self.lint)
+
+    def _result(self, telemetry, **fields) -> FaultCampaignResult:
+        return FaultCampaignResult(
+            **fields,
+            telemetry=None if telemetry is None else telemetry.retagged("fault-campaign"),
+            nrmse_threshold=self.nrmse_threshold,
         )

@@ -259,7 +259,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 3
 
     if arguments.store:
-        loaded = result.n_runs - result.executed_count
+        loaded = result.n_scenarios - result.executed_count
         print(
             f"campaign store {arguments.store}: {result.executed_count} runs "
             f"executed, {loaded} loaded (store holds "

@@ -40,10 +40,12 @@ import numpy as np
 
 from ..errors import FaultError
 from ..metrics.nrmse import nrmse
+from ..sweep.platform import PlatformSweepResult
+from ..sweep.results import csv_text
 from ..vp.platform import PlatformRunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
-    from .campaign import FaultRun
+    from .campaign import FaultScenario
 
 #: The five verdicts, in increasing severity order.  ``lint-rejected`` is
 #: the strict static-analysis gate (``lint=True`` on the campaign runner):
@@ -128,7 +130,7 @@ def _classify(
 class FaultVerdict:
     """The classification of one faulted run."""
 
-    run: "FaultRun"
+    run: "FaultScenario"
     result: PlatformRunResult
     verdict: str
     nrmse: "float | None"
@@ -141,66 +143,35 @@ class FaultVerdict:
 
 
 @dataclass
-class FaultCampaignResult:
-    """Everything produced by one :class:`~repro.fault.campaign.FaultCampaignRunner` run."""
+class FaultCampaignResult(PlatformSweepResult):
+    """Everything produced by one :class:`~repro.fault.campaign.FaultCampaignRunner` run.
 
-    runs: "list[FaultRun]"
-    results: list[PlatformRunResult]
-    elapsed: np.ndarray
-    duration: float
-    timestep: float
-    workers: int = 1
+    The platform sweep's result over the campaign's
+    :class:`~repro.fault.campaign.FaultScenario` runs, plus the verdicts
+    derived from it.
+    """
+
     nrmse_threshold: float = 1e-3
-    timings: dict[str, float] = field(default_factory=dict)
-    #: Per-run execution flags: ``True`` for runs simulated by this campaign,
-    #: ``False`` for runs loaded from a campaign store (resume).
-    executed: "np.ndarray | None" = None
-    #: Merged worker telemetry (:class:`~repro.obs.telemetry.TelemetryReport`)
-    #: when the campaign was traced; ``None`` otherwise.
-    telemetry: object | None = None
     _verdicts: "list[FaultVerdict] | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if len(self.runs) != len(self.results):
-            raise FaultError(
-                f"campaign bookkeeping mismatch: {len(self.runs)} runs but "
-                f"{len(self.results)} results"
-            )
-
-    # -- shape queries -----------------------------------------------------------------
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
     @property
     def n_faulted(self) -> int:
-        return sum(1 for run in self.runs if not run.golden)
-
-    @property
-    def executed_count(self) -> int:
-        """Runs actually simulated (all of them without a resume store)."""
-        if self.executed is None:
-            return self.n_runs
-        return int(np.count_nonzero(self.executed))
-
-    def fingerprints(self) -> list[tuple]:
-        """Per-run deterministic outcomes, in run order (serial == parallel)."""
-        return [result.fingerprint() for result in self.results]
+        return sum(1 for run in self.scenarios if not run.golden)
 
     # -- golden references -------------------------------------------------------------
     def golden_results(self) -> dict[int, PlatformRunResult]:
-        """Golden run results keyed by platform-scenario index."""
+        """Golden run results keyed by their position in the campaign."""
         golden: dict[int, PlatformRunResult] = {}
-        for run, result in zip(self.runs, self.results):
+        for run, result in zip(self.scenarios, self.results):
             if run.golden:
                 if result.crashed is not None:
                     raise FaultError(
                         f"golden run {run.describe()} crashed ({result.crashed}); "
                         f"the campaign baseline is invalid"
                     )
-                golden[run.scenario.index] = result
+                golden[run.index] = result
         if not golden:
             raise FaultError("the campaign contains no golden run")
         return golden
@@ -227,10 +198,10 @@ class FaultCampaignResult:
                         finite[index] = result.analog_trace
                     golden[index] = replace(result, analog_trace=trace)
             verdicts: list[FaultVerdict] = []
-            for run, result in zip(self.runs, self.results):
+            for run, result in zip(self.scenarios, self.results):
                 if run.golden:
                     continue
-                reference = golden.get(run.scenario.index)
+                reference = golden.get(run.golden_index)
                 if reference is None:
                     raise FaultError(
                         f"no golden run for the platform scenario of "
@@ -238,7 +209,7 @@ class FaultCampaignResult:
                     )
                 stream = result.analog_trace
                 if isinstance(stream, list) and stream == finite.get(
-                    run.scenario.index
+                    run.golden_index
                 ):
                     error = 0.0
                 else:
@@ -296,7 +267,7 @@ class FaultCampaignResult:
         else:
             trace = np.asarray(result.analog_trace, dtype=float)
             digest = hashlib.sha256(trace.tobytes()).hexdigest()[:16]
-        return (self.runs[position].scenario.index, result.fingerprint(), digest)
+        return (self.scenarios[position].golden_index, result.fingerprint(), digest)
 
     def collapse(self) -> "list[list[FaultVerdict]]":
         """Equivalence classes of faulted runs with identical outcomes.
@@ -307,15 +278,10 @@ class FaultCampaignResult:
         classes are included (a fault with a unique outcome is its own
         class).
         """
-        by_verdict_position = {
-            entry.run.index: entry for entry in self.verdicts()
-        }
         classes: dict[tuple, list[FaultVerdict]] = {}
-        for position, run in enumerate(self.runs):
-            if run.golden:
-                continue
-            classes.setdefault(self.outcome_fingerprint(position), []).append(
-                by_verdict_position[run.index]
+        for entry in self.verdicts():
+            classes.setdefault(self.outcome_fingerprint(entry.run.index), []).append(
+                entry
             )
         return sorted(classes.values(), key=len, reverse=True)
 
@@ -326,7 +292,7 @@ class FaultCampaignResult:
         collapse = self.collapse()
         lines = [
             f"# Fault campaign report — {self.n_faulted} faulted runs, "
-            f"{self.n_runs - self.n_faulted} golden",
+            f"{self.n_scenarios - self.n_faulted} golden",
             "",
             f"- simulated time per run: {self.duration:g} s "
             f"(analog timestep {self.timestep:g} s)",
@@ -368,28 +334,21 @@ class FaultCampaignResult:
         lines.append("")
         lines.append("## Faulted runs")
         lines.append("")
-        header = self._header_cells()
+        header = self.verdict_header()
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for entry in self.verdicts():
-            lines.append("| " + " | ".join(self._row_cells(entry)) + " |")
+            lines.append("| " + " | ".join(self.verdict_row(entry)) + " |")
         return "\n".join(lines)
 
-    #: Free-text columns of the run table that may contain commas and are
-    #: therefore quoted in CSV output: scenario label and verdict detail.
-    _QUOTED_COLUMNS = (5, 13)
-
     def to_csv(self) -> str:
-        """The per-faulted-run table as CSV (quoted free-text columns)."""
-        rows = [",".join(self._header_cells())]
-        for entry in self.verdicts():
-            cells = self._row_cells(entry)
-            for column in self._QUOTED_COLUMNS:
-                cells[column] = '"{}"'.format(cells[column].replace('"', "'"))
-            rows.append(",".join(cells))
-        return "\n".join(rows)
+        """The per-faulted-run table as CSV."""
+        return csv_text(
+            self.verdict_header(), [self.verdict_row(entry) for entry in self.verdicts()]
+        )
 
-    def _header_cells(self) -> list[str]:
+    def verdict_header(self) -> list[str]:
+        """Column names of the per-faulted-run table."""
         return [
             "#",
             "fault",
@@ -407,7 +366,8 @@ class FaultCampaignResult:
             "detail",
         ]
 
-    def _row_cells(self, entry: FaultVerdict) -> list[str]:
+    def verdict_row(self, entry: FaultVerdict) -> list[str]:
+        """One faulted run's row of the per-faulted-run table."""
         run = entry.run
         return [
             str(run.index),
@@ -415,10 +375,10 @@ class FaultCampaignResult:
             run.fault.kind,
             run.fault.layer,
             "-" if run.fault.layer == "analog" else f"{run.at_time:g}",
-            run.scenario.label,
-            run.scenario.style,
-            run.scenario.firmware,
-            run.scenario.stimulus,
+            run.label,
+            run.style,
+            run.firmware,
+            run.stimulus,
             entry.verdict,
             "-" if entry.nrmse is None else f"{entry.nrmse:.3e}",
             str(len(entry.result.uart_output)),

@@ -8,7 +8,10 @@ Reads a Chrome ``trace_event`` JSON file produced by the ``--trace`` flag of
   (exit code 2 on problems) — what the CI ``campaign-smoke`` job runs,
 - ``--expect-counter NAME=VALUE`` asserts a merged counter's final value
   (exit code 1 on mismatch) — how CI reconciles event and scenario counts,
-- ``--jsonl OUT`` re-exports the events as flat JSONL for line-based tools.
+- ``--jsonl OUT`` re-exports the trace as the telemetry JSONL that
+  :func:`~repro.obs.export.to_jsonl` writes (one summary line, then one
+  line per counter and per event), which ``repro-report --telemetry``
+  reads back.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ import json
 import sys
 from pathlib import Path
 
-from .export import counters_from_trace, validate_trace_events
+from .export import (
+    counters_from_trace,
+    report_from_trace,
+    validate_trace_events,
+    write_jsonl,
+)
 
 
 def _iter_events(payload: object) -> list[dict]:
@@ -79,7 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert a counter's final value (repeatable; exit 1 on mismatch)",
     )
     parser.add_argument(
-        "--jsonl", type=Path, default=None, metavar="OUT", help="re-export events as JSONL"
+        "--jsonl",
+        type=Path,
+        default=None,
+        metavar="OUT",
+        help="re-export the trace as telemetry JSONL (readable by repro-report)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the summary (checks still run)"
@@ -125,11 +137,13 @@ def main(argv: "list[str] | None" = None) -> int:
                 print(f"  {key} = {value}")
 
     if args.jsonl is not None:
-        with args.jsonl.open("w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event) + "\n")
+        report = report_from_trace(payload)
+        write_jsonl(args.jsonl, report)
         if not args.quiet:
-            print(f"wrote {len(events)} events to {args.jsonl}")
+            print(
+                f"wrote {len(report.events)} events and {len(report.counters)} "
+                f"counters to {args.jsonl}"
+            )
 
     status = 0
     if args.validate:

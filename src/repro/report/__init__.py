@@ -4,8 +4,8 @@ One page, zero external assets: every chart is inline SVG generated by
 :mod:`repro.report.svg`, styled by a palette embedded in the page's own
 ``<style>`` block (with a ``prefers-color-scheme`` dark variant).  The
 section adapters in :mod:`repro.report.sections` know how to render each
-of the repo's result types — sweeps, platform sweeps, fault campaigns,
-telemetry, differential fuzzing, lint reports and run stores — and
+of the repo's result types — fault campaigns, telemetry, differential
+fuzzing, lint reports and run stores — and
 :class:`Dashboard` stitches them into a single HTML file that survives
 being mailed around or attached to a CI run as an artifact.
 
@@ -23,9 +23,7 @@ from .sections import (
     fault_section,
     fuzz_section,
     lint_section,
-    platform_section,
     store_section,
-    sweep_section,
     telemetry_section,
 )
 from .svg import (
@@ -43,10 +41,8 @@ __all__ = [
     "fault_section",
     "fuzz_section",
     "lint_section",
-    "platform_section",
     "self_contained_problems",
     "store_section",
-    "sweep_section",
     "telemetry_section",
     "timeline_chart",
     "verify_dashboard",

@@ -6,7 +6,9 @@ adds one section to the dashboard:
 - ``--store DIR``: a content-addressed :class:`~repro.store.RunStore`
   campaign directory (record census by engine + stored-ADC envelope);
 - ``--telemetry FILE``: a Chrome ``trace_event`` JSON file or a telemetry
-  JSONL dump (span timeline, counters, latency percentiles);
+  JSONL dump as ``repro-trace --jsonl`` writes it (span timeline,
+  counters, latency percentiles); a file that yields no events and no
+  counters is an error (exit 2);
 - ``--lint FILE``: a ``repro-lint --json`` findings report (severity
   tiles, rule × severity matrix, per-file and per-finding tables).
 
@@ -154,7 +156,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print("repro-report: running the 16-run smoke fault campaign (traced)...")
         result = run_smoke_campaign()
         print(
-            f"  {result.n_runs} runs ({result.n_faulted} faulted), "
+            f"  {result.n_scenarios} runs ({result.n_faulted} faulted), "
             f"coverage {result.coverage_text()}"
         )
         dashboard.add(fault_section(result))
@@ -178,6 +180,12 @@ def main(argv: "list[str] | None" = None) -> int:
             report = _load_telemetry(path)
         except (OSError, json.JSONDecodeError, ValueError) as error:
             print(f"repro-report: cannot read {path}: {error}", file=sys.stderr)
+            return 2
+        if not report.events and not report.counters:
+            print(
+                f"repro-report: {path} holds no telemetry events or counters",
+                file=sys.stderr,
+            )
             return 2
         slug = (
             f"telemetry-{index}" if len(arguments.telemetry) > 1 else "telemetry"

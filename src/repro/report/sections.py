@@ -1,8 +1,6 @@
 """Adapters: live result objects → dashboard sections.
 
 Each ``*_section`` function accepts one of the repo's result types —
-:class:`~repro.sweep.results.SweepResult`,
-:class:`~repro.sweep.platform.PlatformSweepResult`,
 :class:`~repro.fault.report.FaultCampaignResult`,
 :class:`~repro.obs.telemetry.TelemetryReport`, lint and fuzz reports, run
 stores — and returns a :class:`Section`: an anchor slug, a title, and a
@@ -20,7 +18,6 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .svg import (
-    esc as _esc,
     coverage_matrix_table,
     data_table,
     envelope_chart,
@@ -34,8 +31,6 @@ from .svg import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fault.report import FaultCampaignResult
     from ..obs.telemetry import TelemetryReport
-    from ..sweep.platform import PlatformSweepResult
-    from ..sweep.results import SweepResult
 
 
 @dataclass
@@ -141,7 +136,7 @@ def _fault_envelope(result: "FaultCampaignResult") -> str:
     golden = next(
         (
             np.asarray(run_result.analog_trace, dtype=float)[:length]
-            for run, run_result in zip(result.runs, result.results)
+            for run, run_result in zip(result.scenarios, result.results)
             if run.golden and run_result.analog_trace
         ),
         None,
@@ -169,7 +164,7 @@ def fault_section(result: "FaultCampaignResult", slug: str = "faults") -> Sectio
     tiles = [
         stat_tile("Fault coverage", result.coverage_text(), "non-silent fraction"),
         stat_tile("Faulted runs", str(result.n_faulted),
-                  f"{result.n_runs - result.n_faulted} golden"),
+                  f"{result.n_scenarios - result.n_faulted} golden"),
         stat_tile("Equivalence classes", str(len(collapse)), "after collapse"),
         stat_tile("Workers", str(result.workers)),
     ]
@@ -200,101 +195,12 @@ def fault_section(result: "FaultCampaignResult", slug: str = "faults") -> Sectio
         )
     parts.append(
         data_table(
-            result._header_cells(),
-            [result._row_cells(entry) for entry in result.verdicts()],
+            result.verdict_header(),
+            [result.verdict_row(entry) for entry in result.verdicts()],
             caption="Faulted runs",
         )
     )
     return Section(slug, "Fault campaign", "".join(parts))
-
-
-# -- parameter sweeps ------------------------------------------------------------------
-def sweep_section(result: "SweepResult", slug: str = "sweep") -> Section:
-    """Parameter sweep: envelope per output plus the ensemble summary."""
-    tiles = [
-        stat_tile("Scenarios", str(result.n_scenarios),
-                  f"{result.executed_count} executed"),
-        stat_tile("Backend", result.backend,
-                  f"{result.structure_groups} structure group(s)"),
-        stat_tile("Workers", str(result.workers)),
-    ]
-    parts = [tile_row(tiles)]
-    times = result.times.tolist()
-    for name in result.output_names():
-        envelope = result.envelope(name)
-        parts.append(
-            envelope_chart(
-                times,
-                envelope["min"].tolist(),
-                envelope["max"].tolist(),
-                np.median(result.ensemble(name), axis=0).tolist(),
-                title=f"{name} — ensemble envelope ({result.n_scenarios} scenarios)",
-                x_label="time (s)",
-                y_label=name,
-            )
-        )
-    summary_rows = []
-    for name, stats in result.summary().items():
-        row = [name] + [f"{stats[key]:.6g}" for key in ("mean", "std", "min", "max")]
-        summary_rows.append(row)
-    parts.append(
-        data_table(
-            ["output", "mean", "std", "min", "max"],
-            summary_rows,
-            caption="Final values",
-        )
-    )
-    return Section(slug, f"Sweep — {result.n_scenarios} scenarios", "".join(parts))
-
-
-def platform_section(result: "PlatformSweepResult", slug: str = "platform") -> Section:
-    """Platform sweep: per-style Table-III summary plus the ADC envelope."""
-    tiles = [
-        stat_tile("Scenarios", str(result.n_scenarios),
-                  f"{result.executed_count} executed"),
-        stat_tile("Simulated time", f"{result.duration:g} s",
-                  f"timestep {result.timestep:g} s"),
-        stat_tile("Workers", str(result.workers)),
-    ]
-    parts = [tile_row(tiles)]
-    summary = result.summary_by_style()
-    columns = ["style", "scenarios", "mean s", "speedup", "instr mean", "NRMSE max"]
-    rows = []
-    for style, entry in summary.items():
-        rows.append(
-            [
-                style,
-                entry["scenarios"],
-                f"{entry['mean_time']:.4g}",
-                f"{entry['speedup']:.3g}",
-                f"{entry['instructions_mean']:.4g}",
-                f"{entry.get('nrmse_max', float('nan')):.3g}",
-            ]
-        )
-    parts.append(data_table(columns, rows, caption="Per-style summary"))
-    traces = [
-        np.asarray(run.analog_trace, dtype=float)
-        for run in result.results
-        if run.analog_trace
-    ]
-    if traces:
-        length = min(trace.size for trace in traces)
-        if length:
-            matrix = np.stack([trace[:length] for trace in traces])
-            parts.append(
-                envelope_chart(
-                    list(range(length)),
-                    matrix.min(axis=0).tolist(),
-                    matrix.max(axis=0).tolist(),
-                    np.median(matrix, axis=0).tolist(),
-                    title=f"ADC stream envelope across {len(traces)} scenarios",
-                    x_label="ADC sample index",
-                    y_label="ADC value",
-                )
-            )
-    return Section(
-        slug, f"Platform sweep — {result.n_scenarios} scenarios", "".join(parts)
-    )
 
 
 # -- fuzzing ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def run_interpreted_model(
     return traces
 
 
-def _instantiate(model: "SignalFlowModel | object"):
+def _instantiate(model: "SignalFlowModel | type | object"):
     """Accept a SignalFlowModel (compiled through the cache), a class or an instance."""
     if isinstance(model, SignalFlowModel):
         return compile_model_cached(model)()

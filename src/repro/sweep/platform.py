@@ -53,6 +53,7 @@ from ..vp.platform import (
     SmartSystemPlatform,
 )
 from .executor import CampaignExecutor, SweepError
+from .results import csv_text
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
 
@@ -688,10 +689,15 @@ class PlatformSweepRunner:
                 f"{sorted(self.engine.stimuli)}"
             )
 
-        config = replace(self.engine, duration=float(duration), firmwares=firmwares)
+        config = replace(
+            self.engine,
+            factory=self._circuit_factory(scenarios),
+            duration=float(duration),
+            firmwares=firmwares,
+        )
         campaign = self.executor.run(config, scenarios)
         elapsed = np.array([wall for _, wall in campaign.outcomes], dtype=float)
-        return PlatformSweepResult(
+        return self._result(
             scenarios=scenarios,
             results=[result for result, _ in campaign.outcomes],
             elapsed=elapsed,
@@ -702,6 +708,16 @@ class PlatformSweepRunner:
             executed=campaign.executed,
             telemetry=campaign.telemetry,
         )
+
+    # -- subclass hooks (the fault campaign runner overrides both) ---------------------
+    def _circuit_factory(
+        self, scenarios: Sequence[PlatformScenario]
+    ) -> Callable[..., Circuit]:
+        """The circuit factory the run's engine builds ``scenarios`` with."""
+        return self.engine.factory
+
+    def _result(self, **fields) -> "PlatformSweepResult":
+        return PlatformSweepResult(**fields)
 
 
 @dataclass
@@ -900,14 +916,10 @@ class PlatformSweepResult:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        """The per-scenario table as CSV (quoted label/params columns)."""
-        rows = [",".join(self._header_cells())]
-        for index in range(self.n_scenarios):
-            cells = self._row_cells(index)
-            cells[1] = f'"{cells[1]}"'
-            cells[2] = f'"{cells[2]}"'
-            rows.append(",".join(cells))
-        return "\n".join(rows)
+        """The per-scenario table as CSV."""
+        return csv_text(
+            self._header_cells(), [self._row_cells(i) for i in range(self.n_scenarios)]
+        )
 
     def _header_cells(self) -> list[str]:
         cells = [

@@ -9,12 +9,28 @@ ensemble, and text/markdown/CSV renderings for reports.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..sim.trace import TraceSet
 from .spec import Scenario
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """A table as CSV text, one line per row and no trailing newline.
+
+    Cells are quoted and escaped by :mod:`csv`, so labels, parameters and
+    details holding commas or quotes keep every row at the header's length.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()[:-1]
 
 
 @dataclass
@@ -172,11 +188,7 @@ class SweepResult:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        """Render the per-scenario table as CSV (comma-separated, quoted params)."""
-        rows = [",".join(self._header_cells())]
-        for index in range(self.n_scenarios):
-            cells = self._row_cells(index)
-            cells[2] = f'"{cells[2]}"'
-            cells[3] = f'"{cells[3]}"'
-            rows.append(",".join(cells))
-        return "\n".join(rows)
+        """Render the per-scenario table as CSV."""
+        return csv_text(
+            self._header_cells(), [self._row_cells(i) for i in range(self.n_scenarios)]
+        )

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Callable, Mapping
 
-from ..core.codegen.python_backend import compile_model_cached
 from ..core.signalflow import SignalFlowModel
 from ..errors import PlatformError
 from ..network.circuit import Circuit
@@ -43,6 +42,7 @@ from ..sim.integration import (
     TdfSignalFlowModule,
     TdfSourceModule,
 )
+from ..sim.runners import _instantiate
 from ..sim.tdf import TdfCluster, TdfModule
 from .adc_bridge import AdcBridge
 from .apb import ApbBus
@@ -606,10 +606,3 @@ class SmartSystemPlatform:
         tracer.add("iss.superblock.hits", float(hits))
         tracer.add("iss.superblock.invalidations", float(invalidations))
 
-
-def _instantiate(model: "SignalFlowModel | type | object"):
-    if isinstance(model, SignalFlowModel):
-        return compile_model_cached(model)()
-    if isinstance(model, type):
-        return model()
-    return model

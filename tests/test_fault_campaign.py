@@ -10,6 +10,8 @@ needs the opt-in static-analysis gate and is exercised in test_lint.py.)
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import struct
 
@@ -30,7 +32,7 @@ from repro.fault import (
     FaultCampaignResult,
     FaultCampaignRunner,
     FaultCampaignSpec,
-    FaultRun,
+    FaultScenario,
     InstructionCorruptionFault,
     MemoryBitFlipFault,
     ParameterDriftFault,
@@ -41,7 +43,13 @@ from repro.fault import (
 )
 from repro.fault import report
 from repro.sim import SquareWave
-from repro.sweep import GridSpec, PlatformScenarioSpec, spawn_seeds
+from repro.sweep import (
+    GridSpec,
+    PlatformScenarioSpec,
+    PlatformSweepResult,
+    PlatformSweepRunner,
+    spawn_seeds,
+)
 from repro.vp import PlatformRunResult, SmartSystemPlatform, threshold_monitor_source
 
 TIMESTEP = 50e-9
@@ -91,8 +99,8 @@ class TestFaultCampaignSpec:
     def test_seeds_come_from_the_shared_helper(self):
         spec = FaultCampaignSpec(faults=self.universe(), seed=42)
         runs = spec.expand()
-        assert [run.seed for run in runs] == spawn_seeds(42, len(runs))
-        assert len({run.seed for run in runs}) == len(runs)
+        assert [run.fault_seed for run in runs] == spawn_seeds(42, len(runs))
+        assert len({run.fault_seed for run in runs}) == len(runs)
 
     def test_validation(self):
         with pytest.raises(FaultError, match="at least one fault"):
@@ -119,6 +127,96 @@ class TestFaultCampaignSpec:
             FaultCampaignRunner(
                 rc_benchmark(1).build, "out", WAVE, nrmse_threshold=0.0
             )
+
+
+class TestFaultCampaignIsAPlatformSweep:
+    def test_runner_accepts_the_campaign_parameters_and_no_others(self, tmp_path):
+        runner = FaultCampaignRunner(
+            factory=rc_benchmark(1).build,
+            output="out",
+            stimuli=WAVE,
+            timestep=2 * TIMESTEP,
+            cpu_clock_hz=10e6,
+            method="trapezoidal",
+            families=False,
+            workers=2,
+            cpu_block_cycles=64,
+            nrmse_threshold=1e-2,
+            store=tmp_path,
+            resume=True,
+            interrupt_after=5,
+            trace=True,
+            progress=False,
+            lint=True,
+        )
+        assert isinstance(runner, PlatformSweepRunner)
+        engine = runner.engine
+        assert (engine.output, engine.stimuli) == ("out", {"default": WAVE})
+        assert (engine.timestep, engine.cpu_clock_hz, engine.method) == (
+            2 * TIMESTEP,
+            10e6,
+            "trapezoidal",
+        )
+        assert engine.cpu_block_cycles == 64
+        # Always on for a campaign: the trace feeds the verdicts, and a
+        # crash is an outcome.
+        assert engine.record_analog and engine.capture_errors
+        assert engine.premade_models == {}
+        executor = runner.executor
+        assert executor.store.directory == tmp_path
+        assert (
+            executor.workers,
+            executor.resume,
+            executor.interrupt_after,
+            executor.trace,
+            executor.progress,
+        ) == (2, True, 5, True, False)
+        assert (runner.nrmse_threshold, runner.lint) == (1e-2, True)
+        for option, value in (
+            ("record_analog", False),
+            ("capture_errors", False),
+            ("premade_models", ()),
+        ):
+            with pytest.raises(TypeError, match=option):
+                FaultCampaignRunner(rc_benchmark(1).build, "out", WAVE, **{option: value})
+
+    def test_result_declares_only_the_verdict_bookkeeping(self):
+        from dataclasses import fields
+
+        inherited = {field.name for field in fields(PlatformSweepResult)}
+        assert {field.name for field in fields(FaultCampaignResult)} - inherited == {
+            "nrmse_threshold",
+            "_verdicts",
+        }
+        sweep_bookkeeping = {
+            "results",
+            "elapsed",
+            "duration",
+            "timestep",
+            "workers",
+            "timings",
+            "executed",
+            "telemetry",
+            "executed_count",
+            "fingerprints",
+        }
+        assert not sweep_bookkeeping & set(vars(FaultCampaignResult))
+
+    def test_runs_name_their_golden_run(self):
+        spec = FaultCampaignSpec(
+            faults=[ParameterDriftFault("r1", 1.5), AdcStuckBitFault(bit=3)],
+            activation_times=(1e-5, 2e-5),
+            scenarios=PlatformScenarioSpec(styles=("python", "de")),
+        )
+        platform = spec.platform_scenarios()
+        runs = spec.expand()
+        assert all(isinstance(run, FaultScenario) for run in runs)
+        for run in runs:
+            golden = runs[run.golden_index]
+            assert golden.golden and golden.index == run.golden_index
+            assert platform[run.golden_index].style == run.style
+        drift = [run for run in runs if run.fault and run.fault.layer == "analog"]
+        assert [run.params for run in drift] == [{"_fault": "drift:r1x1.5"}] * 2
 
 
 class TestFaultCampaignExecution:
@@ -167,7 +265,7 @@ class TestFaultCampaignExecution:
 
         golden = result.golden_results()
         expected = [
-            classify_run(golden[entry.run.scenario.index], entry.result, 1e-3)
+            classify_run(golden[entry.run.golden_index], entry.result, 1e-3)
             for entry in result.verdicts()
         ]
         converted = []
@@ -183,7 +281,7 @@ class TestFaultCampaignExecution:
 
         monkeypatch.setattr(report, "np", CountingNumpy())
         fresh = report.FaultCampaignResult(
-            runs=result.runs,
+            scenarios=result.scenarios,
             results=result.results,
             elapsed=result.elapsed,
             duration=result.duration,
@@ -236,14 +334,14 @@ class TestFaultCampaignExecution:
         assert "## Coverage by fault kind" in markdown
         assert "adc-stuck1:bit9" in markdown
         assert f"{100.0 * result.detected_fraction():.1f} %" in markdown
-        csv = result.to_csv()
-        assert len(csv.splitlines()) == 1 + len(result.verdicts())
-        assert csv.splitlines()[0].startswith("#,fault,kind,layer")
+        table = result.to_csv()
+        assert len(table.splitlines()) == 1 + len(result.verdicts())
+        assert table.splitlines()[0].startswith("#,fault,kind,layer")
         # free-text columns (scenario label, detail) are quoted so grid
         # labels like "r=1k,c=25n" cannot shift the columns
-        first_row = csv.splitlines()[1].split(",")
-        assert first_row[5].startswith('"')
-        header = csv.splitlines()[0].split(",")
+        first_row = next(csv.reader(io.StringIO(table.splitlines()[1])))
+        assert first_row[5] == result.verdicts()[0].run.label
+        header = table.splitlines()[0].split(",")
         assert header[5] == "scenario" and header[-1] == "detail"
 
     def test_cli_sentinel_adapts_to_the_circuit(self):
@@ -349,11 +447,18 @@ class TestEqualStreamShortcut:
         scenarios = PlatformScenarioSpec(stimuli=("a", "b")).expand()
         streams = [rng.normal(size=self.SAMPLES).tolist() for _ in scenarios]
         streams[1][int(rng.integers(self.SAMPLES))] = non_finite
-        runs: list[FaultRun] = []
+        runs: list[FaultScenario] = []
         results: list[PlatformRunResult] = []
 
         def add(fault, scenario, stream, uart="", crashed=None):
-            runs.append(FaultRun(len(runs), fault, 0.0, scenario, len(runs)))
+            runs.append(
+                FaultScenario(
+                    **{**vars(scenario), "index": len(runs)},
+                    fault=fault,
+                    fault_seed=len(runs),
+                    golden_index=scenario.index,
+                )
+            )
             results.append(
                 PlatformRunResult(
                     simulated_time=1e-5,
@@ -387,7 +492,7 @@ class TestEqualStreamShortcut:
                 crashed="CpuFault: staged",
             )
         return FaultCampaignResult(
-            runs=runs,
+            scenarios=runs,
             results=results,
             elapsed=np.zeros(len(runs)),
             duration=1e-5,
@@ -410,8 +515,8 @@ class TestEqualStreamShortcut:
         result = self.campaign(seed, non_finite)
         golden = result.golden_results()
         expected = [
-            classify_run(golden[run.scenario.index], outcome, result.nrmse_threshold)
-            for run, outcome in zip(result.runs, result.results)
+            classify_run(golden[run.golden_index], outcome, result.nrmse_threshold)
+            for run, outcome in zip(result.scenarios, result.results)
             if not run.golden
         ]
         computed = []

@@ -96,21 +96,7 @@ def campaign_runner(**options) -> FaultCampaignRunner:
 
 def from_scratch_payloads(spec: FaultCampaignSpec, duration: float) -> list[dict]:
     """Every job of ``spec`` through the from-scratch path, one by one."""
-    scenarios = [
-        FromScratch(
-            index=position,
-            label=run.scenario.label,
-            params=dict(run.scenario.params),
-            style=run.scenario.style,
-            firmware=run.scenario.firmware,
-            stimulus=run.scenario.stimulus,
-            seed=run.scenario.seed,
-            fault=run.fault,
-            at_time=run.at_time,
-            fault_seed=run.seed,
-        )
-        for position, run in enumerate(spec.expand())
-    ]
+    scenarios = [FromScratch(**vars(run)) for run in spec.expand()]
     runner = PlatformSweepRunner(
         BENCH.build, "out", WAVE, capture_errors=True, progress=False
     )

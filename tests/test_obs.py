@@ -394,19 +394,19 @@ class TestCounterReconciliation:
         assert telemetry is not None
         assert telemetry.engine == "fault-campaign"
         assert telemetry.counters["platform.runs"] == result.executed_count
-        assert result.executed_count == result.n_runs == len(spec)
+        assert result.executed_count == result.n_scenarios == len(spec)
         # One kernel run per job plus one per golden-prefix segment: the two
         # digital faults share one activation time and one worker chunk.
         assert telemetry.counters["platform.checkpoints"] == 1
         assert (
             telemetry.counters["de.runs"]
-            == result.n_runs + telemetry.counters["platform.checkpoints"]
+            == result.n_scenarios + telemetry.counters["platform.checkpoints"]
         )
         # worker payloads arrived from more than one process
         assert len({event["pid"] for event in telemetry.events}) >= 1
         payload = to_trace_events(telemetry)
         assert validate_trace_events(payload) == []
-        assert counters_from_trace(payload)["platform.runs"] == result.n_runs
+        assert counters_from_trace(payload)["platform.runs"] == result.n_scenarios
         # the parent process tracer saw nothing: collection is worker-local
         assert TRACER.events == [] and TRACER.counters == {}
 
@@ -463,6 +463,36 @@ class TestTraceCli:
         assert "platform.runs = 1: OK" in captured.out
         lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert any(event.get("name") == "platform.run" for event in lines)
+
+    def test_jsonl_export_reads_back_into_the_dashboard(self, tmp_path):
+        """``repro-trace --jsonl`` writes the JSONL ``repro-report`` reads:
+        the same counters and events as the trace file itself."""
+        from repro.obs.export import report_from_trace
+        from repro.report.cli import _load_telemetry
+
+        path = self.exported(tmp_path)
+        jsonl = tmp_path / "events.jsonl"
+        assert trace_main([str(path), "--quiet", "--jsonl", str(jsonl)]) == 0
+        expected = report_from_trace(json.loads(path.read_text()))
+        recovered = _load_telemetry(jsonl)
+        assert expected.counters["platform.runs"] == 1.0
+        assert recovered.counters == expected.counters
+        assert len(recovered.events) == len(expected.events) > 0
+        assert recovered.summary() == expected.summary()
+
+    def test_dashboard_rejects_telemetry_without_events_or_counters(
+        self, tmp_path, capsys
+    ):
+        from repro.report.cli import main as report_main
+
+        path = self.exported(tmp_path)
+        raw = tmp_path / "raw.jsonl"
+        events = json.loads(path.read_text())["traceEvents"]
+        raw.write_text("".join(json.dumps(event) + "\n" for event in events))
+        out = tmp_path / "page.html"
+        assert report_main(["--telemetry", str(raw), "--out", str(out)]) == 2
+        assert str(raw) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_counter_mismatch_exits_one(self, tmp_path, capsys):
         path = self.exported(tmp_path)

@@ -271,7 +271,7 @@ class TestFaultSectionUnit:
         assert section.slug == "faults"
         assert "coverage" in section.body.lower() or "Coverage" in section.body
         assert "<svg" in section.body  # the envelope plot
-        assert result.n_runs == 16
+        assert result.n_scenarios == 16
 
 
 class TestStoreSection:

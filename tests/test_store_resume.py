@@ -326,7 +326,7 @@ class TestCoordinatorResolution:
         shutil.copytree(executed[1], tmp_path / "store")
         store = RunStore(tmp_path / "store")
         # Every run has its own fault seed, which its store inputs record.
-        index_of = {run.seed: run.index for run in spec.expand()}
+        index_of = {run.fault_seed: run.index for run in spec.expand()}
         keys = [""] * len(spec)
         for key in store.keys():
             index = index_of[store.entry(key)["inputs"]["extras"]["fault_seed"]]
@@ -530,13 +530,13 @@ class TestPinnedStoreKeys:
 class TestEmptyCoverageRendering:
     def test_zero_faulted_runs_render_na_not_nan(self):
         from repro.fault.report import FaultCampaignResult
-        from repro.fault.campaign import FaultRun
+        from repro.fault.campaign import FaultScenario
         from repro.sweep import PlatformScenarioSpec
 
         scenario = PlatformScenarioSpec(firmwares=FIRMWARES).expand()[0]
         golden = platform_runner().run([scenario], DURATION, firmwares=FIRMWARES)
         result = FaultCampaignResult(
-            runs=[FaultRun(0, None, 0.0, scenario, 0)],
+            scenarios=[FaultScenario(**vars(scenario))],
             results=golden.results,
             elapsed=golden.elapsed,
             duration=DURATION,
