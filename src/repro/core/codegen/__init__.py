@@ -39,8 +39,7 @@ from .python_backend import (
     compile_model,
     compile_model_cached,
 )
-from .systemc_de import SystemCDeGenerator
-from .systemc_tdf import SystemCTdfGenerator
+from .systemc import SystemCDeGenerator, SystemCTdfGenerator
 
 #: Registry of available backends.
 GENERATORS: dict[str, type[CodeGenerator]] = {

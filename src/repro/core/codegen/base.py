@@ -316,16 +316,6 @@ class CodeGenerator:
         model.validate()
 
     @staticmethod
-    def ordered_names(model: SignalFlowModel) -> dict[str, list[str]]:
-        """Return the mangled name groups used by most backends."""
-        return {
-            "inputs": [mangle(name) for name in model.inputs],
-            "outputs": [mangle(name) for name in model.outputs],
-            "states": [mangle(name) for name in model.state_variables],
-            "targets": [mangle(assignment.target) for assignment in model.assignments],
-        }
-
-    @staticmethod
     def time_name() -> str:
         """Mangled name of the absolute-time input."""
         return mangle(TIME_VARIABLE)

@@ -20,9 +20,9 @@ and a C compiler; when either is missing,
 * :func:`resolve_backend` lets CLIs downgrade ``"native"`` to ``"numpy"``
   with a single warning.
 
-Because both backends lift constants with the same deterministic pass, the
-native and NumPy artefacts of one sweep share parameter/initial-state arrays
-bit for bit; only the kernel differs (C arithmetic instead of ufuncs), so
+Because the native backend renders the templates the NumPy backend lifted,
+the native and NumPy artefacts of one sweep share parameter/initial-state
+arrays bit for bit; only the kernel differs (C arithmetic instead of ufuncs), so
 results agree to floating-point rounding (ulps, far inside the 1e-9 gate of
 the cross-engine matrix).
 """
@@ -45,13 +45,7 @@ from ...obs.tracer import TRACER
 from ..signalflow import TIME_VARIABLE, SignalFlowModel
 from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
 from .cache import compile_cached, source_digest
-from .numpy_backend import (
-    PARAM_PREFIX,
-    NumpyGenerator,
-    _merge,
-    _ParameterLifter,
-    compile_batch,
-)
+from .numpy_backend import PARAM_PREFIX, NumpyGenerator, compile_batch
 
 #: Exported symbol of every generated shared object.  Each artefact lives in
 #: its own ``dlopen`` handle (RTLD_LOCAL), so the name never collides.
@@ -184,23 +178,11 @@ class NativeGenerator(CodeGenerator):
 
     def generate_batch(self, models: Sequence[SignalFlowModel]) -> NativeArtifact:
         """Emit one C ``step_batch`` kernel covering every model in ``models``."""
+        # The NumPy artefact's lifted templates and parameter matrix are
+        # reused verbatim, so both backends run on the same columns.
         numpy_artifact = NumpyGenerator().generate_batch(models)
         first = models[0]
-
-        # Re-run the (deterministic) lifting pass to obtain the merged
-        # templates; the columns come out in the same order as the NumPy
-        # artefact's, so its parameter matrix is reused verbatim.
-        lifter = _ParameterLifter()
-        templates = [
-            _merge([model.assignments[i].expression for model in models], lifter)
-            for i in range(len(first.assignments))
-        ]
-        if len(lifter.columns) != numpy_artifact.parameters.shape[0]:
-            raise CodeGenerationError(
-                "internal error: native and numpy parameter lifting diverged"
-            )
-
-        source, entity = self._render_source(first, templates, len(lifter.columns))
+        source, entity = self._render_source(first, numpy_artifact.templates)
         code = GeneratedCode(
             language=self.language,
             model_name=first.name,
@@ -210,7 +192,7 @@ class NativeGenerator(CodeGenerator):
             metadata={
                 "backend": self.name,
                 "symbol": NATIVE_SYMBOL,
-                "n_parameters": str(len(lifter.columns)),
+                "n_parameters": str(len(numpy_artifact.parameters)),
                 "n_scenarios": str(len(models)),
             },
         )
@@ -223,7 +205,7 @@ class NativeGenerator(CodeGenerator):
         )
 
     # -- rendering --------------------------------------------------------------------
-    def _render_source(self, first, templates, n_parameters):
+    def _render_source(self, first, templates):
         entity = class_name(first.name, "Native")
         states = list(first.state_variables)
         state_index = {name: i for i, name in enumerate(states)}

@@ -165,6 +165,9 @@ class BatchArtifact:
     #: Initial state values, shape ``(n_states, n_scenarios)``.
     initial_state: np.ndarray
     n_scenarios: int
+    #: The merged expression of every assignment; lifted constants appear as
+    #: ``PARAM_PREFIX`` variables.
+    templates: list[Expr]
 
     def instantiate(self):
         """Compile (through the shared cache) and build a live instance."""
@@ -306,6 +309,7 @@ class NumpyGenerator(CodeGenerator):
             parameters=parameters,
             initial_state=initial,
             n_scenarios=len(models),
+            templates=templates,
         )
 
     @staticmethod

@@ -10,7 +10,7 @@ equivalence class of linearly dependent relations can be disabled at once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..expr.equation import Equation
@@ -104,10 +104,6 @@ class EquationTable:
     def is_origin_disabled(self, origin: str) -> bool:
         """Return whether the equivalence class ``origin`` is currently disabled."""
         return origin in self._disabled_origins
-
-    def disabled_origins(self) -> set[str]:
-        """Return a copy of the currently disabled classes."""
-        return set(self._disabled_origins)
 
     def reset_disabled(self) -> None:
         """Re-enable every equivalence class."""

@@ -21,7 +21,7 @@ from .common import (
 )
 from .table1 import run_table1
 from .table2 import abstraction_processing_times, run_table2
-from .table3 import build_platform, run_table3
+from .table3 import run_table3
 
 __all__ = [
     "AbstractionCostSample",
@@ -34,7 +34,6 @@ __all__ = [
     "PAPER_TIMESTEP",
     "PreparedBenchmark",
     "abstraction_processing_times",
-    "build_platform",
     "format_sweep",
     "measure_order",
     "prepare_benchmarks",

@@ -116,9 +116,6 @@ class ExperimentTable:
     def add(self, row: ExperimentRow) -> None:
         self.rows.append(row)
 
-    def component_rows(self, component: str) -> list[ExperimentRow]:
-        return [row for row in self.rows if row.component == component]
-
     def to_text(self) -> str:
         """Render the table in the same column layout as the paper."""
         header = (

@@ -8,6 +8,7 @@ Installed as the ``repro-tables`` console script::
     repro-tables --table cost         # abstraction-cost sweep
     repro-tables --table all          # everything
     repro-tables --components RC1 OA  # restrict the component set
+    repro-tables --json               # one JSON object on stdout
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .abstraction_cost import format_sweep, run_sweep
 from .common import scaled_duration, simulated_time_scale
@@ -23,8 +25,7 @@ from .table2 import abstraction_processing_times, run_table2
 from .table3 import run_table3
 
 
-def _print_processing_times(components: list[str] | None) -> None:
-    times = abstraction_processing_times(components)
+def _print_processing_times(times: dict[str, dict[str, float]]) -> None:
     print("\nAbstraction-tool processing time (paper: 7.67 s for RC20):")
     for name, entry in times.items():
         print(
@@ -51,7 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the rows as JSON instead of formatted text",
+        help="print one JSON object (the tables' rows, the processing times "
+        "under 'processing_times', the cost study under 'abstraction_cost') "
+        "instead of formatted text",
     )
     arguments = parser.parse_args(argv)
 
@@ -70,21 +73,29 @@ def main(argv: list[str] | None = None) -> int:
     if arguments.table in ("3", "all"):
         tables.append(run_table3(arguments.components))
 
-    if arguments.json:
-        payload = {table.title: table.as_dicts() for table in tables}
-        print(json.dumps(payload, indent=2))
-    else:
+    payload: dict = {table.title: table.as_dicts() for table in tables}
+    if not arguments.json:
         for table in tables:
             print()
             print(table.to_text())
 
     if arguments.table in ("2", "all"):
-        _print_processing_times(arguments.components)
+        times = abstraction_processing_times(arguments.components)
+        if arguments.json:
+            payload["processing_times"] = times
+        else:
+            _print_processing_times(times)
 
     if arguments.table in ("cost", "all"):
         samples = run_sweep()
-        print()
-        print(format_sweep(samples))
+        if arguments.json:
+            payload["abstraction_cost"] = [asdict(sample) for sample in samples]
+        else:
+            print()
+            print(format_sweep(samples))
+
+    if arguments.json:
+        print(json.dumps(payload, indent=2))
     return 0
 
 

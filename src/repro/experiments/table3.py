@@ -22,7 +22,7 @@ from ..sweep.platform import (
     PlatformSweepResult,
     PlatformSweepRunner,
 )
-from ..vp.platform import PlatformRunResult, SmartSystemPlatform
+from ..vp.platform import PlatformRunResult
 from .common import (
     PAPER_TABLE3_SIMULATED_TIME,
     PAPER_TIMESTEP,
@@ -41,29 +41,6 @@ TABLE3_TARGETS = (
     ("SC-DE", "algo", "de"),
     ("C++", "algo", "python"),
 )
-
-
-def build_platform(
-    prepared: PreparedBenchmark,
-    style: str,
-    cpu_clock_hz: float = 20e6,
-    timestep: float = PAPER_TIMESTEP,
-) -> SmartSystemPlatform:
-    """Build a platform instance with the requested analog integration style."""
-    benchmark = prepared.benchmark
-    platform = SmartSystemPlatform(cpu_clock_hz=cpu_clock_hz, analog_timestep=timestep)
-    if style in ("python", "de", "tdf"):
-        platform.attach_analog(style, benchmark.stimuli, model=prepared.model)
-    elif style in ("eln", "cosim"):
-        platform.attach_analog(
-            style,
-            benchmark.stimuli,
-            circuit=benchmark.circuit(),
-            output=prepared.output,
-        )
-    else:
-        raise ValueError(f"unknown analog integration style {style!r}")
-    return platform
 
 
 def sweep_component(

@@ -10,7 +10,7 @@ oracle and the dashboard need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..errors import ReproError
@@ -157,12 +157,6 @@ class LintReport:
         return table
 
     # -- transformation --------------------------------------------------------
-    def with_file(self, file: str) -> "LintReport":
-        """Return a copy with every diagnostic re-pointed at ``file``."""
-        return LintReport(
-            [replace(diagnostic, file=file) for diagnostic in self.diagnostics]
-        )
-
     def suppress(self, keys: "set[str] | frozenset[str]") -> "LintReport":
         """Return a copy without the diagnostics whose key is in ``keys``."""
         return LintReport(

@@ -46,10 +46,3 @@ class TimedResult:
     label: str
     elapsed: float
     payload: object = None
-
-    def speedup_over(self, baseline: "TimedResult | float") -> float:
-        """Speed-up of this result relative to ``baseline`` (its time / ours)."""
-        baseline_time = baseline.elapsed if isinstance(baseline, TimedResult) else float(baseline)
-        if self.elapsed <= 0.0:
-            return float("inf")
-        return baseline_time / self.elapsed

@@ -25,7 +25,7 @@ from .components import (
 )
 from .graph import CircuitGraph, FundamentalLoop, LoopEdge
 from .kirchhoff import kirchhoff_equations, mesh_analysis, nodal_analysis
-from .mna import MnaIndex, MnaSystem, TransientResult, run_transient
+from .mna import MnaIndex, MnaSystem
 
 __all__ = [
     "Branch",
@@ -41,7 +41,6 @@ __all__ = [
     "MnaSystem",
     "Node",
     "Resistor",
-    "TransientResult",
     "canonical_quantity",
     "VCCS",
     "VCVS",
@@ -56,5 +55,4 @@ __all__ = [
     "mesh_analysis",
     "nodal_analysis",
     "node_potential",
-    "run_transient",
 ]

@@ -11,7 +11,7 @@ outputs of interest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import TopologyError
 from .circuit import Branch, Circuit
@@ -63,10 +63,6 @@ class CircuitGraph:
     def neighbours(self, node: str) -> list[str]:
         """Return the nodes adjacent to ``node``."""
         return [branch.other_end(node) for branch in self._adjacency[node]]
-
-    def incident_branches(self, node: str) -> list[Branch]:
-        """Return every branch incident to ``node``."""
-        return list(self._adjacency[node])
 
     def degree(self, node: str) -> int:
         """Return the number of branches incident to ``node``."""

@@ -1,7 +1,8 @@
-"""Modified Nodal Analysis (MNA) of linear networks with fixed-step transient.
+"""Modified Nodal Analysis (MNA) of linear networks, discretised at a fixed step.
 
 The conservative solvers of the library — the SystemC-AMS/ELN analogue
-(:mod:`repro.sim.eln`) and the numeric state-space abstraction
+(:mod:`repro.sim.eln`, whose transient loop the reference AMS engine of
+:mod:`repro.sim.ams` inherits) and the numeric state-space abstraction
 (:mod:`repro.core.statespace`) — share this machinery.  Energy-storage
 elements are replaced by their backward-Euler (or trapezoidal) companion
 models so that each timestep reduces to the solution of the linear system::
@@ -58,10 +59,6 @@ class MnaIndex:
             return self._input_index[name]
         except KeyError as exc:
             raise TopologyError(f"unknown MNA input {name!r}") from exc
-
-    def has_unknown(self, name: str) -> bool:
-        """Return whether ``name`` is carried as an MNA unknown."""
-        return name in self._unknown_index
 
 
 class MnaSystem:
@@ -373,40 +370,3 @@ def _lu_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _lu_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     inverse, _ = factor
     return inverse @ rhs
-
-
-@dataclass
-class TransientResult:
-    """Waveforms produced by :func:`run_transient`."""
-
-    times: np.ndarray
-    values: dict[str, np.ndarray]
-
-    def waveform(self, name: str) -> np.ndarray:
-        """Return the samples recorded for the quantity ``name``."""
-        return self.values[name]
-
-
-def run_transient(
-    system: MnaSystem,
-    stimuli: dict[str, "callable"],
-    duration: float,
-    record: list[str] | None = None,
-) -> TransientResult:
-    """Run a fixed-step transient analysis and record selected quantities.
-
-    ``stimuli`` maps input names to callables ``f(t) -> float``; ``record``
-    lists the unknown names to trace (all of them when omitted).
-    """
-    record = record or list(system.index.unknowns)
-    steps = int(round(duration / system.timestep))
-    times = np.arange(1, steps + 1) * system.timestep
-    traces = {name: np.zeros(steps) for name in record}
-    indices = {name: system.index.unknown(name) for name in record}
-    state = np.zeros(system.size)
-    for k, t in enumerate(times):
-        inputs = system.input_vector({name: f(t) for name, f in stimuli.items()})
-        state = system.step(state, inputs)
-        for name, idx in indices.items():
-            traces[name][k] = state[idx]
-    return TransientResult(times, traces)

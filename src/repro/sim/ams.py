@@ -3,7 +3,9 @@
 The paper's baseline is the simulation of the original Verilog-AMS
 description with a SPICE-class solver: "the sparse linear solver and device
 evaluation are two most serious bottlenecks in this kind of simulators"
-(Section III.B).  :class:`ReferenceAmsSimulator` reproduces that structure:
+(Section III.B).  :class:`ReferenceAmsSimulator` reproduces that structure
+on top of the ELN engine, whose inputs, state, observation and standalone
+run it shares:
 
 * it is built directly from the conservative description (Verilog-AMS source,
   a parsed module or a circuit netlist);
@@ -21,17 +23,17 @@ are measured against it.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..network.circuit import Circuit
-from ..network.mna import TRAPEZOIDAL, MnaSystem
+from ..network.mna import TRAPEZOIDAL
 from ..vams.ast import VamsModule
 from ..vams.netlist import to_circuit
 from ..vams.parser import parse_module
-from .trace import Trace, TraceSet
+from .eln import ElnModel
 
 
 def _coerce_circuit(model: "Circuit | VamsModule | str") -> Circuit:
@@ -46,7 +48,7 @@ def _coerce_circuit(model: "Circuit | VamsModule | str") -> Circuit:
     )
 
 
-class ReferenceAmsSimulator:
+class ReferenceAmsSimulator(ElnModel):
     """Full conservative transient simulation of a Verilog-AMS description.
 
     Parameters
@@ -75,36 +77,20 @@ class ReferenceAmsSimulator:
             raise ValueError("oversampling must be at least 1")
         if solver_iterations < 1:
             raise ValueError("solver_iterations must be at least 1")
-        self.circuit = _coerce_circuit(model)
-        self.external_timestep = float(timestep)
         self.oversampling = int(oversampling)
         self.solver_iterations = int(solver_iterations)
-        self.internal_timestep = self.external_timestep / self.oversampling
-        self.system = MnaSystem(self.circuit, self.internal_timestep, method=method)
-        self.inputs = list(self.system.index.inputs)
-        self._input_index = {name: index for index, name in enumerate(self.inputs)}
-        self._input_vector = np.zeros(len(self.inputs))
-        self._state = np.zeros(self.system.size)
-        self.time = 0.0
-        self.step_count = 0
+        # The MNA system integrates on the internal step; ``timestep`` stays
+        # the external one, as on the ELN engine.
+        super().__init__(
+            _coerce_circuit(model), float(timestep) / self.oversampling, method=method
+        )
+        self.timestep = float(timestep)
         self.solve_count = 0
 
-    # -- stepping -----------------------------------------------------------------------
     def reset(self) -> None:
         """Return to the all-zero initial condition."""
-        self._state = np.zeros(self.system.size)
-        self.time = 0.0
-        self.step_count = 0
+        super().reset()
         self.solve_count = 0
-
-    def set_input(self, name: str, value: float) -> None:
-        """Set the value of one stimulus for the next step."""
-        try:
-            self._input_vector[self._input_index[name]] = value
-        except KeyError as exc:
-            raise SimulationError(
-                f"unknown stimulus {name!r}; available: {self.inputs}"
-            ) from exc
 
     def step(self, inputs: Mapping[str, float] | None = None) -> None:
         """Advance by one *external* timestep (running the internal sub-steps)."""
@@ -113,7 +99,7 @@ class ReferenceAmsSimulator:
                 self.set_input(name, value)
         for _ in range(self.oversampling):
             self._solve_internal_step()
-        self.time += self.external_timestep
+        self.time += self.timestep
         self.step_count += 1
 
     def _solve_internal_step(self) -> None:
@@ -132,36 +118,3 @@ class ReferenceAmsSimulator:
                 ) from exc
             self.solve_count += 1
         self._state = solution
-
-    # -- observation -----------------------------------------------------------------------
-    def value(self, quantity: str) -> float:
-        """Return the current value of a node potential or branch current."""
-        return float(self._state[self.system.index.unknown(quantity)])
-
-    def node_voltage(self, node: str) -> float:
-        """Return the potential of ``node`` (0 for ground)."""
-        if node == self.circuit.ground:
-            return 0.0
-        return self.value(f"V({node})")
-
-    def quantities(self) -> list[str]:
-        """Every solvable quantity."""
-        return list(self.system.index.unknowns)
-
-    # -- standalone run --------------------------------------------------------------------
-    def run(
-        self,
-        stimuli: Mapping[str, Callable[[float], float]],
-        duration: float,
-        record: list[str] | None = None,
-    ) -> TraceSet:
-        """Run a transient analysis and record selected quantities."""
-        record = record or list(self.system.index.unknowns)
-        traces = TraceSet({name: Trace(name) for name in record})
-        steps = int(round(duration / self.external_timestep))
-        for _ in range(steps):
-            time = self.time + self.external_timestep
-            self.step({name: stimulus(time) for name, stimulus in stimuli.items()})
-            for name in record:
-                traces[name].append(self.time, self.value(name))
-        return traces

@@ -20,7 +20,7 @@ timed notification.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Iterable
+from typing import Callable
 
 from ...errors import SimulationError
 from ...obs.tracer import TRACER
@@ -321,11 +321,6 @@ class Kernel:
         if end_time is not None and self.now < end_time and not self._finished:
             self.now = end_time
         return self.now
-
-    # -- queries ---------------------------------------------------------------------------
-    def pending_activity(self) -> bool:
-        """Whether any timed or delta work remains."""
-        return bool(self._timed or self._runnable or self._delta_pending)
 
 
 class SignalUpdate:

@@ -10,7 +10,9 @@ vocabulary (resistors, capacitors, inductors, sources, controlled sources),
 assembles the network equations once (through the shared MNA machinery) and
 then solves them at every timestep while the simulation advances.  It is the
 conservative — hence slower but more accurate — counterpart of the abstracted
-signal-flow models.
+signal-flow models.  The reference AMS engine
+(:class:`~repro.sim.ams.ReferenceAmsSimulator`) is an :class:`ElnModel` that
+replaces only ``step``, with an oversampled solve from scratch.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class ElnModel:
         The electrical network (built programmatically or via the Verilog-AMS
         frontend).  Input stimuli are the circuit's source input signals.
     timestep:
-        Solver timestep.
+        How far each :meth:`step` advances; the solver integrates at this
+        step (the reference engine subclass subdivides it).
     method:
         Companion-model integration scheme; ELN uses trapezoidal integration
         by default, which is why its accuracy is better than the abstracted
@@ -70,7 +73,7 @@ class ElnModel:
             self._input_vector[self._input_index[name]] = value
         except KeyError as exc:
             raise SimulationError(
-                f"unknown ELN input {name!r}; available: {self.inputs}"
+                f"unknown input {name!r}; available: {self.inputs}"
             ) from exc
 
     def step(self, inputs: Mapping[str, float] | None = None) -> None:

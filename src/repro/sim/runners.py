@@ -155,8 +155,7 @@ def run_eln_model(
 ) -> TraceSet:
     """Run the conservative ELN solver standalone (SystemC-AMS/ELN row)."""
     resolve_steps(duration, timestep)
-    model = ElnModel(circuit, timestep)
-    return model.run(stimuli, duration, record)
+    return ElnModel(circuit, timestep).run(stimuli, duration, record)
 
 
 def run_reference_model(
@@ -165,18 +164,10 @@ def run_reference_model(
     duration: float,
     timestep: float,
     record: list[str],
-    oversampling: int = 2,
-    solver_iterations: int = 2,
 ) -> TraceSet:
     """Run the reference Verilog-AMS engine standalone (the golden baseline)."""
     resolve_steps(duration, timestep)
-    simulator = ReferenceAmsSimulator(
-        circuit,
-        timestep,
-        oversampling=oversampling,
-        solver_iterations=solver_iterations,
-    )
-    return simulator.run(stimuli, duration, record)
+    return ReferenceAmsSimulator(circuit, timestep).run(stimuli, duration, record)
 
 
 def run_interpreted_model(

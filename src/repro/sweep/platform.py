@@ -47,6 +47,7 @@ from ..obs.tracer import TRACER
 from ..sim.runners import resolve_steps
 from ..store import RunStore, fingerprint
 from ..vp.platform import (
+    ABSTRACTED_STYLES,
     ANALOG_STYLES,
     CPU_BLOCK_CYCLES,
     PlatformRunResult,
@@ -64,11 +65,6 @@ Stimuli = Mapping[str, Callable[[float], float]]
 #: the factory runs inside the worker, so multiprocess runs regenerate the
 #: exact same waveforms as serial ones).
 StimulusFamily = "Stimuli | Callable[[int], Stimuli]"
-
-#: Styles that integrate the *abstracted* signal-flow model (need a model).
-ABSTRACTED_STYLES = ("python", "de", "tdf")
-#: Styles that solve the conservative circuit directly (need the netlist).
-CONSERVATIVE_STYLES = ("eln", "cosim")
 
 
 @dataclass

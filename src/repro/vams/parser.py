@@ -249,9 +249,6 @@ class Parser:
                 )
             )
 
-    def _parse_identifier_list(self) -> list[str]:
-        return [token.value for token in self._parse_identifier_tokens()]
-
     def _parse_identifier_tokens(self) -> list[Token]:
         tokens = [self._expect(IDENT)]
         while self._accept(PUNCT, ","):

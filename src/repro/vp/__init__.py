@@ -11,6 +11,7 @@ from .firmware import (
 from .memory import Memory
 from .mips import AssembledProgram, Assembler, MipsCpu, assemble
 from .platform import (
+    ABSTRACTED_STYLES,
     ADC_BASE,
     ANALOG_STYLES,
     PERIPHERAL_BASE,
@@ -21,6 +22,7 @@ from .platform import (
 from .uart import Uart
 
 __all__ = [
+    "ABSTRACTED_STYLES",
     "ADC_BASE",
     "ANALOG_STYLES",
     "AdcBridge",

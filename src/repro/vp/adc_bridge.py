@@ -61,11 +61,6 @@ class AdcBridge(ApbPeripheral):
         if self.history is not None:
             self.history.append(self._raw_value)
 
-    @property
-    def last_sample(self) -> float:
-        """The most recent analog value, in volts."""
-        return self._raw_value
-
     # -- register interface -----------------------------------------------------------------
     def read_register(self, offset: int) -> int:
         if offset == DATA:

@@ -10,7 +10,7 @@ expanded into the hardware subset, as a real assembler would.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...errors import AssemblerError
 from .isa import (
@@ -31,10 +31,6 @@ class AssembledProgram:
     words: list[int]
     symbols: dict[str, int]
     base_address: int = 0
-
-    def size_bytes(self) -> int:
-        """Size of the program image in bytes."""
-        return 4 * len(self.words)
 
     def to_bytes(self) -> bytes:
         """Little-endian byte image of the program."""

@@ -409,28 +409,6 @@ class MipsCpu:
             return
         self.memory.write_word(address, value)
 
-    def _load_byte(self, address: int, signed: bool) -> int:
-        self.load_count += 1
-        if address >= self.peripheral_base:
-            if self.bus_read is None:
-                raise CpuFault(f"load from unmapped peripheral address {address:#x}")
-            value = self.bus_read(address & ~0x3) >> (8 * (address & 0x3))
-            value &= 0xFF
-        else:
-            value = self.memory.read_byte(address)
-        if signed and value & 0x80:
-            value -= 0x100
-        return value & WORD_MASK
-
-    def _store_byte(self, address: int, value: int) -> None:
-        self.store_count += 1
-        if address >= self.peripheral_base:
-            if self.bus_write is None:
-                raise CpuFault(f"store to unmapped peripheral address {address:#x}")
-            self.bus_write(address, value & 0xFF)
-            return
-        self.memory.write_byte(address, value & 0xFF)
-
     # -- execution -----------------------------------------------------------------------------
     def step(self) -> None:
         """Fetch, decode (cached) and execute exactly one instruction."""

@@ -62,6 +62,9 @@ ADC_BASE = PERIPHERAL_BASE + 0x1000
 #: :meth:`SmartSystemPlatform.attach_analog`, in Table III's row order
 #: (co-simulation first — the paper's pre-abstraction baseline).
 ANALOG_STYLES = ("cosim", "eln", "tdf", "de", "python")
+#: The styles that integrate the abstracted signal-flow model; the others
+#: solve the conservative circuit.
+ABSTRACTED_STYLES = ("tdf", "de", "python")
 
 
 @dataclass
@@ -373,33 +376,28 @@ class SmartSystemPlatform:
         model: "SignalFlowModel | type | object | None" = None,
         circuit: "Circuit | str | None" = None,
         output: str | None = None,
-        **options: float,
     ) -> None:
         """Attach an analog subsystem by style key (see :data:`ANALOG_STYLES`).
 
-        The abstracted styles (``"python"``, ``"de"``, ``"tdf"``) need a
-        ``model``; the conservative styles (``"eln"``, ``"cosim"``) need a
-        ``circuit`` and the observed ``output`` quantity.  ``options`` are
-        forwarded to the style-specific ``attach_analog_*`` method (e.g.
-        ``oversampling`` for the co-simulation bridge).
+        The :data:`ABSTRACTED_STYLES` need a ``model``; the conservative
+        styles (``"eln"``, ``"cosim"``) need a ``circuit`` and the observed
+        ``output`` quantity.
         """
-        if style in ("python", "de", "tdf"):
+        if style not in ANALOG_STYLES:
+            raise PlatformError(
+                f"unknown analog integration style {style!r}; expected one of {ANALOG_STYLES}"
+            )
+        attach = getattr(self, f"attach_analog_{style}")
+        if style in ABSTRACTED_STYLES:
             if model is None:
                 raise PlatformError(f"analog style {style!r} needs a signal-flow model")
-            attach = getattr(self, f"attach_analog_{style}")
-            attach(model, stimuli, **options)
+            attach(model, stimuli)
             return
-        if style in ("eln", "cosim"):
-            if circuit is None or output is None:
-                raise PlatformError(
-                    f"analog style {style!r} needs a circuit and an output quantity"
-                )
-            attach = getattr(self, f"attach_analog_{style}")
-            attach(circuit, stimuli, output, **options)
-            return
-        raise PlatformError(
-            f"unknown analog integration style {style!r}; expected one of {ANALOG_STYLES}"
-        )
+        if circuit is None or output is None:
+            raise PlatformError(
+                f"analog style {style!r} needs a circuit and an output quantity"
+            )
+        attach(circuit, stimuli, output)
 
     def attach_analog_python(self, model: "SignalFlowModel | type | object", stimuli: Stimuli) -> None:
         """Integrate the generated model as plain code called every timestep."""
@@ -467,22 +465,10 @@ class SmartSystemPlatform:
         self._analog_modules.extend([*sources.values(), device, sampler])
         self.analog_style = "systemc_ams_eln"
 
-    def attach_analog_cosim(
-        self,
-        circuit: "Circuit | str",
-        stimuli: Stimuli,
-        output: str,
-        oversampling: int = 2,
-        solver_iterations: int = 2,
-    ) -> None:
+    def attach_analog_cosim(self, circuit: "Circuit | str", stimuli: Stimuli, output: str) -> None:
         """Integrate the original Verilog-AMS model through co-simulation."""
         self._ensure_unattached()
-        simulator = ReferenceAmsSimulator(
-            circuit,
-            self.analog_timestep,
-            oversampling=oversampling,
-            solver_iterations=solver_iterations,
-        )
+        simulator = ReferenceAmsSimulator(circuit, self.analog_timestep)
         server = AnalogCosimServer(simulator, observed_quantities=[output])
         sources = {
             name: DeSourceModule(self.kernel, f"src_{name}", stimuli[name], self.analog_timestep)

@@ -72,7 +72,3 @@ class Uart(ApbPeripheral):
     def output_text(self) -> str:
         """Transmitted bytes decoded as ASCII (errors replaced)."""
         return self.output_bytes().decode("ascii", errors="replace")
-
-    def character_time(self) -> float:
-        """Seconds needed to serialise one 8N1 character at the configured baud rate."""
-        return 10.0 / self.baud_rate

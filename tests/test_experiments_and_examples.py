@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments.table1 import run_component as run_table1_component
 from repro.experiments.table2 import run_component as run_table2_component
-from repro.experiments.table3 import build_platform, run_component as run_table3_component
+from repro.experiments.table3 import run_component as run_table3_component
 
 SHORT = 40e-6  # very short simulated time: structure checks, not timing quality
 
@@ -114,13 +115,6 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_every_style_produces_a_platform(self, prepared_rc1):
-        for style in ("python", "de", "tdf", "eln", "cosim"):
-            platform = build_platform(prepared_rc1, style)
-            assert platform.analog_style is not None
-        with pytest.raises(ValueError):
-            build_platform(prepared_rc1, "fpga")
-
     def test_component_rows(self, prepared_rc1):
         styles = (("C++", "algo", "python"), ("SC-DE", "algo", "de"))
         rows, results = run_table3_component(prepared_rc1, SHORT, styles=styles)
@@ -193,3 +187,22 @@ class TestExamples:
 
         with pytest.raises(SystemExit):
             main(["--help"])
+
+    def test_tables_cli_json_holds_processing_times(self, capsys, monkeypatch):
+        from repro.experiments.report import main
+
+        monkeypatch.setenv("REPRO_SIM_TIME_SCALE", "1e-9")
+        assert main(["--table", "2", "--components", "RC1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        titles = [key for key in payload if key != "processing_times"]
+        assert len(titles) == 1 and titles[0].startswith("Table II ")
+        assert payload["processing_times"]["RC1"]["nodes"] == 3.0
+
+    def test_tables_cli_json_holds_the_cost_study(self, capsys):
+        from repro.experiments.report import main
+
+        assert main(["--table", "cost", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["abstraction_cost"]
+        assert [sample["order"] for sample in payload["abstraction_cost"]] == [1, 2, 4, 8, 16, 20, 32]
+        assert payload["abstraction_cost"][0]["timings"]["solve"] > 0.0

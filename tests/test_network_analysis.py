@@ -16,9 +16,9 @@ from repro.network import (
     kirchhoff_equations,
     mesh_analysis,
     nodal_analysis,
-    run_transient,
 )
 from repro.network.mna import BACKWARD_EULER, TRAPEZOIDAL
+from repro.sim import ElnModel
 
 
 class TestKirchhoff:
@@ -96,10 +96,10 @@ class TestMnaSolutions:
     def test_rc_step_response(self, rc1_circuit, method):
         tau = 5e3 * 25e-9
         dt = tau / 200.0
-        system = MnaSystem(rc1_circuit, dt, method=method)
-        result = run_transient(system, {"vin": lambda t: 1.0}, 5 * tau, ["V(out)"])
-        expected = 1.0 - math.exp(-result.times[-1] / tau)
-        assert result.waveform("V(out)")[-1] == pytest.approx(expected, rel=2e-3)
+        model = ElnModel(rc1_circuit, dt, method=method)
+        trace = model.run({"vin": lambda t: 1.0}, 5 * tau, ["V(out)"])["V(out)"]
+        expected = 1.0 - math.exp(-trace.times[-1] / tau)
+        assert trace.values[-1] == pytest.approx(expected, rel=2e-3)
 
     def test_trapezoidal_is_more_accurate_than_backward_euler(self, rc1_circuit):
         # Use a smooth ramp stimulus so the comparison is about integration
@@ -109,10 +109,10 @@ class TestMnaSolutions:
         slope = 1.0 / tau
         errors = {}
         for method in (BACKWARD_EULER, TRAPEZOIDAL):
-            system = MnaSystem(rc1_circuit, dt, method=method)
-            result = run_transient(system, {"vin": lambda t: slope * t}, 4 * tau, ["V(out)"])
-            analytic = slope * (result.times - tau * (1.0 - np.exp(-result.times / tau)))
-            errors[method] = np.max(np.abs(result.waveform("V(out)") - analytic))
+            model = ElnModel(rc1_circuit, dt, method=method)
+            trace = model.run({"vin": lambda t: slope * t}, 4 * tau, ["V(out)"])["V(out)"]
+            analytic = slope * (trace.times - tau * (1.0 - np.exp(-trace.times / tau)))
+            errors[method] = np.max(np.abs(trace.values - analytic))
         assert errors[TRAPEZOIDAL] < errors[BACKWARD_EULER]
 
     def test_rl_circuit_steady_state_current(self):
@@ -121,9 +121,9 @@ class TestMnaSolutions:
         circuit.add_resistor("in", "mid", 100.0)
         circuit.add_inductor("mid", "gnd", 1e-3, name="L1")
         tau = 1e-3 / 100.0
-        system = MnaSystem(circuit, tau / 100.0)
-        result = run_transient(system, {"u": lambda t: 1.0}, 8 * tau, ["I(L1)"])
-        assert result.waveform("I(L1)")[-1] == pytest.approx(1.0 / 100.0, rel=1e-2)
+        model = ElnModel(circuit, tau / 100.0, method=BACKWARD_EULER)
+        trace = model.run({"u": lambda t: 1.0}, 8 * tau, ["I(L1)"])["I(L1)"]
+        assert trace.values[-1] == pytest.approx(1.0 / 100.0, rel=1e-2)
 
     def test_vcvs_amplifier_gain(self):
         circuit = Circuit("amp")
