@@ -12,11 +12,9 @@ Source emission is toolchain-free: :meth:`NativeGenerator.generate` works on
 any machine (the artefact is just C text).  Only *instantiation* needs cffi
 and a C compiler; when either is missing,
 
-* :func:`repro.core.codegen.get_generator` ``("native")`` raises
-  :class:`~repro.errors.CodegenError` naming the missing dependency,
-* :meth:`NativeArtifact.instantiate` with ``fallback=True`` degrades to the
-  structurally identical NumPy batch class (the artefact carries the NumPy
-  source for exactly this purpose), and
+* :func:`repro.core.codegen.get_generator` ``("native")`` and
+  :meth:`NativeArtifact.instantiate` raise
+  :class:`~repro.errors.CodegenError` naming the missing dependency, and
 * :func:`resolve_backend` lets CLIs downgrade ``"native"`` to ``"numpy"``
   with a single warning.
 
@@ -45,7 +43,7 @@ from ...obs.tracer import TRACER
 from ..signalflow import TIME_VARIABLE, SignalFlowModel
 from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
 from .cache import compile_cached, source_digest
-from .numpy_backend import PARAM_PREFIX, NumpyGenerator, compile_batch
+from .numpy_backend import PARAM_PREFIX, NumpyGenerator
 
 #: Exported symbol of every generated shared object.  Each artefact lives in
 #: its own ``dlopen`` handle (RTLD_LOCAL), so the name never collides.
@@ -135,31 +133,20 @@ class NativeArtifact:
     """A generated C batch kernel plus the per-scenario data it executes with.
 
     ``parameters``/``initial_state`` are bit-identical to the NumPy backend's
-    for the same models (same lifting pass); ``fallback_code`` is the NumPy
-    source for the same structure, kept so instantiation can degrade without
-    re-walking the models.
+    for the same models (same lifting pass).
     """
 
     code: GeneratedCode
     parameters: np.ndarray
     initial_state: np.ndarray
     n_scenarios: int
-    fallback_code: GeneratedCode
 
-    def instantiate(self, fallback: bool = False):
+    def instantiate(self):
         """Compile (through the shared cache) and build a live batch instance.
 
-        Raises :class:`CodegenError` when the toolchain is missing, unless
-        ``fallback=True``, in which case the structurally identical NumPy
-        batch class is instantiated instead (build-free, pure Python).
+        Raises :class:`CodegenError` when the toolchain is missing.
         """
-        if toolchain_error() is None:
-            cls = compile_native(self.code)
-        elif fallback:
-            cls = compile_batch(self.fallback_code)
-        else:
-            ensure_toolchain()
-            raise AssertionError("unreachable")
+        cls = compile_native(self.code)
         return cls(self.parameters, self.initial_state, self.n_scenarios)
 
 
@@ -201,7 +188,6 @@ class NativeGenerator(CodeGenerator):
             parameters=numpy_artifact.parameters,
             initial_state=numpy_artifact.initial_state,
             n_scenarios=len(models),
-            fallback_code=numpy_artifact.code,
         )
 
     # -- rendering --------------------------------------------------------------------
@@ -435,6 +421,6 @@ def compile_native(code: GeneratedCode) -> type:
     return compile_cached(code, _cc_compile)
 
 
-def native_batch_model(models: Sequence[SignalFlowModel], fallback: bool = False):
+def native_batch_model(models: Sequence[SignalFlowModel]):
     """Convenience: generate, compile and instantiate a native batch in one call."""
-    return NativeGenerator().generate_batch(models).instantiate(fallback=fallback)
+    return NativeGenerator().generate_batch(models).instantiate()

@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import FaultError
 from ..metrics.nrmse import nrmse
 from ..sweep.platform import PlatformSweepResult
-from ..sweep.results import csv_text
+from ..sweep.results import csv_text, markdown_table
 from ..vp.platform import PlatformRunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
@@ -306,18 +306,24 @@ class FaultCampaignResult(PlatformSweepResult):
         lines.append("")
         lines.append("## Verdicts")
         lines.append("")
-        lines.append("| verdict | runs |")
-        lines.append("|---|---|")
-        for verdict in VERDICTS:
-            lines.append(f"| {verdict} | {counts[verdict]} |")
+        lines.append(
+            markdown_table(
+                ["verdict", "runs"],
+                [[verdict, counts[verdict]] for verdict in VERDICTS],
+            )
+        )
         lines.append("")
         lines.append("## Coverage by fault kind")
         lines.append("")
-        lines.append("| fault kind | " + " | ".join(VERDICTS) + " | total |")
-        lines.append("|---|" + "---|" * (len(VERDICTS) + 1))
-        for kind, row in self.coverage_matrix().items():
-            cells = " | ".join(str(row[verdict]) for verdict in VERDICTS)
-            lines.append(f"| {kind} | {cells} | {sum(row.values())} |")
+        lines.append(
+            markdown_table(
+                ["fault kind", *VERDICTS, "total"],
+                [
+                    [kind, *(row[verdict] for verdict in VERDICTS), sum(row.values())]
+                    for kind, row in self.coverage_matrix().items()
+                ],
+            )
+        )
         lines.append("")
         lines.append("## Equivalent faults (collapsed)")
         lines.append("")
@@ -334,11 +340,12 @@ class FaultCampaignResult(PlatformSweepResult):
         lines.append("")
         lines.append("## Faulted runs")
         lines.append("")
-        header = self.verdict_header()
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for entry in self.verdicts():
-            lines.append("| " + " | ".join(self.verdict_row(entry)) + " |")
+        lines.append(
+            markdown_table(
+                self.verdict_header(),
+                [self.verdict_row(entry) for entry in self.verdicts()],
+            )
+        )
         return "\n".join(lines)
 
     def to_csv(self) -> str:

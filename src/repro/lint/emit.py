@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+from ..sweep.results import markdown_table
 from .diagnostics import SEVERITIES, Diagnostic, LintReport
 
 #: Schema version stamped into the JSON payload.
@@ -75,22 +76,6 @@ def from_json(text: str) -> LintReport:
     return report
 
 
-def _escape_cell(text: str) -> str:
-    """Escape a value for use inside a markdown table cell."""
-    replacements = (
-        ("\\", "\\\\"),
-        ("|", "\\|"),
-        ("`", "\\`"),
-        ("<", "&lt;"),
-        (">", "&gt;"),
-        ("\r", " "),
-        ("\n", " "),
-    )
-    for old, new in replacements:
-        text = text.replace(old, new)
-    return text
-
-
 def to_markdown(report: LintReport, title: str = "Lint report") -> str:
     """Render a human-readable markdown summary with escaped names."""
     lines = [f"# {title}", ""]
@@ -104,21 +89,19 @@ def to_markdown(report: LintReport, title: str = "Lint report") -> str:
     if not report:
         lines.append("No findings.")
         return "\n".join(lines) + "\n"
-    lines.append("| Location | Severity | Rule | Message | Hint |")
-    lines.append("| --- | --- | --- | --- | --- |")
-    for diagnostic in report:
-        lines.append(
-            "| "
-            + " | ".join(
-                _escape_cell(cell)
-                for cell in (
+    lines.append(
+        markdown_table(
+            ["Location", "Severity", "Rule", "Message", "Hint"],
+            [
+                [
                     diagnostic.location(),
                     diagnostic.severity,
                     diagnostic.rule,
                     diagnostic.message,
                     diagnostic.hint or "—",
-                )
-            )
-            + " |"
+                ]
+                for diagnostic in report
+            ],
         )
+    )
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ descriptions *before* abstraction and simulation pay for them:
   magnitudes that force degenerate timesteps;
 * ``dead-arm`` / ``unfoldable-condition`` — conditional arms that can never
   execute (literal-constant conditions) and conservative conditionals that
-  do not fold at elaboration time (reusing the elaboration-time folding of
-  :meth:`NetlistBuilder.active_contributions`);
+  do not fold at elaboration time (the folding rule of
+  :meth:`NetlistBuilder.active_contributions`, reported instead of raised);
 * ``unused-parameter`` / ``unused-net`` / ``unused-branch`` /
   ``unused-variable`` — declarations nothing reads;
 * ``mixed-description`` — the :mod:`repro.vams.classify` MIXED advisory.
@@ -23,6 +23,8 @@ Every diagnostic carries the 1-based line/column recorded by the parser.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..errors import EvaluationError, VamsError
 from ..expr.ast import (
@@ -48,7 +50,6 @@ from ..network.components import (
     VoltageSource,
 )
 from ..vams.ast import (
-    FLOW,
     INPUT,
     POTENTIAL,
     AnalogStatement,
@@ -58,15 +59,7 @@ from ..vams.ast import (
     VamsModule,
 )
 from ..vams.classify import MIXED, classify_module
-from ..vams.netlist import (
-    NetlistBuilder,
-    _controlled_source,
-    _conductance_factor,
-    _derivative_factor,
-    _integral_factor,
-    _is_input_reference,
-    _linear_factor,
-)
+from ..vams.netlist import NetlistBuilder
 from ..vams.parser import parse_source
 from .diagnostics import (
     SEVERITY_ERROR,
@@ -75,35 +68,35 @@ from .diagnostics import (
     LintReport,
 )
 
-#: Plausibility bands for recognised component values (outside -> warning).
-#: Values beyond these force degenerate timesteps or are almost certainly
-#: unit mistakes (a farad-sized capacitor, a tera-ohm resistor).
-MAGNITUDE_BANDS = {
-    "resistor": (1e-3, 1e9),
-    "capacitor": (1e-15, 1e-1),
-    "inductor": (1e-9, 1e2),
+#: The value attribute each R/C/L value rule reads, by component class, and
+#: its plausibility band (outside -> warning).  Values beyond these force
+#: degenerate timesteps or are almost certainly unit mistakes (a farad-sized
+#: capacitor, a tera-ohm resistor).
+VALUE_BANDS = {
+    Resistor: ("resistance", 1e-3, 1e9),
+    Capacitor: ("capacitance", 1e-15, 1e-1),
+    Inductor: ("inductance", 1e-9, 1e2),
 }
 
-#: Component kinds whose branch pins node voltages (vsource-loop analysis).
-_VOLTAGE_DEFINED = ("vsource", "vcvs")
+#: Component classes whose branch pins node voltages (vsource-loop analysis).
+_VOLTAGE_DEFINED = (VoltageSource, VCVS)
 
-#: Component kinds that force a branch current (isource-cutset analysis).
-_CURRENT_DEFINED = ("isource", "vccs")
+#: Component classes that force a branch current (isource-cutset analysis).
+_CURRENT_DEFINED = (CurrentSource, VCCS)
 
 
+@dataclass(slots=True)
 class _Edge:
     """One conservative component (or unrecognised contribution) as a graph edge."""
 
-    __slots__ = ("positive", "negative", "kind", "value", "line", "column", "label")
-
-    def __init__(self, positive, negative, kind, value, line, column, label):
-        self.positive = positive
-        self.negative = negative
-        self.kind = kind  # resistor/capacitor/inductor/vsource/isource/vcvs/vccs/edge
-        self.value = value
-        self.line = line
-        self.column = column
-        self.label = label
+    positive: str
+    negative: str
+    #: The component class (``None`` when unrecognised) and its arguments.
+    kind: "type | None"
+    arguments: dict
+    line: int
+    column: int
+    label: str
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +171,22 @@ def lint_circuit(circuit: Circuit, file: str = "<circuit>") -> LintReport:
     sensed: set[str] = set()
     for branch in circuit:
         component = branch.component
-        kind, value = "edge", None
-        if isinstance(component, Resistor):
-            kind, value = "resistor", component.resistance
-        elif isinstance(component, Capacitor):
-            kind, value = "capacitor", component.capacitance
-        elif isinstance(component, Inductor):
-            kind, value = "inductor", component.inductance
-        elif isinstance(component, VoltageSource):
-            kind = "vsource"
-        elif isinstance(component, CurrentSource):
-            kind = "isource"
-        elif isinstance(component, (VCVS, VCCS)):
-            kind = "vcvs" if isinstance(component, VCVS) else "vccs"
-            for control in (
-                getattr(component, "control_positive", None),
-                getattr(component, "control_negative", None),
-            ):
-                if control:
-                    sensed.add(control)
+        for control in (
+            getattr(component, "control_positive", None),
+            getattr(component, "control_negative", None),
+        ):
+            if control:
+                sensed.add(control)
         edges.append(
-            _Edge(branch.positive, branch.negative, kind, value, 0, 0, branch.name)
+            _Edge(
+                branch.positive,
+                branch.negative,
+                type(component),
+                vars(component),
+                0,
+                0,
+                branch.name,
+            )
         )
     report = LintReport()
     _lint_values(edges, report, file)
@@ -407,67 +395,13 @@ def _zero_scale(expression: Expr) -> "str | None":
     return None
 
 
-def _recognise(
-    builder: NetlistBuilder, kind: str, branch, expression: Expr
-) -> "tuple[str | None, float | None]":
-    """Classify a substituted contribution like :meth:`NetlistBuilder._match_component`
-    — but *without* constructing the component, so non-physical values can be
-    reported instead of raising."""
-    own_current = f"I({branch.name})"
-    own_voltage = builder._potential_difference(branch.positive, branch.negative)
-
-    if kind == POTENTIAL:
-        factor = _linear_factor(expression, own_current)
-        if factor is not None:
-            return "resistor", factor
-        factor = _derivative_factor(expression, Variable(own_current))
-        if factor is not None:
-            return "inductor", factor
-        factor = _integral_factor(expression, Variable(own_current))
-        if factor is not None and factor != 0.0:
-            return "capacitor", 1.0 / factor
-        value = constant_value(expression)
-        if value is not None:
-            return "vsource", None
-        if _is_input_reference(expression, builder.module):
-            return "vsource", None
-        gain, _control = _controlled_source(expression)
-        if gain is not None:
-            return "vcvs", None
-        return None, None
-
-    if kind == FLOW:
-        factor = _derivative_factor(expression, own_voltage)
-        if factor is not None:
-            return "capacitor", factor
-        factor = _integral_factor(expression, own_voltage)
-        if factor is not None and factor != 0.0:
-            return "inductor", 1.0 / factor
-        conductance = _conductance_factor(expression, own_voltage)
-        if conductance is not None:
-            return "resistor", 1.0 / conductance
-        value = constant_value(expression)
-        if value is not None:
-            return "isource", None
-        if _is_input_reference(expression, builder.module):
-            return "isource", None
-        gain, _control = _controlled_source(expression)
-        if gain is not None:
-            return "vccs", None
-        return None, None
-    return None, None
-
-
 def _lint_topology(
     module: VamsModule,
     active: "list[Contribution]",
     report: LintReport,
     file: str,
 ) -> None:
-    try:
-        builder = NetlistBuilder(module)
-    except VamsError:  # pragma: no cover - overrides=None cannot fail today
-        return
+    builder = NetlistBuilder(module)
     edges: list[_Edge] = []
 
     # Implicit stimulus sources on input ports (NetlistBuilder adds the same).
@@ -478,12 +412,23 @@ def _lint_topology(
             _Edge(
                 port.name,
                 builder.ground,
-                "vsource",
-                None,
+                VoltageSource,
+                {},
                 port.line,
                 port.column,
                 f"Vsrc_{port.name}",
             )
+        )
+
+    def unrecognised(contribution: Contribution, message: str, hint: str = "") -> None:
+        report.add(
+            "unrecognised-contribution",
+            SEVERITY_ERROR,
+            message,
+            file=file,
+            line=contribution.line,
+            column=contribution.column,
+            hint=hint,
         )
 
     parameter_constants = {
@@ -492,16 +437,9 @@ def _lint_topology(
     resolved: list = []
     for contribution in active:
         try:
-            branch = builder._resolve_target(contribution.target)
+            branch = builder.resolve_target(contribution.target)
         except VamsError as error:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
-                str(error),
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
-            )
+            unrecognised(contribution, str(error))
             continue
         resolved.append((contribution, branch))
 
@@ -528,8 +466,8 @@ def _lint_topology(
         edge = _Edge(
             branch.positive,
             branch.negative,
-            "edge",
             None,
+            {},
             contribution.line,
             contribution.column,
             branch.name,
@@ -549,32 +487,22 @@ def _lint_topology(
             )
             continue
         try:
-            expression = builder._substitute_names(contribution.expression, branch)
-            kind, value = _recognise(builder, contribution.target.kind, branch, expression)
-        except VamsError as error:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
-                str(error),
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
+            expression = builder.substitute_names(contribution.expression, branch)
+            recognised = builder.recognise(
+                contribution.target.kind, branch, expression
             )
+        except VamsError as error:
+            unrecognised(contribution, str(error))
             continue
-        if kind is None:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
+        if recognised is None:
+            unrecognised(
+                contribution,
                 f"cannot recognise the contribution on branch {branch.name!r} "
                 "as a network component",
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
                 hint="supported laws: R, C, L (incl. idt forms), V/I sources, VCVS, VCCS",
             )
             continue
-        edge.kind = kind
-        edge.value = value
+        edge.kind, edge.arguments = recognised
 
     _lint_values(edges, report, file)
     _lint_graph(
@@ -589,25 +517,27 @@ def _lint_topology(
 
 def _lint_values(edges: "list[_Edge]", report: LintReport, file: str) -> None:
     for edge in edges:
-        if edge.kind not in MAGNITUDE_BANDS or edge.value is None:
+        if edge.kind not in VALUE_BANDS:
             continue
-        if edge.value <= 0.0:
+        attribute, low, high = VALUE_BANDS[edge.kind]
+        value = edge.arguments[attribute]
+        name = edge.kind.__name__.lower()
+        if value <= 0.0:
             report.add(
                 "nonphysical-value",
                 SEVERITY_ERROR,
-                f"{edge.kind} {edge.label!r} has non-positive value {edge.value:g}",
+                f"{name} {edge.label!r} has non-positive value {value:g}",
                 file=file,
                 line=edge.line,
                 column=edge.column,
                 hint="R, C and L must be strictly positive",
             )
             continue
-        low, high = MAGNITUDE_BANDS[edge.kind]
-        if not (low <= edge.value <= high):
+        if not (low <= value <= high):
             report.add(
                 "suspicious-magnitude",
                 SEVERITY_WARNING,
-                f"{edge.kind} {edge.label!r} has value {edge.value:g}, outside "
+                f"{name} {edge.label!r} has value {value:g}, outside "
                 f"the plausible band [{low:g}, {high:g}]",
                 file=file,
                 line=edge.line,

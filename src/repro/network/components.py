@@ -54,10 +54,6 @@ class Component:
         """Whether MNA must carry the branch current as an explicit unknown."""
         return False
 
-    def is_source(self) -> bool:
-        """Whether the component injects an external stimulus into the network."""
-        return False
-
     def input_name(self) -> str | None:
         """Name of the external stimulus driving the component, if any."""
         return None
@@ -148,9 +144,6 @@ class VoltageSource(Component):
     def needs_current_unknown(self) -> bool:
         return True
 
-    def is_source(self) -> bool:
-        return True
-
     def input_name(self) -> str | None:
         return self.input_signal
 
@@ -172,9 +165,6 @@ class CurrentSource(Component):
         return Equation(
             branch_current(branch.name), rhs, kind=DIPOLE, name=f"dipole:{branch.name}"
         )
-
-    def is_source(self) -> bool:
-        return True
 
     def input_name(self) -> str | None:
         return self.input_signal

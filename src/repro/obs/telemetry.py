@@ -184,16 +184,6 @@ class TelemetryReport:
             summary["store_hit_rate"] = self.store_hit_rate
         return summary
 
-    # -- serialization -----------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-serializable dump (summary + counters + events)."""
-        return {
-            "summary": self.summary(),
-            "counters": dict(self.counters),
-            "latencies": [float(value) for value in self.latencies],
-            "events": list(self.events),
-        }
-
     # -- reporting ---------------------------------------------------------------------
     def to_markdown(self) -> str:
         """Render the campaign telemetry as a markdown report."""

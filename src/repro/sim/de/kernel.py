@@ -160,17 +160,12 @@ class Kernel:
         now = self.now
         heappush(self._timed, (quantize(now + delay), now, self._sequence, action))
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule ``action`` at the absolute time ``time``."""
-        self.schedule(max(0.0, time - self.now), action)
-
     def schedule_abs(
         self, time: float, action: Callable[[], None], scheduled: float
     ) -> None:
         """Schedule ``action`` at the absolute (quantised) time ``time``.
 
-        Skips the relative-delay round trip of :meth:`schedule_at`; times
-        earlier than ``now`` are clamped to ``now``.
+        Times earlier than ``now`` are clamped to ``now``.
 
         ``scheduled`` is the simulated time the event counts as scheduled
         at, which orders it among the events of its instant (earlier first,

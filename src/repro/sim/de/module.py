@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Iterable
+from typing import Callable
 
 from ...errors import SimulationError
 from .kernel import Event, Kernel, ThreadProcess
@@ -14,10 +14,9 @@ from .simtime import quantize
 class Module:
     """Base class for hierarchical discrete-event components (like ``sc_module``).
 
-    Subclasses register processes with :meth:`add_method` (static sensitivity,
-    like ``SC_METHOD``) or :meth:`add_thread` (generator coroutine, like
-    ``SC_THREAD``), and create communication objects with :meth:`signal` and
-    :meth:`event`.
+    Subclasses register processes with :meth:`add_thread` (generator
+    coroutine, like ``SC_THREAD``), and create communication objects with
+    :meth:`signal` and :meth:`event`.
     """
 
     def __init__(self, kernel: Kernel, name: str) -> None:
@@ -32,13 +31,6 @@ class Module:
     def event(self, name: str = "") -> Event:
         """Create an event owned by this module."""
         return Event(self.kernel, name=f"{self.name}.{name or 'event'}")
-
-    def add_method(
-        self, callback: Callable[[], None], sensitive: Iterable[Event] = ()
-    ) -> None:
-        """Register a method process with a static sensitivity list."""
-        for event in sensitive:
-            event.add_static_method(callback)
 
     def add_thread(self, generator_function: Callable[[], "object"]) -> ThreadProcess:
         """Register and start a thread process from a generator function."""

@@ -43,10 +43,6 @@ class TdfSignal:
         self._queues.append(queue)
         return queue
 
-    def available(self, port: "TdfInPort") -> int:
-        """Number of samples waiting for ``port``."""
-        return len(self._queues[self.readers.index(port)])
-
     @property
     def delay(self) -> int:
         """Number of initial samples (the ``set_delay`` attribute of SystemC-AMS)."""
@@ -63,12 +59,6 @@ class TdfPort:
         self.name = f"{module.name}.{name}"
         self.rate = rate
         self.signal: TdfSignal | None = None
-
-    def set_rate(self, rate: int) -> None:
-        """Change the port rate (allowed until the cluster is scheduled)."""
-        if rate < 1:
-            raise ValueError("port rate must be at least 1")
-        self.rate = rate
 
     def bind(self, signal: TdfSignal) -> None:
         """Connect the port to a signal."""

@@ -54,7 +54,7 @@ from ..vp.platform import (
     SmartSystemPlatform,
 )
 from .executor import CampaignExecutor, SweepError
-from .results import csv_text
+from .results import csv_text, markdown_table
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
 
@@ -880,35 +880,33 @@ class PlatformSweepResult:
         lines.append("")
         summary = self.summary_by_style()
         has_nrmse = any("nrmse_mean" in entry for entry in summary.values())
-        header = "| style | scenarios | mean time (s) | speed-up | instructions |"
-        divider = "|---|---|---|---|---|"
+        header = ["style", "scenarios", "mean time (s)", "speed-up", "instructions"]
         if has_nrmse:
-            header += " NRMSE mean | NRMSE max |"
-            divider += "---|---|"
-        lines.append(header)
-        lines.append(divider)
+            header += ["NRMSE mean", "NRMSE max"]
+        rows = []
         for style, entry in summary.items():
-            row = (
-                f"| {style} | {entry['scenarios']} | {entry['mean_time']:.4f} "
-                f"| {entry['speedup']:.2f}x | {entry['instructions_mean']:.0f} |"
-            )
+            row = [
+                style,
+                entry["scenarios"],
+                f"{entry['mean_time']:.4f}",
+                f"{entry['speedup']:.2f}x",
+                f"{entry['instructions_mean']:.0f}",
+            ]
             if has_nrmse:
                 mean = entry.get("nrmse_mean")
                 peak = entry.get("nrmse_max")
-                row += (
-                    f" {mean:.3e} | {peak:.3e} |"
-                    if mean is not None
-                    else " - | - |"
-                )
-            lines.append(row)
+                row += [f"{mean:.3e}", f"{peak:.3e}"] if mean is not None else ["-", "-"]
+            rows.append(row)
+        lines.append(markdown_table(header, rows))
         lines.append("")
         lines.append("## Scenarios")
         lines.append("")
-        header_cells = self._header_cells()
-        lines.append("| " + " | ".join(header_cells) + " |")
-        lines.append("|" + "---|" * len(header_cells))
-        for index in range(self.n_scenarios):
-            lines.append("| " + " | ".join(self._row_cells(index)) + " |")
+        lines.append(
+            markdown_table(
+                self._header_cells(),
+                [self._row_cells(index) for index in range(self.n_scenarios)],
+            )
+        )
         return "\n".join(lines)
 
     def to_csv(self) -> str:

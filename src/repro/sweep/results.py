@@ -33,6 +33,36 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()[:-1]
 
 
+def _escape_cell(text: str) -> str:
+    """Escape a value for use inside a markdown table cell."""
+    replacements = (
+        ("\\", "\\\\"),
+        ("|", "\\|"),
+        ("`", "\\`"),
+        ("<", "&lt;"),
+        (">", "&gt;"),
+        ("\r", " "),
+        ("\n", " "),
+    )
+    for old, new in replacements:
+        text = text.replace(old, new)
+    return text
+
+
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """A table as markdown, one line per row and no trailing newline.
+
+    Every cell is escaped: a pipe, backtick, backslash, angle bracket or line
+    break in a label, fault name or detail can neither split its row into
+    more cells than the header has nor inject markup.
+    """
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join(
+        "| " + " | ".join(_escape_cell(str(cell)) for cell in line) + " |"
+        for line in lines
+    )
+
+
 @dataclass
 class SweepResult:
     """Everything produced by one :class:`~repro.sweep.runner.SweepRunner` run."""
@@ -170,21 +200,30 @@ class SweepResult:
         lines.append("")
         lines.append("## Ensemble summary (final values)")
         lines.append("")
-        lines.append("| output | mean | std | min | max |")
-        lines.append("|---|---|---|---|---|")
-        for name, stats in self.summary().items():
-            lines.append(
-                f"| {name} | {stats['mean']:.6g} | {stats['std']:.3g} "
-                f"| {stats['min']:.6g} | {stats['max']:.6g} |"
+        lines.append(
+            markdown_table(
+                ["output", "mean", "std", "min", "max"],
+                [
+                    [
+                        name,
+                        f"{stats['mean']:.6g}",
+                        f"{stats['std']:.3g}",
+                        f"{stats['min']:.6g}",
+                        f"{stats['max']:.6g}",
+                    ]
+                    for name, stats in self.summary().items()
+                ],
             )
+        )
         lines.append("")
         lines.append("## Scenarios")
         lines.append("")
-        header = self._header_cells()
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for index in range(self.n_scenarios):
-            lines.append("| " + " | ".join(self._row_cells(index)) + " |")
+        lines.append(
+            markdown_table(
+                self._header_cells(),
+                [self._row_cells(index) for index in range(self.n_scenarios)],
+            )
+        )
         return "\n".join(lines)
 
     def to_csv(self) -> str:

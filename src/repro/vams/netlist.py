@@ -37,6 +37,7 @@ from ..network.components import (
     VCCS,
     VCVS,
     Capacitor,
+    Component,
     CurrentSource,
     Inductor,
     Resistor,
@@ -182,7 +183,12 @@ class NetlistBuilder:
                 name=f"Vsrc_{port.name}",
             )
 
-    def _resolve_target(self, access: AccessRef) -> ResolvedBranch:
+    def resolve_target(self, access: AccessRef) -> ResolvedBranch:
+        """Resolve a contribution target to its nodes and branch name.
+
+        An access without a declared branch gets a fresh anonymous name, so
+        resolve each contribution once, in statement order.
+        """
         if access.branch is not None:
             declared = self.module.branch_by_name(access.branch)
             if declared is not None:
@@ -197,7 +203,7 @@ class NetlistBuilder:
         name = f"b{self._anonymous_count}_{positive}_{negative}"
         return ResolvedBranch(name, positive, negative)
 
-    def _substitute_names(self, expression: Expr, branch: ResolvedBranch) -> Expr:
+    def substitute_names(self, expression: Expr, branch: ResolvedBranch) -> Expr:
         """Substitute parameters and normalise access-function variable names."""
         mapping = {name: Constant(value) for name, value in self.parameters.items()}
         expression = substitute(expression, mapping)
@@ -256,64 +262,78 @@ class NetlistBuilder:
 
     # -- component recognition ---------------------------------------------------------
     def _add_component(self, contribution: Contribution) -> None:
-        branch = self._resolve_target(contribution.target)
-        expression = self._substitute_names(contribution.expression, branch)
+        branch = self.resolve_target(contribution.target)
+        expression = self.substitute_names(contribution.expression, branch)
         kind = contribution.target.kind
-        component = self._match_component(kind, branch, expression)
+        recognised = self.recognise(kind, branch, expression)
+        if recognised is None:
+            raise NetlistError(
+                f"cannot recognise the {'potential' if kind == POTENTIAL else 'flow'} "
+                f"contribution on branch {branch.name!r}: {expression}"
+            )
+        component_class, arguments = recognised
+        try:
+            component = component_class(**arguments)
+        except ValueError as error:
+            raise NetlistError(
+                f"the {component_class.__name__.lower()} law {expression} on branch "
+                f"{branch.name!r} is not physical: {error}"
+            ) from error
         self.circuit.add(component, branch.positive, branch.negative, name=branch.name)
 
-    def _match_component(self, kind: str, branch: ResolvedBranch, expression: Expr):
-        own_current = f"I({branch.name})"
+    def recognise(
+        self, kind: str, branch: ResolvedBranch, expression: Expr
+    ) -> "tuple[type[Component], dict[str, object]] | None":
+        """Map a substituted contribution onto a component class and its arguments.
+
+        ``expression`` is the right-hand side after :meth:`substitute_names`.
+        The component is not constructed, so a non-physical value (a
+        negative resistance) is returned rather than raised; ``None`` means
+        no component law matches.
+        """
+        own_current = Variable(f"I({branch.name})")
         own_voltage = self._potential_difference(branch.positive, branch.negative)
-
-        factor_of_current = _linear_factor(expression, own_current)
-        factor_of_ddt_voltage = _derivative_factor(expression, own_voltage)
-        factor_of_ddt_current = _derivative_factor(expression, Variable(own_current))
-        factor_of_idt_current = _integral_factor(expression, Variable(own_current))
-        factor_of_idt_voltage = _integral_factor(expression, own_voltage)
-        value = constant_value(expression)
-
         if kind == POTENTIAL:
-            if factor_of_current is not None:
-                return Resistor(factor_of_current)
-            if factor_of_ddt_current is not None:
-                return Inductor(factor_of_ddt_current)
-            if factor_of_idt_current is not None and factor_of_idt_current > 0.0:
+            factor = _linear_factor(expression, own_current.name)
+            if factor is not None:
+                return Resistor, {"resistance": factor}
+            factor = _operator_factor(expression, own_current, Derivative)
+            if factor is not None:
+                return Inductor, {"inductance": factor}
+            factor = _operator_factor(expression, own_current, Integral)
+            if factor is not None and factor != 0.0:
                 # V = (1/C) * idt(I): the integral form of the capacitor law.
-                return Capacitor(1.0 / factor_of_idt_current)
-            if value is not None:
-                return VoltageSource(dc_value=value)
-            if _is_input_reference(expression, self.module):
-                return VoltageSource(input_signal=_input_name(expression))
-            gain, control = _controlled_source(expression)
-            if gain is not None:
-                return VCVS(gain, control_positive=control[0], control_negative=control[1])
-            raise NetlistError(
-                f"cannot recognise the potential contribution on branch "
-                f"{branch.name!r}: {expression}"
-            )
-
-        if kind == FLOW:
-            if factor_of_ddt_voltage is not None:
-                return Capacitor(factor_of_ddt_voltage)
-            if factor_of_idt_voltage is not None and factor_of_idt_voltage > 0.0:
+                return Capacitor, {"capacitance": 1.0 / factor}
+            source, controlled, gain_name = VoltageSource, VCVS, "gain"
+        elif kind == FLOW:
+            factor = _operator_factor(expression, own_voltage, Derivative)
+            if factor is not None:
+                return Capacitor, {"capacitance": factor}
+            factor = _operator_factor(expression, own_voltage, Integral)
+            if factor is not None and factor != 0.0:
                 # I = (1/L) * idt(V): the integral form of the inductor law.
-                return Inductor(1.0 / factor_of_idt_voltage)
+                return Inductor, {"inductance": 1.0 / factor}
             conductance = _conductance_factor(expression, own_voltage)
             if conductance is not None:
-                return Resistor(1.0 / conductance)
-            if value is not None:
-                return CurrentSource(dc_value=value)
-            if _is_input_reference(expression, self.module):
-                return CurrentSource(input_signal=_input_name(expression))
-            gain, control = _controlled_source(expression)
-            if gain is not None:
-                return VCCS(gain, control_positive=control[0], control_negative=control[1])
-            raise NetlistError(
-                f"cannot recognise the flow contribution on branch "
-                f"{branch.name!r}: {expression}"
-            )
-        raise NetlistError(f"unknown access kind {kind!r}")
+                return Resistor, {"resistance": 1.0 / conductance}
+            source, controlled, gain_name = CurrentSource, VCCS, "transconductance"
+        else:
+            raise NetlistError(f"unknown access kind {kind!r}")
+        value = constant_value(expression)
+        if value is not None:
+            return source, {"dc_value": value}
+        if isinstance(expression, Variable):
+            port = self.module.port(expression.name)
+            if port is not None and port.direction == INPUT:
+                return source, {"input_signal": expression.name}
+        gain, control = _controlled_source(expression)
+        if gain is not None:
+            return controlled, {
+                gain_name: gain,
+                "control_positive": control[0],
+                "control_negative": control[1],
+            }
+        return None
 
 
 # -- expression pattern helpers --------------------------------------------------------
@@ -334,18 +354,13 @@ def _linear_factor(expression: Expr, variable_name: str) -> float | None:
     return coefficient
 
 
-def _derivative_factor(expression: Expr, operand: Expr) -> float | None:
-    """Return ``k`` when ``expression == k * ddt(operand)`` (up to sign/shape)."""
-    return _operator_factor(expression, operand, Derivative)
-
-
-def _integral_factor(expression: Expr, operand: Expr) -> float | None:
-    """Return ``k`` when ``expression == k * idt(operand)`` with zero initial value."""
-    return _operator_factor(expression, operand, Integral)
-
-
 def _operator_factor(expression: Expr, operand: Expr, node_type: type) -> float | None:
-    """Match ``k * op(operand)`` where scaling may be ``k*x``, ``x*k``, ``x/k`` or ``-x``."""
+    """Return ``k`` when ``expression == k * op(operand)``, else ``None``.
+
+    ``op`` is ``ddt`` (:class:`Derivative`) or ``idt`` (:class:`Integral`,
+    with no or a zero initial value); the scaling may be ``k*x``, ``x*k``,
+    ``x/k`` or ``-x``.
+    """
     expression = simplify(expression)
     if isinstance(expression, node_type):
         if node_type is Integral and not _zero_initial(expression):
@@ -405,18 +420,6 @@ def _conductance_factor(expression: Expr, own_voltage: Expr) -> float | None:
         factor = factors.pop()
         return factor if factor != 0.0 else None
     return None
-
-
-def _is_input_reference(expression: Expr, module: VamsModule) -> bool:
-    if not isinstance(expression, Variable):
-        return False
-    port = module.port(expression.name)
-    return port is not None and port.direction == INPUT
-
-
-def _input_name(expression: Expr) -> str:
-    assert isinstance(expression, Variable)
-    return expression.name
 
 
 def _controlled_source(expression: Expr) -> tuple[float | None, tuple[str, str]]:
@@ -493,8 +496,8 @@ def extract_dipole_equations(module: VamsModule) -> list[Equation]:
     builder = NetlistBuilder(module)
     equations: list[Equation] = []
     for contribution in builder.active_contributions():
-        branch = builder._resolve_target(contribution.target)
-        rhs = builder._substitute_names(contribution.expression, branch)
+        branch = builder.resolve_target(contribution.target)
+        rhs = builder.substitute_names(contribution.expression, branch)
         if contribution.target.kind == POTENTIAL:
             lhs = builder._potential_difference(branch.positive, branch.negative)
         else:

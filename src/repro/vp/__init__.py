@@ -3,7 +3,10 @@
 from .adc_bridge import AdcBridge
 from .apb import ApbBus, ApbPeripheral
 from .firmware import (
+    ADC_BASE,
     CROSSING_COUNTER_ADDRESS,
+    PERIPHERAL_BASE,
+    UART_BASE,
     averaging_monitor_source,
     default_firmware,
     threshold_monitor_source,
@@ -12,10 +15,7 @@ from .memory import Memory
 from .mips import AssembledProgram, Assembler, MipsCpu, assemble
 from .platform import (
     ABSTRACTED_STYLES,
-    ADC_BASE,
     ANALOG_STYLES,
-    PERIPHERAL_BASE,
-    UART_BASE,
     PlatformRunResult,
     SmartSystemPlatform,
 )

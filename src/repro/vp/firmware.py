@@ -10,13 +10,20 @@ III).
 
 from __future__ import annotations
 
-#: Memory-mapped register addresses used by the firmware (see ``platform.py``).
+from . import adc_bridge, uart
+
+#: The platform's memory map: the APB peripheral window and the base address
+#: at which ``platform.py`` attaches each peripheral.
 PERIPHERAL_BASE = 0x1000_0000
-UART_TX_OFFSET = 0x0000
-UART_STATUS_OFFSET = 0x0004
-ADC_DATA_OFFSET = 0x1000
-ADC_STATUS_OFFSET = 0x1004
-ADC_COUNT_OFFSET = 0x1008
+UART_BASE = PERIPHERAL_BASE + 0x0000
+ADC_BASE = PERIPHERAL_BASE + 0x1000
+
+#: The registers the firmware reads and writes, as offsets from
+#: ``PERIPHERAL_BASE`` (the base register it loads once).
+UART_TX_OFFSET = UART_BASE - PERIPHERAL_BASE + uart.TX_DATA
+UART_STATUS_OFFSET = UART_BASE - PERIPHERAL_BASE + uart.STATUS
+ADC_DATA_OFFSET = ADC_BASE - PERIPHERAL_BASE + adc_bridge.DATA
+ADC_COUNT_OFFSET = ADC_BASE - PERIPHERAL_BASE + adc_bridge.SAMPLE_COUNT
 
 #: RAM address where the firmware keeps its crossing counter.
 CROSSING_COUNTER_ADDRESS = 0x0000_F000

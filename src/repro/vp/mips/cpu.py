@@ -391,24 +391,6 @@ class MipsCpu:
             "decode_invalidations": self.decode_invalidation_count,
         }
 
-    # -- memory access (slow paths, kept for direct use and the bus window) --------------
-    def _load_word(self, address: int) -> int:
-        self.load_count += 1
-        if address >= self.peripheral_base:
-            if self.bus_read is None:
-                raise CpuFault(f"load from unmapped peripheral address {address:#x}")
-            return self.bus_read(address) & WORD_MASK
-        return self.memory.read_word(address)
-
-    def _store_word(self, address: int, value: int) -> None:
-        self.store_count += 1
-        if address >= self.peripheral_base:
-            if self.bus_write is None:
-                raise CpuFault(f"store to unmapped peripheral address {address:#x}")
-            self.bus_write(address, value & WORD_MASK)
-            return
-        self.memory.write_word(address, value)
-
     # -- execution -----------------------------------------------------------------------------
     def step(self) -> None:
         """Fetch, decode (cached) and execute exactly one instruction."""
@@ -455,8 +437,8 @@ class MipsCpu:
         periph = self.peripheral_base
         # The word fast path must never swallow a peripheral access, so its
         # window ends at the peripheral base even if (in exotic configs) the
-        # RAM range overlaps the peripheral window — bus precedence matches
-        # the _load_word/_store_word slow paths.
+        # RAM range overlaps the peripheral window: at or above the
+        # peripheral base every access goes to the bus.
         msize4 = min(msize, periph - mbase) - 4
         pc = self.pc
         executed = 0

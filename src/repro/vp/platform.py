@@ -46,17 +46,19 @@ from ..sim.runners import _instantiate
 from ..sim.tdf import TdfCluster, TdfModule
 from .adc_bridge import AdcBridge
 from .apb import ApbBus
-from .firmware import default_firmware
+from .firmware import (
+    ADC_BASE,
+    CROSSING_COUNTER_ADDRESS,
+    PERIPHERAL_BASE,
+    UART_BASE,
+    default_firmware,
+)
 from .memory import Memory
 from .mips.assembler import assemble
 from .mips.cpu import MipsCpu
 from .uart import Uart
 
 Stimuli = Mapping[str, Callable[[float], float]]
-
-PERIPHERAL_BASE = 0x1000_0000
-UART_BASE = PERIPHERAL_BASE + 0x0000
-ADC_BASE = PERIPHERAL_BASE + 0x1000
 
 #: Short keys of the analog integration styles accepted by
 #: :meth:`SmartSystemPlatform.attach_analog`, in Table III's row order
@@ -512,7 +514,7 @@ class SmartSystemPlatform:
         (the sweep layer's ``capture_errors`` path) call it directly to record
         how far a faulted platform got before the error.
         """
-        counter_value = self.memory.read_word(0x0000_F000)
+        counter_value = self.memory.read_word(CROSSING_COUNTER_ADDRESS)
         return PlatformRunResult(
             simulated_time=self.kernel.now,
             instructions=self.cpu.instruction_count,

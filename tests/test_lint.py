@@ -67,7 +67,7 @@ from repro.zoo.generate import (
     plant_defect,
     render,
 )
-from repro.zoo.oracle import LINT, OracleConfig, check_source
+from repro.zoo.oracle import FRONTEND, LINT, OracleConfig, check_source
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -849,6 +849,21 @@ class TestOracleLintStage:
             )
             assert verdict.stage != LINT, verdict.detail
             assert verdict.ok, verdict.summary()
+
+    def test_every_planted_defect_gets_a_verdict(self):
+        # A non-physical value fails elaboration with a NetlistError, which
+        # the oracle reports as a front-end verdict instead of raising.
+        netlist = generate_netlist(7, 0)
+        verdicts = {
+            rule: check_source(
+                render(plant_defect(netlist, rule)), OracleConfig(duration=2e-5)
+            )
+            for rule in BREAKABLE_RULES
+        }
+        nonphysical = verdicts["nonphysical-value"]
+        assert not nonphysical.ok
+        assert nonphysical.stage == FRONTEND
+        assert "NetlistError" in nonphysical.detail
 
 
 # ---------------------------------------------------------------------------

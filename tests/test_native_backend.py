@@ -79,15 +79,6 @@ class TestGracefulDegradation:
         with pytest.raises(CodegenError, match="C compiler"):
             artifact.instantiate()
 
-    def test_instantiate_fallback_degrades_to_numpy(self, rc_model, monkeypatch):
-        artifact = NativeGenerator().generate_batch([rc_model])
-        monkeypatch.setattr(
-            native_backend, "_TOOLCHAIN_ERROR", "no C compiler found on PATH"
-        )
-        instance = artifact.instantiate(fallback=True)
-        value = instance.step_batch(np.ones(1), DT)
-        assert np.all(np.isfinite(value))
-
     def test_resolve_backend_passthrough(self):
         assert resolve_backend("numpy") == "numpy"
         assert resolve_backend("python") == "python"

@@ -86,6 +86,36 @@ class TestNetlistErrors:
         with pytest.raises(NetlistError, match="rb"):
             to_circuit(parse_module(source))
 
+    @pytest.mark.parametrize(
+        "law, component",
+        [
+            ("V(neg) <+ -5.0 * I(neg);", "resistor"),
+            ("I(neg) <+ -1m * V(neg);", "resistor"),
+            ("I(neg) <+ -1n * ddt(V(neg));", "capacitor"),
+            ("V(neg) <+ -1e9 * idt(I(neg));", "capacitor"),
+            ("V(neg) <+ -1m * ddt(I(neg));", "inductor"),
+            ("I(neg) <+ -1e3 * idt(V(neg));", "inductor"),
+        ],
+    )
+    def test_negative_valued_law_is_rejected_with_the_branch_name(self, law, component):
+        source = (
+            "module bad(vin, out);\n"
+            "  input vin;\n"
+            "  output out;\n"
+            "  electrical vin, out, gnd;\n"
+            "  ground gnd;\n"
+            "  branch (out, gnd) neg;\n"
+            "  analog begin\n"
+            "    V(vin, out) <+ 1k * I(vin, out);\n"
+            f"    {law}\n"
+            "  end\n"
+            "endmodule\n"
+        )
+        with pytest.raises(
+            NetlistError, match=f"the {component} law .* on branch 'neg' is not physical"
+        ):
+            to_circuit(parse_module(source))
+
     def test_unfoldable_conditional_is_rejected(self):
         source = (
             "module bad(vin, out);\n"

@@ -287,8 +287,8 @@ class TestPeripheralYield:
 
     def test_peripheral_window_wins_over_overlapping_ram(self):
         # Exotic config: the peripheral base *inside* the RAM address range.
-        # Bus precedence must match the classic _load_word/_store_word paths:
-        # at or above peripheral_base the access goes to the bus, never RAM.
+        # Bus precedence: at or above peripheral_base the access goes to the
+        # bus, never RAM.
         source = """
             li    $t0, 0x8000
             lw    $t1, 0($t0)        # peripheral read, NOT a RAM read
