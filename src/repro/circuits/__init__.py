@@ -9,7 +9,7 @@ from .library import (
     two_input_benchmark,
 )
 from .opamp import build_opamp, cutoff_frequency, dc_gain, opamp_source
-from .rc_filter import build_rc_filter, rc_filter_source, rc_time_constant
+from .rc_filter import build_rc_filter, rc_filter_source
 from .two_input import build_two_input, ideal_gains, two_input_source
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "paper_benchmarks",
     "rc_benchmark",
     "rc_filter_source",
-    "rc_time_constant",
     "two_input_benchmark",
     "two_input_source",
 ]

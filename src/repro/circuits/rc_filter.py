@@ -70,12 +70,3 @@ def build_rc_filter(
         circuit.add_capacitor(node, "gnd", capacitance, name=f"c{index}")
         previous = node
     return circuit
-
-
-def rc_time_constant(
-    order: int,
-    resistance: float = DEFAULT_RESISTANCE,
-    capacitance: float = DEFAULT_CAPACITANCE,
-) -> float:
-    """A rough dominant time constant of the cascade (useful for test tolerances)."""
-    return order * resistance * capacitance

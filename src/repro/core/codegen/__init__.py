@@ -29,7 +29,6 @@ from .native_backend import (
 from .numpy_backend import (
     BatchArtifact,
     NumpyGenerator,
-    batch_model,
     compile_batch,
     structure_signature,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "PythonGenerator",
     "SystemCDeGenerator",
     "SystemCTdfGenerator",
-    "batch_model",
     "compile_native",
     "native_batch_model",
     "resolve_backend",

@@ -350,8 +350,3 @@ def _exec_compile(code: GeneratedCode) -> type:
             f"generated source did not define the class {code.entity_name!r}"
         )
     return cls
-
-
-def batch_model(models: Sequence[SignalFlowModel]):
-    """Convenience: generate, compile and instantiate a batch in one call."""
-    return NumpyGenerator().generate_batch(models).instantiate()

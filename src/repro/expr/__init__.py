@@ -25,7 +25,6 @@ from .ast import (
     UnaryOp,
     Variable,
     constant,
-    iter_leaves,
     rebuild,
     substitute,
     substitute_previous,
@@ -43,7 +42,7 @@ from .discretize import (
     previous_of,
 )
 from .evaluate import FUNCTION_TABLE, evaluate
-from .equation import DERIVED, DIPOLE, KCL, KVL, SIGNAL_FLOW, Equation, unique_variables
+from .equation import DERIVED, DIPOLE, KCL, KVL, SIGNAL_FLOW, Equation
 from .linear import (
     AffineDecomposition,
     LinearForm,
@@ -66,7 +65,6 @@ __all__ = [
     "SIGNAL_FLOW",
     "affine_decompose",
     "solve_affine_system",
-    "unique_variables",
     "BINARY_OPERATORS",
     "COMPARISON_OPERATORS",
     "KNOWN_FUNCTIONS",
@@ -96,7 +94,6 @@ __all__ = [
     "evaluate",
     "is_constant",
     "is_linear_in",
-    "iter_leaves",
     "linear_form",
     "previous_of",
     "rebuild",

@@ -19,7 +19,7 @@ expressions can be written naturally in library code and tests::
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Number = Union[int, float]
 
@@ -515,13 +515,6 @@ def constant(value: Number) -> Constant:
 def variable(name: str) -> Variable:
     """Shorthand constructor for :class:`Variable`."""
     return Variable(name)
-
-
-def iter_leaves(node: Expr) -> Iterable[Expr]:
-    """Yield every leaf node (constants, variables and previous values)."""
-    for item in node.walk():
-        if not item.children():
-            yield item
 
 
 ZERO = Constant(0.0)

@@ -6,8 +6,7 @@ abstraction pipeline produces are all instances of :class:`Equation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .ast import BinaryOp, Expr, Variable
 from .linear import solve_for
@@ -108,11 +107,3 @@ class Equation:
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
-
-
-def unique_variables(equations: Iterable[Equation]) -> set[str]:
-    """Return the union of variable names over a collection of equations."""
-    names: set[str] = set()
-    for equation in equations:
-        names |= equation.variables()
-    return names

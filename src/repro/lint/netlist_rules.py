@@ -30,7 +30,6 @@ from ..errors import EvaluationError, VamsError
 from ..expr.ast import (
     Access,
     BinaryOp,
-    Constant,
     Derivative,
     Expr,
     Integral,
@@ -50,7 +49,6 @@ from ..network.components import (
     VoltageSource,
 )
 from ..vams.ast import (
-    INPUT,
     POTENTIAL,
     AnalogStatement,
     Block,
@@ -404,19 +402,11 @@ def _lint_topology(
     builder = NetlistBuilder(module)
     edges: list[_Edge] = []
 
-    # Implicit stimulus sources on input ports (NetlistBuilder adds the same).
-    for port in module.ports:
-        if port.direction != INPUT or port.name == builder.ground:
-            continue
+    # The implicit stimulus sources on input ports come first, as in the circuit.
+    for port, name in builder.input_sources:
         edges.append(
             _Edge(
-                port.name,
-                builder.ground,
-                VoltageSource,
-                {},
-                port.line,
-                port.column,
-                f"Vsrc_{port.name}",
+                port.name, builder.ground, VoltageSource, {}, port.line, port.column, name
             )
         )
 
@@ -431,9 +421,6 @@ def _lint_topology(
             hint=hint,
         )
 
-    parameter_constants = {
-        name: Constant(value) for name, value in builder.parameters.items()
-    }
     resolved: list = []
     for contribution in active:
         try:
@@ -473,7 +460,7 @@ def _lint_topology(
             branch.name,
         )
         edges.append(edge)
-        raw = substitute(contribution.expression, parameter_constants)
+        raw = substitute(contribution.expression, builder.parameter_constants)
         zero = _zero_scale(raw)
         if zero is not None:
             report.add(

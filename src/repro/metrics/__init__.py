@@ -1,11 +1,9 @@
 """Metrics: waveform accuracy (NRMSE) and wall-clock timing."""
 
 from .nrmse import compare_trace_sets, compare_traces, nrmse, rmse
-from .timing import Stopwatch, TimedResult, measure
+from .timing import measure
 
 __all__ = [
-    "Stopwatch",
-    "TimedResult",
     "compare_trace_sets",
     "compare_traces",
     "measure",

@@ -6,7 +6,6 @@ from .circuit import (
     Node,
     canonical_quantity,
     count_state_variables,
-    iter_components,
 )
 from .components import (
     VCCS,
@@ -50,7 +49,6 @@ __all__ = [
     "branch_current",
     "branch_voltage",
     "count_state_variables",
-    "iter_components",
     "kirchhoff_equations",
     "mesh_analysis",
     "nodal_analysis",

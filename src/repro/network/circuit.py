@@ -9,8 +9,8 @@ programmatically (see :mod:`repro.circuits`) or by the Verilog-AMS frontend
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import TopologyError
 from ..expr.equation import Equation
@@ -299,9 +299,3 @@ def count_state_variables(circuit: Circuit) -> int:
         for branch in circuit
         if isinstance(branch.component, (Capacitor, Inductor))
     )
-
-
-def iter_components(circuit: Circuit) -> Iterable[tuple[Branch, Component]]:
-    """Yield ``(branch, component)`` pairs in insertion order."""
-    for branch in circuit:
-        yield branch, branch.component

@@ -143,27 +143,28 @@ class Tracer:
             )
 
     # -- collection --------------------------------------------------------------------
-    def mark(self) -> tuple[int, dict[str, float]]:
+    def mark(self) -> tuple[int, dict[str, float], int]:
         """A resumable position: everything recorded so far.
 
-        Pass the mark to :meth:`collect` to obtain only the events and
-        counter increments recorded *after* it — the mechanism that lets the
-        serial execution path (running inside the parent's tracer) report
+        Pass the mark to :meth:`collect` to obtain only the events, counter
+        increments and drops recorded *after* it — the mechanism that lets
+        the serial execution path (running inside the parent's tracer) report
         the same delta payload a freshly forked worker would.
         """
-        return (len(self.events), dict(self.counters))
+        return (len(self.events), dict(self.counters), self.dropped)
 
-    def collect(self, mark: "tuple[int, dict[str, float]] | None" = None) -> dict:
+    def collect(self, mark: "tuple[int, dict[str, float], int] | None" = None) -> dict:
         """The compact, picklable telemetry payload since ``mark``.
 
         ``None`` collects everything.  The payload is what worker processes
         return alongside their results: the recording process id, the event
-        tuples, the counter *deltas* and the drop count.
+        tuples, the counter *deltas* and the number of events dropped since
+        the mark.
         """
         if mark is None:
-            start, base = 0, {}
+            start, base, dropped = 0, {}, 0
         else:
-            start, base = mark
+            start, base, dropped = mark
         counters = {
             name: value - base.get(name, 0.0)
             for name, value in self.counters.items()
@@ -173,7 +174,7 @@ class Tracer:
             "pid": os.getpid(),
             "events": list(self.events[start:]),
             "counters": counters,
-            "dropped": self.dropped,
+            "dropped": self.dropped - dropped,
         }
 
     def reset(self) -> None:

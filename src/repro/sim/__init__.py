@@ -2,32 +2,28 @@
 
 from .ams import ReferenceAmsSimulator
 from .cosim import AnalogCosimServer, CoSimulationBridge
-from .de import Clock, Event, Kernel, Module, PeriodicTicker, Signal
+from .de import Kernel, Module, PeriodicTicker, Signal
 from .eln import ElnModel
 from .integration import (
     DeProbeModule,
     DeSignalFlowModule,
     DeSourceModule,
-    DeToTdfSignal,
     ElnDeModule,
     TdfDeBridge,
     TdfProbeModule,
     TdfSignalFlowModule,
     TdfSourceModule,
-    TdfToDeSignal,
 )
 from .runners import (
     resolve_steps,
     run_de_model,
     run_eln_model,
-    run_interpreted_model,
     run_python_model,
     run_reference_model,
     run_tdf_model,
 )
 from .sources import (
     PAPER_SQUARE_WAVE,
-    ConstantSource,
     PiecewiseLinear,
     SineWave,
     SquareWave,
@@ -38,16 +34,12 @@ from .trace import Trace, TraceSet
 
 __all__ = [
     "AnalogCosimServer",
-    "Clock",
     "CoSimulationBridge",
-    "ConstantSource",
     "DeProbeModule",
     "DeSignalFlowModule",
     "DeSourceModule",
-    "DeToTdfSignal",
     "ElnDeModule",
     "ElnModel",
-    "Event",
     "Kernel",
     "Module",
     "PAPER_SQUARE_WAVE",
@@ -67,12 +59,10 @@ __all__ = [
     "TdfSignal",
     "TdfSignalFlowModule",
     "TdfSourceModule",
-    "TdfToDeSignal",
     "Trace",
     "TraceSet",
     "run_de_model",
     "run_eln_model",
-    "run_interpreted_model",
     "resolve_steps",
     "run_python_model",
     "run_reference_model",

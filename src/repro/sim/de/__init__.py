@@ -1,13 +1,11 @@
 """Discrete-event simulation kernel (SystemC-DE analogue)."""
 
-from .kernel import Event, Kernel, SignalUpdate, ThreadProcess
-from .module import Clock, Module, PeriodicTicker
+from .kernel import Kernel
+from .module import Module, PeriodicTicker
 from .signal import Signal
-from .simtime import FS, MS, NS, PS, SEC, US, format_time, quantize
+from .simtime import FS, MS, NS, PS, SEC, US, quantize
 
 __all__ = [
-    "Clock",
-    "Event",
     "FS",
     "Kernel",
     "MS",
@@ -17,9 +15,6 @@ __all__ = [
     "PeriodicTicker",
     "SEC",
     "Signal",
-    "SignalUpdate",
-    "ThreadProcess",
     "US",
-    "format_time",
     "quantize",
 ]

@@ -3,111 +3,36 @@
 The kernel implements the subset of SystemC's simulation semantics the
 virtual platform and the generated SystemC-DE models need:
 
-* timed event notifications kept in a binary heap, ordered at one instant
-  by the time each was scheduled, then first-in first-out;
+* timed actions kept in a binary heap, ordered at one instant by the time
+  each was scheduled, then first-in first-out;
 * evaluate/update *delta cycles* so that signals written during one
-  evaluation phase only become visible in the next one;
-* method processes with static or dynamic sensitivity, and thread processes
-  written as Python generators that ``yield`` waits.
+  evaluation phase only become visible in the next one.
 
-The scheduler loop mirrors the SystemC reference implementation: run every
-runnable process (evaluation phase), apply signal updates (update phase),
-schedule processes woken by the resulting value changes into a new delta
-cycle, and only when no delta work is left advance simulated time to the next
-timed notification.
+Every process is a plain callable of one of two kinds: a *timed action*
+(:meth:`Kernel.schedule`, :meth:`Kernel.schedule_abs` or a shared periodic
+entry), or a *delta action* appended to ``Kernel._delta_pending``, which
+runs in the next delta cycle of the same instant.  A process that reads a
+signal another process writes defers itself by one delta action per
+producer/consumer hop, so it reads the updated value.
+
+The scheduler loop mirrors the SystemC reference implementation: run the
+delta's actions (evaluation phase), apply signal updates (update phase),
+repeat while actions were appended, and only when no delta work is left
+advance simulated time to the next timed action.  The actions popped at
+that instant form its first delta.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ...errors import SimulationError
 from ...obs.tracer import TRACER
 from .simtime import quantize
 
-
-class Event:
-    """A notifiable synchronisation object (like ``sc_event``)."""
-
-    __slots__ = ("kernel", "name", "_waiting_methods", "_waiting_threads")
-
-    def __init__(self, kernel: "Kernel", name: str = "") -> None:
-        self.kernel = kernel
-        self.name = name or f"event_{id(self):x}"
-        self._waiting_methods: list[Callable[[], None]] = []
-        self._waiting_threads: list["ThreadProcess"] = []
-
-    # -- subscription ------------------------------------------------------------
-    def add_static_method(self, callback: Callable[[], None]) -> None:
-        """Statically sensitise a method process to this event."""
-        self._waiting_methods.append(callback)
-
-    def wait_thread(self, process: "ThreadProcess") -> None:
-        """Register a thread process waiting (dynamically) on this event."""
-        self._waiting_threads.append(process)
-
-    # -- notification ---------------------------------------------------------------
-    def notify(self, delay: float | None = None) -> None:
-        """Notify the event.
-
-        ``delay=None`` performs an immediate (same evaluation phase) trigger;
-        ``delay=0.0`` is a delta notification; a positive delay is a timed
-        notification, as in SystemC.
-        """
-        if delay is None:
-            self.kernel._trigger_event(self)
-        elif delay == 0.0:
-            self.kernel._schedule_delta(self._trigger)
-        else:
-            self.kernel.schedule(delay, self._trigger)
-
-    def _trigger(self) -> None:
-        self.kernel._trigger_event(self)
-
-
-class ThreadProcess:
-    """A coroutine-style process: a generator yielding waits.
-
-    Yield values understood by the kernel:
-
-    * a ``float`` — wait for that many seconds;
-    * an :class:`Event` — wait until the event is notified;
-    * ``None`` — wait one delta cycle.
-    """
-
-    __slots__ = ("kernel", "name", "generator", "terminated")
-
-    def __init__(self, kernel: "Kernel", name: str, generator) -> None:
-        self.kernel = kernel
-        self.name = name
-        self.generator = generator
-        self.terminated = False
-
-    def start(self) -> None:
-        """Schedule the first activation at the current time."""
-        self.kernel._schedule_delta(self.resume)
-
-    def resume(self) -> None:
-        """Run the process until its next wait."""
-        if self.terminated:
-            return
-        try:
-            request = next(self.generator)
-        except StopIteration:
-            self.terminated = True
-            return
-        if request is None:
-            self.kernel._schedule_delta(self.resume)
-        elif isinstance(request, Event):
-            request.wait_thread(self)
-        elif isinstance(request, (int, float)):
-            self.kernel.schedule(float(request), self.resume)
-        else:
-            raise SimulationError(
-                f"thread process {self.name!r} yielded an unsupported wait "
-                f"request: {request!r}"
-            )
+if TYPE_CHECKING:  # pragma: no cover - typing only (signal imports us)
+    from .signal import Signal
 
 
 class Kernel:
@@ -137,18 +62,20 @@ class Kernel:
         #: instant fire in the order they were scheduled in simulated time,
         #: then first-in first-out (see :meth:`schedule_abs`).
         self._timed: list[tuple[float, float, int, Callable[[], None]]] = []
-        self._runnable: list[Callable[[], None]] = []
+        #: The next delta's actions: an instant's popped timed actions, then
+        #: whatever each delta appends.
         self._delta_pending: list[Callable[[], None]] = []
-        self._update_requests: list["SignalUpdate"] = []
+        self._update_requests: list[Signal] = []
         # Spare list objects recycled by the delta-cycle loop; allocating fresh
         # lists every delta dominated the kernel's allocation profile.
-        self._runnable_spare: list[Callable[[], None]] = []
-        self._update_spare: list["SignalUpdate"] = []
+        self._delta_spare: list[Callable[[], None]] = []
+        self._update_spare: list[Signal] = []
         #: The shared periodic entry pushed last, until an instant is popped.
         self._open = None
         self._running = False
         self._finished = False
         self.delta_count = 0
+        #: Signal updates that changed a value.
         self.event_count = 0
 
     # -- scheduling primitives -----------------------------------------------------------
@@ -180,30 +107,6 @@ class Kernel:
             at = now
         self._sequence += 1
         heappush(self._timed, (at, scheduled, self._sequence, action))
-
-    def _schedule_delta(self, action: Callable[[], None]) -> None:
-        self._delta_pending.append(action)
-
-    def _trigger_event(self, event: Event) -> None:
-        self.event_count += 1
-        # Static sensitivity lists are dispatched with one C-level extend
-        # instead of a per-callback Python loop.
-        methods = event._waiting_methods
-        if methods:
-            self._runnable.extend(methods)
-        waiting = event._waiting_threads
-        if waiting:
-            event._waiting_threads = []
-            runnable = self._runnable
-            for process in waiting:
-                runnable.append(process.resume)
-
-    # -- processes ------------------------------------------------------------------------
-    def spawn_thread(self, generator, name: str = "") -> ThreadProcess:
-        """Create and start a thread process from a generator."""
-        process = ThreadProcess(self, name or f"thread_{self._sequence}", generator)
-        process.start()
-        return process
 
     # -- simulation loop -------------------------------------------------------------------
     def stop(self) -> None:
@@ -248,36 +151,24 @@ class Kernel:
         try:
             while True:
                 # Delta cycles at the current instant.
-                while self._runnable or self._delta_pending:
-                    if self._finished:
-                        break
-                    # Evaluation phase: triggered processes, then delta
-                    # actions.  The drained lists are recycled as the next
-                    # delta's spares instead of being re-allocated; actions
-                    # triggered during evaluation land in the (empty)
-                    # swapped-in lists, so they run in the next delta.
-                    runnable = self._runnable
-                    pending = self._delta_pending
-                    if pending:
-                        if runnable:
-                            runnable.extend(pending)
-                            pending.clear()
-                        else:
-                            self._delta_pending = runnable
-                            runnable = pending
-                    # Swap BEFORE running the actions and clear in a finally,
-                    # so an exception escaping a process can neither alias
-                    # the two lists nor leave stale actions behind for the
-                    # next run() call.
-                    self._runnable = self._runnable_spare
-                    self._runnable_spare = runnable
+                while self._delta_pending and not self._finished:
+                    # Evaluation phase.  The drained list is recycled as the
+                    # next delta's spare instead of being re-allocated;
+                    # actions appended during evaluation land in the (empty)
+                    # swapped-in list, so they run in the next delta.  Swap
+                    # BEFORE running the actions and clear in a finally, so
+                    # an exception escaping a process can neither alias the
+                    # two lists nor leave stale actions behind for the next
+                    # run() call.
+                    actions = self._delta_pending
+                    self._delta_pending = self._delta_spare
+                    self._delta_spare = actions
                     try:
-                        for action in runnable:
+                        for action in actions:
                             action()
                     finally:
-                        runnable.clear()
-                    # Update phase.  Updates requested while applying updates
-                    # belong to the next delta, hence the swap first.
+                        actions.clear()
+                    # Update phase, recycled the same way.
                     updates = self._update_requests
                     if updates:
                         self._update_requests = self._update_spare
@@ -294,15 +185,16 @@ class Kernel:
                 if end_time is not None and next_time > end_time + 1e-18:
                     self.now = end_time
                     break
-                # Advance to the next instant and move its events to the
-                # runnable list.  Popping closes the open shared entry: a
-                # periodic process must not join an entry already popped.
+                # Advance to the next instant; its timed actions form its
+                # first delta (no delta work is left when time advances).
+                # Popping closes the open shared entry: a periodic process
+                # must not join an entry already popped.
                 self.now = next_time
                 self._open = None
                 horizon = next_time + 1e-18
-                runnable = self._runnable
+                pending = self._delta_pending
                 while timed and timed[0][0] <= horizon:
-                    runnable.append(heappop(timed)[3])
+                    pending.append(heappop(timed)[3])
         finally:
             self._running = False
             self.end_time = None
@@ -317,9 +209,3 @@ class Kernel:
             self.now = end_time
         return self.now
 
-
-class SignalUpdate:
-    """Protocol object queued by signals during the evaluation phase."""
-
-    def apply(self) -> None:  # pragma: no cover - interface definition
-        raise NotImplementedError

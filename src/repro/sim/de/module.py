@@ -1,4 +1,4 @@
-"""Module base class and clock generator for the discrete-event kernel."""
+"""Module base class and periodic ticker for the discrete-event kernel."""
 
 from __future__ import annotations
 
@@ -6,17 +6,18 @@ from heapq import heappush
 from typing import Callable
 
 from ...errors import SimulationError
-from .kernel import Event, Kernel, ThreadProcess
+from .kernel import Kernel
 from .signal import Signal
 from .simtime import quantize
 
 
 class Module:
-    """Base class for hierarchical discrete-event components (like ``sc_module``).
+    """Base class for named discrete-event components (like ``sc_module``).
 
-    Subclasses register processes with :meth:`add_thread` (generator
-    coroutine, like ``SC_THREAD``), and create communication objects with
-    :meth:`signal` and :meth:`event`.
+    A module creates the signals it owns with :meth:`signal` and reads the
+    simulated time as :attr:`now`.  Its processes are the kernel's two
+    kinds: timed actions (a :class:`PeriodicTicker`, ``kernel.schedule``)
+    and delta actions appended to ``kernel._delta_pending``.
     """
 
     def __init__(self, kernel: Kernel, name: str) -> None:
@@ -28,16 +29,6 @@ class Module:
         """Create a signal owned by this module."""
         return Signal(self.kernel, initial, name=f"{self.name}.{name or 'signal'}")
 
-    def event(self, name: str = "") -> Event:
-        """Create an event owned by this module."""
-        return Event(self.kernel, name=f"{self.name}.{name or 'event'}")
-
-    def add_thread(self, generator_function: Callable[[], "object"]) -> ThreadProcess:
-        """Register and start a thread process from a generator function."""
-        return self.kernel.spawn_thread(
-            generator_function(), name=f"{self.name}.{generator_function.__name__}"
-        )
-
     # -- time helpers --------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -46,47 +37,6 @@ class Module:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.name!r})"
-
-
-class Clock(Module):
-    """A periodic boolean clock signal (like ``sc_clock``)."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        name: str,
-        period: float,
-        duty_cycle: float = 0.5,
-        start_high: bool = True,
-    ) -> None:
-        super().__init__(kernel, name)
-        if period <= 0.0:
-            raise ValueError("clock period must be positive")
-        if not 0.0 < duty_cycle < 1.0:
-            raise ValueError("duty cycle must be within (0, 1)")
-        self.period = period
-        self.duty_cycle = duty_cycle
-        self.out = self.signal(start_high, "out")
-        self.posedge = self.event("posedge")
-        self.negedge = self.event("negedge")
-        self._start_high = start_high
-        self.cycle_count = 0
-        self.add_thread(self._drive)
-
-    def _drive(self):
-        high_time = self.period * self.duty_cycle
-        low_time = self.period - high_time
-        value = self._start_high
-        while True:
-            self.out.write(value)
-            if value:
-                self.posedge.notify()
-                self.cycle_count += 1
-                yield high_time
-            else:
-                self.negedge.notify()
-                yield low_time
-            value = not value
 
 
 class PeriodicTicker(Module):

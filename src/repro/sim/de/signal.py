@@ -4,21 +4,21 @@ from __future__ import annotations
 
 from typing import Generic, TypeVar
 
-from .kernel import Event, Kernel, SignalUpdate
+from .kernel import Kernel
 
 T = TypeVar("T")
 
 
-class Signal(Generic[T], SignalUpdate):
+class Signal(Generic[T]):
     """A value holder whose writes become visible one delta cycle later.
 
     Reading returns the *current* value; writing stores a *next* value and
-    requests an update, exactly like ``sc_signal``.  Processes can be made
-    sensitive to :attr:`changed`, which is notified whenever an update
-    actually modifies the value.
+    requests an update, exactly like ``sc_signal``.  A process that reads
+    what another wrote in this delta runs as a delta action appended after
+    the write.  Each update that changes the value counts one kernel event.
     """
 
-    __slots__ = ("kernel", "name", "_current", "_next", "_update_pending", "changed")
+    __slots__ = ("kernel", "name", "_current", "_next", "_update_pending")
 
     def __init__(self, kernel: Kernel, initial: T, name: str = "") -> None:
         self.kernel = kernel
@@ -26,7 +26,6 @@ class Signal(Generic[T], SignalUpdate):
         self._current: T = initial
         self._next: T = initial
         self._update_pending = False
-        self.changed = Event(kernel, f"{self.name}.changed")
 
     # -- access -------------------------------------------------------------------
     def read(self) -> T:
@@ -51,12 +50,7 @@ class Signal(Generic[T], SignalUpdate):
         self._update_pending = False
         if self._next != self._current:
             self._current = self._next
-            changed = self.changed
-            if changed._waiting_methods or changed._waiting_threads:
-                self.kernel._trigger_event(changed)
-            else:
-                # Nothing waits: the trigger would only count the event.
-                self.kernel.event_count += 1
+            self.kernel.event_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Signal({self.name!r}, value={self._current!r})"

@@ -40,12 +40,3 @@ def quantize(time: float) -> float:
         return ((steps + _RINT) - _RINT) * RESOLUTION
     return round(steps) * RESOLUTION
 
-
-def format_time(time: float) -> str:
-    """Render a time with an appropriate engineering unit (for reports/traces)."""
-    if time == 0.0:
-        return "0 s"
-    for unit, scale in (("s", 1.0), ("ms", MS), ("us", US), ("ns", NS), ("ps", PS), ("fs", FS)):
-        if abs(time) >= scale:
-            return f"{time / scale:.6g} {unit}"
-    return f"{time:.3e} s"

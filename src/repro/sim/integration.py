@@ -23,7 +23,7 @@ from ..errors import SimulationError
 from .de import Kernel, Module, PeriodicTicker, Signal
 from .eln import ElnModel
 from .tdf import TdfModule
-from .trace import Trace, TraceSet
+from .trace import Trace
 
 
 class DeSourceModule(Module):
@@ -244,26 +244,3 @@ class TdfDeBridge(Module):
             raise SimulationError("the TDF cluster has no timestep")
         self._ticker = PeriodicTicker(kernel, f"{name}.tick", cluster.timestep, cluster.run_period)
 
-
-class TdfToDeSignal(TdfModule):
-    """A TDF block publishing its input samples onto a discrete-event signal."""
-
-    def __init__(self, name: str, signal: Signal) -> None:
-        super().__init__(name)
-        self.inp = self.in_port("in")
-        self.signal = signal
-
-    def processing(self) -> None:
-        self.signal.write(self.inp.read())
-
-
-class DeToTdfSignal(TdfModule):
-    """A TDF block sampling a discrete-event signal into its output port."""
-
-    def __init__(self, name: str, signal: Signal) -> None:
-        super().__init__(name)
-        self.out = self.out_port("out")
-        self.signal = signal
-
-    def processing(self) -> None:
-        self.out.write(self.signal.read())

@@ -170,22 +170,6 @@ def run_reference_model(
     return ReferenceAmsSimulator(circuit, timestep).run(stimuli, duration, record)
 
 
-def run_interpreted_model(
-    model: SignalFlowModel,
-    stimuli: Stimuli,
-    duration: float,
-) -> TraceSet:
-    """Run the signal-flow model through its interpreted ``step`` (for checks)."""
-    resolve_steps(duration, float(model.timestep))
-    trace = model.run(stimuli, duration)
-    traces = TraceSet()
-    for name in model.outputs:
-        recorded = traces.add(name)
-        for time, value in zip(trace.times, trace.waveform(name)):
-            recorded.append(float(time), float(value))
-    return traces
-
-
 def _instantiate(model: "SignalFlowModel | type | object"):
     """Accept a SignalFlowModel (compiled through the cache), a class or an instance."""
     if isinstance(model, SignalFlowModel):

@@ -64,16 +64,6 @@ class StepSource:
         return self.final if time >= self.step_time else self.initial
 
 
-@dataclass(frozen=True)
-class ConstantSource:
-    """A constant stimulus."""
-
-    value: float = 0.0
-
-    def __call__(self, time: float) -> float:
-        return self.value
-
-
 class PiecewiseLinear:
     """A piecewise-linear stimulus defined by ``(time, value)`` breakpoints."""
 

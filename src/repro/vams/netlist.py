@@ -108,6 +108,17 @@ class NetlistBuilder:
                     f"{', '.join(sorted(unknown))}"
                 )
             self.parameters.update(overrides)
+        #: Every parameter as the constant that replaces it in an expression.
+        self.parameter_constants = {
+            name: Constant(value) for name, value in self.parameters.items()
+        }
+        #: The implicit stimulus source of each non-ground input port, with
+        #: its branch name; :meth:`build` adds them with ``drive_inputs``.
+        self.input_sources = [
+            (port, f"Vsrc_{port.name}")
+            for port in module.ports
+            if port.direction == INPUT and port.name != self.ground
+        ]
         self.circuit = Circuit(module.name, ground=self.ground)
         self._anonymous_count = 0
 
@@ -171,16 +182,9 @@ class NetlistBuilder:
 
     # -- helpers --------------------------------------------------------------------
     def _add_input_sources(self) -> None:
-        for port in self.module.ports:
-            if port.direction != INPUT:
-                continue
-            if port.name == self.ground:
-                continue
+        for port, name in self.input_sources:
             self.circuit.add_voltage_source(
-                port.name,
-                self.ground,
-                input_signal=port.name,
-                name=f"Vsrc_{port.name}",
+                port.name, self.ground, input_signal=port.name, name=name
             )
 
     def resolve_target(self, access: AccessRef) -> ResolvedBranch:
@@ -205,8 +209,7 @@ class NetlistBuilder:
 
     def substitute_names(self, expression: Expr, branch: ResolvedBranch) -> Expr:
         """Substitute parameters and normalise access-function variable names."""
-        mapping = {name: Constant(value) for name, value in self.parameters.items()}
-        expression = substitute(expression, mapping)
+        expression = substitute(expression, self.parameter_constants)
 
         def visit(node: Expr) -> Expr:
             if isinstance(node, Variable):

@@ -324,7 +324,6 @@ class SmartSystemPlatform:
         analog_timestep: float = 50e-9,
         firmware: str | None = None,
         ram_size: int = 64 * 1024,
-        uart_baud: int = 115200,
         record_analog: bool = False,
         cpu_block_cycles: int = CPU_BLOCK_CYCLES,
         cpu_superblocks: bool = True,
@@ -336,7 +335,7 @@ class SmartSystemPlatform:
 
         self.memory = Memory(size=ram_size, base=0)
         self.bus = ApbBus(PERIPHERAL_BASE)
-        self.uart = Uart(baud_rate=uart_baud)
+        self.uart = Uart()
         self.adc = AdcBridge(record=record_analog)
         self.bus.attach("uart0", UART_BASE, self.uart)
         self.bus.attach("adc0", ADC_BASE, self.adc)

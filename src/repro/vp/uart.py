@@ -2,8 +2,10 @@
 
 A minimal register-level UART: the firmware polls the status register and
 writes characters to the transmit register; transmitted bytes are collected so
-that tests and examples can observe the software's behaviour.  A configurable
-transmit time models the serialisation delay of a real 8N1 link.
+that tests and examples can observe the software's behaviour.  Transmission
+is untimed: a written byte is logged at once, and the status register always
+reports the transmitter ready.  ``BAUD_DIV`` is a plain read/write register
+for firmware that programs it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ STATUS_RX_VALID = 0x2
 class Uart(ApbPeripheral):
     """Register-level UART with a transmit log and an optional receive queue."""
 
-    def __init__(self, name: str = "uart0", baud_rate: int = 115200) -> None:
+    def __init__(self, name: str = "uart0") -> None:
         self.name = name
-        self.baud_rate = baud_rate
         self.transmitted: list[int] = []
         self._receive_queue: list[int] = []
         self.tx_count = 0

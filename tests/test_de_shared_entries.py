@@ -14,6 +14,9 @@ schedule a timed event at exactly their next grid point (which forces a
 member out of its entry), one-shot events with equal keys and a ``-inf``
 injection, a raising callback followed by another ``run()``,
 ``kernel.stop()``, and deep copies of the whole simulation between runs.
+Triggered activity is generated the way the platform's processes schedule
+it, as delta actions: a write to ``loud`` appends its reader to
+``kernel._delta_pending``, and a notification appends a two-hop delta chain.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from collections import Counter
 import pytest
 
 from repro.sim import Kernel, PeriodicTicker, Signal
-from repro.sim.de import Event
 from repro.sim.de.simtime import quantize
 
 #: On the femtosecond grid, and two periods off it.
@@ -120,10 +122,7 @@ class World:
         self.tickers: dict = {}
         self.origins: dict[str, float] = {}
         self.loud = Signal(self.kernel, 0, "loud")
-        self.quiet = Signal(self.kernel, 0, "quiet")  # nothing waits on it
-        self.event = Event(self.kernel, "event")
-        self.loud.changed.add_static_method(self.on_loud)
-        self.event.add_static_method(self.on_event)
+        self.quiet = Signal(self.kernel, 0, "quiet")  # nothing reads it
 
     def record(self, name: str) -> None:
         self.log.append((name, self.kernel.now, self.kernel.delta_count))
@@ -140,6 +139,10 @@ class World:
 
     def on_loud(self) -> None:
         self.record(f"loud={self.loud.read()}")
+
+    def on_notify(self) -> None:
+        # The first hop of a notification; the reader runs one delta later.
+        self.kernel._delta_pending.append(self.on_event)
 
     def on_event(self) -> None:
         self.record("event")
@@ -165,8 +168,10 @@ class World:
                 self.spawn(f"{name}.{tick}", action[1], action[2])
             elif kind == "write":
                 getattr(self, action[1]).write(action[2])
+                if action[1] == "loud":
+                    kernel._delta_pending.append(self.on_loud)
             elif kind == "notify":
-                self.event.notify(0.0)
+                kernel._delta_pending.append(self.on_notify)
             elif kind == "stop":
                 kernel.stop()
             elif kind == "raise":

@@ -49,6 +49,7 @@ from repro.lint import (
     lint_repo,
     lint_source,
     load_baseline,
+    netlist_rules,
     to_json,
     to_markdown,
     to_text,
@@ -57,7 +58,7 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 from repro.network import VCVS, Circuit, Resistor, VoltageSource
 from repro.sim import SquareWave
-from repro.vams import parse_source
+from repro.vams import parse_source, to_circuit
 from repro.vams.ast import POTENTIAL
 from repro.vams.classify import CONSERVATIVE, SIGNAL_FLOW, classify_module
 from repro.zoo.cli import run_recall_campaign
@@ -377,6 +378,36 @@ class TestCircuitAndCleanSurfaces:
         for index in range(50):
             report.extend(lint_netlist(generate_netlist(7, index)))
         assert report.ok, to_text(report)
+
+    @pytest.mark.parametrize("surface", ("zoo-corpus", "generated"))
+    def test_linted_edges_are_the_elaborated_branches(self, surface, monkeypatch):
+        """The edges a module's lint checks are ``to_circuit``'s branches, in
+        order, implicit input sources included."""
+        if surface == "zoo-corpus":
+            paths = sorted((SRC_REPRO / "zoo" / "corpus").glob("*.va"))
+            sources = [path.read_text() for path in paths]
+        else:
+            sources = [render(generate_netlist(7, index)) for index in range(50)]
+        linted = []
+        lint_graph = netlist_rules._lint_graph
+
+        def record(edges, **options):
+            linted.append([(e.label, e.positive, e.negative, e.kind) for e in edges])
+            lint_graph(edges, **options)
+
+        monkeypatch.setattr(netlist_rules, "_lint_graph", record)
+        elaborated = []
+        for source in sources:
+            lint_source(source)
+            for module in parse_source(source):
+                elaborated.append(
+                    [
+                        (b.name, b.positive, b.negative, type(b.component))
+                        for b in to_circuit(module)
+                    ]
+                )
+        assert len(elaborated) == len(sources)
+        assert linted == elaborated
 
 
 # ---------------------------------------------------------------------------

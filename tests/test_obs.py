@@ -155,6 +155,16 @@ class TestTracer:
         tracer.reset()
         assert tracer.events == [] and tracer.dropped == 0
 
+    def test_collect_counts_only_the_drops_since_the_mark(self):
+        tracer = Tracer(max_events=2)
+        tracer.enabled = True
+        for index in range(3):
+            tracer.instant(f"e{index}")
+        mark = tracer.mark()
+        tracer.instant("late")
+        assert tracer.dropped == 2
+        assert tracer.collect(mark)["dropped"] == 1
+
 
 class TestTelemetryReport:
     def payload(self, pid: int = 1) -> dict:
@@ -409,6 +419,38 @@ class TestCounterReconciliation:
         assert counters_from_trace(payload)["platform.runs"] == result.n_scenarios
         # the parent process tracer saw nothing: collection is worker-local
         assert TRACER.events == [] and TRACER.counters == {}
+
+
+class TestDropsBeforeARun:
+    """Drops the process-wide tracer counted before a traced run are not
+    that run's: its telemetry must not report them, nor warn of truncation."""
+
+    def drop_three_events(self, monkeypatch) -> None:
+        with monkeypatch.context() as patch:
+            patch.setattr(TRACER, "max_events", len(TRACER.events))
+            enable_tracing()
+            for index in range(3):
+                TRACER.instant(f"early{index}")
+            disable_tracing()
+        assert TRACER.dropped == 3
+
+    def test_serial_run(self, monkeypatch):
+        self.drop_three_events(monkeypatch)
+        result = platform_runner(trace=True).run(single_scenario_spec(), SHORT)
+        telemetry = result.telemetry
+        assert telemetry.events and TRACER.dropped == 3
+        assert telemetry.dropped == 0
+        assert "truncated" not in telemetry.to_markdown()
+
+    def test_forked_workers(self, monkeypatch):
+        self.drop_three_events(monkeypatch)
+        spec = PlatformScenarioSpec(
+            parameters=GridSpec(axes={"resistance": [4e3, 6e3]}, base={"order": 1}),
+            firmwares={"threshold": threshold_monitor_source(500)},
+        )
+        result = platform_runner(trace=True, workers=2).run(spec, SHORT)
+        assert result.executed_count == 2
+        assert result.telemetry.dropped == 0
 
 
 class TestProgressReporter:

@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Clock, Kernel, Module, PeriodicTicker, Signal, TdfCluster, TdfModule
-from repro.sim.de import Event
+from repro.sim import Kernel, Module, PeriodicTicker, Signal, TdfCluster, TdfModule
 from repro.sim.de.simtime import RESOLUTION, quantize
 
 
@@ -85,7 +84,7 @@ class TestDeKernel:
         kernel.schedule(3e-9, lambda: fired.append(kernel.now))
         assert kernel.run(10e-9) == quantize(1e-9)
         assert kernel.now == quantize(1e-9)
-        assert fired == [] and not kernel._runnable
+        assert fired == [] and not kernel._delta_pending
         # The pending events fire at their own times on the next run.
         assert kernel.run(10e-9) == quantize(11e-9)
         assert fired == [quantize(2e-9), quantize(3e-9)]
@@ -113,76 +112,24 @@ class TestDeKernel:
         kernel.run()
         assert observed == [("during", 0), ("later", 42)]
 
-    def test_signal_changed_event_wakes_method(self):
+    def test_value_changes_count_kernel_events(self):
+        """A reader deferred by one delta action sees the write; only an
+        update that changes the value counts a kernel event."""
         kernel = Kernel()
         signal = Signal(kernel, 0)
-        wakeups = []
-        signal.changed.add_static_method(lambda: wakeups.append(signal.read()))
-        kernel.schedule(1e-9, lambda: signal.write(7))
-        kernel.schedule(2e-9, lambda: signal.write(7))  # same value: no event
-        kernel.schedule(3e-9, lambda: signal.write(9))
-        kernel.run()
-        assert wakeups == [7, 9]
+        reads = []
 
-    def test_every_write_wakes_every_static_method_once(self):
-        """One ticker writes a signal every step; eight statically sensitive
-        methods each wake exactly once per change (the fan-out pattern of the
-        platform's clock, analog ticker and ADC sampler chains)."""
-        fanout, steps, period = 8, 1000, 50e-9
-        kernel = Kernel()
-        signal = Signal(kernel, 0.0, "load")
-        wakeups = [0] * fanout
-        for index in range(fanout):
-            signal.changed.add_static_method(
-                lambda index=index: wakeups.__setitem__(index, wakeups[index] + 1)
+        def write(value):
+            signal.write(value)
+            kernel._delta_pending.append(
+                lambda: reads.append((signal.read(), kernel.event_count))
             )
-        ticks = [0]
 
-        def drive(now: float) -> None:
-            ticks[0] += 1
-            signal.write(float(ticks[0]))
-
-        PeriodicTicker(kernel, "drive", period, drive)
-        kernel.run(steps * period)
-        assert ticks[0] == steps
-        assert wakeups == [steps] * fanout
-
-    def test_thread_process_waits(self):
-        kernel = Kernel()
-        log = []
-
-        def process():
-            log.append(kernel.now)
-            yield 5e-9
-            log.append(kernel.now)
-            yield 5e-9
-            log.append(kernel.now)
-
-        kernel.spawn_thread(process())
+        for time, value in ((1e-9, 7), (2e-9, 7), (3e-9, 9)):
+            kernel.schedule(time, lambda value=value: write(value))
         kernel.run()
-        assert log == pytest.approx([0.0, 5e-9, 10e-9])
-
-    def test_thread_waits_on_event(self):
-        kernel = Kernel()
-        event = Event(kernel, "go")
-        log = []
-
-        def waiter():
-            yield event
-            log.append(kernel.now)
-
-        kernel.spawn_thread(waiter())
-        kernel.schedule(4e-9, event.notify)
-        kernel.run()
-        assert log == pytest.approx([4e-9])
-
-    def test_clock_toggles_and_counts(self):
-        kernel = Kernel()
-        clock = Clock(kernel, "clk", period=10e-9)
-        kernel.run(95e-9)
-        assert clock.cycle_count == 10
-        with pytest.raises(ValueError):
-            Clock(kernel, "bad", period=0.0)
+        assert reads == [(7, 1), (7, 1), (9, 2)]
+        assert kernel.event_count == 2 and kernel.delta_count == 6
 
     def test_periodic_ticker_period_and_count(self):
         kernel = Kernel()
@@ -203,13 +150,17 @@ class TestDeKernel:
         kernel.schedule(1e-9, boom)
         with pytest.raises(RuntimeError):
             kernel.run()
-        assert kernel._runnable is not kernel._runnable_spare
+        assert kernel._delta_pending is not kernel._delta_spare
         # the kernel still schedules and runs correctly after the failure
         fired = []
         kernel.schedule(1e-9, lambda: fired.append(kernel.now))
         signal = Signal(kernel, 0)
-        signal.changed.add_static_method(lambda: fired.append(signal.read()))
-        kernel.schedule(2e-9, lambda: signal.write(5))
+
+        def write_then_read():
+            signal.write(5)
+            kernel._delta_pending.append(lambda: fired.append(signal.read()))
+
+        kernel.schedule(2e-9, write_then_read)
         kernel.run()
         assert len(fired) == 2 and fired[1] == 5
 
