@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..errors import AssembleError
 from ..expr.ast import Expr
 from ..expr.equation import Equation
-from .enrichment import EnrichmentResult, is_unknown
+from .enrichment import EnrichmentResult
 from .table import EquationTable, TableEntry
 
 #: Safety bound on the number of candidate trials during backtracking.

@@ -14,7 +14,7 @@ name          target language        role in the paper's evaluation
 ============  ====================  ==========================================
 """
 
-from ...errors import CodegenError, CodeGenerationError
+from ...errors import CodeGenerationError
 from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
 from .cache import cache_info, clear_cache, compile_cached, source_digest
 from .cpp import CppGenerator

@@ -25,7 +25,6 @@ from ..errors import EnrichmentError
 from ..expr.ast import Variable
 from ..expr.discretize import Discretizer
 from ..expr.equation import DERIVED, Equation
-from ..expr.linear import solve_for
 from ..errors import UnsolvableEquationError
 from ..network.kirchhoff import mesh_analysis, nodal_analysis
 from .acquisition import AcquisitionResult

@@ -82,21 +82,17 @@ class AbstractionFlow:
         uses 50 ns for its experiments).
     method:
         Discretisation scheme for the analog operators.
-    include_mesh:
-        Whether the enrichment step also performs the mesh (KVL) analysis.
     """
 
     def __init__(
         self,
         timestep: float,
         method: str = "backward_euler",
-        include_mesh: bool = True,
     ) -> None:
         if timestep <= 0.0:
             raise ValueError("timestep must be positive")
         self.timestep = float(timestep)
         self.method = method
-        self.include_mesh = include_mesh
 
     # -- conservative path ------------------------------------------------------------
     def abstract(
@@ -120,9 +116,7 @@ class AbstractionFlow:
         normalised = [normalise_output(output, ground) for output in outputs]
 
         start = time.perf_counter()
-        enrichment = enrich(
-            acquisition, self.timestep, method=self.method, include_mesh=self.include_mesh
-        )
+        enrichment = enrich(acquisition, self.timestep, method=self.method)
         timings["enrichment"] = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -4,9 +4,10 @@ The tree produced by the assemble step still contains un-delayed occurrences
 of the selected unknowns on the right-hand sides ("occurrences of the left
 value on the right side of the equation").  Interpreting the ``=`` sign as an
 assignment would introduce a spurious one-step delay, so these occurrences
-must be removed by solving the relations symbolically — the paper quotes an
-O(|N|³) cost for this, i.e. Gaussian elimination, which is what
-:func:`repro.expr.linear.solve_linear_system` performs.
+must be removed by solving the relations — the paper quotes an O(|N|³) cost
+for this, i.e. Gaussian elimination, which is the LAPACK solve of
+:func:`repro.expr.linear.solve_affine`: every assembled coefficient is a
+number, because every circuit parameter is known at abstraction time.
 
 After the solve, every selected quantity is expressed explicitly in terms of
 inputs and previous-step values only.  Only the quantities the model needs —
@@ -16,9 +17,8 @@ its outputs and its state variables — become assignments of the resulting
 
 from __future__ import annotations
 
-from ..errors import AbstractionError, NonLinearExpressionError
-from ..expr.linear import solve_affine, solve_linear_system
-from ..expr.simplify import simplify
+from ..errors import AbstractionError
+from ..expr.linear import solve_affine
 from .assemble import AssembledModel
 from .enrichment import EnrichmentResult
 from .signalflow import Assignment, SignalFlowModel
@@ -37,9 +37,9 @@ def to_signal_flow(
     Only the kept rows become assignments: the outputs and every quantity
     whose previous-step value is referenced (the state variables), in
     ``assembled.order``.  The other unknowns were needed for the elimination
-    but would be dead code in the generated model.  On the numeric path the
-    state set is read off the solution matrix, so the dropped rows are never
-    built or simplified.
+    but would be dead code in the generated model.  The state set is read
+    off the solution matrix, so the dropped rows are never built or
+    simplified.
 
     Parameters
     ----------
@@ -62,37 +62,18 @@ def to_signal_flow(
         raise AbstractionError("the assembled model is empty")
 
     try:
-        # Fast path: every coefficient is numeric (parameters known at
-        # abstraction time), so the elimination is done with numbers and the
-        # generated expressions stay compact.
         solution = solve_affine(assembled.resolutions, unknowns)
-    except NonLinearExpressionError:
-        # Symbolic parameters: fall back to expression-valued Gaussian
-        # elimination (slower and bulkier, but general).
-        try:
-            solved = solve_linear_system(assembled.resolutions, unknowns)
-        except Exception as exc:
-            raise AbstractionError(
-                f"could not solve the assembled linear system for {name!r}: {exc}"
-            ) from exc
-        expressions = {target: simplify(solved[target]) for target in unknowns}
-        states: set[str] = set()
-        for expression in expressions.values():
-            states |= expression.previous_values()
-        expression_of = expressions.__getitem__
     except Exception as exc:
         raise AbstractionError(
             f"could not solve the assembled linear system for {name!r}: {exc}"
         ) from exc
-    else:
-        states = solution.previous_values()
-        expression_of = solution.expression
+    states = solution.previous_values()
 
     # Only keep assignments that contribute to the outputs or to a state
     # update; everything else was needed during elimination but is dead code
     # in the generated model.
     needed = set(assembled.outputs) | states
-    kept = [Assignment(target, expression_of(target)) for target in unknowns if target in needed]
+    kept = [Assignment(target, solution.expression(target)) for target in unknowns if target in needed]
 
     model = SignalFlowModel(
         name=name,

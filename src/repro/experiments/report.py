@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from .abstraction_cost import format_sweep, run_sweep
-from .common import scaled_duration, simulated_time_scale
+from .common import simulated_time_scale
 from .table1 import run_table1
 from .table2 import abstraction_processing_times, run_table2
 from .table3 import run_table3

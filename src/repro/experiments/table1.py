@@ -32,60 +32,54 @@ def run_component(
     prepared: PreparedBenchmark,
     duration: float,
     timestep: float = PAPER_TIMESTEP,
-    include_reference: bool = True,
+    baseline: str = "Verilog-AMS",
 ) -> list[ExperimentRow]:
-    """Run every target of Table I for one component and return its rows."""
+    """Run the isolation targets of one component, from ``baseline`` on.
+
+    Table I's baseline is the Verilog-AMS reference; Table II's is
+    SC-AMS/ELN, which drops the reference run.  Every row, the baseline's
+    own included, reports its speed-up over the baseline.  The error column
+    is the NRMSE against Verilog-AMS, so only Table I fills it.
+    """
     benchmark = prepared.benchmark
     model = prepared.model
     output = prepared.output
     stimuli = benchmark.stimuli
+    targets = [
+        (
+            "Verilog-AMS",
+            "manual",
+            lambda: run_reference_model(benchmark.circuit(), stimuli, duration, timestep, [output]),
+        ),
+        (
+            "SC-AMS/ELN",
+            "manual",
+            lambda: run_eln_model(benchmark.circuit(), stimuli, duration, timestep, [output]),
+        ),
+        ("SC-AMS/TDF", "algo", lambda: run_tdf_model(model, stimuli, duration)),
+        ("SC-DE", "algo", lambda: run_de_model(model, stimuli, duration)),
+        ("C++", "algo", lambda: run_python_model(model, stimuli, duration)),
+    ]
+    first = [label for label, _, _ in targets].index(baseline)
+    reference = None
     rows: list[ExperimentRow] = []
-
-    reference_traces = None
-    reference_time = None
-    if include_reference:
-        reference_traces, reference_time = measure(
-            lambda: run_reference_model(
-                benchmark.circuit(), stimuli, duration, timestep, [output]
-            )
-        )
-        rows.append(
-            ExperimentRow(
-                component=benchmark.name,
-                target="Verilog-AMS",
-                generation="manual",
-                simulation_time=reference_time,
-                error=0.0,
-                speedup=1.0,
-            )
-        )
-
-    def evaluate(label: str, generation: str, runner) -> None:
+    for label, generation, runner in targets[first:]:
         traces, elapsed = measure(runner)
-        error = None
-        speedup = None
-        if reference_traces is not None:
-            error = compare_traces(reference_traces[output], traces[output])
-            speedup = reference_time / elapsed if elapsed > 0 else float("inf")
+        if not rows:
+            baseline_time = elapsed
+            if label == "Verilog-AMS":
+                reference = traces[output]
         rows.append(
             ExperimentRow(
                 component=benchmark.name,
                 target=label,
                 generation=generation,
                 simulation_time=elapsed,
-                error=error,
-                speedup=speedup,
+                error=None if reference is None else compare_traces(reference, traces[output]),
+                speedup=baseline_time / elapsed if elapsed > 0 else float("inf"),
             )
         )
-
-    evaluate(
-        "SC-AMS/ELN",
-        "manual",
-        lambda: run_eln_model(benchmark.circuit(), stimuli, duration, timestep, [output]),
-    )
-    evaluate("SC-AMS/TDF", "algo", lambda: run_tdf_model(model, stimuli, duration))
-    evaluate("SC-DE", "algo", lambda: run_de_model(model, stimuli, duration))
-    evaluate("C++", "algo", lambda: run_python_model(model, stimuli, duration))
+        del traces  # the next target runs without this one's samples in memory
     return rows
 
 
@@ -93,7 +87,6 @@ def run_table1(
     components: list[str] | None = None,
     duration: float | None = None,
     timestep: float = PAPER_TIMESTEP,
-    include_reference: bool = True,
 ) -> ExperimentTable:
     """Reproduce Table I (optionally restricted to some components)."""
     duration = duration if duration is not None else scaled_duration(PAPER_TABLE1_SIMULATED_TIME, timestep=timestep)
@@ -101,6 +94,6 @@ def run_table1(
         "Table I - simulation performance and accuracy for the abstracted models in isolation"
     )
     for prepared in prepare_benchmarks(components, timestep):
-        for row in run_component(prepared, duration, timestep, include_reference):
+        for row in run_component(prepared, duration, timestep):
             table.add(row)
     return table

@@ -10,8 +10,6 @@ the same quantity for our implementation.
 
 from __future__ import annotations
 
-from ..metrics.timing import measure
-from ..sim.runners import run_de_model, run_eln_model, run_python_model, run_tdf_model
 from .common import (
     PAPER_TABLE2_SIMULATED_TIME,
     PAPER_TIMESTEP,
@@ -21,6 +19,7 @@ from .common import (
     prepare_benchmarks,
     scaled_duration,
 )
+from .table1 import run_component as run_isolation
 
 
 def run_component(
@@ -29,41 +28,7 @@ def run_component(
     timestep: float = PAPER_TIMESTEP,
 ) -> list[ExperimentRow]:
     """Run the four targets of Table II for one component."""
-    benchmark = prepared.benchmark
-    model = prepared.model
-    output = prepared.output
-    stimuli = benchmark.stimuli
-    rows: list[ExperimentRow] = []
-
-    _, eln_time = measure(
-        lambda: run_eln_model(benchmark.circuit(), stimuli, duration, timestep, [output])
-    )
-    rows.append(
-        ExperimentRow(
-            component=benchmark.name,
-            target="SC-AMS/ELN",
-            generation="manual",
-            simulation_time=eln_time,
-            speedup=1.0,
-        )
-    )
-
-    def evaluate(label: str, runner) -> None:
-        _, elapsed = measure(runner)
-        rows.append(
-            ExperimentRow(
-                component=benchmark.name,
-                target=label,
-                generation="algo",
-                simulation_time=elapsed,
-                speedup=eln_time / elapsed if elapsed > 0 else float("inf"),
-            )
-        )
-
-    evaluate("SC-AMS/TDF", lambda: run_tdf_model(model, stimuli, duration))
-    evaluate("SC-DE", lambda: run_de_model(model, stimuli, duration))
-    evaluate("C++", lambda: run_python_model(model, stimuli, duration))
-    return rows
+    return run_isolation(prepared, duration, timestep, baseline="SC-AMS/ELN")
 
 
 def run_table2(

@@ -32,7 +32,6 @@ from .ast import (
     transform,
     variable,
 )
-from .differentiate import differentiate, is_linear_in
 from .discretize import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -50,7 +49,6 @@ from .linear import (
     linear_form,
     solve_affine_system,
     solve_for,
-    solve_linear_system,
 )
 from .simplify import constant_value, is_constant, simplify
 
@@ -89,17 +87,14 @@ __all__ = [
     "Variable",
     "constant",
     "constant_value",
-    "differentiate",
     "discretize",
     "evaluate",
     "is_constant",
-    "is_linear_in",
     "linear_form",
     "previous_of",
     "rebuild",
     "simplify",
     "solve_for",
-    "solve_linear_system",
     "substitute",
     "substitute_previous",
     "to_string",

@@ -4,12 +4,12 @@ The last stage of the assemble step (paper Section IV.C, Figure 7) must
 remove every un-delayed occurrence of the output of interest from the right
 hand side of the assembled equation.  Because conservative descriptions of
 electrical linear networks are linear in node potentials and branch flows,
-this amounts to extracting the linear form of an expression with respect to a
-set of unknowns and solving the resulting (small) linear system symbolically.
-The paper quotes a worst-case cost of O(|N|³) for this step — Gaussian
-elimination, which is exactly what :func:`solve_linear_system` performs, with
-expression-valued coefficients that constant-fold to numbers whenever the
-circuit parameters are numeric.
+this amounts to decomposing each assembled row into numeric coefficients of
+the unknowns and solving the resulting (small) linear system.  The paper
+quotes a worst-case cost of O(|N|³) for this step — Gaussian elimination,
+which is the LAPACK solve of :func:`solve_affine`.  Every circuit the
+frontend or a factory builds has numeric parameters, so every coefficient
+folds to a number.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import NonLinearExpressionError, UnsolvableEquationError
 from .ast import BinaryOp, Call, Conditional, Constant, Derivative, Expr, Integral, Previous, UnaryOp, Variable
-from .simplify import constant_value, is_constant, simplify
+from .simplify import constant_value, simplify
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,86 +199,6 @@ def solve_for(lhs: Expr, rhs: Expr, name: str) -> Expr:
     return simplify(solution)
 
 
-def solve_linear_system(
-    equations: Mapping[str, Expr], unknowns: Sequence[str]
-) -> dict[str, Expr]:
-    """Solve a system ``unknown == expression`` for all ``unknowns`` symbolically.
-
-    ``equations`` maps each unknown to an expression that may reference any of
-    the unknowns (an implicit algebraic coupling, as produced by the assemble
-    step on circuits with more than one storage element).  The system must be
-    linear; Gaussian elimination with expression-valued coefficients is used,
-    pivoting on the entry with the largest constant-foldable magnitude.
-
-    Returns a mapping from unknown name to an expression free of every
-    unknown.
-    """
-    order = list(unknowns)
-    n = len(order)
-    if n == 0:
-        return {}
-
-    # Build the augmented system  A x = b  from  x_i = expr_i, i.e.
-    # (I - J) x = remainder, where J holds the coefficients of the unknowns.
-    matrix: list[list[Expr]] = []
-    rhs: list[Expr] = []
-    for row_index, name in enumerate(order):
-        expression = equations[name]
-        form = linear_form(expression, order)
-        row = []
-        for column_index, column_name in enumerate(order):
-            coefficient = form.coefficient(column_name)
-            identity = Constant(1.0) if row_index == column_index else Constant(0.0)
-            row.append(simplify(BinaryOp("-", identity, coefficient)))
-        matrix.append(row)
-        rhs.append(form.remainder)
-
-    # Forward elimination with partial pivoting on constant-valued entries.
-    for pivot_index in range(n):
-        pivot_row = _select_pivot(matrix, pivot_index, n)
-        if pivot_row != pivot_index:
-            matrix[pivot_index], matrix[pivot_row] = matrix[pivot_row], matrix[pivot_index]
-            rhs[pivot_index], rhs[pivot_row] = rhs[pivot_row], rhs[pivot_index]
-        pivot = matrix[pivot_index][pivot_index]
-        if constant_value(pivot) == 0.0:
-            raise UnsolvableEquationError(
-                f"singular algebraic system while solving for {order[pivot_index]!r}"
-            )
-        for row_index in range(pivot_index + 1, n):
-            entry = matrix[row_index][pivot_index]
-            if constant_value(entry) == 0.0:
-                continue
-            factor = simplify(BinaryOp("/", entry, pivot))
-            for column_index in range(pivot_index, n):
-                updated = BinaryOp(
-                    "-",
-                    matrix[row_index][column_index],
-                    BinaryOp("*", factor, matrix[pivot_index][column_index]),
-                )
-                matrix[row_index][column_index] = simplify(updated)
-            rhs[row_index] = simplify(
-                BinaryOp("-", rhs[row_index], BinaryOp("*", factor, rhs[pivot_index]))
-            )
-
-    # Back substitution.
-    solutions: list[Expr | None] = [None] * n
-    for row_index in range(n - 1, -1, -1):
-        accumulated = rhs[row_index]
-        for column_index in range(row_index + 1, n):
-            coefficient = matrix[row_index][column_index]
-            if constant_value(coefficient) == 0.0:
-                continue
-            accumulated = BinaryOp(
-                "-",
-                accumulated,
-                BinaryOp("*", coefficient, solutions[column_index]),
-            )
-        pivot = matrix[row_index][row_index]
-        solutions[row_index] = simplify(BinaryOp("/", accumulated, pivot))
-
-    return {name: solution for name, solution in zip(order, solutions)}
-
-
 @dataclass
 class AffineDecomposition:
     """Numeric affine decomposition of an expression.
@@ -289,8 +209,7 @@ class AffineDecomposition:
     the caller and the atoms are every other leaf carrying a value at run time:
     input variables (``("var", name)``) and previous-step values
     (``("prev", name)``).  All coefficients must fold to numbers; otherwise
-    :class:`~repro.errors.NonLinearExpressionError` is raised and the caller
-    should fall back to the fully symbolic path.
+    :class:`~repro.errors.NonLinearExpressionError` is raised.
     """
 
     unknown_coefficients: dict[str, float]
@@ -481,37 +400,16 @@ def solve_affine_system(
 ) -> dict[str, Expr]:
     """Numerically solve ``unknown == expression`` for all ``unknowns``.
 
-    This is the fast path of the paper's "solution of the linear equation":
-    when every coefficient folds to a number (circuit parameters are known at
-    abstraction time), the implicit system is solved with dense numeric
-    Gaussian elimination and each unknown becomes a compact affine combination
-    of inputs and previous-step values.
+    Unlike :func:`solve_affine`, which keeps the solution as a matrix, this
+    builds every unknown's expression: a compact affine combination of
+    inputs and previous-step values.
 
     Raises
     ------
     NonLinearExpressionError
-        When a coefficient is not numeric; callers should then fall back to
-        :func:`solve_linear_system`.
+        When a row is not affine or a coefficient is not numeric.
     UnsolvableEquationError
         When the system is singular.
     """
     solution = solve_affine(equations, unknowns, tolerance)
     return {name: solution.expression(name) for name in solution.unknowns}
-
-
-def _select_pivot(matrix: list[list[Expr]], pivot_index: int, n: int) -> int:
-    """Pick the row with the largest known-magnitude pivot entry."""
-    best_row = pivot_index
-    best_magnitude = -1.0
-    for row_index in range(pivot_index, n):
-        value = constant_value(matrix[row_index][pivot_index])
-        if value is None:
-            # A symbolic entry is assumed usable; prefer it only if no numeric
-            # non-zero pivot was found.
-            magnitude = 0.5
-        else:
-            magnitude = abs(value)
-        if magnitude > best_magnitude:
-            best_magnitude = magnitude
-            best_row = row_index
-    return best_row

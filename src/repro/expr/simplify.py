@@ -21,7 +21,6 @@ from .ast import (
     Constant,
     Derivative,
     Expr,
-    Integral,
     Previous,
     UnaryOp,
     Variable,

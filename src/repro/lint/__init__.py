@@ -11,7 +11,7 @@ Three layers share one diagnostic model (:class:`Diagnostic`):
 * **Layer 3 — determinism self-lint** (:mod:`repro.lint.selfcheck`): a
   Python AST walker over ``src/repro`` itself flagging reproducibility
   hazards (unseeded RNGs, wall clocks in key paths, non-atomic writes,
-  order-dependent digests, bare ``except``).
+  order-dependent digests, bare ``except``) and unused imports.
 
 The ``repro-lint`` command line front-end lives in :mod:`repro.lint.cli`.
 """

@@ -14,7 +14,11 @@ campaign store depends on:
 * ``dict-order-digest`` — ``json.dumps`` without ``sort_keys=True`` inside
   ``store/`` (digests must not depend on insertion order);
 * ``bare-except`` — ``except:`` swallows ``KeyboardInterrupt`` and masks
-  real failures anywhere in the library.
+  real failures anywhere in the library;
+* ``unused-import`` — not a determinism hazard but dead code: an imported
+  name the module never reads.  A name listed in ``__all__`` or read in a
+  string annotation counts as read, and ``from __future__`` imports are
+  exempt.
 
 CI runs this over ``src/repro`` with an **empty** baseline: the library is
 expected to stay clean, not merely grandfathered.
@@ -98,6 +102,45 @@ def _write_mode(call: ast.Call) -> bool:
     return False
 
 
+def _unused_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """``(bound name, import statement)`` for every import never read."""
+    imported: dict[str, ast.stmt] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported.setdefault(alias.asname or alias.name.split(".")[0], node)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in [
+            getattr(target, "id", None) for target in node.targets
+        ]:
+            elements = getattr(node.value, "elts", ())
+            read.update(item.value for item in elements if isinstance(item, ast.Constant))
+        # Parameters and ``AnnAssign`` carry ``annotation``, functions ``returns``.
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                read |= _string_annotation_names(annotation)
+    return [(name, node) for name, node in imported.items() if name not in read]
+
+
+def _string_annotation_names(annotation: ast.expr) -> set[str]:
+    """Names read by the string parts of an annotation (``"np.ndarray"``)."""
+    names: set[str] = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)
+            )
+    return names
+
+
 def lint_python_file(
     path: "str | Path", root: "str | Path | None" = None
 ) -> LintReport:
@@ -126,6 +169,17 @@ def lint_python_file(
 
     in_store = relative.startswith(STORE_PREFIX)
     rng_allowed = relative in RNG_ALLOWED
+
+    for name, node in _unused_imports(tree):
+        report.add(
+            "unused-import",
+            SEVERITY_ERROR,
+            f"{name!r} is imported but never used",
+            file=relative,
+            line=node.lineno,
+            column=node.col_offset + 1,
+            hint="delete the import, or list a re-export in __all__",
+        )
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:

@@ -15,7 +15,6 @@ from .integration import (
     TdfSourceModule,
 )
 from .runners import (
-    resolve_steps,
     run_de_model,
     run_eln_model,
     run_python_model,
@@ -29,6 +28,7 @@ from .sources import (
     SquareWave,
     StepSource,
 )
+from .steps import resolve_steps
 from .tdf import TdfCluster, TdfInPort, TdfModule, TdfOutPort, TdfSignal
 from .trace import Trace, TraceSet
 

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..network.circuit import Circuit
 from ..network.mna import TRAPEZOIDAL, MnaSystem
+from .steps import resolve_steps
 from .trace import Trace, TraceSet
 
 
@@ -107,10 +108,10 @@ class ElnModel:
         duration: float,
         record: list[str] | None = None,
     ) -> TraceSet:
-        """Run standalone for ``duration`` seconds, recording selected quantities."""
+        """Run standalone for ``duration`` seconds (whole steps), recording selected quantities."""
+        steps = resolve_steps(duration, self.timestep)
         record = record or list(self.system.index.unknowns)
         traces = TraceSet({name: Trace(name) for name in record})
-        steps = int(round(duration / self.timestep))
         for _ in range(steps):
             time = self.time + self.timestep
             self.step({name: stimulus(time) for name, stimulus in stimuli.items()})

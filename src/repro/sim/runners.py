@@ -13,7 +13,6 @@ from typing import Callable, Mapping
 
 from ..core.signalflow import SignalFlowModel
 from ..core.codegen.python_backend import compile_model_cached
-from ..errors import SimulationError
 from ..network.circuit import Circuit
 from .ams import ReferenceAmsSimulator
 from .de import Kernel
@@ -26,47 +25,11 @@ from .integration import (
     TdfSignalFlowModule,
     TdfSourceModule,
 )
+from .steps import resolve_steps
 from .tdf import TdfCluster
 from .trace import Trace, TraceSet
 
 Stimuli = Mapping[str, Callable[[float], float]]
-
-#: Relative slack allowed between ``duration / timestep`` and the nearest
-#: integer.  A duration built as ``n * dt`` carries only a few ulps of error
-#: (~1e-16 relative), so 1e-12 of the ratio accepts every legitimate float
-#: rounding while still flagging a half-step drop up to ~5e11 steps; the
-#: 1e-9 floor keeps short runs equally tolerant.
-STEP_COUNT_TOLERANCE = 1e-12
-STEP_COUNT_TOLERANCE_FLOOR = 1e-9
-
-
-def resolve_steps(duration: float, timestep: float) -> int:
-    """Number of fixed steps covering ``duration``, validating divisibility.
-
-    Fixed-timestep runners used to compute ``int(round(duration / dt))``,
-    which silently swallowed fractional durations (``duration=2.5*dt`` ran
-    two steps, simulating less time than asked).  This helper raises a
-    :class:`SimulationError` instead, unless ``duration`` is an integer
-    multiple of ``timestep`` within :data:`STEP_COUNT_TOLERANCE`.
-    """
-    if timestep <= 0.0:
-        raise SimulationError(f"timestep must be positive, got {timestep!r}")
-    ratio = duration / timestep
-    steps = int(round(ratio))
-    if steps <= 0:
-        raise SimulationError(
-            f"duration {duration!r} is shorter than one timestep {timestep!r}"
-        )
-    slack = max(STEP_COUNT_TOLERANCE_FLOOR, STEP_COUNT_TOLERANCE * abs(ratio))
-    if abs(ratio - steps) > slack:
-        raise SimulationError(
-            f"duration {duration!r} is not an integer multiple of the "
-            f"timestep {timestep!r} (duration/timestep = {ratio!r}); pick a "
-            f"duration of n * timestep so no simulated time is silently "
-            f"dropped"
-        )
-    return steps
-
 
 def run_python_model(
     model: "SignalFlowModel | object",
@@ -131,7 +94,6 @@ def run_tdf_model(
     """Run the generated model inside the TDF kernel (SystemC-AMS/TDF row)."""
     instance = _instantiate(model)
     dt = float(instance.TIMESTEP)
-    resolve_steps(duration, dt)
     cluster = TdfCluster("isolation")
     device = cluster.add(TdfSignalFlowModule("dut", instance))
     probes: dict[str, TdfProbeModule] = {}
@@ -154,7 +116,6 @@ def run_eln_model(
     record: list[str],
 ) -> TraceSet:
     """Run the conservative ELN solver standalone (SystemC-AMS/ELN row)."""
-    resolve_steps(duration, timestep)
     return ElnModel(circuit, timestep).run(stimuli, duration, record)
 
 
@@ -166,7 +127,6 @@ def run_reference_model(
     record: list[str],
 ) -> TraceSet:
     """Run the reference Verilog-AMS engine standalone (the golden baseline)."""
-    resolve_steps(duration, timestep)
     return ReferenceAmsSimulator(circuit, timestep).run(stimuli, duration, record)
 
 

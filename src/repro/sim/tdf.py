@@ -1,15 +1,18 @@
 """Timed Data-Flow kernel (SystemC-AMS/TDF analogue).
 
 TDF models are signal-flow blocks "scheduled statically by considering their
-producer-consumer dependencies" (paper Section II.A).  This module provides:
+producer-consumer dependencies" (paper Section II.A).  Every cluster here is
+single rate: a module reads and writes one sample per port per activation.
+This module provides:
 
-* :class:`TdfPort` / :class:`TdfSignal` — rate-annotated ports connected by
-  buffered signals (``sca_tdf::sca_in/out`` and ``sca_tdf::sca_signal``);
+* :class:`TdfInPort` / :class:`TdfOutPort` / :class:`TdfSignal` — ports
+  connected by buffered signals (``sca_tdf::sca_in/out`` and
+  ``sca_tdf::sca_signal``);
 * :class:`TdfModule` — the block base class with ``set_attributes`` /
   ``processing`` hooks;
-* :class:`TdfCluster` — computes the repetition vector from the rate balance
-  equations, derives a static schedule (producers before consumers) and
-  executes it either standalone or embedded in the discrete-event kernel.
+* :class:`TdfCluster` — derives a static module order (producers before
+  consumers) and executes it either standalone or embedded in the
+  discrete-event kernel.
 
 The per-sample buffering and the cluster bookkeeping are the "AMS interface"
 overhead that makes TDF slightly slower than the plain discrete-event
@@ -19,45 +22,34 @@ integration in the paper's Tables I-III.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import SchedulingError, SimulationError
+from .steps import resolve_steps
 
 
 class TdfSignal:
     """A buffered point-to-multipoint connection between TDF ports."""
 
-    def __init__(self, name: str = "", initial_samples: Iterable[float] = ()) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name or f"tdf_signal_{id(self):x}"
         self.writer: "TdfOutPort | None" = None
-        self.readers: list["TdfInPort"] = []
-        #: One sample queue per reader, in reader order.  The writer's port
+        #: One sample queue per reader, in binding order.  The writer's port
         #: appends to every queue and each reader's port pops its own.
         self._queues: list[deque] = []
-        self._initial = list(initial_samples)
 
-    def _attach_reader(self, port: "TdfInPort") -> deque:
-        self.readers.append(port)
-        queue = deque(self._initial)
+    def _attach_reader(self) -> deque:
+        queue: deque = deque()
         self._queues.append(queue)
         return queue
 
-    @property
-    def delay(self) -> int:
-        """Number of initial samples (the ``set_delay`` attribute of SystemC-AMS)."""
-        return len(self._initial)
-
 
 class TdfPort:
-    """Base class of TDF ports; carries the port rate."""
+    """Base class of TDF ports."""
 
-    def __init__(self, module: "TdfModule", name: str, rate: int = 1) -> None:
-        if rate < 1:
-            raise ValueError("port rate must be at least 1")
+    def __init__(self, module: "TdfModule", name: str) -> None:
         self.module = module
         self.name = f"{module.name}.{name}"
-        self.rate = rate
         self.signal: TdfSignal | None = None
 
     def bind(self, signal: TdfSignal) -> None:
@@ -73,7 +65,7 @@ class TdfInPort(TdfPort):
 
     def bind(self, signal: TdfSignal) -> None:
         self.signal = signal
-        self._queue = signal._attach_reader(self)
+        self._queue = signal._attach_reader()
 
     def read(self) -> float:
         """Consume and return the next input sample."""
@@ -115,26 +107,28 @@ class TdfModule:
     """Base class of TDF processing blocks.
 
     Subclasses create ports in their constructor, optionally override
-    :meth:`set_attributes` (to set rates or request a module timestep) and
-    implement :meth:`processing`, which is called once per activation by the
-    static schedule.
+    :meth:`set_attributes` (to request a module timestep) and implement
+    :meth:`processing`, which is called once per cluster period.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.activation_count = 0
         self.requested_timestep: float | None = None
         #: Current cluster time, set by the scheduler before each activation.
         self.time = 0.0
+        #: Every input port, in creation order; the scheduler reads their writers.
+        self._in_ports: list[TdfInPort] = []
 
     # -- construction helpers --------------------------------------------------------
-    def in_port(self, name: str, rate: int = 1) -> TdfInPort:
+    def in_port(self, name: str) -> TdfInPort:
         """Create an input port."""
-        return TdfInPort(self, name, rate)
+        port = TdfInPort(self, name)
+        self._in_ports.append(port)
+        return port
 
-    def out_port(self, name: str, rate: int = 1) -> TdfOutPort:
+    def out_port(self, name: str) -> TdfOutPort:
         """Create an output port."""
-        return TdfOutPort(self, name, rate)
+        return TdfOutPort(self, name)
 
     def set_timestep(self, timestep: float) -> None:
         """Request the module activation period (like ``set_timestep``)."""
@@ -146,25 +140,9 @@ class TdfModule:
     def set_attributes(self) -> None:
         """Attribute-setting hook, called once before scheduling."""
 
-    def initialize(self) -> None:
-        """Initialisation hook, called once after scheduling."""
-
     def processing(self) -> None:
         """Per-activation behaviour; must be overridden."""
         raise NotImplementedError
-
-    # -- introspection --------------------------------------------------------------------
-    def ports(self) -> list[TdfPort]:
-        """Every port created by the module (including ports held in containers)."""
-        found: list[TdfPort] = []
-        for value in vars(self).values():
-            if isinstance(value, TdfPort):
-                found.append(value)
-            elif isinstance(value, dict):
-                found.extend(item for item in value.values() if isinstance(item, TdfPort))
-            elif isinstance(value, (list, tuple)):
-                found.extend(item for item in value if isinstance(item, TdfPort))
-        return found
 
 
 class TdfCluster:
@@ -174,11 +152,10 @@ class TdfCluster:
         self.name = name
         self.modules: list[TdfModule] = []
         self.signals: list[TdfSignal] = []
-        self._schedule: list[tuple[TdfModule, int]] | None = None
+        self._order: list[TdfModule] | None = None
         #: The schedule as ``(module, bound processing)`` pairs.
         self._steps: list[tuple[TdfModule, Callable[[], None]]] | None = None
         self.timestep: float | None = None
-        self.period_count = 0
 
     # -- construction ----------------------------------------------------------------------
     def add(self, module: TdfModule) -> TdfModule:
@@ -186,123 +163,63 @@ class TdfCluster:
         self.modules.append(module)
         return module
 
-    def signal(self, name: str = "", initial_samples: Iterable[float] = ()) -> TdfSignal:
+    def signal(self, name: str = "") -> TdfSignal:
         """Create a signal owned by the cluster."""
-        signal = TdfSignal(name or f"{self.name}.sig{len(self.signals)}", initial_samples)
+        signal = TdfSignal(name or f"{self.name}.sig{len(self.signals)}")
         self.signals.append(signal)
         return signal
 
-    def connect(self, writer: TdfOutPort, *readers: TdfInPort, delay_samples: int = 0) -> TdfSignal:
+    def connect(self, writer: TdfOutPort, *readers: TdfInPort) -> TdfSignal:
         """Create a signal, bind ``writer`` and every reader, and return it."""
-        signal = self.signal(initial_samples=[0.0] * delay_samples)
+        signal = self.signal()
         writer.bind(signal)
         for reader in readers:
             reader.bind(signal)
         return signal
 
     # -- scheduling ---------------------------------------------------------------------------
-    def _repetition_vector(self) -> dict[TdfModule, int]:
-        """Solve the rate balance equations (SDF repetition vector)."""
-        repetitions: dict[TdfModule, Fraction] = {}
+    def schedule(self) -> list[TdfModule]:
+        """Compute (and cache) the static module order.
 
-        def propagate(module: TdfModule, value: Fraction) -> None:
-            if module in repetitions:
-                if repetitions[module] != value:
-                    raise SchedulingError(
-                        f"inconsistent port rates around module {module.name!r}"
-                    )
-                return
-            repetitions[module] = value
-            for port in module.ports():
-                signal = port.signal
-                if signal is None:
-                    continue
-                if isinstance(port, TdfOutPort):
-                    produced = value * port.rate
-                    for reader in signal.readers:
-                        propagate(reader.module, produced / reader.rate)
-                else:
-                    consumed = value * port.rate
-                    if signal.writer is not None:
-                        propagate(signal.writer.module, consumed / signal.writer.rate)
-
-        for module in self.modules:
-            if module not in repetitions:
-                propagate(module, Fraction(1))
-
-        denominators = [value.denominator for value in repetitions.values()]
-        scale = 1
-        for denominator in denominators:
-            scale = scale * denominator // _gcd(scale, denominator)
-        integral = {module: int(value * scale) for module, value in repetitions.items()}
-        divisor = 0
-        for value in integral.values():
-            divisor = _gcd(divisor, value)
-        return {module: value // max(divisor, 1) for module, value in integral.items()}
-
-    def schedule(self) -> list[tuple[TdfModule, int]]:
-        """Compute (and cache) the static schedule.
-
-        The schedule lists ``(module, activation_index)`` pairs ordered so
-        that every read finds its samples available, assuming feedback loops
-        carry enough initial (delay) samples.
+        Repeated passes over the modules in insertion order fire every module
+        whose producers have all fired, so every read finds its sample.  A
+        module that reads a signal nobody writes, or that sits on a feedback
+        loop, never fires.
         """
-        if self._schedule is not None:
-            return self._schedule
+        if self._order is not None:
+            return self._order
         for module in self.modules:
             module.set_attributes()
         self._resolve_timestep()
-        repetitions = self._repetition_vector()
 
-        # List scheduling: repeatedly fire any module whose inputs have enough
-        # samples, using a token-count simulation of one cluster period.
-        tokens: dict[tuple[int, int], int] = {}
-        for signal in self.signals:
-            for reader in signal.readers:
-                tokens[(id(signal), id(reader))] = signal.delay
-        remaining = {module: count for module, count in repetitions.items()}
-        schedule: list[tuple[TdfModule, int]] = []
+        # The producer of an unwritten signal is ``None``, which never fires.
+        producers = {
+            module: {
+                port.signal.writer.module if port.signal.writer else None
+                for port in module._in_ports
+                if port.signal is not None
+            }
+            for module in self.modules
+        }
+        order: list[TdfModule] = []
+        fired: set[TdfModule] = set()
         progress = True
-        while any(remaining.values()) and progress:
+        while progress:
             progress = False
             for module in self.modules:
-                if remaining[module] == 0:
-                    continue
-                if not self._can_fire(module, tokens):
-                    continue
-                self._fire_tokens(module, tokens)
-                schedule.append((module, repetitions[module] - remaining[module]))
-                remaining[module] -= 1
-                progress = True
-        if any(remaining.values()):
-            blocked = [module.name for module, count in remaining.items() if count]
+                if module not in fired and producers[module] <= fired:
+                    order.append(module)
+                    fired.add(module)
+                    progress = True
+        blocked = [module.name for module in self.modules if module not in fired]
+        if blocked:
             raise SchedulingError(
                 f"cannot statically schedule cluster {self.name!r}; modules "
-                f"{blocked} are blocked (feedback loop without delay samples?)"
+                f"{blocked} are blocked (feedback loop or unwritten signal?)"
             )
-        for module in self.modules:
-            module.initialize()
-        self._schedule = schedule
-        self._steps = [(module, module.processing) for module, _ in schedule]
-        return schedule
-
-    def _can_fire(self, module: TdfModule, tokens: dict) -> bool:
-        for port in module.ports():
-            if isinstance(port, TdfInPort) and port.signal is not None:
-                if tokens[(id(port.signal), id(port))] < port.rate:
-                    return False
-        return True
-
-    def _fire_tokens(self, module: TdfModule, tokens: dict) -> None:
-        for port in module.ports():
-            signal = port.signal
-            if signal is None:
-                continue
-            if isinstance(port, TdfInPort):
-                tokens[(id(signal), id(port))] -= port.rate
-            else:
-                for reader in signal.readers:
-                    tokens[(id(signal), id(reader))] += port.rate
+        self._order = order
+        self._steps = [(module, module.processing) for module in order]
+        return order
 
     def _resolve_timestep(self) -> None:
         requested = {
@@ -324,7 +241,7 @@ class TdfCluster:
 
     # -- execution ---------------------------------------------------------------------------
     def run_period(self, time: float) -> None:
-        """Execute one cluster period (every module its repetition count)."""
+        """Execute one cluster period (every module once, in schedule order)."""
         steps = self._steps
         if steps is None:
             self.schedule()
@@ -332,22 +249,14 @@ class TdfCluster:
         for module, processing in steps:
             module.time = time
             processing()
-            module.activation_count += 1
-        self.period_count += 1
 
     def run(self, duration: float, start_time: float = 0.0) -> float:
-        """Run standalone for ``duration`` seconds of cluster time."""
+        """Run standalone for ``duration`` seconds (whole periods) of cluster time."""
         self.schedule()
         assert self.timestep is not None
-        steps = int(round(duration / self.timestep))
+        steps = resolve_steps(duration, self.timestep)
         time = start_time
         for index in range(steps):
             time = start_time + (index + 1) * self.timestep
             self.run_period(time)
         return time
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

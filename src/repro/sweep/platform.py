@@ -44,7 +44,7 @@ from ..metrics.nrmse import nrmse
 from ..network.circuit import Circuit, canonical_quantity
 from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER
-from ..sim.runners import resolve_steps
+from ..sim.steps import resolve_steps
 from ..store import RunStore, fingerprint
 from ..vp.platform import (
     ABSTRACTED_STYLES,

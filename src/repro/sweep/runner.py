@@ -42,7 +42,8 @@ from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
 from ..network.circuit import Circuit
 from ..obs.tracer import TRACER
-from ..sim.runners import resolve_steps, run_reference_model
+from ..sim.runners import run_reference_model
+from ..sim.steps import resolve_steps
 from ..sim.trace import Trace
 from ..store import RunStore, fingerprint
 from .executor import CampaignExecutor, SweepError

@@ -139,6 +139,9 @@ class PlatformRunResult:
 #: faster.
 CPU_BLOCK_CYCLES = 256
 
+#: Bytes of RAM, mapped at address 0: the firmware image and its data.
+RAM_SIZE = 64 * 1024
+
 
 class _CpuBlockDriver(Module):
     """Advances the CPU one instruction *block* per kernel event.
@@ -323,7 +326,6 @@ class SmartSystemPlatform:
         cpu_clock_hz: float = 20e6,
         analog_timestep: float = 50e-9,
         firmware: str | None = None,
-        ram_size: int = 64 * 1024,
         record_analog: bool = False,
         cpu_block_cycles: int = CPU_BLOCK_CYCLES,
         cpu_superblocks: bool = True,
@@ -333,7 +335,7 @@ class SmartSystemPlatform:
         self.cpu_clock_hz = float(cpu_clock_hz)
         self.cpu_period = 1.0 / float(cpu_clock_hz)
 
-        self.memory = Memory(size=ram_size, base=0)
+        self.memory = Memory(size=RAM_SIZE, base=0)
         self.bus = ApbBus(PERIPHERAL_BASE)
         self.uart = Uart()
         self.adc = AdcBridge(record=record_analog)

@@ -24,7 +24,7 @@ defect, never a pathological input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np

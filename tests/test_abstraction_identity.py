@@ -20,8 +20,7 @@ from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE, bu
 from repro.core import AbstractionFlow
 from repro.core.codegen import PythonGenerator
 from repro.core.signalflow import Assignment, SignalFlowModel
-from repro.errors import NonLinearExpressionError
-from repro.expr import simplify, solve_affine_system, solve_linear_system
+from repro.expr import simplify, solve_affine_system
 from repro.vams import parse_module, to_circuit
 from repro.zoo import generate_netlist, render, zoo_entries
 
@@ -56,10 +55,7 @@ def full_solve_model(report) -> SignalFlowModel:
     """The model of ``report`` rebuilt by solving and simplifying every row."""
     assembled, enrichment = report.assembled, report.enrichment
     unknowns = list(assembled.order)
-    try:
-        solved = solve_affine_system(assembled.resolutions, unknowns)
-    except NonLinearExpressionError:
-        solved = solve_linear_system(assembled.resolutions, unknowns)
+    solved = solve_affine_system(assembled.resolutions, unknowns)
     assignments = [Assignment(target, simplify(solved[target])) for target in unknowns]
     states: set[str] = set()
     for assignment in assignments:

@@ -1,4 +1,4 @@
-"""Tests for the abstraction pipeline steps (acquisition, enrichment, assemble)."""
+"""Tests for the abstraction pipeline steps (acquisition, enrichment, assemble, solve)."""
 
 from __future__ import annotations
 
@@ -6,15 +6,17 @@ import pytest
 
 from repro.circuits import build_rc_filter, rc_filter_source
 from repro.core import (
+    AssembledModel,
     Assembler,
     EquationTable,
     acquire,
     enrich,
     is_unknown,
     normalise_output,
+    to_signal_flow,
 )
 from repro.errors import AbstractionError, AcquisitionError, AssembleError
-from repro.expr import Constant, Equation, Variable
+from repro.expr import Call, Constant, Equation, Variable
 
 
 class TestAcquisition:
@@ -157,3 +159,16 @@ class TestAssemble:
         enrichment = enrich(acquire(rc3_circuit), timestep)
         assembled = Assembler(enrichment).assemble(["V(out)", "V(n1)"])
         assert {"V(out)", "V(n1)"} <= set(assembled.resolutions)
+
+
+class TestSolve:
+    def test_non_affine_row_raises_abstraction_error(self, rc1_circuit, timestep):
+        """The solve is numeric: a row that is not affine in the unknowns and
+        inputs, such as ``y = sin(vin)``, fails instead of being solved
+        symbolically."""
+        enrichment = enrich(acquire(rc1_circuit), timestep)
+        assembled = AssembledModel(
+            outputs=["y"], resolutions={"y": Call("sin", (Variable("vin"),))}, order=["y"]
+        )
+        with pytest.raises(AbstractionError, match="could not solve"):
+            to_signal_flow(assembled, enrichment, "sine", timestep)

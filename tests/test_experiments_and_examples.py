@@ -77,9 +77,10 @@ class TestTable1:
         assert min(rows[1:], key=lambda row: row.simulation_time).target == "C++"
 
     def test_reference_can_be_skipped(self, prepared_rc1):
-        rows = run_table1_component(prepared_rc1, SHORT, include_reference=False)
+        rows = run_table1_component(prepared_rc1, SHORT, baseline="SC-AMS/ELN")
         assert [row.target for row in rows] == ["SC-AMS/ELN", "SC-AMS/TDF", "SC-DE", "C++"]
         assert all(row.error is None for row in rows)
+        assert rows[0].speedup == 1.0
 
 
 class TestTable1Accuracy:

@@ -1,70 +1,23 @@
-"""Tests for symbolic differentiation, discretisation and equations."""
+"""Tests for discretisation and equations."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import NonLinearExpressionError, UnsolvableEquationError
+from repro.errors import UnsolvableEquationError
 from repro.expr import (
-    BACKWARD_EULER,
     TRAPEZOIDAL,
-    BinaryOp,
-    Call,
     Constant,
     Derivative,
     Discretizer,
     Equation,
     Integral,
-    Previous,
     Variable,
-    constant_value,
-    differentiate,
     discretize,
     evaluate,
-    is_linear_in,
     previous_of,
-    simplify,
 )
 from repro.expr.equation import DIPOLE, KCL
-
-
-class TestDifferentiate:
-    def test_polynomial(self):
-        x = Variable("x")
-        derivative = differentiate(3.0 * x * x + 2.0 * x + 1.0, "x")
-        assert evaluate(derivative, {"x": 2.0}) == pytest.approx(14.0)
-
-    def test_constant_derivative_is_zero(self):
-        assert differentiate(Constant(5.0), "x") == Constant(0.0)
-        assert differentiate(Variable("y"), "x") == Constant(0.0)
-        assert differentiate(Previous("x"), "x") == Constant(0.0)
-
-    def test_quotient_rule(self):
-        x = Variable("x")
-        derivative = differentiate(Constant(1.0) / x, "x")
-        assert evaluate(derivative, {"x": 2.0}) == pytest.approx(-0.25)
-
-    def test_chain_rule_through_functions(self):
-        x = Variable("x")
-        derivative = differentiate(Call("exp", (2.0 * x,)), "x")
-        assert evaluate(derivative, {"x": 0.0}) == pytest.approx(2.0)
-        derivative = differentiate(Call("sin", (x,)), "x")
-        assert evaluate(derivative, {"x": 0.0}) == pytest.approx(1.0)
-
-    def test_variable_exponent_rejected(self):
-        x = Variable("x")
-        with pytest.raises(NonLinearExpressionError):
-            differentiate(BinaryOp("**", Constant(2.0), x), "x")
-
-    def test_ddt_of_dependent_operand_rejected(self):
-        with pytest.raises(NonLinearExpressionError):
-            differentiate(Derivative(Variable("x")), "x")
-
-    def test_is_linear_in(self):
-        x, y = Variable("x"), Variable("y")
-        assert is_linear_in(2.0 * x + y, {"x", "y"})
-        assert not is_linear_in(x * y, {"x", "y"})
-        assert not is_linear_in(Call("exp", (x,)), {"x"})
 
 
 class TestDiscretize:

@@ -19,7 +19,6 @@ from repro.expr import (
     linear_form,
     solve_affine_system,
     solve_for,
-    solve_linear_system,
 )
 
 
@@ -120,20 +119,6 @@ class TestSolveSystems:
         y_value = evaluate(solution["y"], {"u": 2.0})
         assert x_value == pytest.approx((0.5 + 2.0) / 0.75)
         assert y_value == pytest.approx((1.0 + 0.5 * 2.0) / 0.75)
-
-    def test_affine_and_symbolic_solvers_agree(self):
-        equations = {
-            "a": 0.25 * Variable("b") + 2.0 * Variable("u") + Previous("a"),
-            "b": -0.5 * Variable("a") + Constant(3.0),
-        }
-        affine = solve_affine_system(equations, ["a", "b"])
-        symbolic = solve_linear_system(equations, ["a", "b"])
-        bindings = {"u": 0.7}
-        previous = {"a": -1.2}
-        for name in ("a", "b"):
-            assert evaluate(affine[name], bindings, previous=previous) == pytest.approx(
-                evaluate(symbolic[name], bindings, previous=previous), rel=1e-9
-            )
 
     def test_singular_system_raises(self):
         equations = {"x": Variable("y"), "y": Variable("x")}

@@ -644,6 +644,33 @@ class TestSelfCheck:
             "dict-order-digest"
         )
 
+    def test_unused_import_flagged(self, tmp_path):
+        report = self.lint_text(
+            tmp_path,
+            "engine.py",
+            "import json\nimport os\nfrom typing import Mapping, Sequence\n"
+            "table: Mapping = json.loads('{}')\n",
+        )
+        found = sorted((d.line, d.message) for d in report.by_rule("unused-import"))
+        assert found == [
+            (2, "'os' is imported but never used"),
+            (3, "'Sequence' is imported but never used"),
+        ]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from .base import helper\n__all__ = ['helper']\n",
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+            "def f(x: 'np.ndarray') -> 'list[np.float64]':\n    return []\n",
+            "from __future__ import annotations\n",
+        ],
+        ids=["all", "string-annotation", "future"],
+    )
+    def test_names_read_without_a_load_are_not_flagged(self, tmp_path, source):
+        report = self.lint_text(tmp_path, "pkg/__init__.py", source)
+        assert not report.by_rule("unused-import"), to_text(report)
+
     def test_src_repro_is_clean_with_an_empty_baseline(self):
         report = lint_repo(SRC_REPRO)
         assert len(report) == 0, to_text(report)

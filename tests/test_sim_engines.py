@@ -24,6 +24,9 @@ from repro.sim import (
     SineWave,
     SquareWave,
     StepSource,
+    TdfCluster,
+    TdfProbeModule,
+    TdfSourceModule,
     Trace,
     TraceSet,
     resolve_steps,
@@ -318,6 +321,30 @@ class TestStepResolution:
         # the exact multiple still runs and yields exactly n samples
         traces = run_python_model(rc1_model, stimuli, 100 * DT)
         assert len(traces["V(out)"]) == 100
+
+    @pytest.mark.parametrize("engine", [ElnModel, ReferenceAmsSimulator])
+    def test_conservative_engine_run_rejects_fractional_duration(self, rc1_circuit, engine):
+        """Regression: ``ElnModel.run``, which the reference engine inherits,
+        rounded ``duration / timestep`` and recorded 2 samples for 2.5 steps."""
+        model = engine(rc1_circuit, DT)
+        stimuli = {"vin": SquareWave(period=40e-6)}
+        with pytest.raises(SimulationError, match="integer multiple"):
+            model.run(stimuli, 2.5 * DT, ["V(out)"])
+        assert model.step_count == 0
+        assert len(model.run(stimuli, 3 * DT, ["V(out)"])["V(out)"]) == 3
+
+    def test_tdf_cluster_run_rejects_fractional_duration(self):
+        """Regression: ``TdfCluster.run`` rounded ``duration / timestep`` and
+        ran 3 periods for 2.5."""
+        cluster = TdfCluster()
+        source = cluster.add(TdfSourceModule("src", SquareWave(period=40e-6), 1e-6))
+        probe = cluster.add(TdfProbeModule("probe"))
+        cluster.connect(source.out, probe.inp)
+        with pytest.raises(SimulationError, match="integer multiple"):
+            cluster.run(2.5e-6)
+        assert len(probe.trace) == 0
+        assert cluster.run(3e-6) == pytest.approx(3e-6)
+        assert len(probe.trace) == 3
 
     def test_every_runner_validates_the_duration(self, rc1_model, rc1_circuit):
         """All fixed-step runner entry points agree on rejecting fractional

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.sim.runners
+import repro.vp.platform
+from repro.circuits import benchmark_by_name
+from repro.core import AbstractionFlow
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Kernel, Module, PeriodicTicker, Signal, TdfCluster, TdfModule
+from repro.sim import Kernel, Module, PeriodicTicker, Signal, TdfCluster, TdfModule, run_tdf_model
 from repro.sim.de.simtime import RESOLUTION, quantize
+from repro.vp import SmartSystemPlatform
 
 
 def reference_quantize(time: float) -> float:
@@ -197,14 +202,13 @@ class _Ramp(TdfModule):
 
 
 class _Collector(TdfModule):
-    def __init__(self, name: str, rate: int = 1) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.inp = self.in_port("in", rate=rate)
+        self.inp = self.in_port("in")
         self.samples: list[float] = []
 
     def processing(self) -> None:
-        for _ in range(self.inp.rate):
-            self.samples.append(self.inp.read())
+        self.samples.append(self.inp.read())
 
 
 class TestTdfKernel:
@@ -217,19 +221,18 @@ class TestTdfKernel:
         cluster.connect(doubler.out, sink.inp)
         cluster.run(5e-6)
         assert sink.samples == [2.0, 4.0, 6.0, 8.0, 10.0]
-        assert ramp.activation_count == 5
 
-    def test_multirate_consumer(self):
+    def test_passes_fire_every_ready_module_in_insertion_order(self):
+        """Added as [B reads A, A, C reads A], the cluster fires A, C, B: the
+        first pass fires A and then C, which follows it; the second fires B."""
         cluster = TdfCluster()
-        ramp = cluster.add(_Ramp("ramp"))
-        sink = cluster.add(_Collector("sink", rate=2))
-        cluster.connect(ramp.out, sink.inp)
-        schedule = cluster.schedule()
-        fired = [module.name for module, _ in schedule]
-        assert fired.count("ramp") == 2
-        assert fired.count("sink") == 1
-        cluster.run(4e-6)
-        assert sink.samples == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        late = cluster.add(_Collector("b"))
+        ramp = cluster.add(_Ramp("a"))
+        early = cluster.add(_Collector("c"))
+        cluster.connect(ramp.out, late.inp, early.inp)
+        assert [module.name for module in cluster.schedule()] == ["a", "c", "b"]
+        cluster.run(3e-6)
+        assert late.samples == early.samples == [1.0, 2.0, 3.0]
 
     def test_feedback_without_delay_is_rejected(self):
         cluster = TdfCluster()
@@ -241,14 +244,23 @@ class TestTdfKernel:
         with pytest.raises(SchedulingError):
             cluster.schedule()
 
-    def test_feedback_with_delay_schedules(self):
+    def test_conflicting_module_timesteps_are_rejected(self):
         cluster = TdfCluster()
-        first = cluster.add(_Doubler("a"))
-        second = cluster.add(_Doubler("b"))
-        cluster.connect(first.out, second.inp)
-        cluster.connect(second.out, first.inp, delay_samples=1)
+        ramp = cluster.add(_Ramp("ramp"))
+        slow = cluster.add(_Ramp("slow"))
+        slow.set_attributes = lambda: slow.set_timestep(2e-6)
+        sink = cluster.add(_Collector("sink"))
+        cluster.connect(ramp.out, sink.inp)
+        with pytest.raises(SchedulingError, match="conflicting module timesteps"):
+            cluster.schedule()
+
+    def test_reader_of_an_unwritten_signal_is_rejected(self):
+        cluster = TdfCluster()
+        sink = cluster.add(_Collector("sink"))
+        sink.inp.bind(cluster.signal())
         cluster.timestep = 1e-6
-        assert len(cluster.schedule()) == 2
+        with pytest.raises(SchedulingError, match="sink"):
+            cluster.schedule()
 
     def test_missing_timestep_is_rejected(self):
         cluster = TdfCluster()
@@ -275,7 +287,39 @@ class TestTdfKernel:
         with pytest.raises(SimulationError):
             second.out.bind(signal)
 
-    def test_invalid_rate_rejected(self):
-        module = _Doubler("d")
-        with pytest.raises(ValueError):
-            module.in_port("x", rate=0)
+
+class TestTdfClusterOrder:
+    """The 2IN model's cluster runs both sources in insertion order, then the
+    model, then the probe or ADC sink, though the model is added first."""
+
+    @pytest.fixture
+    def two_input(self):
+        benchmark = benchmark_by_name("2IN")
+        model = AbstractionFlow(50e-9).abstract(benchmark.circuit(), benchmark.output).model
+        return model, benchmark.stimuli
+
+    @pytest.fixture
+    def clusters(self, monkeypatch) -> list[TdfCluster]:
+        built: list[TdfCluster] = []
+
+        class RecordingCluster(TdfCluster):
+            def __init__(self, name: str) -> None:
+                super().__init__(name)
+                built.append(self)
+
+        monkeypatch.setattr(repro.sim.runners, "TdfCluster", RecordingCluster)
+        monkeypatch.setattr(repro.vp.platform, "TdfCluster", RecordingCluster)
+        return built
+
+    def test_isolation_runner(self, two_input, clusters):
+        model, stimuli = two_input
+        run_tdf_model(model, stimuli, 4 * 50e-9)
+        (cluster,) = clusters
+        assert [module.name for module in cluster.modules] == ["dut", "src_in1", "src_in2", "V(out)"]
+        assert [module.name for module in cluster.schedule()] == ["src_in1", "src_in2", "dut", "V(out)"]
+
+    def test_platform(self, two_input, clusters):
+        model, stimuli = two_input
+        SmartSystemPlatform().attach_analog_tdf(model, stimuli)
+        (cluster,) = clusters
+        assert [module.name for module in cluster.schedule()] == ["src_in1", "src_in2", "dut", "adc_sink"]
