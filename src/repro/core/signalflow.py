@@ -169,9 +169,16 @@ class SignalFlowModel:
         duration: float,
         record: list[str] | None = None,
     ) -> "SignalFlowTrace":
-        """Run the model standalone (interpreted) and record waveforms."""
+        """Run the model standalone (interpreted) and record waveforms.
+
+        A ``duration`` that is not a whole number of timesteps raises a
+        :class:`~repro.errors.SimulationError`.
+        """
+        # repro.sim imports this module, so import its leaf at call time.
+        from ..sim.steps import resolve_steps
+
         record = record or list(self.outputs)
-        steps = int(round(duration / self.timestep))
+        steps = resolve_steps(duration, self.timestep)
         times = np.arange(1, steps + 1) * self.timestep
         traces = {name: np.zeros(steps) for name in record}
         state = self.create_state()

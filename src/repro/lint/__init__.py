@@ -5,9 +5,9 @@ Three layers share one diagnostic model (:class:`Diagnostic`):
 * **Layer 1 — netlist semantic lint** (:mod:`repro.lint.netlist_rules`):
   topology and value checks over Verilog-AMS modules, generated zoo
   netlists and typed circuits, *before* the solver sees them.
-* **Layer 2 — codegen artifact verification**
-  (:mod:`repro.lint.artifact_rules`): contract checks over the signal-flow
-  IR and the emitted python/numpy and native-C sources, *before* they run.
+* **Layer 2 — signal-flow IR checks** (:mod:`repro.lint.artifact_rules`):
+  contract checks over the abstracted model every backend consumes,
+  *before* it runs.
 * **Layer 3 — determinism self-lint** (:mod:`repro.lint.selfcheck`): a
   Python AST walker over ``src/repro`` itself flagging reproducibility
   hazards (unseeded RNGs, wall clocks in key paths, non-atomic writes,
@@ -16,12 +16,7 @@ Three layers share one diagnostic model (:class:`Diagnostic`):
 The ``repro-lint`` command line front-end lives in :mod:`repro.lint.cli`.
 """
 
-from .artifact_rules import (
-    lint_artifact,
-    lint_c_source,
-    lint_model,
-    lint_python_source,
-)
+from .artifact_rules import lint_model
 from .baseline import baseline_keys, load_baseline, write_baseline
 from .diagnostics import (
     SEVERITIES,
@@ -46,14 +41,11 @@ __all__ = [
     "SEVERITY_WARNING",
     "baseline_keys",
     "from_json",
-    "lint_artifact",
-    "lint_c_source",
     "lint_circuit",
     "lint_model",
     "lint_module",
     "lint_netlist",
     "lint_python_file",
-    "lint_python_source",
     "lint_repo",
     "lint_source",
     "load_baseline",

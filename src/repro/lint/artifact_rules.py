@@ -1,11 +1,11 @@
-"""Layer 2: the codegen artifact verifier.
+"""Layer 2: the signal-flow IR checks.
 
-Static contract checks over what the abstraction pipeline *produces* —
-the :class:`~repro.core.signalflow.SignalFlowModel` IR, the emitted
-python/numpy batch sources and the native-C translation unit — run before
-any of it executes.  The fuzz oracle runs these as a pre-execution stage
-(:mod:`repro.zoo.oracle`), and the sweep/fault runners can enable them as
-a strict gate.
+Static contract checks over the :class:`~repro.core.signalflow.SignalFlowModel`
+IR the abstraction pipeline produces, run before any backend executes it.
+The fuzz oracle runs them as a pre-execution stage (:mod:`repro.zoo.oracle`),
+and the sweep runner can enable them as a strict gate
+(``SweepRunner(lint=True)``).  Every backend's generated source is pinned
+by ``tests/corpus/target_outcomes.json`` instead.
 
 Rules:
 
@@ -14,29 +14,18 @@ Rules:
   contract, reported as diagnostics instead of raised;
 * ``ir-duplicate-target`` — the same quantity assigned twice in one step;
 * ``ir-nonfinite-constant`` / ``ir-nonpositive-timestep`` — NaN/Inf
-  literals baked into the model, or a timestep the integrators cannot use;
-* ``py-syntax-error`` / ``py-nonfinite-literal`` /
-  ``py-state-write-before-read`` — generated python/numpy sources;
-* ``c-undefined-identifier`` / ``c-nonfinite-literal`` — the generated C
-  translation unit (identifier closure against its own declarations and
-  the ``math.h`` surface);
-* ``artifact-shape-mismatch`` / ``artifact-nonfinite-data`` — per-scenario
-  parameter and state arrays of a batch artifact.
+  literals baked into the model, or a timestep the integrators cannot use.
 """
 
 from __future__ import annotations
 
-import ast as python_ast
 import math
-import re
 
 from ..core.signalflow import TIME_VARIABLE, SignalFlowModel
 from ..expr.ast import Constant
-from .diagnostics import SEVERITY_ERROR, SEVERITY_WARNING, LintReport
+from .diagnostics import SEVERITY_ERROR, LintReport
 
-# ---------------------------------------------------------------------------
-# SignalFlowModel IR
-# ---------------------------------------------------------------------------
+
 def lint_model(model: SignalFlowModel, file: str = "<model>") -> LintReport:
     """Contract checks over a signal-flow model, as diagnostics."""
     report = LintReport()
@@ -108,224 +97,4 @@ def lint_model(model: SignalFlowModel, file: str = "<model>") -> LintReport:
             f"timestep {model.timestep!r} is unusable for discretisation",
             file=file,
         )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Generated python/numpy sources
-# ---------------------------------------------------------------------------
-_NONFINITE_NAMES = ("nan", "inf", "NAN", "INFINITY", "NaN", "Inf")
-
-
-def lint_python_source(code: str, file: str = "<generated.py>") -> LintReport:
-    """Static checks over an emitted python/numpy batch kernel."""
-    report = LintReport()
-    try:
-        tree = python_ast.parse(code)
-    except SyntaxError as error:
-        report.add(
-            "py-syntax-error",
-            SEVERITY_ERROR,
-            f"generated python does not parse: {error.msg}",
-            file=file,
-            line=error.lineno or 0,
-            column=(error.offset or 1),
-        )
-        return report
-
-    for node in python_ast.walk(tree):
-        if isinstance(node, python_ast.Constant) and isinstance(node.value, float):
-            if not math.isfinite(node.value):
-                report.add(
-                    "py-nonfinite-literal",
-                    SEVERITY_ERROR,
-                    f"non-finite literal {node.value!r} in generated python",
-                    file=file,
-                    line=node.lineno,
-                    column=node.col_offset + 1,
-                )
-        if isinstance(node, python_ast.Call):
-            func = node.func
-            if (
-                isinstance(func, python_ast.Name)
-                and func.id == "float"
-                and node.args
-                and isinstance(node.args[0], python_ast.Constant)
-                and str(node.args[0].value).strip().lower() in ("nan", "inf", "-inf")
-            ):
-                report.add(
-                    "py-nonfinite-literal",
-                    SEVERITY_ERROR,
-                    f"non-finite literal float({node.args[0].value!r}) in "
-                    "generated python",
-                    file=file,
-                    line=node.lineno,
-                    column=node.col_offset + 1,
-                )
-
-    # State contract: inside every method, each ``self._prev_*`` slot must be
-    # read before it is overwritten — writing first would silently discard
-    # the previous-timestep value the discretisation depends on.
-    for function in python_ast.walk(tree):
-        if not isinstance(function, (python_ast.FunctionDef, python_ast.AsyncFunctionDef)):
-            continue
-        if function.name in ("__init__", "reset"):
-            continue  # initializers legitimately seed the state slots
-        accesses: list[tuple[int, int, str, bool]] = []
-        for node in python_ast.walk(function):
-            if (
-                isinstance(node, python_ast.Attribute)
-                and isinstance(node.value, python_ast.Name)
-                and node.value.id == "self"
-                and node.attr.startswith("_prev_")
-            ):
-                is_store = isinstance(node.ctx, python_ast.Store)
-                accesses.append((node.lineno, node.col_offset, node.attr, is_store))
-        first: dict[str, bool] = {}
-        for lineno, col, attr, is_store in sorted(accesses):
-            if attr not in first:
-                first[attr] = is_store
-                if is_store:
-                    report.add(
-                        "py-state-write-before-read",
-                        SEVERITY_ERROR,
-                        f"state slot {attr!r} is written before it is read in "
-                        f"{function.name}(); the previous-timestep value is lost",
-                        file=file,
-                        line=lineno,
-                        column=col + 1,
-                    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Generated C translation unit
-# ---------------------------------------------------------------------------
-_C_KEYWORDS = frozenset(
-    "void int const double float char long short unsigned signed for if else "
-    "while do return static inline extern struct union enum sizeof typedef "
-    "break continue switch case default goto volatile register restrict".split()
-)
-
-#: The math.h surface the code generator may call.
-_C_MATH = frozenset(
-    "sin cos tan asin acos atan atan2 sinh cosh tanh exp log log10 log2 sqrt "
-    "fabs fmin fmax pow floor ceil fmod copysign expm1 log1p cbrt hypot".split()
-)
-
-_C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_C_DECLARATION = re.compile(
-    r"\b(?:const\s+)?(?:double|int|float|long|unsigned)\s*\*?\s*([A-Za-z_][A-Za-z0-9_]*)"
-)
-
-
-def _strip_c_noise(code: str) -> str:
-    """Remove comments, string literals and preprocessor lines."""
-    code = re.sub(r"/\*.*?\*/", " ", code, flags=re.DOTALL)
-    code = re.sub(r"//[^\n]*", " ", code)
-    code = re.sub(r'"(?:\\.|[^"\\])*"', " ", code)
-    lines = [
-        line for line in code.splitlines() if not line.lstrip().startswith("#")
-    ]
-    return "\n".join(lines)
-
-
-def lint_c_source(code: str, file: str = "<generated.c>") -> LintReport:
-    """Identifier closure and literal checks over a generated C translation unit."""
-    report = LintReport()
-    body = _strip_c_noise(code)
-
-    declared: set[str] = set(_C_DECLARATION.findall(body))
-    # Function definitions declare their own name.
-    declared.update(
-        match.group(1)
-        for match in re.finditer(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\([^;]*\)\s*\{", body)
-    )
-
-    for lineno, line in enumerate(body.splitlines(), start=1):
-        for match in _C_IDENTIFIER.finditer(line):
-            name = match.group(0)
-            if name in _NONFINITE_NAMES:
-                report.add(
-                    "c-nonfinite-literal",
-                    SEVERITY_ERROR,
-                    f"non-finite literal {name!r} in the generated C source",
-                    file=file,
-                    line=lineno,
-                    column=match.start() + 1,
-                )
-                continue
-            if name in _C_KEYWORDS or name in _C_MATH or name in declared:
-                continue
-            report.add(
-                "c-undefined-identifier",
-                SEVERITY_ERROR,
-                f"identifier {name!r} is used but never declared in the "
-                "translation unit",
-                file=file,
-                line=lineno,
-                column=match.start() + 1,
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Batch artifacts (code + per-scenario arrays)
-# ---------------------------------------------------------------------------
-def lint_artifact(artifact, file: str = "<artifact>") -> LintReport:
-    """Shape and finiteness checks over a compiled batch artifact.
-
-    Works for both the numpy :class:`BatchArtifact` and the native
-    :class:`NativeArtifact` (same field contract); the python source of the
-    artifact is linted too.
-    """
-    import numpy as np
-
-    report = LintReport()
-    n_scenarios = int(artifact.n_scenarios)
-    parameters = np.asarray(artifact.parameters)
-    initial_state = np.asarray(artifact.initial_state)
-    if parameters.ndim != 2 or parameters.shape[1] != n_scenarios:
-        report.add(
-            "artifact-shape-mismatch",
-            SEVERITY_ERROR,
-            f"parameter array has shape {parameters.shape}, expected "
-            f"(n_parameters, {n_scenarios})",
-            file=file,
-        )
-    if initial_state.ndim != 2 or initial_state.shape[1] != n_scenarios:
-        report.add(
-            "artifact-shape-mismatch",
-            SEVERITY_ERROR,
-            f"initial-state array has shape {initial_state.shape}, expected "
-            f"(n_states, {n_scenarios})",
-            file=file,
-        )
-    if parameters.size and not np.isfinite(parameters).all():
-        report.add(
-            "artifact-nonfinite-data",
-            SEVERITY_ERROR,
-            "parameter array contains non-finite values",
-            file=file,
-        )
-    if initial_state.size and not np.isfinite(initial_state).all():
-        report.add(
-            "artifact-nonfinite-data",
-            SEVERITY_ERROR,
-            "initial-state array contains non-finite values",
-            file=file,
-        )
-    code = getattr(artifact, "code", None)
-    if isinstance(code, str):
-        report.extend(lint_python_source(code, file=file))
-    if parameters.ndim == 2 and parameters.shape[1] == n_scenarios:
-        n_parameters = getattr(artifact, "n_parameters", None)
-        if n_parameters is not None and parameters.shape[0] != n_parameters:
-            report.add(
-                "artifact-shape-mismatch",
-                SEVERITY_WARNING,
-                f"parameter array has {parameters.shape[0]} rows but the "
-                f"artifact declares {n_parameters} parameters",
-                file=file,
-            )
     return report

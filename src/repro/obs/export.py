@@ -1,14 +1,17 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON and flat JSONL.
+"""The one telemetry file format: Chrome/Perfetto ``trace_event`` JSON.
 
-The Chrome exporter emits the JSON object format — ``{"traceEvents": [...]}``
-— with complete (``"X"``) spans, instant (``"i"``) events and one final
-``"C"`` counter sample per merged counter, timestamps rebased to the
-earliest event and expressed in microseconds as the format requires.  The
-output loads directly in ``chrome://tracing`` and https://ui.perfetto.dev.
+The exporter emits the JSON object format — ``{"traceEvents": [...]}`` —
+with complete (``"X"``) spans and one final ``"C"`` counter sample per
+merged counter, timestamps rebased to the earliest event and expressed in
+microseconds as the format requires.  The output loads directly in
+``chrome://tracing`` and https://ui.perfetto.dev.
 
-:func:`validate_trace_events` is the schema check the CI smoke job and the
-``repro-trace`` CLI run over exported files: it returns a list of problems
-(empty == valid) instead of raising, so callers can render all of them.
+:func:`report_from_trace` is the one reader: ``repro-trace`` and
+``repro-report --telemetry`` both rebuild a
+:class:`~repro.obs.telemetry.TelemetryReport` through it.
+:func:`validate_trace_events` is the schema check they run first: it
+returns a list of problems (empty == valid) instead of raising, so callers
+can render all of them.
 """
 
 from __future__ import annotations
@@ -54,12 +57,8 @@ def to_trace_events(report: TelemetryReport) -> dict:
             "pid": event["pid"],
             "tid": event["pid"],
         }
-        if event["ph"] == "X":
-            entry["dur"] = round(1e6 * event["dur"], 3)
-            last_us = max(last_us, ts_us + entry["dur"])
-        else:
-            entry["s"] = "p"
-            last_us = max(last_us, ts_us)
+        entry["dur"] = round(1e6 * event["dur"], 3)
+        last_us = max(last_us, ts_us + entry["dur"])
         if event["args"]:
             entry["args"] = dict(event["args"])
         trace_events.append(entry)
@@ -89,26 +88,6 @@ def write_trace_json(path: "str | Path", report: TelemetryReport) -> Path:
     return path
 
 
-def to_jsonl(report: TelemetryReport) -> str:
-    """Flat JSONL: one summary line, then one line per counter and event."""
-    lines = [json.dumps({"kind": "summary", **report.summary()})]
-    for name in sorted(report.counters):
-        lines.append(
-            json.dumps({"kind": "counter", "name": name, "value": report.counters[name]})
-        )
-    for event in report.events:
-        lines.append(json.dumps({"kind": "event", **event}))
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(path: "str | Path", report: TelemetryReport) -> Path:
-    """Write the flat JSONL dump; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_jsonl(report), encoding="utf-8")
-    return path
-
-
 # -- re-import -------------------------------------------------------------------------
 def report_from_trace(payload: object) -> TelemetryReport:
     """Rebuild a :class:`TelemetryReport` from an exported trace payload.
@@ -117,9 +96,12 @@ def report_from_trace(payload: object) -> TelemetryReport:
     event timestamps come back rebased (relative seconds), per-scenario
     latencies are gone (only their percentiles were exported, inside the
     summary), and the headline numbers are recovered from the
-    ``metadata.repro`` summary block when present.  This is what lets
-    ``repro-report`` render a span timeline from a trace *file* long after
-    the campaign process is gone.
+    ``metadata.repro`` summary block when present.  Complete (``X``) spans
+    become events and the last ``C`` sample of each counter its value;
+    every other phase, and any span or sample whose numbers are not
+    numbers, is skipped.  This is what lets ``repro-trace`` and
+    ``repro-report`` read a trace *file* long after the campaign process is
+    gone.
     """
     events: list = []
     metadata: dict = {}
@@ -136,28 +118,30 @@ def report_from_trace(payload: object) -> TelemetryReport:
         if not isinstance(event, dict):
             continue
         phase = event.get("ph")
+        args = event.get("args") if isinstance(event.get("args"), dict) else None
         if phase == "C":
-            for name, value in (event.get("args") or {}).items():
-                counters[name] = float(value)
+            for name, value in (args or {}).items():
+                if isinstance(value, (int, float)):
+                    counters[name] = float(value)
             continue
-        if phase not in ("X", "i", "I"):
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
+        ts, dur = event.get("ts"), event.get("dur")
+        if phase != "X" or not (
+            isinstance(ts, (int, float)) and isinstance(dur, (int, float))
+        ):
             continue
         normalized.append(
             {
-                "ph": "i" if phase == "I" else phase,
+                "ph": phase,
                 "name": str(event.get("name", "")),
                 "cat": str(event.get("cat", "")),
                 "ts": float(ts) / 1e6,
-                "dur": float(event.get("dur", 0.0)) / 1e6,
-                "args": event.get("args") if isinstance(event.get("args"), dict) else None,
+                "dur": float(dur) / 1e6,
+                "args": args,
                 "pid": int(event["pid"]) if isinstance(event.get("pid"), int) else 0,
             }
         )
     normalized.sort(key=lambda event: event["ts"])
-    report = TelemetryReport(
+    return TelemetryReport(
         engine=str(metadata.get("engine", "trace")),
         scenarios=int(metadata.get("scenarios", 0)),
         executed=int(metadata.get("executed", 0)),
@@ -167,47 +151,6 @@ def report_from_trace(payload: object) -> TelemetryReport:
         counters=counters,
         events=normalized,
         dropped=int(metadata.get("dropped_events", 0)),
-    )
-    return report
-
-
-def report_from_jsonl(text: str) -> TelemetryReport:
-    """Rebuild a :class:`TelemetryReport` from a :func:`to_jsonl` dump."""
-    summary: dict = {}
-    counters: dict[str, float] = {}
-    events: list[dict] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        entry = json.loads(line)
-        kind = entry.get("kind")
-        if kind == "summary":
-            summary = entry
-        elif kind == "counter":
-            counters[str(entry["name"])] = float(entry["value"])
-        elif kind == "event":
-            events.append(
-                {
-                    "ph": entry.get("ph", "i"),
-                    "name": str(entry.get("name", "")),
-                    "cat": str(entry.get("cat", "")),
-                    "ts": float(entry.get("ts", 0.0)),
-                    "dur": float(entry.get("dur", 0.0)),
-                    "args": entry.get("args"),
-                    "pid": int(entry.get("pid", 0)),
-                }
-            )
-    events.sort(key=lambda event: event["ts"])
-    return TelemetryReport(
-        engine=str(summary.get("engine", "trace")),
-        scenarios=int(summary.get("scenarios", 0)),
-        executed=int(summary.get("executed", 0)),
-        loaded=int(summary.get("loaded", 0)),
-        wall=float(summary.get("wall_seconds", 0.0)),
-        workers=int(summary.get("workers", 1)),
-        counters=counters,
-        events=events,
-        dropped=int(summary.get("dropped_events", 0)),
     )
 
 
@@ -255,14 +198,3 @@ def validate_trace_events(payload: object) -> list[str]:
         if "args" in event and event["args"] is not None and not isinstance(event["args"], dict):
             problems.append(f"{where}: 'args' must be an object")
     return problems
-
-
-def counters_from_trace(payload: dict) -> dict[str, float]:
-    """Recover the final counter values from an exported trace payload."""
-    counters: dict[str, float] = {}
-    events = payload.get("traceEvents", payload) if isinstance(payload, dict) else payload
-    for event in events:
-        if isinstance(event, dict) and event.get("ph") == "C":
-            for name, value in (event.get("args") or {}).items():
-                counters[name] = float(value)
-    return counters

@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 
-#: Event phase keys, matching the Chrome ``trace_event`` phases the
-#: exporters emit: complete spans and instants.
+#: The event phase key: every recorded event is a Chrome ``trace_event``
+#: complete span.
 PHASE_COMPLETE = "X"
-PHASE_INSTANT = "i"
 
 #: Default cap on buffered events per process.
 DEFAULT_MAX_EVENTS = 200_000
@@ -103,44 +101,12 @@ class Tracer:
             (PHASE_COMPLETE, name, category, start, _perf_counter() - start, args or None)
         )
 
-    def instant(self, name: str, category: str = "", **args) -> None:
-        """Record an instantaneous event."""
-        if not self.enabled:
-            return
-        self._append((PHASE_INSTANT, name, category, _perf_counter(), 0.0, args or None))
-
     def add(self, name: str, value: float = 1.0) -> None:
         """Accumulate ``value`` onto the named counter."""
         if not self.enabled:
             return
         counters = self.counters
         counters[name] = counters.get(name, 0.0) + value
-
-    @contextmanager
-    def span(self, name: str, category: str = "", **args):
-        """Context manager recording a complete span around its body.
-
-        Convenience for cold paths; hot paths should guard with
-        ``if tracer.enabled:`` and use :meth:`end`/:meth:`complete` so the
-        disabled case never pays the generator machinery.
-        """
-        if not self.enabled:
-            yield
-            return
-        start = _perf_counter()
-        try:
-            yield
-        finally:
-            self._append(
-                (
-                    PHASE_COMPLETE,
-                    name,
-                    category,
-                    start,
-                    _perf_counter() - start,
-                    args or None,
-                )
-            )
 
     # -- collection --------------------------------------------------------------------
     def mark(self) -> tuple[int, dict[str, float], int]:

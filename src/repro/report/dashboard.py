@@ -5,8 +5,8 @@ page embeds **everything** — styles, charts, data — inline.  No external
 stylesheets, scripts, fonts, images or network requests of any kind, so
 the file opens from disk, attaches to a ticket, and uploads as a CI
 artifact without dragging a CDN along.  :func:`self_contained_problems`
-is the machine check (used by the tests, the ``repro-report --smoke``
-path and the CI job): it scans the rendered page for any ``http(s)://``
+is the machine check (used by the tests, ``repro-report --check`` and
+the CI job): it scans the rendered page for any ``http(s)://``
 reference or external-asset element and returns the violations.
 
 Light and dark theming both ship in the one ``<style>`` block (the dark

@@ -10,8 +10,9 @@ lives here, once:
   key once (only when a store is configured) and, with ``resume``, loads
   and decodes the committed jobs before anything fans out;
 * fan-out: :func:`map_scenario_chunks` spreads even contiguous chunks of the
-  *pending* jobs over a ``multiprocessing`` pool, or they run serially with
-  identical outcomes; a run with nothing pending starts no pool;
+  *pending* jobs over a process pool, or they run serially with identical
+  outcomes; a run with nothing pending starts no pool, and a worker process
+  that dies fails the run instead of hanging it;
 * the per-job protocol, in the process that owns the chunk: execute →
   commit → telemetry.  Every fresh outcome is committed under the key the
   coordinator derived the moment the engine yields it, so a killed chunk
@@ -73,15 +74,18 @@ def map_scenario_chunks(
 
     Payload picklability is probed *before* submission (``pickle.dumps`` of
     the exact task list), so an unpicklable recipe is a clean serial
-    fallback while any exception raised by ``pool.map`` itself is a genuine
-    worker error (bad factory arguments, abstraction failures, a simulated
+    fallback while any exception raised by a chunk is a genuine worker
+    error (bad factory arguments, abstraction failures, a simulated
     campaign interruption...) and propagates unchanged — a worker error
     that merely *mentions* pickling in its message must not be misrouted
-    into a silent serial retry.
+    into a silent serial retry.  A worker process that dies instead of
+    returning (killed, or exiting without a result) fails the run with a
+    :class:`SweepError` rather than leaving the caller waiting for it.
     """
     import multiprocessing
     import pickle
     import warnings
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     workers = min(workers, len(scenarios))
     bounds = np.linspace(0, len(scenarios), workers + 1).astype(int)
@@ -104,7 +108,7 @@ def map_scenario_chunks(
         # Unpicklable objects raise PicklingError (lambdas), AttributeError
         # (local functions) or TypeError (unpicklable C objects).  One extra
         # serialization pass on startup buys deterministic error routing —
-        # any exception out of pool.map below is then a *worker* error.
+        # any exception out of a chunk below is then a *worker* error.
         pickle.Pickler(_NullSink()).dump(payloads)
     except (pickle.PicklingError, AttributeError, TypeError) as error:
         warnings.warn(
@@ -113,14 +117,19 @@ def map_scenario_chunks(
             stacklevel=3,
         )
         return None
+    pool = None
     try:
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        pool = context.Pool(processes=len(chunks))
+        pool = ProcessPoolExecutor(max_workers=len(chunks), mp_context=context)
+        # The first submission starts the worker processes.
+        futures = [pool.submit(worker, payload) for payload in payloads]
     except (OSError, ValueError, AttributeError, ImportError) as error:
         # The *pool* could not be built (no fork, fd limits...): fall back.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         warnings.warn(
             f"sweep falling back to serial execution ({error})",
             RuntimeWarning,
@@ -129,10 +138,16 @@ def map_scenario_chunks(
         return None
     with pool:
         results = []
-        # imap preserves submission order while letting the parent observe
-        # each chunk as it lands — exactly what the progress line needs.
-        for chunk, result in zip(chunks, pool.imap(worker, payloads)):
-            results.append(result)
+        # Waiting in submission order keeps the results in scenario order
+        # while letting the parent observe each chunk as it lands — exactly
+        # what the progress line needs.
+        for chunk, future in zip(chunks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as error:
+                raise SweepError(
+                    f"a sweep worker process died before returning its chunk: {error}"
+                ) from error
             if progress is not None:
                 progress(len(chunk))
         return results

@@ -356,9 +356,10 @@ class SweepRunner:
         Render a live throttled progress line on stderr.  ``None`` (the
         default) shows it only when stderr is a terminal.
     lint:
-        Strict static-analysis gate: run the codegen artifact verifier
-        (:mod:`repro.lint`) over every abstracted model before simulating
-        and raise :class:`~repro.lint.LintError` on any error diagnostic.
+        Strict static-analysis gate: run the signal-flow IR checks
+        (:func:`repro.lint.lint_model`) over every abstracted model before
+        simulating and raise :class:`~repro.lint.LintError` on any error
+        diagnostic.
     """
 
     def __init__(

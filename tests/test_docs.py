@@ -1,12 +1,20 @@
-"""Documentation names only what exists: repository paths and stated defaults.
+"""Documentation names only what exists: repository paths, CLI flags and
+stated defaults.
 
 Every repository path a document cites (``src/...``, ``docs/...``,
 ``benchmarks/...``, a root ``README.md`` and so on) must be in the tree, and
-a glob such as ``tests/corpus/*.va`` must match at least one file.
+a glob such as ``tests/corpus/*.va`` must match at least one file.  Every
+flag a document, CI step or skill passes to a console script
+(``repro-trace trace.json --validate``, ``python -m repro.obs.cli ...``)
+must be one that script's ``--help`` lists.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
+import io
 import re
 from pathlib import Path
 
@@ -51,6 +59,86 @@ def test_cited_repository_paths_exist(document):
         if not (any(ROOT.glob(path)) if "*" in path else (ROOT / path).exists())
     ]
     assert not missing, f"{document} cites paths that do not exist: {missing}"
+
+
+# -- CLI flags ---------------------------------------------------------------------------
+FLAG_DOCUMENT_GLOBS = ("README.md", "docs/*.md", ".github/workflows/*.yml", ".claude/skills/*/SKILL.md")
+FLAG_DOCUMENTS = sorted(
+    {path.relative_to(ROOT).as_posix() for pattern in FLAG_DOCUMENT_GLOBS for path in ROOT.glob(pattern)}
+)
+
+#: Console script -> ``module:function``, as ``pyproject.toml`` declares them.
+SCRIPTS = dict(
+    re.findall(r'^(repro-[\w-]+)\s*=\s*"([\w.]+:\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+)
+MODULE_TOOLS = {target.partition(":")[0]: script for script, target in SCRIPTS.items()}
+
+# A tool invocation (``repro-trace`` or ``python -m repro.obs.cli``) and its
+# arguments, up to the end of the command: a closing backtick, a comment, a
+# pipe, a list separator, a parenthesis, the next tool name or the end of
+# the line.
+INVOCATION = re.compile(
+    r"(?<![\w./-])(?:(repro-[a-z]+)|python3? -m (repro(?:\.\w+)+))(?![\w-])((?:(?!repro-[a-z])[^`#|;()\n])*)"
+)
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+@functools.cache
+def help_options(script: str) -> frozenset[str]:
+    """The ``--`` option strings in the options section of ``script --help``."""
+    module_name, _, attribute = SCRIPTS[script].partition(":")
+    main = getattr(importlib.import_module(module_name), attribute)
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream), pytest.raises(SystemExit):
+        main(["--help"])
+    section = re.search(r"^(?:options|optional arguments):\n(.*?)(?=^\S|\Z)", stream.getvalue(), re.M | re.S)
+    assert section is not None, f"{script} --help has no options section"
+    options: set[str] = set()
+    for line in section.group(1).splitlines():
+        if line.strip().startswith("-"):
+            invocation = re.split(r"\s{2,}", line.strip(), maxsplit=1)[0]
+            options.update(FLAG.findall(invocation))
+    return frozenset(options)
+
+
+def cited_flags(text: str) -> list[tuple[str, str, str]]:
+    """``(script, flag, command)`` for every flag passed to a console script,
+    with backslash-continued lines joined into one command."""
+    text = re.sub(r"\\\n[ \t]*", " ", text)
+    cited = []
+    for match in INVOCATION.finditer(text):
+        script = match.group(1) or MODULE_TOOLS.get(match.group(2))
+        if script not in SCRIPTS:
+            continue
+        command = match.group(0).strip()
+        cited.extend((script, flag, command) for flag in FLAG.findall(match.group(3)))
+    return cited
+
+
+def test_cited_flags_joins_continued_lines_and_ends_at_the_command():
+    text = (
+        "PYTHONPATH=src python -m repro.obs.cli trace.json --validate \\\n"
+        "    --expect-counter a=1 | tee log  # --not-a-flag\n"
+        "run `repro-report --telemetry t.json` with `--out`; python -m pytest --lf\n"
+        "repro-report reads repro-trace --quiet\n"
+    )
+    assert [(script, flag) for script, flag, _ in cited_flags(text)] == [
+        ("repro-trace", "--validate"),
+        ("repro-trace", "--expect-counter"),
+        ("repro-report", "--telemetry"),
+        ("repro-trace", "--quiet"),
+    ]
+
+
+@pytest.mark.parametrize("document", FLAG_DOCUMENTS)
+def test_cited_cli_flags_exist(document):
+    text = (ROOT / document).read_text(encoding="utf-8")
+    unknown = [
+        f"{flag} in `{command}`"
+        for script, flag, command in cited_flags(text)
+        if flag not in help_options(script)
+    ]
+    assert not unknown, f"{document} passes flags its CLI does not have: {unknown}"
 
 
 def test_reproduce_tables_states_the_default_time_scale():

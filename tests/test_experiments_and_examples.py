@@ -64,7 +64,11 @@ class TestCommon:
 
 
 class TestTable1:
-    def test_rows_structure_and_ordering(self, prepared_rc1):
+    def test_rows_structure(self, prepared_rc1):
+        """The rows' shape only: the wall-clock orderings (every target beats
+        Verilog-AMS, C++ is the fastest) are a gate in
+        ``benchmarks/test_perf_gates.py``, at a duration where each target
+        runs long enough to be timed."""
         rows = run_table1_component(prepared_rc1, SHORT)
         targets = [row.target for row in rows]
         assert targets == ["Verilog-AMS", "SC-AMS/ELN", "SC-AMS/TDF", "SC-DE", "C++"]
@@ -72,9 +76,7 @@ class TestTable1:
         assert reference.error == 0.0 and reference.speedup == 1.0
         for row in rows[1:]:
             assert row.error is not None and row.error < 5e-2
-            assert row.speedup is not None and row.speedup > 1.0
-        # The generated plain-code model is the fastest target, as in the paper.
-        assert min(rows[1:], key=lambda row: row.simulation_time).target == "C++"
+            assert row.speedup is not None
 
     def test_reference_can_be_skipped(self, prepared_rc1):
         rows = run_table1_component(prepared_rc1, SHORT, baseline="SC-AMS/ELN")

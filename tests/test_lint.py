@@ -2,8 +2,8 @@
 
 Layer 1 (netlist semantics) must report seeded defects with *exact*
 positions while the committed corpus, every paper benchmark and the
-generated zoo stay error-free; layer 2 (codegen artifacts) mirrors the
-SignalFlowModel contract and checks emitted python/C sources; layer 3
+generated zoo stay error-free; layer 2 (the signal-flow IR) mirrors the
+SignalFlowModel contract; layer 3
 (determinism self-lint) keeps ``src/repro`` clean against an empty
 baseline.  The emitters round-trip and escape hostile names, the strict
 gates surface as :class:`LintError`/``lint-rejected``, and the zoo's
@@ -18,13 +18,10 @@ import sys
 from pathlib import Path
 from textwrap import dedent
 
-import numpy as np
 import pytest
 
 from repro.circuits import paper_benchmarks, rc_benchmark
 from repro.core import AbstractionFlow
-from repro.core.codegen.native_backend import NativeGenerator
-from repro.core.codegen.numpy_backend import NumpyGenerator
 from repro.core.signalflow import Assignment, SignalFlowModel
 from repro.errors import ReproError
 from repro.expr import Access, BinaryOp, Constant, Variable
@@ -39,13 +36,10 @@ from repro.lint import (
     LintError,
     LintReport,
     from_json,
-    lint_artifact,
-    lint_c_source,
     lint_circuit,
     lint_model,
     lint_netlist,
     lint_python_file,
-    lint_python_source,
     lint_repo,
     lint_source,
     load_baseline,
@@ -411,7 +405,7 @@ class TestCircuitAndCleanSurfaces:
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: IR, generated sources, artifacts
+# Layer 2: the signal-flow IR
 # ---------------------------------------------------------------------------
 class TestArtifactRules:
     def model(self, **overrides) -> SignalFlowModel:
@@ -467,104 +461,6 @@ class TestArtifactRules:
                 benchmark.circuit(), [benchmark.output], name=benchmark.name
             ).model
             assert lint_model(model).ok, benchmark.name
-
-    def test_python_syntax_error_positioned(self):
-        diagnostic = single(
-            lint_python_source("def broken(:\n    pass\n"), "py-syntax-error"
-        )
-        assert diagnostic.line == 1
-
-    def test_python_nonfinite_literals(self):
-        report = lint_python_source("x = 1e999\ny = float('nan')\n")
-        assert len(report.by_rule("py-nonfinite-literal")) == 2
-
-    def test_state_write_before_read(self):
-        code = dedent(
-            """\
-            class Kernel:
-                def __init__(self):
-                    self._prev_v = 0.0
-
-                def step(self, u):
-                    self._prev_v = u
-                    return self._prev_v
-            """
-        )
-        diagnostic = single(lint_python_source(code), "py-state-write-before-read")
-        assert diagnostic.line == 6
-
-    def test_state_read_then_write_is_fine(self):
-        code = dedent(
-            """\
-            class Kernel:
-                def __init__(self):
-                    self._prev_v = 0.0
-
-                def step(self, u):
-                    value = self._prev_v + u
-                    self._prev_v = value
-                    return value
-            """
-        )
-        assert lint_python_source(code).ok
-
-    def test_reset_may_seed_state_like_init(self):
-        code = dedent(
-            """\
-            class Kernel:
-                def reset(self):
-                    self._prev_v = 0.0
-            """
-        )
-        assert not lint_python_source(code).by_rule("py-state-write-before-read")
-
-    def test_emitted_numpy_batch_lints_clean(self):
-        flow = AbstractionFlow(1e-6)
-        model = flow.abstract(rc_benchmark(1).circuit(), ["out"], name="rc").model
-        artifact = NumpyGenerator().generate_batch([model])
-        source_report = lint_python_source(artifact.code.source)
-        assert source_report.ok, to_text(source_report)
-        assert lint_artifact(artifact).ok
-
-    def test_emitted_c_source_lints_clean(self):
-        flow = AbstractionFlow(1e-6)
-        model = flow.abstract(rc_benchmark(1).circuit(), ["out"], name="rc").model
-        report = lint_c_source(NativeGenerator().generate(model).source)
-        assert report.ok, to_text(report)
-
-    def test_c_undefined_identifier_and_nonfinite(self):
-        code = dedent(
-            """\
-            void step(const double *params, double *state) {
-                state[0] = mystery_call(params[0]);
-                state[1] = INFINITY;
-            }
-            """
-        )
-        report = lint_c_source(code)
-        assert any(
-            "mystery_call" in d.message
-            for d in report.by_rule("c-undefined-identifier")
-        )
-        assert report.by_rule("c-nonfinite-literal")
-
-    def test_artifact_shape_mismatch(self):
-        class FakeArtifact:
-            code = "x = 1\n"
-            parameters = np.zeros((2, 3))
-            initial_state = np.zeros((1, 4))  # wrong scenario count
-            n_scenarios = 3
-
-        assert lint_artifact(FakeArtifact()).by_rule("artifact-shape-mismatch")
-
-    def test_artifact_nonfinite_data(self):
-        class FakeArtifact:
-            code = "x = 1\n"
-            parameters = np.array([[1.0, float("nan")]])
-            initial_state = np.zeros((1, 2))
-            n_scenarios = 2
-
-        assert lint_artifact(FakeArtifact()).by_rule("artifact-nonfinite-data")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.obs import (
 )
 from repro.obs.cli import main as trace_main
 from repro.obs.export import (
-    counters_from_trace,
+    report_from_trace,
     to_trace_events,
     validate_trace_events,
     write_trace_json,
@@ -97,9 +97,7 @@ class TestTracer:
         assert not tracer.enabled
         tracer.add("x")
         tracer.complete("span", 0.0, 1.0)
-        tracer.instant("point")
-        with tracer.span("ctx"):
-            pass
+        tracer.end("ended", tracer.now())
         assert tracer.events == [] and tracer.counters == {}
 
     def test_enable_disable_round_trip(self):
@@ -109,17 +107,17 @@ class TestTracer:
         disable_tracing()
         assert not tracing_enabled()
 
-    def test_records_spans_instants_and_counters(self):
+    def test_records_spans_and_counters(self):
         tracer = Tracer()
         tracer.enabled = True
         start = tracer.now()
         tracer.complete("work", start, 0.25, "cat", detail=3)
-        tracer.instant("tick", "cat")
+        tracer.end("tick", start, "cat")
         tracer.add("n", 2.0)
         tracer.add("n")
         assert tracer.counters == {"n": 3.0}
         phases = [event[0] for event in tracer.events]
-        assert phases == ["X", "i"]
+        assert phases == ["X", "X"]
         name, args = tracer.events[0][1], tracer.events[0][5]
         assert name == "work" and args == {"detail": 3}
         assert tracer.events[0][4] == 0.25  # duration seconds
@@ -136,10 +134,10 @@ class TestTracer:
         tracer = Tracer()
         tracer.enabled = True
         tracer.add("runs", 5.0)
-        tracer.instant("before")
+        tracer.end("before", tracer.now())
         mark = tracer.mark()
         tracer.add("runs", 2.0)
-        tracer.instant("after")
+        tracer.end("after", tracer.now())
         payload = tracer.collect(mark)
         assert payload["counters"] == {"runs": 2.0}
         assert [event[1] for event in payload["events"]] == ["after"]
@@ -149,7 +147,7 @@ class TestTracer:
         tracer = Tracer(max_events=2)
         tracer.enabled = True
         for index in range(5):
-            tracer.instant(f"e{index}")
+            tracer.end(f"e{index}", tracer.now())
         assert len(tracer.events) == 2 and tracer.dropped == 3
         assert tracer.collect()["dropped"] == 3
         tracer.reset()
@@ -159,9 +157,9 @@ class TestTracer:
         tracer = Tracer(max_events=2)
         tracer.enabled = True
         for index in range(3):
-            tracer.instant(f"e{index}")
+            tracer.end(f"e{index}", tracer.now())
         mark = tracer.mark()
-        tracer.instant("late")
+        tracer.end("late", tracer.now())
         assert tracer.dropped == 2
         assert tracer.collect(mark)["dropped"] == 1
 
@@ -222,7 +220,7 @@ class TestExport:
         tracer.enabled = True
         start = tracer.now()
         tracer.complete("platform.run", start, 0.01, "platform", style="python")
-        tracer.instant("marker", "platform")
+        tracer.end("platform.marker", start, "platform")
         tracer.add("platform.runs", 3.0)
         return TelemetryReport.merge(
             "unit", [tracer.collect()], scenarios=3, executed=3, wall=0.1, workers=1
@@ -231,9 +229,9 @@ class TestExport:
     def test_trace_events_validate_and_recover_counters(self):
         payload = to_trace_events(self.report())
         assert validate_trace_events(payload) == []
-        assert counters_from_trace(payload) == {"platform.runs": 3.0}
+        assert report_from_trace(payload).counters == {"platform.runs": 3.0}
         phases = {event["ph"] for event in payload["traceEvents"]}
-        assert {"X", "i", "C", "M"} <= phases
+        assert phases == {"X", "C", "M"}
         assert payload["metadata"]["repro"]["engine"] == "unit"
 
     def test_validation_flags_schema_violations(self):
@@ -290,8 +288,6 @@ class TestExport:
         assert "max_events" in text
 
     def test_report_round_trips_through_trace_export(self):
-        from repro.obs.export import report_from_trace
-
         original = self.report()
         recovered = report_from_trace(to_trace_events(original))
         assert recovered.engine == original.engine
@@ -303,16 +299,6 @@ class TestExport:
         assert recovered.span_stats()["platform.run"]["total"] == pytest.approx(
             original.span_stats()["platform.run"]["total"], abs=1e-6
         )
-
-    def test_report_round_trips_through_jsonl(self):
-        from repro.obs.export import report_from_jsonl, to_jsonl
-
-        original = self.report()
-        recovered = report_from_jsonl(to_jsonl(original))
-        assert recovered.engine == original.engine
-        assert recovered.counters == original.counters
-        assert recovered.span_stats() == original.span_stats()
-        assert recovered.dropped == original.dropped
 
 
 class TestZeroOverheadGuarantee:
@@ -416,7 +402,7 @@ class TestCounterReconciliation:
         assert len({event["pid"] for event in telemetry.events}) >= 1
         payload = to_trace_events(telemetry)
         assert validate_trace_events(payload) == []
-        assert counters_from_trace(payload)["platform.runs"] == result.n_scenarios
+        assert report_from_trace(payload).counters["platform.runs"] == result.n_scenarios
         # the parent process tracer saw nothing: collection is worker-local
         assert TRACER.events == [] and TRACER.counters == {}
 
@@ -430,7 +416,7 @@ class TestDropsBeforeARun:
             patch.setattr(TRACER, "max_events", len(TRACER.events))
             enable_tracing()
             for index in range(3):
-                TRACER.instant(f"early{index}")
+                TRACER.end(f"early{index}", TRACER.now())
             disable_tracing()
         assert TRACER.dropped == 3
 
@@ -488,39 +474,32 @@ class TestTraceCli:
 
     def test_round_trip_validates_and_reconciles(self, tmp_path, capsys):
         path = self.exported(tmp_path)
-        jsonl = tmp_path / "events.jsonl"
         status = trace_main(
-            [
-                str(path),
-                "--validate",
-                "--expect-counter",
-                "platform.runs=1",
-                "--jsonl",
-                str(jsonl),
-            ]
+            [str(path), "--validate", "--expect-counter", "platform.runs=1"]
         )
         captured = capsys.readouterr()
         assert status == 0
         assert "trace_event schema: OK" in captured.out
         assert "platform.runs = 1: OK" in captured.out
-        lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
-        assert any(event.get("name") == "platform.run" for event in lines)
+        # The summary is the report ``report_from_trace`` rebuilds, the one
+        # reader ``repro-report --telemetry`` uses too.
+        report = report_from_trace(json.loads(path.read_text()))
+        assert (
+            f"{len(report.events)} spans, {len(report.counters)} counters"
+            in captured.out
+        )
+        assert "platform.run: n=1 " in captured.out
 
-    def test_jsonl_export_reads_back_into_the_dashboard(self, tmp_path):
-        """``repro-trace --jsonl`` writes the JSONL ``repro-report`` reads:
-        the same counters and events as the trace file itself."""
-        from repro.obs.export import report_from_trace
-        from repro.report.cli import _load_telemetry
+    def test_trace_file_renders_into_the_dashboard(self, tmp_path):
+        from repro.report.cli import main as report_main
 
         path = self.exported(tmp_path)
-        jsonl = tmp_path / "events.jsonl"
-        assert trace_main([str(path), "--quiet", "--jsonl", str(jsonl)]) == 0
-        expected = report_from_trace(json.loads(path.read_text()))
-        recovered = _load_telemetry(jsonl)
-        assert expected.counters["platform.runs"] == 1.0
-        assert recovered.counters == expected.counters
-        assert len(recovered.events) == len(expected.events) > 0
-        assert recovered.summary() == expected.summary()
+        out = tmp_path / "telemetry.html"
+        status = report_main(
+            ["--telemetry", str(path), "--check", "--out", str(out)]
+        )
+        assert status == 0
+        assert "platform.runs" in out.read_text(encoding="utf-8")
 
     def test_dashboard_rejects_telemetry_without_events_or_counters(
         self, tmp_path, capsys
@@ -528,13 +507,27 @@ class TestTraceCli:
         from repro.report.cli import main as report_main
 
         path = self.exported(tmp_path)
-        raw = tmp_path / "raw.jsonl"
-        events = json.loads(path.read_text())["traceEvents"]
-        raw.write_text("".join(json.dumps(event) + "\n" for event in events))
-        out = tmp_path / "page.html"
-        assert report_main(["--telemetry", str(raw), "--out", str(out)]) == 2
-        assert str(raw) in capsys.readouterr().err
-        assert not out.exists()
+        payload = json.loads(path.read_text())
+        metadata_only = tmp_path / "metadata-only.json"
+        metadata_only.write_text(
+            json.dumps(
+                {
+                    "traceEvents": [
+                        event for event in payload["traceEvents"] if event["ph"] == "M"
+                    ]
+                }
+            )
+        )
+        # One JSON object per line is not a trace file.
+        lines = tmp_path / "events.jsonl"
+        lines.write_text(
+            "".join(json.dumps(event) + "\n" for event in payload["traceEvents"])
+        )
+        for bad in (metadata_only, lines):
+            out = tmp_path / "page.html"
+            assert report_main(["--telemetry", str(bad), "--out", str(out)]) == 2
+            assert str(bad) in capsys.readouterr().err
+            assert not out.exists()
 
     def test_counter_mismatch_exits_one(self, tmp_path, capsys):
         path = self.exported(tmp_path)
@@ -549,3 +542,18 @@ class TestTraceCli:
         assert status == 2
         assert "INVALID" in capsys.readouterr().err
 
+    def test_malformed_span_fails_validation_without_a_traceback(self, tmp_path, capsys):
+        """A complete event whose ``dur`` is a string is reported as
+        ``INVALID`` (exit 2) before anything reads the events, and a reader
+        that is not asked to validate skips the span instead of raising."""
+        path = tmp_path / "bad-dur.json"
+        path.write_text(
+            '{"traceEvents":[{"ph":"X","name":"a","ts":0,"dur":"x","pid":1,"tid":1}]}'
+        )
+        assert trace_main([str(path), "--validate"]) == 2
+        assert (
+            "INVALID: event[0]: complete event needs non-negative 'dur'"
+            in capsys.readouterr().err
+        )
+        assert trace_main([str(path)]) == 0
+        assert "0 spans, 0 counters" in capsys.readouterr().out

@@ -3,9 +3,10 @@
 The layer's guarantees: every chart primitive HTML-escapes the dynamic
 text it embeds (span names, fault names, netlist names — ``<``, ``&`` and
 quotes included), the rendered page is fully self-contained (no external
-reference of any kind, machine-checked), and the ``repro-report --smoke``
-acceptance path — a 16-run traced fault campaign — produces one HTML file
-holding an envelope plot, a coverage matrix and a span timeline.
+reference of any kind, machine-checked), and the acceptance path —
+``repro-faults --smoke --report``, a six-run traced fault campaign —
+produces one HTML file holding an envelope plot, a coverage matrix and a
+span timeline.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.report import (
     collect_ids,
     coverage_matrix_table,
     envelope_chart,
-    fault_section,
     fuzz_section,
     store_section,
     self_contained_problems,
@@ -230,25 +230,28 @@ class TestTelemetrySection:
         assert "<svg" in body
 
 
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The page ``repro-faults --smoke --quiet --report`` writes, and its
+    exit status."""
+    from repro.fault.cli import main
+
+    out = tmp_path_factory.mktemp("report") / "faults.html"
+    code = main(["--smoke", "--quiet", "--report", str(out)])
+    return code, out.read_text(encoding="utf-8")
+
+
 class TestSmokeAcceptance:
     """The acceptance path: one invocation, every visualization present."""
-
-    @pytest.fixture(scope="class")
-    def smoke(self, tmp_path_factory):
-        from repro.report.cli import main
-
-        out = tmp_path_factory.mktemp("report") / "dashboard.html"
-        code = main(["--smoke", "--out", str(out)])
-        return code, out.read_text(encoding="utf-8")
 
     def test_exit_zero_and_verified(self, smoke):
         code, page = smoke
         assert code == 0
         assert verify_dashboard(page, ("faults", "telemetry")) == []
 
-    def test_sixteen_run_campaign_rendered(self, smoke):
+    def test_six_run_campaign_rendered(self, smoke):
         _, page = smoke
-        assert "16 runs" in page
+        assert "ADC stream envelope across 6 runs" in page
 
     def test_envelope_coverage_and_timeline_all_present(self, smoke):
         _, page = smoke
@@ -263,15 +266,12 @@ class TestSmokeAcceptance:
 
 
 class TestFaultSectionUnit:
-    def test_fault_section_from_smoke_campaign(self):
-        from repro.report.cli import run_smoke_campaign
-
-        result = run_smoke_campaign()
-        section = fault_section(result)
-        assert section.slug == "faults"
-        assert "coverage" in section.body.lower() or "Coverage" in section.body
-        assert "<svg" in section.body  # the envelope plot
-        assert result.n_scenarios == 16
+    def test_fault_section_from_smoke_campaign(self, smoke):
+        _, page = smoke
+        body = page.split('<section id="faults">', 1)[1].split("</section>", 1)[0]
+        assert "coverage" in body.lower()
+        assert "<svg" in body  # the envelope plot
+        assert "ADC stream envelope across 6 runs" in body
 
 
 class TestStoreSection:

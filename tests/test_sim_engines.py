@@ -322,6 +322,15 @@ class TestStepResolution:
         traces = run_python_model(rc1_model, stimuli, 100 * DT)
         assert len(traces["V(out)"]) == 100
 
+    def test_signal_flow_model_run_rejects_fractional_duration(self, rc1_model):
+        """Regression: ``SignalFlowModel.run`` rounded ``duration / timestep``
+        and recorded 2 samples for 2.5 steps and 4 for 3.5."""
+        stimuli = {"vin": SquareWave(period=40e-6)}
+        for steps in (2.5, 3.5):
+            with pytest.raises(SimulationError, match="integer multiple"):
+                rc1_model.run(stimuli, steps * DT)
+        assert len(rc1_model.run(stimuli, 3 * DT).waveform("V(out)")) == 3
+
     @pytest.mark.parametrize("engine", [ElnModel, ReferenceAmsSimulator])
     def test_conservative_engine_run_rejects_fractional_duration(self, rc1_circuit, engine):
         """Regression: ``ElnModel.run``, which the reference engine inherits,

@@ -13,8 +13,8 @@ multiprocess.
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import json
-import multiprocessing.pool
 import re
 import shutil
 
@@ -358,7 +358,7 @@ class TestCoordinatorResolution:
         def no_pool(*args, **kwargs):
             pytest.fail("a fully stored resume requested a process pool")
 
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         first, directory = executed
         resumed = campaign_runner(store=directory, resume=True, workers=2).run(
             spec, CAMPAIGN_DURATION

@@ -9,6 +9,11 @@ nothing about the results.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+from textwrap import dedent
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,7 @@ from repro.sweep import (
     SweepRunner,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 TIMESTEP = 50e-9
 SHORT = 50e-6  # 1000 analog steps: enough to exercise the state recursion
 WAVE = {"vin": SquareWave(period=1e-3)}
@@ -398,6 +404,34 @@ class TestMultiprocess:
     def test_worker_count_is_capped_by_scenarios(self):
         result = rc_runner(workers=8).run(mc_spec(samples=2), SHORT)
         assert result.n_scenarios == 2
+
+    def test_a_dead_worker_fails_the_run_instead_of_hanging_it(self):
+        """A chunk worker that exits without returning its result must fail
+        the fan-out with a ``SweepError`` naming the dead worker process; a
+        pool that waits for the lost result blocks the caller for good."""
+        script = dedent(
+            """\
+            import os
+            from repro.sweep.executor import map_scenario_chunks
+
+            def worker(payload):
+                _, chunk = payload
+                if 3 in chunk:
+                    os._exit(7)
+                return list(chunk)
+
+            map_scenario_chunks(worker, None, list(range(6)), 2)
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert completed.returncode != 0
+        assert "SweepError: a sweep worker process died" in completed.stderr
 
 
 class TestResults:
