@@ -8,7 +8,7 @@ wall-clock time; run it explicitly::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_gates.py
 
-It has five groups:
+It has six groups:
 
 * **Committed floors** (``test_committed_floor``): fifteen metrics of four
   smoke-size microbenchmarks (ISS throughput per stepping tier, DE-kernel
@@ -28,6 +28,10 @@ It has five groups:
   plain-code model beats the SystemC-AMS/ELN solve on each paper component.
 * **Table III speed-ups** (``test_table3_cpp_beats_cosim``): the platform
   with the generated model beats Verilog-AMS co-simulation by more than 2x.
+* **Replay per topology** (``test_sweep_replay_beats_a_full_flow_per_scenario``):
+  a sweep's abstraction of a 64-scenario RC20 Monte-Carlo, which replays
+  the first scenario's recipe, is at least 1.4x faster than a full flow
+  per scenario.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import functools
 import inspect
 import time
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -43,7 +48,8 @@ import pytest
 import repro.sim.de.kernel as de_kernel_module
 import repro.vp.mips.cpu as mips_cpu_module
 from repro.circuits import build_rc_filter
-from repro.core import abstract_circuit
+from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE
+from repro.core import AbstractionFlow, abstract_circuit
 from repro.core.codegen import NativeGenerator, NumpyGenerator, toolchain_error
 from repro.experiments import table1, table2, table3
 from repro.experiments.common import (
@@ -56,6 +62,8 @@ from repro.experiments.common import (
 )
 from repro.obs.tracer import TRACER
 from repro.sim import Kernel, PeriodicTicker, SquareWave
+from repro.sweep import MonteCarloSpec
+from repro.sweep.runner import RecipeTable
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.firmware import FIRMWARE_STYLE_LOOP, threshold_monitor_source
 from repro.vp.platform import CPU_BLOCK_CYCLES, _CpuBlockDriver
@@ -590,4 +598,47 @@ def test_table3_cpp_beats_cosim(prepared_models, component):
     assert speedup > 2.0, (
         f"{component}: the C++ platform runs {speedup:.2f}x the "
         f"co-simulation speed (must exceed 2x)"
+    )
+
+
+# -- replay per topology ----------------------------------------------------------------
+
+#: The least speed-up of a sweep's abstraction, one full flow and a replay per
+#: further scenario, over a full abstraction flow per scenario.
+MIN_REPLAY_SPEEDUP = 1.4
+
+
+def test_sweep_replay_beats_a_full_flow_per_scenario():
+    """Abstracting a 64-scenario RC20 Monte-Carlo through the sweep's recipe
+    table is at least 1.4x faster than 64 ``AbstractionFlow.abstract`` calls.
+
+    Both sides build every circuit from its parameters, in one process,
+    interleaved; the ratio is machine-relative.
+    """
+    factory = partial(build_rc_filter, 20)
+    scenarios = MonteCarloSpec(
+        nominal={"resistance": DEFAULT_RESISTANCE, "capacitance": DEFAULT_CAPACITANCE},
+        tolerances={"resistance": 0.05, "capacitance": 0.1},
+        samples=64,
+        seed=2016,
+    ).expand()
+
+    def full_flows() -> None:
+        flow = AbstractionFlow(PAPER_TIMESTEP)
+        for scenario in scenarios:
+            circuit = factory(**scenario.params)
+            flow.abstract(circuit, "out", name=circuit.name)
+
+    def replays() -> None:
+        recipes = RecipeTable(PAPER_TIMESTEP, "backward_euler")
+        for scenario in scenarios:
+            circuit = factory(**scenario.params)
+            recipes.abstract(circuit, ["out"], circuit.name)
+
+    full, replayed = _interleaved_best(full_flows, replays, repeats=3)
+    speedup = full / replayed
+    assert speedup >= MIN_REPLAY_SPEEDUP, (
+        f"the recipe table abstracts 64 RC20 scenarios {speedup:.2f}x faster "
+        f"than a full flow each ({1e3 * replayed:.0f} ms vs {1e3 * full:.0f} "
+        f"ms); the floor is {MIN_REPLAY_SPEEDUP}x"
     )

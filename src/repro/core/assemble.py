@@ -13,7 +13,10 @@ the paper removes in Figure 7) are eliminated afterwards by
 
 The selection is a depth-first search with backtracking: whenever a greedy
 choice leaves some quantity without an available definition, the most recent
-choice is undone and the next candidate is tried.
+choice is undone and the next candidate is tried.  Each resolution records
+the table entry it came from, so the result also says which source equation
+defines each quantity and for which term it was solved
+(:attr:`AssembledModel.choices`).
 """
 
 from __future__ import annotations
@@ -32,13 +35,20 @@ MAX_TRIALS = 200_000
 
 @dataclass
 class AssembledModel:
-    """Outcome of the assemble step: one chosen definition per unknown."""
+    """Outcome of the assemble step: one chosen definition per unknown.
+
+    ``choices`` maps each resolved quantity to the origin of its source
+    equation and the term that equation was solved for (``None`` when the
+    equation is used as written): solving each source equation of the
+    enriched table for its recorded term rebuilds ``resolutions``.
+    """
 
     outputs: list[str]
     resolutions: dict[str, Expr]
     order: list[str]
     used_origins: set[str] = field(default_factory=set)
     dropped_unknowns: set[str] = field(default_factory=set)
+    choices: dict[str, tuple[str, str | None]] = field(default_factory=dict)
 
     @property
     def cone_size(self) -> int:
@@ -76,7 +86,7 @@ class Assembler:
     def assemble(self, outputs: list[str]) -> AssembledModel:
         """Resolve the cone of influence of ``outputs``."""
         self.table.reset_disabled()
-        resolutions: dict[str, Expr] = {}
+        resolutions: dict[str, TableEntry] = {}
         order: list[str] = []
         journal: list[tuple[str, str]] = []
         self._trials = 0
@@ -99,17 +109,18 @@ class Assembler:
         dropped = set(self.enrichment.unknowns) - set(resolutions)
         return AssembledModel(
             outputs=list(outputs),
-            resolutions=resolutions,
+            resolutions={name: entry.equation.rhs for name, entry in resolutions.items()},
             order=order,
             used_origins=used_origins,
             dropped_unknowns=dropped,
+            choices={name: (entry.origin, entry.term) for name, entry in resolutions.items()},
         )
 
     # -- resolution ---------------------------------------------------------------------
     def _resolve(
         self,
         name: str,
-        resolutions: dict[str, Expr],
+        resolutions: dict[str, TableEntry],
         order: list[str],
         journal: list[tuple[str, str]],
         resolving: set[str],
@@ -144,7 +155,7 @@ class Assembler:
                         success = False
                         break
                 if success:
-                    resolutions[name] = entry.equation.rhs
+                    resolutions[name] = entry
                     order.append(name)
                     journal.append(("resolution", name))
                     return True
@@ -157,7 +168,7 @@ class Assembler:
         self,
         journal: list[tuple[str, str]],
         mark: int,
-        resolutions: dict[str, Expr],
+        resolutions: dict[str, TableEntry],
         order: list[str],
     ) -> None:
         while len(journal) > mark:
@@ -178,7 +189,7 @@ class Assembler:
     def _ranked_candidates(
         self,
         name: str,
-        resolutions: dict[str, Expr],
+        resolutions: dict[str, TableEntry],
         resolving: set[str],
     ) -> list[TableEntry]:
         candidates = self.table.candidates(name)

@@ -26,7 +26,7 @@ from .signalflow import Assignment, SignalFlowModel
 
 def to_signal_flow(
     assembled: AssembledModel,
-    enrichment: EnrichmentResult,
+    enrichment: "EnrichmentResult | None",
     name: str,
     timestep: float,
     inputs: list[str] | None = None,
@@ -46,7 +46,8 @@ def to_signal_flow(
     assembled:
         Result of :class:`repro.core.assemble.Assembler`.
     enrichment:
-        The enrichment result the assembly was computed from.
+        The enrichment result the assembly was computed from; only its
+        inputs are read, so it may be ``None`` when ``inputs`` is given.
     name:
         Name given to the generated model.
     timestep:

@@ -93,13 +93,13 @@ def report_from_trace(payload: object) -> TelemetryReport:
     """Rebuild a :class:`TelemetryReport` from an exported trace payload.
 
     The inverse of :func:`to_trace_events`, up to what the format keeps:
-    event timestamps come back rebased (relative seconds), per-scenario
-    latencies are gone (only their percentiles were exported, inside the
-    summary), and the headline numbers are recovered from the
-    ``metadata.repro`` summary block when present.  Complete (``X``) spans
-    become events and the last ``C`` sample of each counter its value;
-    every other phase, and any span or sample whose numbers are not
-    numbers, is skipped.  This is what lets ``repro-trace`` and
+    event timestamps come back rebased (relative seconds), and the headline
+    numbers come from the ``metadata.repro`` summary block when present,
+    the per-scenario latencies as the percentiles and worker utilization
+    recorded there, so the rebuilt report's summary is the exported one.
+    Complete (``X``) spans become events and the last ``C`` sample of each
+    counter its value; every other phase, and any span or sample whose
+    numbers are not numbers, is skipped.  This is what lets ``repro-trace`` and
     ``repro-report`` read a trace *file* long after the campaign process is
     gone.
     """
@@ -141,6 +141,8 @@ def report_from_trace(payload: object) -> TelemetryReport:
             }
         )
     normalized.sort(key=lambda event: event["ts"])
+    latency = metadata.get("latency_seconds")
+    utilization = metadata.get("worker_utilization")
     return TelemetryReport(
         engine=str(metadata.get("engine", "trace")),
         scenarios=int(metadata.get("scenarios", 0)),
@@ -151,6 +153,14 @@ def report_from_trace(payload: object) -> TelemetryReport:
         counters=counters,
         events=normalized,
         dropped=int(metadata.get("dropped_events", 0)),
+        exported_latency={
+            name: float(seconds)
+            for name, seconds in (latency.items() if isinstance(latency, dict) else ())
+            if isinstance(seconds, (int, float))
+        },
+        exported_utilization=(
+            float(utilization) if isinstance(utilization, (int, float)) else None
+        ),
     )
 
 

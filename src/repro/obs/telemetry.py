@@ -52,7 +52,9 @@ class TelemetryReport:
     ``latencies`` holds per-*executed*-scenario wall seconds where the engine
     measures them (platform sweeps, fault campaigns); batched engines that
     simulate scenarios jointly leave it empty and the report falls back to
-    aggregate throughput only.
+    aggregate throughput only.  A report read back from a trace file has no
+    latencies; ``exported_latency`` and ``exported_utilization`` then hold
+    the percentiles and the worker utilization its summary recorded.
     """
 
     engine: str
@@ -65,6 +67,8 @@ class TelemetryReport:
     counters: dict[str, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     dropped: int = 0
+    exported_latency: dict[str, float] = field(default_factory=dict)
+    exported_utilization: "float | None" = None
 
     # -- construction ------------------------------------------------------------------
     @classmethod
@@ -125,15 +129,19 @@ class TelemetryReport:
 
     @property
     def worker_utilization(self) -> "float | None":
-        """Busy time / (wall × workers); ``None`` without per-scenario latencies."""
-        if not self.latencies.size or self.wall <= 0.0 or self.workers <= 0:
+        """Busy time / (wall × workers); without per-scenario latencies, the
+        exported value (``None`` when there is none)."""
+        if not self.latencies.size:
+            return self.exported_utilization
+        if self.wall <= 0.0 or self.workers <= 0:
             return None
         return min(1.0, self.busy_seconds / (self.wall * self.workers))
 
     def latency_percentiles(self) -> dict[str, float]:
-        """p50/p90/p99/max scenario latency in seconds (empty without latencies)."""
+        """p50/p90/p99/max scenario latency in seconds; without latencies,
+        the exported percentiles (empty when there are none)."""
         if not self.latencies.size:
-            return {}
+            return dict(self.exported_latency)
         stats = {
             f"p{percentile:g}": float(np.percentile(self.latencies, percentile))
             for percentile in PERCENTILES

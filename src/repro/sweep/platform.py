@@ -37,7 +37,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.flow import AbstractionFlow
 from ..core.signalflow import SignalFlowModel
 from ..errors import ReproError, SimulationError
 from ..metrics.nrmse import nrmse
@@ -55,6 +54,7 @@ from ..vp.platform import (
 )
 from .executor import CampaignExecutor, SweepError
 from .results import csv_text, markdown_table
+from .runner import RecipeTable
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
 
@@ -336,8 +336,10 @@ class PlatformSweepConfig:
         scenario runs from scratch.
         """
         # The abstracted model depends only on the analog parameters, so the
-        # three abstracted styles of one analog point share one abstraction.
+        # three abstracted styles of one analog point share one abstraction;
+        # the recipe table replays one topology's choices across points.
         model_memo: dict[tuple, SignalFlowModel] = dict(self.premade_models)
+        recipes = RecipeTable(self.timestep, self.method)
         groups: dict[tuple, list[int]] = {}
         for position in pending:
             scenario = scenarios[position]
@@ -350,10 +352,15 @@ class PlatformSweepConfig:
             group = grouped.get(position)
             if group is None:
                 outcomes = [
-                    (position, _run_platform_scenario(self, scenarios[position], model_memo))
+                    (
+                        position,
+                        _run_platform_scenario(
+                            self, scenarios[position], model_memo, recipes
+                        ),
+                    )
                 ]
             elif group[0] == position:
-                outcomes = _run_forked(self, scenarios, group, model_memo)
+                outcomes = _run_forked(self, scenarios, group, model_memo, recipes)
             else:
                 continue
             for done, (result, wall) in outcomes:
@@ -406,6 +413,7 @@ def _attach(
     scenario: PlatformScenario,
     platform: SmartSystemPlatform,
     model_memo: dict,
+    recipes: RecipeTable,
 ) -> None:
     """Attach the scenario's analog subsystem, driven by its stimulus family."""
     family = config.stimuli[scenario.stimulus]
@@ -417,8 +425,7 @@ def _attach(
         model = model_memo.get(key)
         if model is None:
             circuit = config.factory(**scenario.params)
-            flow = AbstractionFlow(config.timestep, method=config.method)
-            model = flow.abstract(circuit, config.output, name=circuit.name).model
+            model = recipes.abstract(circuit, [config.output], circuit.name)
             model_memo[key] = model
         platform.attach_analog(scenario.style, stimuli, model=model)
     else:
@@ -434,6 +441,7 @@ def _run_platform_scenario(
     config: PlatformSweepConfig,
     scenario: PlatformScenario,
     model_memo: dict,
+    recipes: RecipeTable,
     base: "SmartSystemPlatform | None" = None,
 ) -> tuple[PlatformRunResult, float]:
     """Build, attach and run one platform configuration; returns (result, wall).
@@ -450,7 +458,7 @@ def _run_platform_scenario(
         platform = base.clone()
     try:
         if base is None:
-            _attach(config, scenario, platform, model_memo)
+            _attach(config, scenario, platform, model_memo, recipes)
         scenario.prepare_platform(platform)
         if start is None:
             start = _time.perf_counter()
@@ -469,13 +477,14 @@ def _run_forked(
     scenarios: Sequence[PlatformScenario],
     group: Sequence[int],
     model_memo: dict,
+    recipes: RecipeTable,
 ) -> Iterator[tuple[int, "tuple[PlatformRunResult, float]"]]:
     """Run one base configuration's forking scenarios from clones of its
     base run; each ``(position, outcome)`` is yielded as it ends."""
     order = sorted(group, key=lambda position: scenarios[position].fork_time())
     base = _new_platform(config, scenarios[order[0]])
     try:
-        _attach(config, scenarios[order[0]], base, model_memo)
+        _attach(config, scenarios[order[0]], base, model_memo, recipes)
     except ReproError:
         base = None
     while order and base is not None:
@@ -488,12 +497,14 @@ def _run_forked(
         while order and scenarios[order[0]].fork_time() == at:
             position = order.pop(0)
             yield position, _run_platform_scenario(
-                config, scenarios[position], model_memo, base
+                config, scenarios[position], model_memo, recipes, base
             )
     # What the base run could not reach runs from scratch, where its failure
     # is recorded (or raised) per scenario.
     for position in order:
-        yield position, _run_platform_scenario(config, scenarios[position], model_memo)
+        yield position, _run_platform_scenario(
+            config, scenarios[position], model_memo, recipes
+        )
 
 
 class PlatformSweepRunner:

@@ -4,7 +4,10 @@
 waveforms:
 
 1. every scenario's circuit is built (``factory(**scenario.params)``) and
-   abstracted into a signal-flow model;
+   abstracted into a signal-flow model: the first scenario of each
+   topology through the full abstraction flow, the others by replaying its
+   recorded choices (:class:`RecipeTable`), or through the full flow again
+   when the replay rule does not hold for their parameter values;
 2. scenarios whose models are structurally identical are grouped, and each
    group becomes one vectorized NumPy batch model
    (:mod:`repro.core.codegen.numpy_backend`) that advances *all* of the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,7 +39,7 @@ import numpy as np
 from ..core.codegen.native_backend import NativeGenerator, toolchain_error
 from ..core.codegen.numpy_backend import NumpyGenerator, structure_signature
 from ..core.codegen.python_backend import compile_model_cached
-from ..core.flow import AbstractionFlow
+from ..core.flow import AbstractionFlow, AbstractionRecipe
 from ..core.signalflow import SignalFlowModel
 from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
@@ -143,10 +146,13 @@ class SweepConfig:
         backend yields scenario by scenario.
         """
         start = _time.perf_counter()
-        models = {
-            position: _abstract_scenario(self, scenarios[position])
-            for position in pending
-        }
+        recipes = RecipeTable(self.timestep, self.method)
+        models = {}
+        for position in pending:
+            circuit = self.factory(**scenarios[position].params)
+            models[position] = recipes.abstract(
+                circuit, self.outputs, self.name or circuit.name
+            )
         abstract = _time.perf_counter() - start
         TRACER.complete(
             "sweep.abstract", start, abstract, "sweep", scenarios=len(pending)
@@ -226,11 +232,63 @@ def _signature_digest(signature: tuple) -> str:
     return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()[:16]
 
 
-def _abstract_scenario(config: SweepConfig, scenario: Scenario) -> SignalFlowModel:
-    circuit = config.factory(**scenario.params)
-    flow = AbstractionFlow(config.timestep, method=config.method)
-    name = config.name or circuit.name
-    return flow.abstract(circuit, list(config.outputs), name=name).model
+def topology_key(
+    circuit: Circuit, outputs: Sequence[str], timestep: float, method: str
+) -> tuple:
+    """What an :class:`~repro.core.flow.AbstractionRecipe` is keyed on, read
+    off the circuit before abstraction: its ground, nodes and, per branch,
+    name, terminals, component kind, control nodes and input name, plus the
+    outputs, timestep and method.  Parameter values are left out."""
+    branches = tuple(
+        (
+            name,
+            branch.positive,
+            branch.negative,
+            type(branch.component).__name__,
+            getattr(branch.component, "control_positive", None),
+            getattr(branch.component, "control_negative", None),
+            branch.component.input_name(),
+        )
+        for name, branch in circuit.branches.items()
+    )
+    return (circuit.ground, tuple(circuit.nodes), branches, tuple(outputs), timestep, method)
+
+
+@dataclass
+class RecipeTable:
+    """The sweep layer's one abstraction path, one table per ``execute`` call.
+
+    The first circuit of each topology (:func:`topology_key`) runs the full
+    :class:`~repro.core.flow.AbstractionFlow` and records its recipe; every
+    later one replays that recipe (counted as ``flow.replays``), or, when
+    its values fall outside the replay rule
+    (:func:`~repro.core.flow.replay_skeleton`), runs the full flow again
+    (``flow.replay_fallbacks``, besides the flow's own
+    ``flow.abstractions``).  Either way the model is the full flow's.
+    """
+
+    timestep: float
+    method: str
+    recipes: dict[tuple, AbstractionRecipe] = field(default_factory=dict)
+
+    def abstract(
+        self, circuit: Circuit, outputs: Sequence[str], name: str
+    ) -> SignalFlowModel:
+        """The signal-flow model of ``circuit`` for ``outputs``."""
+        key = topology_key(circuit, outputs, self.timestep, self.method)
+        recipe = self.recipes.get(key)
+        if recipe is not None:
+            model = recipe.replay(circuit, name)
+            if model is not None:
+                TRACER.add("flow.replays")
+                return model
+            TRACER.add("flow.replay_fallbacks")
+        report = AbstractionFlow(self.timestep, method=self.method).abstract(
+            circuit, outputs, name=name
+        )
+        if recipe is None:
+            self.recipes[key] = AbstractionRecipe.record(report)
+        return report.model
 
 
 def _scenario_stimuli(config: SweepConfig, scenario: Scenario) -> Stimuli:

@@ -6,6 +6,11 @@ and state variables).  This pins that shortcut against a reference that
 takes the long way: every row through :func:`solve_affine_system`, each
 simplified a second time, states collected from every row, then filtered.
 The generated Python source and the state list must match exactly.
+
+The replay gate pins the other shortcut, a sweep's replay of one topology's
+recipe (:class:`~repro.core.flow.AbstractionRecipe`): recorded on each
+corpus circuit, replayed over scaled and adversarial draws of its values,
+every draw must give the full flow's model or fall back to the full flow.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from repro.circuits import paper_benchmarks
 from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE, build_rc_filter
 from repro.core import AbstractionFlow
 from repro.core.codegen import PythonGenerator
+from repro.core.flow import AbstractionRecipe
 from repro.core.signalflow import Assignment, SignalFlowModel
+from repro.errors import ReproError
 from repro.expr import simplify, solve_affine_system
 from repro.vams import parse_module, to_circuit
 from repro.zoo import generate_netlist, render, zoo_entries
@@ -80,3 +87,107 @@ def test_model_matches_full_solve(method, build, output):
     generator = PythonGenerator()
     assert report.model.state_variables == reference.state_variables
     assert generator.generate(report.model).source == generator.generate(reference).source
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("build, output", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS])
+def test_recorded_choices_rebuild_the_resolutions(method, build, output):
+    """Solving each choice's source equation for its term gives the resolution."""
+    report = AbstractionFlow(TIMESTEP, method=method).abstract(build(), output)
+    assembled = report.assembled
+    written = {
+        entry.origin: entry.equation for entry in report.enrichment.table if entry.term is None
+    }
+    rebuilt = {}
+    for name in assembled.order:
+        origin, term = assembled.choices[name]
+        equation = written[origin]
+        rebuilt[name] = equation.rhs if term is None else equation.solved_for(term).rhs
+    assert list(assembled.choices) == assembled.order
+    assert rebuilt == assembled.resolutions
+
+
+# -- replay gate -------------------------------------------------------------------------
+
+#: The value attributes of the network components, and those of the gains.
+VALUES = ("resistance", "capacitance", "inductance", "dc_value", "gain", "transconductance")
+GAINS = ("gain", "transconductance")
+
+#: Scaled draws per corpus circuit and method.
+SCALED_DRAWS = 3
+
+
+def _components(circuit):
+    return [branch.component for branch in circuit.branches.values()]
+
+
+def _scale(circuit, factor) -> None:
+    """Multiply every component value by a fresh ``factor()``."""
+    for component in _components(circuit):
+        for attribute in VALUES:
+            if hasattr(component, attribute):
+                setattr(component, attribute, getattr(component, attribute) * factor())
+
+
+def _set_all(circuit, attributes, value: float) -> bool:
+    """Set each of ``attributes`` a component has to ``value``; whether any was."""
+    changed = False
+    for component in _components(circuit):
+        for attribute in attributes:
+            if hasattr(component, attribute):
+                setattr(component, attribute, value)
+                changed = True
+    return changed
+
+
+def _draws(build, seed: int):
+    """``(kind, circuit)`` per draw: the scaled ones, then the adversarial
+    ones: every gain and DC value zero, every gain exactly 1 (which the
+    simplifier folds away), and every value at an ``extreme`` magnitude."""
+    rng = np.random.default_rng(seed)
+    for _ in range(SCALED_DRAWS):
+        circuit = build()
+        _scale(circuit, lambda: rng.uniform(0.5, 2.0))
+        yield "scaled", circuit
+    for kind, attributes, value in (("zero", (*GAINS, "dc_value"), 0.0), ("unit", GAINS, 1.0)):
+        circuit = build()
+        if _set_all(circuit, attributes, value):
+            yield kind, circuit
+    for factor in (1e-150, 1e150):
+        circuit = build()
+        _scale(circuit, lambda: factor)
+        yield "extreme", circuit
+
+
+def _outcome(produce) -> tuple:
+    """The generated source and states of ``produce()``'s model, or its error."""
+    try:
+        model = produce()
+        if model is None:
+            return ("fallback",)
+        return ("model", PythonGenerator().generate(model).source, model.state_variables)
+    except ReproError as error:
+        return ("error", type(error).__name__, str(error))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "index, build, output",
+    [(index, *case[1:]) for index, case in enumerate(CORPUS)],
+    ids=[case[0] for case in CORPUS],
+)
+def test_replay_gives_the_full_flow_model_or_falls_back(index, method, build, output):
+    flow = AbstractionFlow(TIMESTEP, method=method)
+    recipe = AbstractionRecipe.record(flow.abstract(build(), output))
+    fallbacks = []
+    for kind, circuit in _draws(build, seed=index):
+        replayed = _outcome(lambda: recipe.replay(circuit))
+        if replayed == ("fallback",):
+            fallbacks.append(kind)
+        else:
+            assert replayed == _outcome(lambda: flow.abstract(circuit, output).model), kind
+    # Magnitudes beyond the rule's window take the full flow; a Monte-Carlo
+    # draw of RC20 never does.
+    assert fallbacks.count("extreme") == 2
+    if CORPUS[index][0].startswith("rc20-mc"):
+        assert "scaled" not in fallbacks

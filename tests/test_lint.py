@@ -843,14 +843,14 @@ class TestStrictGates:
         from repro.sweep import SweepRunner
         from repro.sweep.spec import GridSpec
 
-        original = runner_module._abstract_scenario
+        original = runner_module.RecipeTable.abstract
 
-        def sabotage(config, scenario):
-            model = original(config, scenario)
+        def sabotage(recipes, circuit, outputs, name):
+            model = original(recipes, circuit, outputs, name)
             model.outputs.append("phantom")  # never computed -> lint error
             return model
 
-        monkeypatch.setattr(runner_module, "_abstract_scenario", sabotage)
+        monkeypatch.setattr(runner_module.RecipeTable, "abstract", sabotage)
         runner = SweepRunner(
             rc_benchmark(1).build,
             "out",

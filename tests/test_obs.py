@@ -364,7 +364,12 @@ class TestCounterReconciliation:
             build_rc_filter, "out", stimuli=WAVE, timestep=TIMESTEP, trace=True
         ).run(spec, SHORT)
         assert result.telemetry is not None
-        assert result.telemetry.counters["sweep.scenarios"] == result.executed_count
+        counters = result.telemetry.counters
+        assert counters["sweep.scenarios"] == result.executed_count
+        # One full abstraction flow for the topology, a replay for the rest.
+        assert counters["flow.abstractions"] == 1
+        assert counters["flow.abstractions"] + counters["flow.replays"] == result.executed_count
+        assert "flow.replay_fallbacks" not in counters
 
     def test_multiprocess_fault_campaign_reconciles_exactly(self):
         """The acceptance criterion: merged worker telemetry == result counts."""
@@ -489,6 +494,27 @@ class TestTraceCli:
             in captured.out
         )
         assert "platform.run: n=1 " in captured.out
+
+    def test_smoke_summary_survives_the_trace_round_trip(self, tmp_path, monkeypatch):
+        """The latency percentiles and worker utilization of a traced
+        ``repro-faults --smoke`` report come back from its trace events."""
+        import repro.fault.cli as fault_cli
+
+        written = []
+
+        def capture(path, report):
+            written.append(report)
+            return write_trace_json(path, report)
+
+        monkeypatch.setattr(fault_cli, "write_trace_json", capture)
+        status = fault_cli.main(
+            ["--smoke", "--quiet", "--trace", str(tmp_path / "trace.json")]
+        )
+        assert status == 0
+        (report,) = written
+        summary = report.summary()
+        assert {"latency_seconds", "worker_utilization"} <= summary.keys()
+        assert report_from_trace(to_trace_events(report)).summary() == summary
 
     def test_trace_file_renders_into_the_dashboard(self, tmp_path):
         from repro.report.cli import main as report_main
