@@ -630,7 +630,7 @@ def test_sweep_replay_beats_a_full_flow_per_scenario():
             flow.abstract(circuit, "out", name=circuit.name)
 
     def replays() -> None:
-        recipes = RecipeTable(PAPER_TIMESTEP, "backward_euler")
+        recipes = RecipeTable(PAPER_TIMESTEP)
         for scenario in scenarios:
             circuit = factory(**scenario.params)
             recipes.abstract(circuit, ["out"], circuit.name)

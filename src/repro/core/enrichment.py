@@ -86,12 +86,7 @@ def discretize_equation(
     return flattened, updates
 
 
-def enrich(
-    acquisition: AcquisitionResult,
-    timestep: float,
-    method: str = "backward_euler",
-    include_mesh: bool = True,
-) -> EnrichmentResult:
+def enrich(acquisition: AcquisitionResult, timestep: float) -> EnrichmentResult:
     """Run the enrichment step.
 
     Parameters
@@ -101,18 +96,15 @@ def enrich(
     timestep:
         The fixed timestep the generated model will be executed at; it is
         needed to discretise the analog operators.
-    method:
-        Discretisation scheme (``"backward_euler"`` or ``"trapezoidal"``).
-    include_mesh:
-        Whether to also run the mesh analysis (KVL); nodal analysis alone is
-        sufficient, the KVL forms simply give the assemble step additional
-        candidate definitions, as in the paper.
+
+    Nodal analysis alone would suffice; the mesh analysis's KVL forms give
+    the assemble step additional candidate definitions, as in the paper.
     """
     circuit = acquisition.circuit
-    discretizer = Discretizer(timestep, method)
+    discretizer = Discretizer(timestep)
 
     kcl = nodal_analysis(circuit)
-    kvl = mesh_analysis(circuit) if include_mesh else []
+    kvl = mesh_analysis(circuit)
 
     source_equations = list(acquisition.dipole_equations) + kcl + kvl
 

@@ -88,19 +88,12 @@ class AbstractionFlow:
     timestep:
         The fixed timestep the generated models will execute at (the paper
         uses 50 ns for its experiments).
-    method:
-        Discretisation scheme for the analog operators.
     """
 
-    def __init__(
-        self,
-        timestep: float,
-        method: str = "backward_euler",
-    ) -> None:
+    def __init__(self, timestep: float) -> None:
         if timestep <= 0.0:
             raise ValueError("timestep must be positive")
         self.timestep = float(timestep)
-        self.method = method
 
     # -- conservative path ------------------------------------------------------------
     def abstract(
@@ -124,7 +117,7 @@ class AbstractionFlow:
         normalised = [normalise_output(output, ground) for output in outputs]
 
         start = time.perf_counter()
-        enrichment = enrich(acquisition, self.timestep, method=self.method)
+        enrichment = enrich(acquisition, self.timestep)
         timings["enrichment"] = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -168,7 +161,7 @@ class AbstractionFlow:
         """Directly convert a signal-flow Verilog-AMS description."""
         if isinstance(module, str):
             module = parse_module(module)
-        return convert_signal_flow(module, self.timestep, self.method)
+        return convert_signal_flow(module, self.timestep)
 
     # -- dispatching -------------------------------------------------------------------------
     def process(
@@ -322,7 +315,6 @@ class AbstractionRecipe:
     """
 
     timestep: float
-    method: str
     outputs: tuple[str, ...]
     order: tuple[str, ...]
     choices: dict[str, tuple[str, "str | None"]]
@@ -339,7 +331,6 @@ class AbstractionRecipe:
         skeletons = {origin: replay_skeleton(written[origin]) for origin in dependent}
         return cls(
             timestep=enrichment.discretizer.timestep,
-            method=enrichment.discretizer.method,
             outputs=tuple(assembled.outputs),
             order=tuple(assembled.order),
             choices=dict(assembled.choices),
@@ -367,7 +358,7 @@ class AbstractionRecipe:
         if None in self.skeletons.values():
             return None
         acquisition = acquire(model)
-        discretizer = Discretizer(self.timestep, self.method)
+        discretizer = Discretizer(self.timestep)
         sources: dict[str, Equation] = {}
         for equation in acquisition.dipole_equations:
             flattened, updates = discretize_equation(equation, discretizer)
@@ -400,9 +391,7 @@ def abstract_circuit(
     model: "Circuit | VamsModule | str",
     outputs: list[str] | str,
     timestep: float,
-    method: str = "backward_euler",
     name: str | None = None,
 ) -> SignalFlowModel:
     """One-call helper: abstract ``model`` and return only the signal-flow model."""
-    flow = AbstractionFlow(timestep, method=method)
-    return flow.abstract(model, outputs, name=name).model
+    return AbstractionFlow(timestep).abstract(model, outputs, name=name).model

@@ -238,11 +238,7 @@ def _normalise_port_accesses(expression: Expr, module: VamsModule, ground: str) 
     return substitute(expression, mapping)
 
 
-def convert_signal_flow(
-    module: VamsModule,
-    timestep: float,
-    method: str = "backward_euler",
-) -> SignalFlowModel:
+def convert_signal_flow(module: VamsModule, timestep: float) -> SignalFlowModel:
     """Convert a signal-flow Verilog-AMS module into a :class:`SignalFlowModel`.
 
     The conversion preserves the original statement order (paper Section
@@ -257,7 +253,7 @@ def convert_signal_flow(
             "abstraction methodology instead of the direct conversion"
         )
     ground = "gnd"
-    discretizer = Discretizer(timestep, method)
+    discretizer = Discretizer(timestep)
     assignments: list[Assignment] = []
 
     def convert_statement(statement) -> list[Assignment]:

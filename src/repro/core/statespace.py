@@ -53,7 +53,6 @@ def abstract_state_space(
     circuit: Circuit,
     outputs: list[str],
     timestep: float,
-    method: str = "backward_euler",
     name: str | None = None,
 ) -> SignalFlowModel:
     """Build a signal-flow model for ``outputs`` from the discretised MNA system.
@@ -65,13 +64,12 @@ def abstract_state_space(
     outputs:
         Output designations (``"out"``, ``"V(out)"``, ``"I(branch)"``...).
     timestep:
-        Fixed execution timestep.
-    method:
-        Companion-model integration scheme.
+        Fixed execution timestep; the companion models use backward Euler,
+        the discretisation of the symbolic pipeline.
     name:
         Model name (defaults to ``"<circuit>_ss"``).
     """
-    system = MnaSystem(circuit, timestep, method=method)
+    system = MnaSystem(circuit, timestep)
     F, G, g0 = system.discrete_state_space()
     unknowns = list(system.index.unknowns)
     inputs = list(system.index.inputs)

@@ -18,7 +18,7 @@ from ..expr.equation import Equation
 
 @dataclass
 class TableEntry:
-    """One equation stored in the table, with its enable flag.
+    """One equation stored in the table.
 
     ``origin`` identifies the equivalence class: every equation derived by
     re-solving the same source relation shares the origin of that relation,
@@ -30,16 +30,11 @@ class TableEntry:
     """
 
     equation: Equation
-    enabled: bool = True
     term: str | None = None
 
     @property
     def origin(self) -> str:
         return self.equation.origin or self.equation.name
-
-    @property
-    def defined_variable(self) -> str | None:
-        return self.equation.defined_variable()
 
 
 class EquationTable:
@@ -70,24 +65,17 @@ class EquationTable:
             self.insert(equation)
 
     # -- lookup --------------------------------------------------------------------
-    def candidates(self, variable: str, enabled_only: bool = True) -> list[TableEntry]:
-        """Return the equations that define ``variable`` (optionally only enabled ones)."""
-        entries = self._by_variable.get(variable, [])
-        if not enabled_only:
-            return list(entries)
+    def candidates(self, variable: str) -> list[TableEntry]:
+        """Return the equations that define ``variable``, minus disabled classes."""
         return [
             entry
-            for entry in entries
-            if entry.enabled and entry.origin not in self._disabled_origins
+            for entry in self._by_variable.get(variable, [])
+            if entry.origin not in self._disabled_origins
         ]
 
     def defined_variables(self) -> list[str]:
         """Every variable for which at least one defining equation exists."""
         return list(self._by_variable)
-
-    def equations(self) -> list[Equation]:
-        """Every stored equation, in insertion order."""
-        return [entry.equation for entry in self._all]
 
     def origins(self) -> set[str]:
         """The set of equivalence-class identifiers present in the table."""

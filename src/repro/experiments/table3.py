@@ -59,9 +59,9 @@ def sweep_component(
     ``parameters`` (any :class:`~repro.sweep.spec.SweepSpec`) and
     ``firmwares`` (variant name → assembly source) open the full design
     space around the component; by default a single nominal point with the
-    default firmware reproduces the classic Table III column.  The nominal
-    point reuses the abstraction ``prepared`` already carries; non-nominal
-    parameter points are abstracted inside the sweep workers.
+    default firmware reproduces the classic Table III column.  Every
+    parameter point is abstracted inside the sweep, outside the timed
+    platform run.
     """
     benchmark = prepared.benchmark
     runner = PlatformSweepRunner(
@@ -72,8 +72,6 @@ def sweep_component(
         cpu_clock_hz=cpu_clock_hz,
         workers=workers,
         record_analog=record_analog,
-        # the harness already abstracted the nominal point; don't redo it
-        premade_models=[({}, prepared.model)],
     )
     spec = PlatformScenarioSpec(
         parameters=parameters, styles=styles, firmwares=firmwares

@@ -24,17 +24,13 @@ from .ast import (
     Previous,
     UnaryOp,
     Variable,
-    constant,
     rebuild,
     substitute,
     substitute_previous,
     to_string,
     transform,
-    variable,
 )
 from .discretize import (
-    BACKWARD_EULER,
-    TRAPEZOIDAL,
     DiscretizationResult,
     Discretizer,
     discretize,
@@ -68,8 +64,6 @@ __all__ = [
     "KNOWN_FUNCTIONS",
     "LOGICAL_OPERATORS",
     "UNARY_OPERATORS",
-    "BACKWARD_EULER",
-    "TRAPEZOIDAL",
     "Access",
     "BinaryOp",
     "Call",
@@ -85,7 +79,6 @@ __all__ = [
     "Previous",
     "UnaryOp",
     "Variable",
-    "constant",
     "constant_value",
     "discretize",
     "evaluate",
@@ -99,5 +92,4 @@ __all__ = [
     "substitute_previous",
     "to_string",
     "transform",
-    "variable",
 ]

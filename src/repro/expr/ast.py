@@ -507,15 +507,5 @@ def to_string(node: Expr, parent_precedence: int = 0) -> str:
     raise TypeError(f"cannot render node of type {type(node).__name__}")
 
 
-def constant(value: Number) -> Constant:
-    """Shorthand constructor for :class:`Constant`."""
-    return Constant(value)
-
-
-def variable(name: str) -> Variable:
-    """Shorthand constructor for :class:`Variable`."""
-    return Variable(name)
-
-
 ZERO = Constant(0.0)
 ONE = Constant(1.0)

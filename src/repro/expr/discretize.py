@@ -29,11 +29,6 @@ from .ast import (
 )
 from .simplify import simplify
 
-#: Discretisation schemes supported for the ``ddt`` operator.
-BACKWARD_EULER = "backward_euler"
-TRAPEZOIDAL = "trapezoidal"
-SUPPORTED_METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
-
 
 def previous_of(expr: Expr) -> Expr:
     """Return ``expr`` with every instantaneous variable delayed by one step."""
@@ -73,16 +68,10 @@ class Discretizer:
     that accumulator names stay unique.
     """
 
-    def __init__(self, timestep: float, method: str = BACKWARD_EULER) -> None:
+    def __init__(self, timestep: float) -> None:
         if timestep <= 0.0:
             raise ValueError("the discretisation timestep must be positive")
-        if method not in SUPPORTED_METHODS:
-            raise ValueError(
-                f"unknown discretisation method {method!r}; "
-                f"expected one of {SUPPORTED_METHODS}"
-            )
         self.timestep = float(timestep)
-        self.method = method
         self._integrator_count = 0
 
     def _next_integrator_name(self) -> str:
@@ -98,26 +87,10 @@ class Discretizer:
         def visit(node: Expr) -> Expr:
             if isinstance(node, Derivative):
                 operand = node.operand
-                delayed = previous_of(operand)
-                if self.method == BACKWARD_EULER:
-                    return BinaryOp("/", BinaryOp("-", operand, delayed), dt)
-                # Trapezoidal differentiation uses the same first difference;
-                # the distinction matters for idt (and for companion models in
-                # the ELN solver), where the average of the operand is used.
-                return BinaryOp("/", BinaryOp("-", operand, delayed), dt)
+                return BinaryOp("/", BinaryOp("-", operand, previous_of(operand)), dt)
             if isinstance(node, Integral):
                 name = self._next_integrator_name()
-                operand = node.operand
-                if self.method == TRAPEZOIDAL:
-                    average = BinaryOp(
-                        "/",
-                        BinaryOp("+", operand, previous_of(operand)),
-                        Constant(2.0),
-                    )
-                    increment = BinaryOp("*", dt, average)
-                else:
-                    increment = BinaryOp("*", dt, operand)
-                update = BinaryOp("+", Previous(name), increment)
+                update = BinaryOp("+", Previous(name), BinaryOp("*", dt, node.operand))
                 updates[name] = simplify(update)
                 result: Expr = Variable(name)
                 if node.initial is not None:
@@ -129,8 +102,6 @@ class Discretizer:
         return DiscretizationResult(simplify(rewritten), updates)
 
 
-def discretize(
-    expr: Expr, timestep: float, method: str = BACKWARD_EULER
-) -> DiscretizationResult:
+def discretize(expr: Expr, timestep: float) -> DiscretizationResult:
     """One-shot helper around :class:`Discretizer` for a single expression."""
-    return Discretizer(timestep, method).discretize(expr)
+    return Discretizer(timestep).discretize(expr)

@@ -76,12 +76,8 @@ class Equation:
         """Return ``True`` if either side contains a ``ddt`` operator."""
         return self.lhs.has_derivative() or self.rhs.has_derivative()
 
-    def has_integral(self) -> bool:
-        """Return ``True`` if either side contains an ``idt`` operator."""
-        return self.lhs.has_integral() or self.rhs.has_integral()
-
     # -- transformations -------------------------------------------------------
-    def solved_for(self, name: str, *, new_name: str | None = None) -> "Equation":
+    def solved_for(self, name: str) -> "Equation":
         """Return a new equation with ``name`` isolated on the left-hand side.
 
         This is the ``Solve(equation, term)`` call in Algorithm 1 of the paper.
@@ -91,7 +87,7 @@ class Equation:
             Variable(name),
             solution,
             kind=DERIVED,
-            name=new_name or f"{self.name}->{name}",
+            name=f"{self.name}->{name}",
             origin=self.origin,
         )
 

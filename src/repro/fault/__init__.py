@@ -64,7 +64,6 @@ from .models import (
 from .report import (
     VERDICT_CRASH,
     VERDICT_DETECTED,
-    VERDICT_LINT,
     VERDICT_SILENT,
     VERDICT_TRACE,
     VERDICTS,
@@ -99,7 +98,6 @@ __all__ = [
     "VERDICTS",
     "VERDICT_CRASH",
     "VERDICT_DETECTED",
-    "VERDICT_LINT",
     "VERDICT_SILENT",
     "VERDICT_TRACE",
     "analog_fault_universe",

@@ -122,31 +122,15 @@ class FaultableCircuitFactory:
     carry :data:`FAULT_PARAM`, the corresponding netlist transform runs on
     the freshly built circuit.  Module-level and dataclass-based so the whole
     recipe pickles into worker processes.
-
-    With ``lint`` set, every built circuit (golden and mutated alike) runs
-    through the netlist semantic linter *after* the fault is applied; an
-    error diagnostic raises :class:`repro.lint.LintError`, which the
-    error-capturing platform worker records as a crash whose message the
-    verdict classifier maps to ``lint-rejected`` — the mutant is skipped
-    with a verdict instead of executing a non-physical circuit.
     """
 
     base: Callable[..., Circuit]
     faults: dict[str, AnalogFault] = field(default_factory=dict)
-    lint: bool = False
 
     def __call__(self, _fault: str = "", **params) -> Circuit:
         circuit = self.base(**params)
         if _fault:
             self.faults[_fault].apply(circuit)
-        if self.lint:
-            from ..lint import LintError, lint_circuit
-
-            report = lint_circuit(
-                circuit, file=f"<fault:{_fault}>" if _fault else "<golden>"
-            )
-            if not report.ok:
-                raise LintError(report)
         return circuit
 
     def store_fingerprint(self) -> list:
@@ -259,31 +243,18 @@ class FaultCampaignRunner(PlatformSweepRunner):
     every other parameter is the platform runner's, including
     ``store``/``resume``/``interrupt_after`` for durable campaigns whose
     resumed verdicts, coverage and reports are bit-identical to an
-    uninterrupted run's.  Those three platform parameters are not accepted.
+    uninterrupted run's.  Those two platform parameters are not accepted.
 
     ``nrmse_threshold`` is the ADC-trace divergence level above which a
     fault that left the software outcome untouched still counts as
-    *trace-divergent* rather than *silent*.  ``lint`` enables the strict
-    static-analysis gate: every built circuit is run through
-    :func:`repro.lint.lint_circuit` after its fault is applied, and a
-    mutant the linter rejects is skipped with the ``lint-rejected`` verdict
-    instead of simulating a non-physical circuit.
+    *trace-divergent* rather than *silent*.
     """
 
-    def __init__(
-        self, *args, nrmse_threshold: float = 1e-3, lint: bool = False, **options
-    ) -> None:
+    def __init__(self, *args, nrmse_threshold: float = 1e-3, **options) -> None:
         if nrmse_threshold <= 0.0:
             raise FaultError("the NRMSE divergence threshold must be positive")
         self.nrmse_threshold = float(nrmse_threshold)
-        self.lint = bool(lint)
-        super().__init__(
-            *args,
-            record_analog=True,
-            capture_errors=True,
-            premade_models=None,
-            **options,
-        )
+        super().__init__(*args, record_analog=True, capture_errors=True, **options)
 
     def run(self, spec: FaultCampaignSpec, duration: float) -> FaultCampaignResult:
         """Execute every run of ``spec`` for ``duration`` seconds each."""
@@ -310,7 +281,7 @@ class FaultCampaignRunner(PlatformSweepRunner):
             for run in scenarios
             if isinstance(run.fault, AnalogFault)
         }
-        return FaultableCircuitFactory(self.engine.factory, faults, lint=self.lint)
+        return FaultableCircuitFactory(self.engine.factory, faults)
 
     def _result(self, telemetry, **fields) -> FaultCampaignResult:
         return FaultCampaignResult(

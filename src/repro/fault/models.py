@@ -28,6 +28,7 @@ fault-coverage matrices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,20 @@ class DigitalFault(FaultModel):
 # ----------------------------------------------------------------------------------
 # Analog faults
 # ----------------------------------------------------------------------------------
+def _check_value(fault: AnalogFault, what: str, value: float, positive: bool = True) -> None:
+    """Refuse a ``value`` that is not finite and > 0 (>= 0 unless ``positive``).
+
+    Faults set component values past the components' own validation, so a
+    negative or infinite resistance would otherwise reach the solvers.
+    """
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise FaultError(
+            f"fault {fault.name}: {what} {value!r} is not physical "
+            f"(it must be finite and {bound})"
+        )
+
+
 def _value_attribute(component) -> str:
     for attribute in _VALUE_ATTRIBUTES:
         if hasattr(component, attribute):
@@ -139,8 +154,7 @@ class ParameterDriftFault(AnalogFault):
     kind = "drift"
 
     def __post_init__(self) -> None:
-        if self.factor <= 0.0:
-            raise FaultError("a drift factor must be positive")
+        _check_value(self, "drift factor", self.factor)
 
     @property
     def name(self) -> str:
@@ -172,6 +186,9 @@ class ResistorOpenFault(AnalogFault):
 
     kind = "open"
 
+    def __post_init__(self) -> None:
+        _check_value(self, "resistance", self.resistance)
+
     @property
     def name(self) -> str:
         return f"open:{self.branch}"
@@ -188,6 +205,9 @@ class ResistorShortFault(AnalogFault):
     resistance: float = 1e-2
 
     kind = "short"
+
+    def __post_init__(self) -> None:
+        _check_value(self, "resistance", self.resistance)
 
     @property
     def name(self) -> str:
@@ -207,8 +227,7 @@ class GainDegradationFault(AnalogFault):
     kind = "gain-degradation"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.factor:
-            raise FaultError("the gain degradation factor must be non-negative")
+        _check_value(self, "gain factor", self.factor, positive=False)
 
     @property
     def name(self) -> str:

@@ -47,22 +47,12 @@ from ..vp.platform import PlatformRunResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
     from .campaign import FaultScenario
 
-#: The five verdicts, in increasing severity order.  ``lint-rejected`` is
-#: the strict static-analysis gate (``lint=True`` on the campaign runner):
-#: the faulted circuit never executed because :mod:`repro.lint` found an
-#: error in it, so the mutant is skipped-with-verdict rather than crashed.
+#: The four verdicts, in increasing severity order.
 VERDICT_SILENT = "silent"
 VERDICT_TRACE = "trace-divergent"
 VERDICT_DETECTED = "firmware-detected"
-VERDICT_LINT = "lint-rejected"
 VERDICT_CRASH = "crash"
-VERDICTS = (
-    VERDICT_SILENT,
-    VERDICT_TRACE,
-    VERDICT_DETECTED,
-    VERDICT_LINT,
-    VERDICT_CRASH,
-)
+VERDICTS = (VERDICT_SILENT, VERDICT_TRACE, VERDICT_DETECTED, VERDICT_CRASH)
 
 
 def trace_nrmse(
@@ -101,8 +91,6 @@ def _classify(
 ) -> tuple[str, "float | None", str]:
     """:func:`classify_run` given the run's :func:`trace_nrmse`."""
     if faulted.crashed is not None:
-        if faulted.crashed.startswith("LintError"):
-            return VERDICT_LINT, error, faulted.crashed
         return VERDICT_CRASH, error, faulted.crashed
     if faulted.uart_output != golden.uart_output:
         return (

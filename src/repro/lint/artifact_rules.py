@@ -2,10 +2,9 @@
 
 Static contract checks over the :class:`~repro.core.signalflow.SignalFlowModel`
 IR the abstraction pipeline produces, run before any backend executes it.
-The fuzz oracle runs them as a pre-execution stage (:mod:`repro.zoo.oracle`),
-and the sweep runner can enable them as a strict gate
-(``SweepRunner(lint=True)``).  Every backend's generated source is pinned
-by ``tests/corpus/target_outcomes.json`` instead.
+The fuzz oracle runs them as a pre-execution stage (:mod:`repro.zoo.oracle`);
+no other caller does.  Every backend's generated source is pinned by
+``tests/corpus/target_outcomes.json`` instead.
 
 Rules:
 

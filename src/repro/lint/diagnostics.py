@@ -25,12 +25,8 @@ _SEVERITY_RANK = {severity: rank for rank, severity in enumerate(SEVERITIES)}
 
 
 class LintError(ReproError):
-    """Raised by the strict gates when lint-fatal diagnostics are found.
-
-    Campaign workers running with ``capture_errors=True`` record this as a
-    skipped-with-verdict run instead of crashing; see
-    :mod:`repro.fault.campaign` and :mod:`repro.sweep.runner`.
-    """
+    """A report with lint-fatal diagnostics, as an error; its message lists
+    each error's rule and message."""
 
     def __init__(self, report: "LintReport") -> None:
         summary = "; ".join(

@@ -159,12 +159,9 @@ def lint_netlist(netlist) -> LintReport:
 
 
 def lint_circuit(circuit: Circuit, file: str = "<circuit>") -> LintReport:
-    """Graph-level lint of an already-built circuit (no source positions).
-
-    This is the entry point of the fault-campaign strict gate: an injected
-    fault that leaves the circuit topologically singular is reported here
-    instead of crashing inside the solver.
-    """
+    """Graph-level lint of an already-built circuit (no source positions),
+    such as one a fault has mutated: a singular topology or a non-physical
+    value is reported instead of crashing inside the solver."""
     edges = []
     sensed: set[str] = set()
     for branch in circuit:

@@ -176,12 +176,9 @@ class Circuit:
         """All branches keyed by name."""
         return dict(self._branches)
 
-    def node_names(self, include_ground: bool = True) -> list[str]:
-        """Return node names in insertion order."""
-        names = list(self._nodes)
-        if not include_ground:
-            names = [name for name in names if name != self.ground]
-        return names
+    def node_names(self) -> list[str]:
+        """Return node names, ground included, in insertion order."""
+        return list(self._nodes)
 
     def branch_names(self) -> list[str]:
         """Return branch names in insertion order."""

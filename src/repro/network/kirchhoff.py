@@ -25,17 +25,16 @@ def _sum(terms: list[Expr]) -> Expr:
     return total
 
 
-def nodal_analysis(circuit: Circuit, include_ground: bool = False) -> list[Equation]:
+def nodal_analysis(circuit: Circuit) -> list[Equation]:
     """Return one KCL equation per node: the sum of leaving currents is zero.
 
     The reference direction of a branch is positive-to-negative, so the branch
     current leaves its positive node and enters its negative node.  The ground
-    node's equation is linearly dependent on the others and is skipped unless
-    ``include_ground`` is set.
+    node's equation is linearly dependent on the others and is skipped.
     """
     equations: list[Equation] = []
     for node in circuit.node_names():
-        if node == circuit.ground and not include_ground:
+        if node == circuit.ground:
             continue
         terms: list[Expr] = []
         for branch in circuit.branches_at(node):
@@ -89,9 +88,6 @@ def mesh_analysis(circuit: Circuit) -> list[Equation]:
     return equations
 
 
-def kirchhoff_equations(circuit: Circuit, include_mesh: bool = True) -> list[Equation]:
-    """Return the full set of implicit equations (KCL, and optionally KVL)."""
-    equations = nodal_analysis(circuit)
-    if include_mesh:
-        equations.extend(mesh_analysis(circuit))
-    return equations
+def kirchhoff_equations(circuit: Circuit) -> list[Equation]:
+    """Return the full set of implicit equations (KCL, then KVL)."""
+    return nodal_analysis(circuit) + mesh_analysis(circuit)

@@ -100,7 +100,8 @@ class MnaSystem:
 
     # -- construction -----------------------------------------------------------
     def _build_index(self) -> MnaIndex:
-        unknowns = [f"V({node})" for node in self.circuit.node_names(include_ground=False)]
+        ground = self.circuit.ground
+        unknowns = [f"V({node})" for node in self.circuit.node_names() if node != ground]
         for branch in self.circuit:
             if self._carries_current_unknown(branch):
                 unknowns.append(branch.current_variable())

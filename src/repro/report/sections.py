@@ -258,8 +258,8 @@ def lint_section(report, slug: str = "lint") -> Section:
     if not report.ok:
         parts.append(
             warning_banner(
-                f"{counts['error']} error-severity finding(s) — the strict "
-                "gates (fuzz oracle, lint-enabled campaigns, CI) fail on these"
+                f"{counts['error']} error-severity finding(s) — the fuzz "
+                "oracle and CI fail on these"
             )
         )
     if report:

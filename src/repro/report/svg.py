@@ -370,7 +370,6 @@ VERDICT_STATUS = {
     "silent": ("st-neutral", "●"),
     "trace-divergent": ("st-warning", "◆"),
     "firmware-detected": ("st-good", "✓"),
-    "lint-rejected": ("st-warning", "■"),
     "crash": ("st-critical", "✗"),
     # Lint severities reuse the same reserved status hues (the lint section's
     # rule × severity matrix goes through coverage_matrix_table too).

@@ -35,11 +35,10 @@ def run_python_model(
     model: "SignalFlowModel | object",
     stimuli: Stimuli,
     duration: float,
-    timestep: float | None = None,
 ) -> TraceSet:
     """Run the generated plain-Python model (the paper's C++ target) directly."""
     instance = _instantiate(model)
-    dt = float(timestep if timestep is not None else instance.TIMESTEP)
+    dt = float(instance.TIMESTEP)
     input_names = list(instance.INPUTS)
     output_names = list(instance.OUTPUTS)
     waveforms = [stimuli[name] for name in input_names]

@@ -72,7 +72,3 @@ class TraceSet:
     def waveform(self, name: str) -> np.ndarray:
         """Values of the trace called ``name``."""
         return self._traces[name].values
-
-    def times(self, name: str) -> np.ndarray:
-        """Sample times of the trace called ``name``."""
-        return self._traces[name].times

@@ -259,17 +259,12 @@ class PlatformSweepConfig:
     cpu_clock_hz: float
     stimuli: dict[str, StimulusFamily]
     firmwares: dict[str, "str | None"]
-    method: str = "backward_euler"
     record_analog: bool = True
     #: CPU instructions executed per DE-kernel event (see
     #: :class:`~repro.vp.platform.SmartSystemPlatform`); 1 is the historical
     #: one-instruction-per-tick model, larger blocks are faster with
     #: identical scenario fingerprints.
     cpu_block_cycles: int = CPU_BLOCK_CYCLES
-    #: Pre-abstracted models keyed by the sorted parameter tuple; seeds the
-    #: per-chunk abstraction memo so callers that already ran the abstraction
-    #: flow (e.g. the Table III harness) do not pay for it twice.
-    premade_models: dict[tuple, SignalFlowModel] = field(default_factory=dict)
     #: Capture :class:`~repro.errors.ReproError` raised while attaching or
     #: running a scenario as a ``crashed`` run result instead of aborting the
     #: whole sweep.  Fault campaigns set this: an injected fault taking the
@@ -298,7 +293,7 @@ class PlatformSweepConfig:
             "timestep": self.timestep,
             "duration": self.duration,
             "cpu_clock_hz": self.cpu_clock_hz,
-            "method": self.method,
+            "method": "backward_euler",  # a removed option, kept so stored keys stay valid
             "record_analog": self.record_analog,
             "cosim_options": [],  # a removed option, kept so stored keys stay valid
             "firmware": self.firmwares[scenario.firmware],
@@ -338,8 +333,8 @@ class PlatformSweepConfig:
         # The abstracted model depends only on the analog parameters, so the
         # three abstracted styles of one analog point share one abstraction;
         # the recipe table replays one topology's choices across points.
-        model_memo: dict[tuple, SignalFlowModel] = dict(self.premade_models)
-        recipes = RecipeTable(self.timestep, self.method)
+        model_memo: dict[tuple, SignalFlowModel] = {}
+        recipes = RecipeTable(self.timestep)
         groups: dict[tuple, list[int]] = {}
         for position in pending:
             scenario = scenarios[position]
@@ -419,8 +414,6 @@ def _attach(
     family = config.stimuli[scenario.stimulus]
     stimuli = family(scenario.seed) if callable(family) else family
     if scenario.style in ABSTRACTED_STYLES:
-        # Build the circuit only on a memo miss: with a seeded/memoised
-        # model the netlist is never needed (and the factory never called).
         key = tuple(sorted(scenario.params.items()))
         model = model_memo.get(key)
         if model is None:
@@ -522,9 +515,8 @@ class PlatformSweepRunner:
         Either one stimulus mapping (registered as the ``"default"`` family)
         or a mapping of family name → stimulus family; a family may be a
         callable taking the scenario seed for randomized stimuli.
-    timestep / cpu_clock_hz / method:
-        Platform construction parameters (analog timestep, CPU clock) and
-        the discretisation method of the abstraction flow.
+    timestep / cpu_clock_hz:
+        Platform construction parameters (analog timestep, CPU clock).
     families:
         Forces the interpretation of ``stimuli``: ``True`` = family table,
         ``False`` = plain stimulus mapping, ``None`` (default) = auto-detect
@@ -579,12 +571,10 @@ class PlatformSweepRunner:
         stimuli: "Stimuli | Mapping[str, StimulusFamily]",
         timestep: float = 50e-9,
         cpu_clock_hz: float = 20e6,
-        method: str = "backward_euler",
         families: "bool | None" = None,
         workers: int = 1,
         record_analog: bool = True,
         cpu_block_cycles: int = CPU_BLOCK_CYCLES,
-        premade_models: "Sequence[tuple[Mapping[str, float], SignalFlowModel]] | None" = None,
         capture_errors: bool = False,
         store: "RunStore | str | None" = None,
         resume: bool = False,
@@ -605,13 +595,8 @@ class PlatformSweepRunner:
             cpu_clock_hz=float(cpu_clock_hz),
             stimuli=self._normalise_families(stimuli, families),
             firmwares={},
-            method=method,
             record_analog=bool(record_analog),
             cpu_block_cycles=int(cpu_block_cycles),
-            premade_models={
-                tuple(sorted(params.items())): model
-                for params, model in (premade_models or ())
-            },
             capture_errors=bool(capture_errors),
         )
         self.executor = CampaignExecutor(

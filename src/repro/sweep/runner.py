@@ -83,13 +83,7 @@ class SweepConfig:
     timestep: float
     duration: float
     stimuli: dict[str, Callable[[float], float]]
-    method: str = "backward_euler"
     backend: str = "numpy"
-    name: str | None = None
-    #: Strict static-analysis gate: lint every abstracted model before it is
-    #: simulated and raise :class:`repro.lint.LintError` on any error
-    #: diagnostic (see :mod:`repro.lint.artifact_rules`).
-    lint: bool = False
 
     @property
     def steps(self) -> int:
@@ -104,10 +98,10 @@ class SweepConfig:
 
         Covers everything that determines the scenario's waveforms: the
         circuit factory identity, its parameters, the recorded outputs, the
-        execution grid (duration/timestep), the discretisation method, the
-        backend and the resolved stimulus set.  Scenario position/label are
-        deliberately excluded — identical work shares a record no matter
-        where it sits in the expansion.
+        execution grid (duration/timestep), the backend and the resolved
+        stimulus set.  Scenario position/label are deliberately excluded —
+        identical work shares a record no matter where it sits in the
+        expansion.
         """
         factory, stimuli = self._fingerprints
         if scenario.stimuli is not None:
@@ -118,7 +112,7 @@ class SweepConfig:
             "outputs": list(self.outputs),
             "timestep": self.timestep,
             "duration": self.duration,
-            "method": self.method,
+            "method": "backward_euler",  # a removed option, kept so stored keys stay valid
             "backend": self.backend,
             # fingerprint() also canonicalizes numpy-typed parameter values
             # (np.float32/np.int64 from array-built axes are not JSON types).
@@ -146,30 +140,16 @@ class SweepConfig:
         backend yields scenario by scenario.
         """
         start = _time.perf_counter()
-        recipes = RecipeTable(self.timestep, self.method)
+        recipes = RecipeTable(self.timestep)
         models = {}
         for position in pending:
             circuit = self.factory(**scenarios[position].params)
-            models[position] = recipes.abstract(
-                circuit, self.outputs, self.name or circuit.name
-            )
+            models[position] = recipes.abstract(circuit, self.outputs, circuit.name)
         abstract = _time.perf_counter() - start
         TRACER.complete(
             "sweep.abstract", start, abstract, "sweep", scenarios=len(pending)
         )
         TRACER.add("sweep.scenarios", float(len(pending)))
-
-        if self.lint and pending:
-            from ..lint import LintError, lint_model
-
-            reports = [
-                lint_model(models[i], file=f"<scenario:{scenarios[i].describe()}>")
-                for i in pending
-            ]
-            for report in reports[1:]:
-                reports[0].extend(report)
-            if not reports[0].ok:
-                raise LintError(reports[0])
 
         groups: dict[object, tuple[tuple, list[int]]] = {}
         for position in pending:
@@ -232,13 +212,12 @@ def _signature_digest(signature: tuple) -> str:
     return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()[:16]
 
 
-def topology_key(
-    circuit: Circuit, outputs: Sequence[str], timestep: float, method: str
-) -> tuple:
-    """What an :class:`~repro.core.flow.AbstractionRecipe` is keyed on, read
-    off the circuit before abstraction: its ground, nodes and, per branch,
-    name, terminals, component kind, control nodes and input name, plus the
-    outputs, timestep and method.  Parameter values are left out."""
+def topology_key(circuit: Circuit, outputs: Sequence[str]) -> tuple:
+    """What an :class:`~repro.core.flow.AbstractionRecipe` is keyed on in a
+    :class:`RecipeTable`, read off the circuit before abstraction: its
+    ground, nodes and, per branch, name, terminals, component kind, control
+    nodes and input name, plus the outputs.  Parameter values are left
+    out."""
     branches = tuple(
         (
             name,
@@ -251,7 +230,7 @@ def topology_key(
         )
         for name, branch in circuit.branches.items()
     )
-    return (circuit.ground, tuple(circuit.nodes), branches, tuple(outputs), timestep, method)
+    return (circuit.ground, tuple(circuit.nodes), branches, tuple(outputs))
 
 
 @dataclass
@@ -268,14 +247,13 @@ class RecipeTable:
     """
 
     timestep: float
-    method: str
     recipes: dict[tuple, AbstractionRecipe] = field(default_factory=dict)
 
     def abstract(
         self, circuit: Circuit, outputs: Sequence[str], name: str
     ) -> SignalFlowModel:
         """The signal-flow model of ``circuit`` for ``outputs``."""
-        key = topology_key(circuit, outputs, self.timestep, self.method)
+        key = topology_key(circuit, outputs)
         recipe = self.recipes.get(key)
         if recipe is not None:
             model = recipe.replay(circuit, name)
@@ -283,9 +261,7 @@ class RecipeTable:
                 TRACER.add("flow.replays")
                 return model
             TRACER.add("flow.replay_fallbacks")
-        report = AbstractionFlow(self.timestep, method=self.method).abstract(
-            circuit, outputs, name=name
-        )
+        report = AbstractionFlow(self.timestep).abstract(circuit, outputs, name=name)
         if recipe is None:
             self.recipes[key] = AbstractionRecipe.record(report)
         return report.model
@@ -413,11 +389,6 @@ class SweepRunner:
     progress:
         Render a live throttled progress line on stderr.  ``None`` (the
         default) shows it only when stderr is a terminal.
-    lint:
-        Strict static-analysis gate: run the signal-flow IR checks
-        (:func:`repro.lint.lint_model`) over every abstracted model before
-        simulating and raise :class:`~repro.lint.LintError` on any error
-        diagnostic.
     """
 
     def __init__(
@@ -426,15 +397,12 @@ class SweepRunner:
         outputs: "str | list[str]",
         stimuli: Stimuli,
         timestep: float,
-        method: str = "backward_euler",
         backend: str = "numpy",
         workers: int = 1,
-        name: str | None = None,
         store: "RunStore | str | None" = None,
         resume: bool = False,
         trace: "bool | None" = None,
         progress: "bool | None" = None,
-        lint: bool = False,
     ) -> None:
         if timestep <= 0.0:
             raise ValueError("timestep must be positive")
@@ -454,10 +422,7 @@ class SweepRunner:
             timestep=float(timestep),
             duration=0.0,
             stimuli=dict(stimuli),
-            method=method,
             backend=backend,
-            name=name,
-            lint=bool(lint),
         )
         self.executor = CampaignExecutor(
             workers=workers, store=store, resume=resume, trace=trace, progress=progress

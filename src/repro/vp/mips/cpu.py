@@ -377,20 +377,6 @@ class MipsCpu:
             "superblock_invalidations": self.superblock_invalidation_count,
         }
 
-    def decode_stats(self) -> dict[str, int]:
-        """Decode-cache effectiveness counters (since construction or reset).
-
-        ``decode_misses`` counts executed instructions that were not served
-        from the cache (first executions, re-decodes after invalidation and
-        uncacheable unaligned fetches); hits are therefore
-        ``instruction_count - decode_misses``.
-        """
-        return {
-            "blocks": self.block_count,
-            "decode_misses": self.decode_miss_count,
-            "decode_invalidations": self.decode_invalidation_count,
-        }
-
     # -- execution -----------------------------------------------------------------------------
     def step(self) -> None:
         """Fetch, decode (cached) and execute exactly one instruction."""

@@ -31,8 +31,8 @@ from repro.expr import simplify, solve_affine_system
 from repro.vams import parse_module, to_circuit
 from repro.zoo import generate_netlist, render, zoo_entries
 
-TIMESTEP = 50e-9
-METHODS = ("backward_euler", "trapezoidal")
+#: The paper's timestep, and the one the sweep tests run at.
+TIMESTEPS = (50e-9, 1e-6)
 
 
 def _generated_circuit(index: int):
@@ -74,26 +74,26 @@ def full_solve_model(report) -> SignalFlowModel:
         outputs=list(assembled.outputs),
         assignments=[a for a in assignments if a.target in needed],
         state_variables=sorted(states),
-        timestep=TIMESTEP,
+        timestep=report.model.timestep,
         source=report.model.source,
     )
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("timestep", TIMESTEPS)
 @pytest.mark.parametrize("build, output", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS])
-def test_model_matches_full_solve(method, build, output):
-    report = AbstractionFlow(TIMESTEP, method=method).abstract(build(), output)
+def test_model_matches_full_solve(timestep, build, output):
+    report = AbstractionFlow(timestep).abstract(build(), output)
     reference = full_solve_model(report)
     generator = PythonGenerator()
     assert report.model.state_variables == reference.state_variables
     assert generator.generate(report.model).source == generator.generate(reference).source
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("timestep", TIMESTEPS)
 @pytest.mark.parametrize("build, output", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS])
-def test_recorded_choices_rebuild_the_resolutions(method, build, output):
+def test_recorded_choices_rebuild_the_resolutions(timestep, build, output):
     """Solving each choice's source equation for its term gives the resolution."""
-    report = AbstractionFlow(TIMESTEP, method=method).abstract(build(), output)
+    report = AbstractionFlow(timestep).abstract(build(), output)
     assembled = report.assembled
     written = {
         entry.origin: entry.equation for entry in report.enrichment.table if entry.term is None
@@ -113,7 +113,7 @@ def test_recorded_choices_rebuild_the_resolutions(method, build, output):
 VALUES = ("resistance", "capacitance", "inductance", "dc_value", "gain", "transconductance")
 GAINS = ("gain", "transconductance")
 
-#: Scaled draws per corpus circuit and method.
+#: Scaled draws per corpus circuit and timestep.
 SCALED_DRAWS = 3
 
 
@@ -170,14 +170,14 @@ def _outcome(produce) -> tuple:
         return ("error", type(error).__name__, str(error))
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("timestep", TIMESTEPS)
 @pytest.mark.parametrize(
     "index, build, output",
     [(index, *case[1:]) for index, case in enumerate(CORPUS)],
     ids=[case[0] for case in CORPUS],
 )
-def test_replay_gives_the_full_flow_model_or_falls_back(index, method, build, output):
-    flow = AbstractionFlow(TIMESTEP, method=method)
+def test_replay_gives_the_full_flow_model_or_falls_back(index, timestep, build, output):
+    flow = AbstractionFlow(timestep)
     recipe = AbstractionRecipe.record(flow.abstract(build(), output))
     fallbacks = []
     for kind, circuit in _draws(build, seed=index):

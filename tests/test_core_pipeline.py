@@ -65,7 +65,6 @@ class TestEquationTable:
         assert len(table.candidates("x")) == 1
         table.disable_origin("class_a")
         assert table.candidates("x") == []
-        assert table.candidates("x", enabled_only=False)
         table.enable_origin("class_a")
         assert len(table.candidates("x")) == 1
 
@@ -102,10 +101,6 @@ class TestEnrichment:
     def test_discretisation_removes_ddt(self, rc1_circuit, timestep):
         enrichment = enrich(acquire(rc1_circuit), timestep)
         assert all(not entry.equation.has_derivative() for entry in enrichment.table)
-
-    def test_without_mesh_analysis(self, rc1_circuit, timestep):
-        enrichment = enrich(acquire(rc1_circuit), timestep, include_mesh=False)
-        assert enrichment.kvl_equations == []
 
     def test_solved_forms_are_indexed(self, rc1_circuit, timestep):
         enrichment = enrich(acquire(rc1_circuit), timestep)

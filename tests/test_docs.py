@@ -6,7 +6,9 @@ Every repository path a document cites (``src/...``, ``docs/...``,
 a glob such as ``tests/corpus/*.va`` must match at least one file.  Every
 flag a document, CI step or skill passes to a console script
 (``repro-trace trace.json --validate``, ``python -m repro.obs.cli ...``)
-must be one that script's ``--help`` lists.
+must be one that script's ``--help`` lists.  Every keyword a document or
+example passes to ``SweepRunner``, ``PlatformSweepRunner``,
+``FaultCampaignRunner`` or ``AbstractionFlow`` must be one it accepts.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -146,3 +149,90 @@ def test_reproduce_tables_states_the_default_time_scale():
     stated = re.search(r"\((\d+)/(\d+) of the paper's durations\)", text)
     assert stated is not None, "reproduce_tables.py no longer states its default time scale"
     assert int(stated.group(1)) / int(stated.group(2)) == pytest.approx(DEFAULT_TIME_SCALE)
+
+
+# -- keyword arguments -------------------------------------------------------------------
+KEYWORD_DOCUMENT_GLOBS = ("README.md", "docs/*.md", "examples/*.py")
+KEYWORD_DOCUMENTS = sorted(
+    {path.relative_to(ROOT).as_posix() for pattern in KEYWORD_DOCUMENT_GLOBS for path in ROOT.glob(pattern)}
+)
+
+CALL = re.compile(r"(?<![\w.])(SweepRunner|PlatformSweepRunner|FaultCampaignRunner|AbstractionFlow)\(")
+KEYWORD = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def _parameters(callable_) -> frozenset[str]:
+    kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    return frozenset(
+        name for name, parameter in inspect.signature(callable_).parameters.items() if parameter.kind in kinds
+    )
+
+
+@functools.cache
+def accepted_keywords() -> dict[str, frozenset[str]]:
+    """The keywords each checked callable accepts."""
+    from repro.core import AbstractionFlow
+    from repro.fault import FaultCampaignRunner
+    from repro.sweep import PlatformSweepRunner, SweepRunner
+
+    platform = _parameters(PlatformSweepRunner)
+    return {
+        "SweepRunner": _parameters(SweepRunner),
+        "PlatformSweepRunner": platform,
+        # The campaign runner forwards its other keywords to the platform
+        # runner, and sets these two itself.
+        "FaultCampaignRunner": _parameters(FaultCampaignRunner) | platform - {"record_analog", "capture_errors"},
+        "AbstractionFlow": _parameters(AbstractionFlow),
+    }
+
+
+def cited_keywords(text: str) -> list[tuple[str, str]]:
+    """``(callable, keyword)`` for every keyword passed at the top level of a
+    call to a checked callable.  Nested brackets, one-line string literals
+    and ``#`` comments are skipped; a call left unclosed is ignored."""
+    cited = []
+    for match in CALL.finditer(text):
+        depth, top, index = 1, [], match.end()
+        while depth and index < len(text):
+            char = text[index]
+            if char in "\"'#":
+                # Skip to the end of the comment or the string's closing quote.
+                line_end = text.find("\n", index)
+                line_end = len(text) if line_end < 0 else line_end
+                closing = line_end if char == "#" else text.find(char, index + 1, line_end)
+                if closing > 0:
+                    index, char = closing, " "
+            if char in "([{":
+                depth += 1
+            elif char in ")]}":
+                depth -= 1
+            if depth == 1:
+                top.append(char)
+            index += 1
+        if depth == 0:
+            cited.extend((match.group(1), keyword) for keyword in KEYWORD.findall("".join(top)))
+    return cited
+
+
+def test_cited_keywords_reads_the_top_level_of_each_call():
+    text = (
+        "runner = SweepRunner(build, \"V(out)\", {\"vin\": Wave(period=1)},  # not=a keyword\n"
+        "    timestep=1e-6, backend = \"numpy\")\n"
+        "`FaultCampaignRunner(..., lint=True)`; x == AbstractionFlow(dt) and AbstractionFlow(\n"
+    )
+    assert cited_keywords(text) == [
+        ("SweepRunner", "timestep"),
+        ("SweepRunner", "backend"),
+        ("FaultCampaignRunner", "lint"),
+    ]
+
+
+@pytest.mark.parametrize("document", KEYWORD_DOCUMENTS)
+def test_cited_keyword_arguments_exist(document):
+    text = (ROOT / document).read_text(encoding="utf-8")
+    unknown = [
+        f"{name}({keyword}=)"
+        for name, keyword in cited_keywords(text)
+        if keyword not in accepted_keywords()[name]
+    ]
+    assert not unknown, f"{document} passes keywords the callable does not take: {unknown}"

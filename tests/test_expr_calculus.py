@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import UnsolvableEquationError
 from repro.expr import (
-    TRAPEZOIDAL,
     Constant,
     Derivative,
     Discretizer,
@@ -62,17 +61,9 @@ class TestDiscretize:
         second = discretizer.discretize(Integral(Variable("y")))
         assert set(first.integrator_updates) != set(second.integrator_updates)
 
-    def test_trapezoidal_integral_uses_average(self):
-        result = discretize(Integral(Variable("x")), 1.0, method=TRAPEZOIDAL)
-        update = next(iter(result.integrator_updates.values()))
-        value = evaluate(update, {"x": 2.0}, previous={"x": 0.0, "__idt_0": 0.0})
-        assert value == pytest.approx(1.0)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Discretizer(0.0)
-        with pytest.raises(ValueError):
-            Discretizer(1e-6, method="rk4")
 
     def test_previous_of(self):
         expr = Variable("a") + 2.0 * Variable("b")

@@ -4,8 +4,7 @@ The layer's guarantees: campaigns expand deterministically (golden runs
 first), execute through the platform sweep fan-out with identical outcomes
 serial or multiprocess, classify *every* fault into one of the verdicts,
 compare against golden runs that are bit-identical to plain platform runs,
-and render coverage/collapse reports.  (The fifth verdict, ``lint-rejected``,
-needs the opt-in static-analysis gate and is exercised in test_lint.py.)
+and render coverage/collapse reports.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.errors import FaultError
 from repro.fault import (
     VERDICT_CRASH,
     VERDICT_DETECTED,
-    VERDICT_LINT,
     VERDICT_SILENT,
     VERDICT_TRACE,
     VERDICTS,
@@ -137,7 +135,6 @@ class TestFaultCampaignIsAPlatformSweep:
             stimuli=WAVE,
             timestep=2 * TIMESTEP,
             cpu_clock_hz=10e6,
-            method="trapezoidal",
             families=False,
             workers=2,
             cpu_block_cycles=64,
@@ -147,21 +144,15 @@ class TestFaultCampaignIsAPlatformSweep:
             interrupt_after=5,
             trace=True,
             progress=False,
-            lint=True,
         )
         assert isinstance(runner, PlatformSweepRunner)
         engine = runner.engine
         assert (engine.output, engine.stimuli) == ("out", {"default": WAVE})
-        assert (engine.timestep, engine.cpu_clock_hz, engine.method) == (
-            2 * TIMESTEP,
-            10e6,
-            "trapezoidal",
-        )
+        assert (engine.timestep, engine.cpu_clock_hz) == (2 * TIMESTEP, 10e6)
         assert engine.cpu_block_cycles == 64
         # Always on for a campaign: the trace feeds the verdicts, and a
         # crash is an outcome.
         assert engine.record_analog and engine.capture_errors
-        assert engine.premade_models == {}
         executor = runner.executor
         assert executor.store.directory == tmp_path
         assert (
@@ -171,12 +162,8 @@ class TestFaultCampaignIsAPlatformSweep:
             executor.trace,
             executor.progress,
         ) == (2, True, 5, True, False)
-        assert (runner.nrmse_threshold, runner.lint) == (1e-2, True)
-        for option, value in (
-            ("record_analog", False),
-            ("capture_errors", False),
-            ("premade_models", ()),
-        ):
+        assert runner.nrmse_threshold == 1e-2
+        for option, value in (("record_analog", False), ("capture_errors", False)):
             with pytest.raises(TypeError, match=option):
                 FaultCampaignRunner(rc_benchmark(1).build, "out", WAVE, **{option: value})
 
@@ -253,9 +240,7 @@ class TestFaultCampaignExecution:
         assert by_name["drift:r1x2.0"] == VERDICT_TRACE
         assert by_name["adc-stuck1:bit9"] == VERDICT_DETECTED
         assert by_name[f"code-corrupt:{find_poll_loop_address():#x}"] == VERDICT_CRASH
-        # lint-rejected only occurs with the lint=True strict gate enabled
-        # (see test_lint.py); every execution verdict occurs here.
-        assert set(by_name.values()) == set(VERDICTS) - {VERDICT_LINT}
+        assert set(by_name.values()) == set(VERDICTS)
 
     def test_golden_traces_are_converted_once_with_identical_verdicts(
         self, result, monkeypatch

@@ -11,6 +11,8 @@ whether the ISS runs per-tick or block-stepped.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,28 @@ class TestAnalogFaults:
             UartCorruptionFault(0)
         with pytest.raises(FaultError):
             InstructionCorruptionFault(address=2)
+
+    @pytest.mark.parametrize(
+        "fault_class, field, value, name",
+        [
+            (ResistorOpenFault, "resistance", 0.0, "open:b"),
+            (ResistorOpenFault, "resistance", -1e3, "open:b"),
+            (ResistorOpenFault, "resistance", math.inf, "open:b"),
+            (ResistorShortFault, "resistance", -5.0, "short:b"),
+            (ResistorShortFault, "resistance", 0.0, "short:b"),
+            (ResistorShortFault, "resistance", math.nan, "short:b"),
+            (ParameterDriftFault, "factor", math.inf, "drift:bxinf"),
+            (ParameterDriftFault, "factor", math.nan, "drift:bxnan"),
+            (GainDegradationFault, "factor", math.inf, "gain:bxinf"),
+        ],
+    )
+    def test_non_physical_values_are_refused_when_built(self, fault_class, field, value, name):
+        """A negative short used to build, and then simulated a negative
+        resistor whose NRMSE overflowed into a firmware-detected verdict."""
+        with pytest.raises(FaultError) as raised:
+            fault_class("b", **{field: value})
+        message = str(raised.value)
+        assert message.startswith(f"fault {name}: ") and repr(value) in message
 
     def test_names_are_deterministic_and_distinct(self):
         universe = analog_fault_universe(build_opamp()) + digital_fault_universe()

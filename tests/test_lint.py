@@ -5,9 +5,8 @@ positions while the committed corpus, every paper benchmark and the
 generated zoo stay error-free; layer 2 (the signal-flow IR) mirrors the
 SignalFlowModel contract; layer 3
 (determinism self-lint) keeps ``src/repro`` clean against an empty
-baseline.  The emitters round-trip and escape hostile names, the strict
-gates surface as :class:`LintError`/``lint-rejected``, and the zoo's
-``plant_defect`` hook makes the linter's recall fuzz-testable.
+baseline.  The emitters round-trip and escape hostile names, and the
+zoo's ``plant_defect`` hook makes the linter's recall fuzz-testable.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from repro.core import AbstractionFlow
 from repro.core.signalflow import Assignment, SignalFlowModel
 from repro.errors import ReproError
 from repro.expr import Access, BinaryOp, Constant, Variable
-from repro.fault import (
-    VERDICT_LINT,
-    FaultCampaignRunner,
-    FaultCampaignSpec,
-    ResistorShortFault,
-)
 from repro.lint import (
     Diagnostic,
     LintError,
@@ -51,7 +44,6 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.network import VCVS, Circuit, Resistor, VoltageSource
-from repro.sim import SquareWave
 from repro.vams import parse_source, to_circuit
 from repro.vams.ast import POTENTIAL
 from repro.vams.classify import CONSERVATIVE, SIGNAL_FLOW, classify_module
@@ -818,88 +810,6 @@ class TestOracleLintStage:
         assert not nonphysical.ok
         assert nonphysical.stage == FRONTEND
         assert "NetlistError" in nonphysical.detail
-
-
-# ---------------------------------------------------------------------------
-# Strict gates: sweep and fault campaigns
-# ---------------------------------------------------------------------------
-class TestStrictGates:
-    def test_sweep_lint_gate_passes_clean_models(self):
-        from repro.sweep import SweepRunner
-        from repro.sweep.spec import GridSpec
-
-        runner = SweepRunner(
-            rc_benchmark(1).build,
-            "out",
-            {"vin": lambda t: 1.0},
-            timestep=1e-6,
-            lint=True,
-        )
-        result = runner.run(GridSpec(axes={"resistance": [1e3, 2e3]}), 2e-5)
-        assert "V(out)" in result.outputs
-
-    def test_sweep_lint_gate_raises_on_bad_model(self, monkeypatch):
-        import repro.sweep.runner as runner_module
-        from repro.sweep import SweepRunner
-        from repro.sweep.spec import GridSpec
-
-        original = runner_module.RecipeTable.abstract
-
-        def sabotage(recipes, circuit, outputs, name):
-            model = original(recipes, circuit, outputs, name)
-            model.outputs.append("phantom")  # never computed -> lint error
-            return model
-
-        monkeypatch.setattr(runner_module.RecipeTable, "abstract", sabotage)
-        runner = SweepRunner(
-            rc_benchmark(1).build,
-            "out",
-            {"vin": lambda t: 1.0},
-            timestep=1e-6,
-            lint=True,
-        )
-        with pytest.raises(LintError, match="never computed"):
-            runner.run(GridSpec(axes={"resistance": [1e3]}), 2e-5)
-
-    def test_fault_campaign_lint_rejects_nonphysical_mutant(self):
-        spec = FaultCampaignSpec(
-            faults=[
-                ResistorShortFault("r1", resistance=-5.0),  # lint-fatal
-                ResistorShortFault("r2", resistance=1e-2),  # legitimate
-            ],
-            seed=1,
-        )
-        bench = rc_benchmark(2)
-        runner = FaultCampaignRunner(
-            bench.build,
-            bench.output,
-            {"vin": SquareWave(period=4e-5)},
-            lint=True,
-            progress=False,
-        )
-        result = runner.run(spec, 4e-5)
-        by_name = {
-            entry.run.fault.name: entry
-            for entry in result.verdicts()
-            if entry.run.fault is not None
-        }
-        assert by_name["short:r1"].verdict == VERDICT_LINT
-        assert "nonphysical-value" in by_name["short:r1"].detail
-        assert by_name["short:r2"].verdict != VERDICT_LINT
-
-    def test_without_the_gate_the_mutant_is_not_lint_rejected(self):
-        spec = FaultCampaignSpec(
-            faults=[ResistorShortFault("r1", resistance=-5.0)], seed=1
-        )
-        bench = rc_benchmark(1)
-        runner = FaultCampaignRunner(
-            bench.build,
-            bench.output,
-            {"vin": SquareWave(period=4e-5)},
-            progress=False,
-        )
-        result = runner.run(spec, 4e-5)
-        assert all(entry.verdict != VERDICT_LINT for entry in result.verdicts())
 
 
 # ---------------------------------------------------------------------------

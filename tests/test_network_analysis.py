@@ -24,7 +24,7 @@ from repro.sim import ElnModel
 class TestKirchhoff:
     def test_one_kcl_per_non_ground_node(self, rc3_circuit):
         equations = nodal_analysis(rc3_circuit)
-        assert len(equations) == len(rc3_circuit.node_names(include_ground=False))
+        assert len(equations) == len(rc3_circuit.node_names()) - 1
         assert all(eq.kind == "kcl" for eq in equations)
 
     def test_kcl_balances_series_currents(self, rc1_circuit):
@@ -44,9 +44,7 @@ class TestKirchhoff:
 
     def test_combined_helper(self, rc1_circuit):
         combined = kirchhoff_equations(rc1_circuit)
-        assert len(combined) == len(nodal_analysis(rc1_circuit)) + len(mesh_analysis(rc1_circuit))
-        only_kcl = kirchhoff_equations(rc1_circuit, include_mesh=False)
-        assert all(eq.kind == "kcl" for eq in only_kcl)
+        assert combined == nodal_analysis(rc1_circuit) + mesh_analysis(rc1_circuit)
 
 
 class TestMnaStructure:

@@ -284,44 +284,6 @@ class TestPlatformSweepRunner:
         from_spec = runner().run(spec, SHORT)
         assert from_list.fingerprints() == from_spec.fingerprints()[:1]
 
-    def test_premade_models_skip_the_abstraction(self, rc1_model):
-        """Seeding the memo with a pre-abstracted model must reproduce the
-        abstract-inside-the-worker results exactly."""
-        spec = PlatformScenarioSpec(
-            parameters=GridSpec(
-                axes={}, base={"order": 1, "resistance": 5e3, "capacitance": 25e-9}
-            ),
-            styles=("python", "de"),
-        )
-        plain = runner().run(spec, SHORT)
-        seeded = PlatformSweepRunner(
-            build_rc_filter,
-            "out",
-            WAVE,
-            timestep=TIMESTEP,
-            premade_models=[
-                ({"order": 1, "resistance": 5e3, "capacitance": 25e-9}, rc1_model)
-            ],
-        ).run(spec, SHORT)
-        assert plain.fingerprints() == seeded.fingerprints()
-
-    def test_premade_models_make_the_factory_optional(self, rc1_model):
-        """With every abstracted model seeded, the circuit factory is never
-        called — sweeps can run from models alone."""
-
-        def exploding_factory(**params):
-            raise AssertionError("the factory must not be called")
-
-        spec = PlatformScenarioSpec(styles=("python", "de"))
-        result = PlatformSweepRunner(
-            exploding_factory,
-            "out",
-            WAVE,
-            timestep=TIMESTEP,
-            premade_models=[({}, rc1_model)],
-        ).run(spec, SHORT)
-        assert result.n_scenarios == 2
-
     def test_unknown_firmware_name_is_reported(self):
         spec = PlatformScenarioSpec(parameters=RC_GRID, styles=("python",))
         with pytest.raises(SweepError, match="unknown firmware"):
