@@ -633,7 +633,7 @@ def test_sweep_replay_beats_a_full_flow_per_scenario():
         recipes = RecipeTable(PAPER_TIMESTEP)
         for scenario in scenarios:
             circuit = factory(**scenario.params)
-            recipes.abstract(circuit, ["out"], circuit.name)
+            recipes.abstract(circuit, ["out"])
 
     full, replayed = _interleaved_best(full_flows, replays, repeats=3)
     speedup = full / replayed

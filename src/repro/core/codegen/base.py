@@ -9,6 +9,7 @@ of expression trees as Python or C++ source, and the
 
 from __future__ import annotations
 
+import keyword
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,26 +33,24 @@ def mangle(name: str) -> str:
     """Turn a quantity name into a valid C/Python identifier.
 
     ``V(n1)`` becomes ``v_n1``, ``I(R2)`` becomes ``i_r2``, ``V(a,b)`` becomes
-    ``v_a_b``, ``$abstime`` becomes ``abstime`` and ``__idt_0`` stays as is.
+    ``v_a_b``, ``$abstime`` becomes ``abstime``, ``__idt_0`` becomes ``idt_0``
+    and a Python keyword gets a trailing ``_`` (``in`` becomes ``in_``).
+    Different names can mangle alike (``V(OUT)`` and ``V(out)``);
+    :meth:`CodeGenerator.check_model` refuses a model where they do.
     """
     text = name.strip()
     if text.startswith("$"):
         text = text[1:]
-    translated = []
-    for char in text:
-        if char.isalnum() or char == "_":
-            translated.append(char)
-        elif char in "(),.-":
-            translated.append("_")
-        else:
-            translated.append("_")
-    identifier = "".join(translated).strip("_")
+    identifier = "".join(
+        char if char.isalnum() or char == "_" else "_" for char in text
+    ).strip("_")
     identifier = identifier.replace("__", "_") if not name.startswith("__") else identifier
     if not identifier:
         raise CodeGenerationError(f"cannot mangle the empty name {name!r}")
     if identifier[0].isdigit():
         identifier = "q_" + identifier
-    return identifier.lower()
+    identifier = identifier.lower()
+    return identifier + "_" if keyword.iskeyword(identifier) else identifier
 
 
 def class_name(name: str, suffix: str) -> str:
@@ -293,6 +292,9 @@ class CodeGenerator:
     name = "base"
     #: Human-readable target language (matches the paper's Table I rows).
     language = ""
+    #: Identifiers the generated code binds or calls itself; no quantity may
+    #: mangle to one of them, nor to the time argument's.
+    reserved: tuple[str, ...] = ()
 
     def generate(self, model: SignalFlowModel) -> GeneratedCode:
         """Emit code for ``model``."""
@@ -308,12 +310,30 @@ class CodeGenerator:
         """
 
     # -- shared helpers ---------------------------------------------------------------
-    @staticmethod
-    def check_model(model: SignalFlowModel) -> None:
-        """Validate the model before emitting anything."""
+    def check_model(self, model: SignalFlowModel) -> None:
+        """Validate the model and its identifiers before emitting anything.
+
+        Two different quantities that mangle to one identifier, or a quantity
+        that mangles to a :attr:`reserved` identifier or the time argument's,
+        raise :class:`~repro.errors.CodeGenerationError` naming both; a
+        quantity assigned twice is one quantity.
+        """
         if not model.assignments:
             raise CodeGenerationError(f"model {model.name!r} has no assignments")
         model.validate()
+        owners: dict[str, str | None] = dict.fromkeys((*self.reserved, self.time_name()))
+        for name in (*model.inputs, *(assignment.target for assignment in model.assignments)):
+            identifier = mangle(name)
+            owner = owners.setdefault(identifier, name)
+            if owner is None:
+                raise CodeGenerationError(
+                    f"quantity {name!r} mangles to {identifier!r}, which the "
+                    f"generated {self.language} code uses itself"
+                )
+            if owner != name:
+                raise CodeGenerationError(
+                    f"quantities {owner!r} and {name!r} both mangle to {identifier!r}"
+                )
 
     @staticmethod
     def time_name() -> str:

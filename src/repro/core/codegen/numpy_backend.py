@@ -180,6 +180,7 @@ class NumpyGenerator(CodeGenerator):
 
     name = "numpy"
     language = "NumPy"
+    reserved = ("self", "np")
 
     def generate(self, model: SignalFlowModel) -> GeneratedCode:
         """Single-model entry point of the registry: a batch of one."""

@@ -22,6 +22,7 @@ class PythonGenerator(CodeGenerator):
 
     name = "python"
     language = "Python"
+    reserved = ("self", "math", "abs", "min", "max", "pow")
 
     def generate(self, model: SignalFlowModel) -> GeneratedCode:
         self.check_model(model)

@@ -15,13 +15,14 @@ translated statement by statement, preserving their original order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..errors import AbstractionError
-from ..expr.ast import Conditional, Constant, Expr, Variable, substitute
+from ..expr.ast import Conditional, Constant, Expr, Previous, Variable, substitute
 from ..expr.discretize import Discretizer
 from ..expr.evaluate import evaluate
 from ..expr.simplify import simplify
@@ -85,40 +86,52 @@ class SignalFlowModel:
     timestep: float = 1e-6
     source: str = "abstraction"
 
-    # -- structural queries ------------------------------------------------------------
-    def assignment_targets(self) -> list[str]:
-        """Targets in evaluation order."""
-        return [assignment.target for assignment in self.assignments]
-
-    def referenced_states(self) -> set[str]:
-        """Every name referenced through a ``prev(...)`` node."""
-        states: set[str] = set()
-        for assignment in self.assignments:
-            states |= assignment.expression.previous_values()
-        return states
-
+    # -- the contract -------------------------------------------------------------------
     def validate(self) -> None:
-        """Check internal consistency of the model.
+        """Check the model against the contract every backend assumes.
+
+        A quantity may be assigned more than once per step; each assignment
+        reads the latest value, as the direct conversion emits it.  Each
+        assignment's expression is walked once, because a sweep validates
+        the model of every scenario it replays.
 
         Raises
         ------
         AbstractionError
-            If an assignment references a name that is neither an input, the
-            time variable, a state nor an earlier assignment target, or if a
-            state variable is never computed.
+            If the timestep is not finite and positive; if an assignment
+            references a name that is neither an input, the time variable
+            nor an assignment target, or holds a non-finite constant; if a
+            state variable or an output is never computed; or if an initial
+            state is not finite.
         """
-        known: set[str] = set(self.inputs) | {TIME_VARIABLE}
-        targets = set(self.assignment_targets())
+        if not (math.isfinite(self.timestep) and self.timestep > 0.0):
+            raise AbstractionError(
+                f"timestep {self.timestep!r} is not finite and positive"
+            )
+        targets = {assignment.target for assignment in self.assignments}
+        known = targets | set(self.inputs) | {TIME_VARIABLE}
+        states: set[str] = set()
         for assignment in self.assignments:
-            for name in assignment.expression.variables():
-                if name in known or name in targets:
-                    continue
-                raise AbstractionError(
-                    f"assignment {assignment.target!r} references the unknown "
-                    f"quantity {name!r}"
-                )
-            known.add(assignment.target)
-        for state in self.referenced_states():
+            stack = [assignment.expression]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Variable):
+                    if node.name not in known:
+                        raise AbstractionError(
+                            f"assignment {assignment.target!r} references the "
+                            f"unknown quantity {node.name!r}"
+                        )
+                elif isinstance(node, Previous):
+                    states.add(node.name)
+                elif isinstance(node, Constant):
+                    if not math.isfinite(node.value):
+                        raise AbstractionError(
+                            f"assignment {assignment.target!r} contains the "
+                            f"non-finite constant {node.value!r}"
+                        )
+                else:
+                    stack.extend(node.children())
+        for state in sorted(states):
             if state not in targets and state not in self.inputs:
                 raise AbstractionError(
                     f"state variable {state!r} is referenced but never computed"
@@ -126,6 +139,11 @@ class SignalFlowModel:
         for output in self.outputs:
             if output not in targets and output not in self.inputs:
                 raise AbstractionError(f"output {output!r} is never computed")
+        for state, value in self.initial_state.items():
+            if not math.isfinite(value):
+                raise AbstractionError(
+                    f"initial state of {state!r} is non-finite ({value!r})"
+                )
 
     # -- execution ------------------------------------------------------------------------
     def create_state(self) -> dict[str, float]:

@@ -4,8 +4,8 @@ Lints Verilog-AMS netlists (files, directories of ``*.va``, the paper
 benchmark sources, generated zoo netlists) and, with ``--selfcheck``, runs
 the determinism self-lint over a python source tree.
 
-Exit status: 0 when no unsuppressed error remains, 1 when errors were
-found, 2 on bad arguments.
+Exit status: 0 when no error was found, 1 when errors were found, 2 on
+bad arguments.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baseline import load_baseline, write_baseline
 from .diagnostics import LintReport
-from .emit import to_json, to_markdown, to_text
-from .netlist_rules import lint_source
+from .emit import to_json, to_text
+from .netlist_rules import lint_netlist, lint_source
 from .selfcheck import lint_repo
 
 
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "markdown"),
+        choices=("text", "json"),
         default="text",
         help="stdout format (default text)",
     )
@@ -80,18 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="additionally write the JSON report to FILE (dashboard input)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress the findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record the current findings as accepted debt and exit 0",
     )
     return parser
 
@@ -125,7 +112,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.generated:
         from ..zoo.generate import generate_netlist
-        from .netlist_rules import lint_netlist
 
         for index in range(args.generated):
             report.extend(lint_netlist(generate_netlist(args.seed, index)))
@@ -137,30 +123,16 @@ def main(argv: "list[str] | None" = None) -> int:
             return 2
         report.extend(lint_repo(root))
 
-    if args.write_baseline:
-        path = write_baseline(args.write_baseline, report)
-        print(f"repro-lint: wrote baseline with {len(report)} findings to {path}")
-        return 0
-
-    suppressed_keys = load_baseline(args.baseline)
-    visible = report.suppress(suppressed_keys)
-    suppressed = len(report) - len(visible)
-
     if args.format == "json":
-        print(to_json(visible))
-    elif args.format == "markdown":
-        print(to_markdown(visible), end="")
-    elif visible:
-        print(to_text(visible))
+        print(to_json(report))
+    elif report:
+        print(to_text(report))
 
     if args.json:
-        Path(args.json).write_text(to_json(visible) + "\n")
+        Path(args.json).write_text(to_json(report) + "\n")
 
-    trailer = f"repro-lint: {visible.summary()}"
-    if suppressed:
-        trailer += f" ({suppressed} suppressed by baseline)"
-    print(trailer, file=sys.stderr)
-    return 0 if visible.ok else 1
+    print(f"repro-lint: {report.summary()}", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

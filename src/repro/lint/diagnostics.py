@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ..errors import ReproError
-
 #: Severities, most severe first.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -22,19 +20,6 @@ SEVERITY_INFO = "info"
 SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_INFO)
 
 _SEVERITY_RANK = {severity: rank for rank, severity in enumerate(SEVERITIES)}
-
-
-class LintError(ReproError):
-    """A report with lint-fatal diagnostics, as an error; its message lists
-    each error's rule and message."""
-
-    def __init__(self, report: "LintReport") -> None:
-        summary = "; ".join(
-            f"{diagnostic.rule}: {diagnostic.message}"
-            for diagnostic in report.errors()
-        )
-        super().__init__(summary or "lint failed")
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -52,14 +37,6 @@ class Diagnostic:
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
-
-    def key(self) -> str:
-        """Stable suppression key: file, rule and message (not the position).
-
-        Line numbers churn on unrelated edits, so baselines match on what
-        was found and where (which file), not on the exact line.
-        """
-        return f"{self.file}::{self.rule}::{self.message}"
 
     def location(self) -> str:
         """Render ``file:line:column`` (omitting a missing position)."""
@@ -118,9 +95,6 @@ class LintReport:
     def errors(self) -> list[Diagnostic]:
         return [d for d in self if d.severity == SEVERITY_ERROR]
 
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self if d.severity == SEVERITY_WARNING]
-
     @property
     def ok(self) -> bool:
         """True when no error-severity diagnostic is present."""
@@ -151,13 +125,6 @@ class LintReport:
             row = table.setdefault(diagnostic.rule, {})
             row[diagnostic.severity] = row.get(diagnostic.severity, 0) + 1
         return table
-
-    # -- transformation --------------------------------------------------------
-    def suppress(self, keys: "set[str] | frozenset[str]") -> "LintReport":
-        """Return a copy without the diagnostics whose key is in ``keys``."""
-        return LintReport(
-            [d for d in self.diagnostics if d.key() not in keys]
-        )
 
     def summary(self) -> str:
         counts = self.counts()

@@ -1,19 +1,14 @@
-"""Emitters for lint reports: plain text, JSON and markdown.
+"""Emitters for lint reports: plain text and JSON.
 
 The JSON form is the machine interface (consumed by the dashboard's lint
-section and by the baseline workflow) and round-trips losslessly through
-:func:`from_json`.  The markdown form is for humans and CI summaries; any
-hostile characters in file or rule names (pipes, backticks, newlines,
-angle brackets) are escaped so a crafted netlist name cannot break the
-table or inject markup.
+section) and round-trips losslessly through :func:`from_json`.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..sweep.results import markdown_table
-from .diagnostics import SEVERITIES, Diagnostic, LintReport
+from .diagnostics import Diagnostic, LintReport
 
 #: Schema version stamped into the JSON payload.
 JSON_VERSION = 1
@@ -74,34 +69,3 @@ def from_json(text: str) -> LintReport:
             )
         )
     return report
-
-
-def to_markdown(report: LintReport, title: str = "Lint report") -> str:
-    """Render a human-readable markdown summary with escaped names."""
-    lines = [f"# {title}", ""]
-    counts = report.counts()
-    lines.append(
-        "**"
-        + " · ".join(f"{counts[severity]} {severity}" for severity in SEVERITIES)
-        + "**"
-    )
-    lines.append("")
-    if not report:
-        lines.append("No findings.")
-        return "\n".join(lines) + "\n"
-    lines.append(
-        markdown_table(
-            ["Location", "Severity", "Rule", "Message", "Hint"],
-            [
-                [
-                    diagnostic.location(),
-                    diagnostic.severity,
-                    diagnostic.rule,
-                    diagnostic.message,
-                    diagnostic.hint or "—",
-                ]
-                for diagnostic in report
-            ],
-        )
-    )
-    return "\n".join(lines) + "\n"

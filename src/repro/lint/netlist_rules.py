@@ -1,8 +1,7 @@
 """Layer 1: the netlist semantic linter.
 
-Static checks over Verilog-AMS modules (and, at a lower level, typed
-:class:`~repro.network.circuit.Circuit` objects) that catch ill-posed
-descriptions *before* abstraction and simulation pay for them:
+Static checks over Verilog-AMS modules that catch ill-posed descriptions
+*before* abstraction and simulation pay for them:
 
 * ``floating-node`` / ``ground-unreachable`` — dangling or disconnected
   topology over the conservative component graph;
@@ -38,7 +37,6 @@ from ..expr.ast import (
 )
 from ..expr.evaluate import evaluate
 from ..expr.simplify import constant_value, simplify
-from ..network.circuit import Circuit
 from ..network.components import (
     VCCS,
     VCVS,
@@ -156,44 +154,6 @@ def lint_netlist(netlist) -> LintReport:
     from ..zoo.generate import render
 
     return lint_source(render(netlist), file=f"<zoo:{netlist.name}>")
-
-
-def lint_circuit(circuit: Circuit, file: str = "<circuit>") -> LintReport:
-    """Graph-level lint of an already-built circuit (no source positions),
-    such as one a fault has mutated: a singular topology or a non-physical
-    value is reported instead of crashing inside the solver."""
-    edges = []
-    sensed: set[str] = set()
-    for branch in circuit:
-        component = branch.component
-        for control in (
-            getattr(component, "control_positive", None),
-            getattr(component, "control_negative", None),
-        ):
-            if control:
-                sensed.add(control)
-        edges.append(
-            _Edge(
-                branch.positive,
-                branch.negative,
-                type(component),
-                vars(component),
-                0,
-                0,
-                branch.name,
-            )
-        )
-    report = LintReport()
-    _lint_values(edges, report, file)
-    _lint_graph(
-        edges,
-        ground=circuit.ground,
-        exempt=frozenset(sensed),
-        positions={},
-        report=report,
-        file=file,
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +498,7 @@ def _lint_graph(
     report: LintReport,
     file: str,
 ) -> None:
-    """Topology rules over the component graph (shared by module and circuit lint)."""
+    """Topology rules over the component graph."""
     if not edges:
         return
 

@@ -1,4 +1,4 @@
-"""Layer 3: the repo determinism self-lint.
+"""Layer 2: the repo determinism self-lint.
 
 A Python ``ast``-walking checker run over ``src/repro`` itself, flagging
 the hazards that would break the bit-identical-resume contract the
@@ -20,8 +20,8 @@ campaign store depends on:
   string annotation counts as read, and ``from __future__`` imports are
   exempt.
 
-CI runs this over ``src/repro`` with an **empty** baseline: the library is
-expected to stay clean, not merely grandfathered.
+CI runs this over ``src/repro`` and fails on any finding: the library is
+expected to stay clean.
 """
 
 from __future__ import annotations

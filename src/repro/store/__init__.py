@@ -8,8 +8,7 @@ of them.  ``repro.store`` is the persistence substrate underneath
 checkpoint/resume:
 
 * :mod:`~repro.store.atomic` — write-temp-then-``os.replace`` file
-  publication, the crash-safety primitive shared by every persistence path
-  (including the ``repro-lint`` baseline files);
+  publication, the crash-safety primitive shared by every persistence path;
 * :mod:`~repro.store.keys` — address-free structural fingerprints and
   canonical-JSON SHA-256 digests of a unit of work's full inputs;
 * :mod:`~repro.store.runstore` — :class:`RunStore`, the content-addressed

@@ -418,7 +418,7 @@ def _attach(
         model = model_memo.get(key)
         if model is None:
             circuit = config.factory(**scenario.params)
-            model = recipes.abstract(circuit, [config.output], circuit.name)
+            model = recipes.abstract(circuit, [config.output])
             model_memo[key] = model
         platform.attach_analog(scenario.style, stimuli, model=model)
     else:

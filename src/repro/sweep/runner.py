@@ -144,7 +144,7 @@ class SweepConfig:
         models = {}
         for position in pending:
             circuit = self.factory(**scenarios[position].params)
-            models[position] = recipes.abstract(circuit, self.outputs, circuit.name)
+            models[position] = recipes.abstract(circuit, self.outputs)
         abstract = _time.perf_counter() - start
         TRACER.complete(
             "sweep.abstract", start, abstract, "sweep", scenarios=len(pending)
@@ -249,19 +249,18 @@ class RecipeTable:
     timestep: float
     recipes: dict[tuple, AbstractionRecipe] = field(default_factory=dict)
 
-    def abstract(
-        self, circuit: Circuit, outputs: Sequence[str], name: str
-    ) -> SignalFlowModel:
-        """The signal-flow model of ``circuit`` for ``outputs``."""
+    def abstract(self, circuit: Circuit, outputs: Sequence[str]) -> SignalFlowModel:
+        """The signal-flow model of ``circuit`` for ``outputs``, named after
+        the circuit."""
         key = topology_key(circuit, outputs)
         recipe = self.recipes.get(key)
         if recipe is not None:
-            model = recipe.replay(circuit, name)
+            model = recipe.replay(circuit)
             if model is not None:
                 TRACER.add("flow.replays")
                 return model
             TRACER.add("flow.replay_fallbacks")
-        report = AbstractionFlow(self.timestep).abstract(circuit, outputs, name=name)
+        report = AbstractionFlow(self.timestep).abstract(circuit, outputs)
         if recipe is None:
             self.recipes[key] = AbstractionRecipe.record(report)
         return report.model

@@ -1,8 +1,9 @@
 """Differential oracle and greedy shrinker for the circuit-zoo fuzz harness.
 
 The oracle takes one Verilog-AMS netlist through the whole pipeline — parse,
-build, abstract — and then runs the abstracted model on **every** engine the
-repository ships: the compiled scalar recursion (``python``), the vectorised
+build, abstract (the abstraction checks its model with
+:meth:`~repro.core.signalflow.SignalFlowModel.validate`) — lints the netlist,
+and then runs the abstracted model on **every** engine the repository ships: the compiled scalar recursion (``python``), the vectorised
 batch backend (``numpy``), the discrete-event integration (``de``), the TDF
 cluster (``tdf``), and the conservative MNA solver on the *unabstracted*
 circuit (``mna``, backward-Euler so its discretisation matches the
@@ -55,8 +56,8 @@ from .generate import (
 )
 
 #: Stages a verdict can fail at: the frontend (lex/parse/build/abstract), the
-#: pre-execution lint of the source and abstracted model, a single engine
-#: raising, or the engines disagreeing beyond tolerance.
+#: pre-execution lint of the netlist, a single engine raising, or the engines
+#: disagreeing beyond tolerance.
 FRONTEND = "frontend"
 LINT = "lint"
 ENGINE = "engine"
@@ -93,10 +94,11 @@ class OracleVerdict:
     """Outcome of one differential run.
 
     ``ok`` summarises; on failure ``stage`` names the pipeline layer (one of
-    :data:`FRONTEND`, :data:`ENGINE`, :data:`AGREEMENT`), ``detail`` is the
-    human-readable cause, and — for agreement failures — ``worst_pair`` and
-    ``worst_error`` identify the most-disagreeing engine pair.  ``errors``
-    records the full pairwise NRMSE matrix whenever all engines completed.
+    :data:`FRONTEND`, :data:`LINT`, :data:`ENGINE`, :data:`AGREEMENT`),
+    ``detail`` is the human-readable cause, and — for agreement failures —
+    ``worst_pair`` and ``worst_error`` identify the most-disagreeing engine
+    pair.  ``errors`` records the full pairwise NRMSE matrix whenever all
+    engines completed.
     """
 
     ok: bool
@@ -207,13 +209,13 @@ def check_source(
             ok=False, stage=FRONTEND, detail=f"{type(exc).__name__}: {exc}"
         )
 
-    # Pre-execution static analysis: a netlist or abstracted model that lints
-    # fatal must not reach the engines — any runtime-clean result would then
-    # be a lint/runtime disagreement worth a reproducer.
-    from ..lint import lint_model, lint_module as lint_vams_module
+    # Pre-execution static analysis: a netlist that lints fatal must not reach
+    # the engines — any runtime-clean result would then be a lint/runtime
+    # disagreement worth a reproducer.  The abstracted model needs no lint:
+    # the abstraction already checked it with SignalFlowModel.validate().
+    from ..lint import lint_module
 
-    lint = lint_vams_module(module, file=f"<{module.name}>")
-    lint.extend(lint_model(model, file=f"<{module.name}:model>"))
+    lint = lint_module(module, file=f"<{module.name}>")
     if not lint.ok:
         first = lint.errors()[0]
         return OracleVerdict(

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import benchmark_by_name, build_opamp, build_rc_filter, build_two_input
-from repro.core import AbstractionFlow
+from repro.core import AbstractionFlow, SignalFlowModel, convert_signal_flow
 from repro.network import Circuit
+from repro.vams import parse_module
 
 #: Timestep used by most tests (the paper's 50 ns).
 TEST_TIMESTEP = 50e-9
@@ -51,6 +52,24 @@ def flow() -> AbstractionFlow:
 def rc1_model(flow, rc1_circuit):
     """The abstracted signal-flow model of RC1."""
     return flow.abstract(rc1_circuit, "out", name="rc1").model
+
+
+@pytest.fixture
+def reassigned_model() -> SignalFlowModel:
+    """A signal-flow module that reassigns ``x``, directly converted: both
+    assignments stay, in order, and each reads the latest value."""
+    module = parse_module(
+        """
+        module reassign(vin, out); input vin; output out; electrical vin, out; real x;
+        analog begin
+          x = V(vin);
+          x = x * 2 + idt(V(vin), 0);
+          V(out) <+ x;
+        end
+        endmodule
+        """
+    )
+    return convert_signal_flow(module, TEST_TIMESTEP)
 
 
 @pytest.fixture

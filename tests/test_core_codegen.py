@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import abstract_circuit
 from repro.core.codegen import (
     GENERATORS,
     CppGenerator,
+    NumpyGenerator,
     PythonGenerator,
     SystemCDeGenerator,
     SystemCTdfGenerator,
@@ -17,11 +20,44 @@ from repro.core.codegen import (
     get_generator,
     mangle,
 )
+from repro.core.signalflow import Assignment, SignalFlowModel
 from repro.circuits import build_opamp, build_rc_filter
 from repro.errors import CodeGenerationError
-from repro.sim import SquareWave
+from repro.expr import Variable
+from repro.sim import SineWave, SquareWave
+from repro.zoo.oracle import ENGINE, OracleConfig, check_source
 
 DT = 50e-9
+
+HEADER = '`include "disciplines.vams"\n'
+
+#: An RC low-pass whose input port is the Python keyword ``in``.
+KEYWORD_PORT = HEADER + """
+module rcin(in, out);
+  input in; output out;
+  electrical in, out, gnd;
+  ground gnd;
+  analog begin
+    I(in, out) <+ V(in, out) / 1k;
+    I(out, gnd) <+ 100n * ddt(V(out, gnd));
+  end
+endmodule
+"""
+
+#: A 2-stage RC ladder whose nets ``OUT`` and ``out`` both mangle to ``v_out``.
+CASE_CLASH = HEADER + """
+module ladder(vin, out);
+  input vin; output out;
+  electrical vin, OUT, out, gnd;
+  ground gnd;
+  analog begin
+    I(vin, OUT) <+ V(vin, OUT) / 1k;
+    I(OUT, gnd) <+ 100n * ddt(V(OUT, gnd));
+    I(OUT, out) <+ V(OUT, out) / 1k;
+    I(out, gnd) <+ 100n * ddt(V(out, gnd));
+  end
+endmodule
+"""
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +79,10 @@ class TestMangling:
             ("V(a,b)", "v_a_b"),
             ("$abstime", "abstime"),
             ("vin", "vin"),
+            ("__idt_0", "idt_0"),
+            ("in", "in_"),
+            ("Lambda", "lambda_"),
+            ("V(in)", "v_in"),
         ],
     )
     def test_quantity_names(self, name, expected):
@@ -170,3 +210,64 @@ class TestGeneratedNumericalEquivalence:
         values = [instance.step(1.0) for _ in range(20000)]
         assert values[-1] == pytest.approx(1.0, rel=1e-3)
         assert np.all(np.isfinite(values))
+
+
+class TestIdentifierClashes:
+    def test_a_keyword_port_runs_like_the_interpreter(self):
+        model = abstract_circuit(KEYWORD_PORT, "out", DT)
+        assert "def step(self, in_, abstime=0.0):" in PythonGenerator().generate(model).source
+        python = compile_model(model)()
+        batch = NumpyGenerator().generate_batch([model]).instantiate()
+        stimulus = SineWave(amplitude=1.0, frequency=10e3)
+        state = model.create_state()
+        for index in range(400):
+            time = (index + 1) * DT
+            value = stimulus(time)
+            interpreted = model.step({"in": value}, state, time)["V(out)"]
+            assert python.step(value, time) == pytest.approx(interpreted, rel=1e-12, abs=1e-15)
+            assert float(batch.step_batch(value, time)[0]) == pytest.approx(
+                interpreted, rel=1e-12, abs=1e-15
+            )
+        verdict = check_source(KEYWORD_PORT, OracleConfig(duration=2e-5))
+        assert verdict.ok, verdict.summary()
+
+    def test_quantities_that_mangle_alike_are_refused(self):
+        model = abstract_circuit(CASE_CLASH, "out", DT)
+        assert {"V(OUT)", "V(out)"} <= {a.target for a in model.assignments}
+        for name in ("python", "numpy", "native", "cpp", "systemc_de", "systemc_tdf"):
+            with pytest.raises(CodeGenerationError, match=r"'V\(OUT\)' and 'V\(out\)'"):
+                GENERATORS[name]().generate(model)
+        verdict = check_source(CASE_CLASH, OracleConfig(duration=2e-5))
+        assert verdict.stage == ENGINE
+        assert "'V(OUT)' and 'V(out)' both mangle to 'v_out'" in verdict.detail
+
+    @pytest.mark.parametrize(
+        "quantity, refused_by",
+        [
+            ("self", {"python", "numpy"}),
+            ("math", {"python"}),
+            ("max", {"python"}),
+            ("np", {"numpy"}),
+            ("$abstime", {"python", "numpy", "cpp"}),
+            ("abstime", {"python", "numpy", "cpp"}),
+        ],
+    )
+    def test_a_quantity_may_not_take_an_identifier_the_code_uses(self, quantity, refused_by):
+        model = SignalFlowModel(
+            name="m",
+            inputs=["u"],
+            outputs=[quantity],
+            assignments=[Assignment(quantity, Variable("u"))],
+            timestep=DT,
+        )
+        for name in ("python", "numpy", "cpp"):
+            generator = GENERATORS[name]()
+            if name in refused_by:
+                with pytest.raises(CodeGenerationError, match=re.escape(f"quantity {quantity!r}")):
+                    generator.generate(model)
+            else:
+                generator.generate(model)
+
+    def test_a_reassigned_quantity_is_not_a_clash(self, reassigned_model):
+        for name in ("python", "numpy", "native"):
+            GENERATORS[name]().generate(reassigned_model)

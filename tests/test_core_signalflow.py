@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core import SignalFlowModel, convert_signal_flow
+from repro.circuits import paper_benchmarks
+from repro.core import AbstractionFlow, SignalFlowModel, convert_signal_flow
+from repro.core.codegen import NumpyGenerator, compile_model
 from repro.core.signalflow import Assignment
 from repro.errors import AbstractionError
 from repro.expr import BinaryOp, Conditional, Constant, Previous, Variable
+from repro.sim import SineWave
 from repro.vams import parse_module
 
 DT = 1e-6
-
 
 def integrator_model() -> SignalFlowModel:
     """y accumulates u: y = prev(y) + dt * u."""
@@ -84,6 +87,36 @@ class TestSignalFlowModel:
             timestep=DT,
         )
         with pytest.raises(AbstractionError, match="missing"):
+            model.validate()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_validate_rejects_a_nonfinite_constant(self, value):
+        model = integrator_model()
+        model.assignments.append(
+            Assignment("z", BinaryOp("*", Constant(value), Variable("u")))
+        )
+        with pytest.raises(AbstractionError, match="'z' contains the non-finite"):
+            model.validate()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_validate_rejects_a_nonfinite_initial_state(self, value):
+        model = integrator_model()
+        model.initial_state = {"y": value}
+        with pytest.raises(AbstractionError, match="initial state of 'y'"):
+            model.validate()
+
+    @pytest.mark.parametrize("timestep", [0.0, -DT, math.nan, math.inf])
+    def test_validate_rejects_an_unusable_timestep(self, timestep):
+        model = integrator_model()
+        model.timestep = timestep
+        with pytest.raises(AbstractionError, match="timestep"):
+            model.validate()
+
+    def test_abstracted_benchmark_models_validate(self):
+        for benchmark in paper_benchmarks():
+            model = AbstractionFlow(DT).abstract(
+                benchmark.circuit(), [benchmark.output], name=benchmark.name
+            ).model
             model.validate()
 
     def test_output_values_helper(self):
@@ -177,6 +210,23 @@ class TestDirectConversion:
         model = convert_signal_flow(module, DT)
         env = model.step({}, model.create_state(), time=0.25e-3)
         assert env["V(b)"] == pytest.approx(math.sin(2 * math.pi * 0.25), rel=1e-3)
+
+    def test_reassigned_variable_runs_alike_on_every_backend(self, reassigned_model):
+        model = reassigned_model
+        assert [a.target for a in model.assignments] == ["x", "__idt_0", "x", "V(out)"]
+        model.validate()
+        stimulus = SineWave(amplitude=1.0, frequency=10e3)
+        times = np.arange(1, 201) * model.timestep
+        interpreted = model.run({"vin": stimulus}, 200 * model.timestep).waveform("V(out)")
+        python = compile_model(model)()
+        batch = NumpyGenerator().generate_batch([model]).instantiate()
+        assert np.any(interpreted != 0.0)
+        np.testing.assert_array_equal(
+            [python.step(stimulus(t), t) for t in times], interpreted
+        )
+        np.testing.assert_array_equal(
+            [float(batch.step_batch(stimulus(t), t)[0]) for t in times], interpreted
+        )
 
     def test_conservative_module_rejected(self, rc1_circuit):
         from repro.circuits import rc_filter_source

@@ -1,12 +1,12 @@
-"""Tests of the three-layer static-analysis pass (:mod:`repro.lint`).
+"""Tests of the two-layer static-analysis pass (:mod:`repro.lint`).
 
 Layer 1 (netlist semantics) must report seeded defects with *exact*
 positions while the committed corpus, every paper benchmark and the
-generated zoo stay error-free; layer 2 (the signal-flow IR) mirrors the
-SignalFlowModel contract; layer 3
-(determinism self-lint) keeps ``src/repro`` clean against an empty
-baseline.  The emitters round-trip and escape hostile names, and the
-zoo's ``plant_defect`` hook makes the linter's recall fuzz-testable.
+generated zoo stay error-free; layer 2 (determinism self-lint) keeps
+``src/repro`` clean.  The JSON emitter round-trips hostile names, and the
+zoo's ``plant_defect`` hook makes the linter's recall fuzz-testable.  The
+signal-flow IR contract is tested with ``SignalFlowModel.validate`` in
+``tests/test_core_signalflow.py``.
 """
 
 from __future__ import annotations
@@ -19,31 +19,21 @@ from textwrap import dedent
 
 import pytest
 
-from repro.circuits import paper_benchmarks, rc_benchmark
-from repro.core import AbstractionFlow
-from repro.core.signalflow import Assignment, SignalFlowModel
-from repro.errors import ReproError
-from repro.expr import Access, BinaryOp, Constant, Variable
+from repro.circuits import paper_benchmarks
+from repro.expr import Access
 from repro.lint import (
     Diagnostic,
-    LintError,
     LintReport,
     from_json,
-    lint_circuit,
-    lint_model,
     lint_netlist,
     lint_python_file,
     lint_repo,
     lint_source,
-    load_baseline,
     netlist_rules,
     to_json,
-    to_markdown,
     to_text,
-    write_baseline,
 )
 from repro.lint.cli import main as lint_main
-from repro.network import VCVS, Circuit, Resistor, VoltageSource
 from repro.vams import parse_source, to_circuit
 from repro.vams.ast import POTENTIAL
 from repro.vams.classify import CONSERVATIVE, SIGNAL_FLOW, classify_module
@@ -67,10 +57,6 @@ def single(report: LintReport, rule: str) -> Diagnostic:
     found = report.by_rule(rule)
     assert len(found) == 1, f"expected one {rule}, got {list(report)}"
     return found[0]
-
-
-def times_two(variable: str = "u"):
-    return BinaryOp("*", Constant(2.0), Variable(variable))
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +308,37 @@ class TestNetlistRulesPositions:
 
 
 # ---------------------------------------------------------------------------
-# Layer 1: programmatic circuits and the clean committed surfaces
+# Layer 1: sensed nets and the clean committed surfaces
 # ---------------------------------------------------------------------------
+#: A VCVS senses ``out`` through a divider; without ``r2``, ``out`` is a
+#: probe point that only ``r1`` touches.
+SENSED = HEADER + dedent(
+    """\
+    module probe(vin, amp_out);
+      input vin; output amp_out;
+      electrical vin, out, amp_out, gnd;
+      ground gnd;
+      analog begin
+        I(vin, out) <+ V(vin, out) / 1k;
+        I(out, gnd) <+ V(out, gnd) / 1k;
+        V(amp_out, gnd) <+ 2.0 * V(out, gnd);
+        I(amp_out, gnd) <+ V(amp_out, gnd) / 1k;
+      end
+    endmodule
+    """
+)
+
+
 class TestCircuitAndCleanSurfaces:
-    def test_lint_circuit_flags_mutated_nonphysical_resistor(self):
-        # Fault models mutate via setattr, bypassing __post_init__ — the
-        # linter must catch what construction-time validation cannot.
-        circuit = rc_benchmark(1).circuit()
-        resistor = circuit.branch("r1").component
-        assert isinstance(resistor, Resistor)
-        resistor.resistance = -1.0
-        report = lint_circuit(circuit)
-        assert not report.ok
-        assert "r1" in single(report, "nonphysical-value").message
-
-    def test_lint_circuit_clean_on_benchmarks(self):
-        for benchmark in paper_benchmarks():
-            assert lint_circuit(benchmark.circuit()).ok, benchmark.name
-
-    def test_controlled_source_sense_nets_are_not_floating(self):
-        circuit = Circuit("probe")
-        circuit.add(VoltageSource(1.0), "vin", "gnd", name="vs")
-        circuit.add(Resistor(1e3), "vin", "out", name="r1")
-        circuit.add(Resistor(1e3), "out", "gnd", name="r2")
-        circuit.add(VCVS(2.0, "out", "gnd"), "amp_out", "gnd", name="amp")
-        circuit.add(Resistor(1e3), "amp_out", "gnd", name="rl")
-        assert lint_circuit(circuit).ok
+    @pytest.mark.parametrize(
+        "source",
+        [SENSED, SENSED.replace("    I(out, gnd) <+ V(out, gnd) / 1k;\n", "")],
+        ids=["divider", "probe-point"],
+    )
+    def test_controlled_source_sense_nets_are_not_floating(self, source):
+        report = lint_source(source)
+        assert report.ok, to_text(report)
+        assert not report.by_rule("floating-node")
 
     def test_committed_corpora_and_benchmarks_have_zero_errors(self):
         report = LintReport()
@@ -397,66 +388,7 @@ class TestCircuitAndCleanSurfaces:
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: the signal-flow IR
-# ---------------------------------------------------------------------------
-class TestArtifactRules:
-    def model(self, **overrides) -> SignalFlowModel:
-        fields = dict(
-            name="m",
-            inputs=["u"],
-            outputs=["y"],
-            assignments=[Assignment("y", times_two())],
-            state_variables=[],
-            initial_state={},
-            timestep=1e-6,
-        )
-        fields.update(overrides)
-        return SignalFlowModel(**fields)
-
-    def test_clean_model_passes(self):
-        assert lint_model(self.model()).ok
-
-    def test_undefined_reference(self):
-        model = self.model(assignments=[Assignment("y", times_two("ghost"))])
-        assert "ghost" in single(lint_model(model), "ir-undefined-reference").message
-
-    def test_duplicate_target(self):
-        model = self.model(
-            assignments=[
-                Assignment("y", Variable("u")),
-                Assignment("y", times_two()),
-            ]
-        )
-        assert lint_model(model).by_rule("ir-duplicate-target")
-
-    def test_output_never_computed(self):
-        model = self.model(outputs=["y", "z"])
-        assert "z" in single(lint_model(model), "ir-output-never-computed").message
-
-    def test_nonfinite_constant_and_initial_state(self):
-        model = self.model(
-            assignments=[
-                Assignment("y", BinaryOp("*", Constant(float("inf")), Variable("u")))
-            ],
-            state_variables=["y"],
-            initial_state={"y": float("nan")},
-        )
-        assert len(lint_model(model).by_rule("ir-nonfinite-constant")) == 2
-
-    def test_nonpositive_timestep(self):
-        assert lint_model(self.model(timestep=0.0)).by_rule("ir-nonpositive-timestep")
-
-    def test_abstracted_benchmark_models_lint_clean(self):
-        for benchmark in paper_benchmarks():
-            flow = AbstractionFlow(1e-6)
-            model = flow.abstract(
-                benchmark.circuit(), [benchmark.output], name=benchmark.name
-            ).model
-            assert lint_model(model).ok, benchmark.name
-
-
-# ---------------------------------------------------------------------------
-# Layer 3: the determinism self-lint
+# Layer 2: the determinism self-lint
 # ---------------------------------------------------------------------------
 class TestSelfCheck:
     def lint_text(self, tmp_path, relative: str, text: str) -> LintReport:
@@ -559,13 +491,13 @@ class TestSelfCheck:
         report = self.lint_text(tmp_path, "pkg/__init__.py", source)
         assert not report.by_rule("unused-import"), to_text(report)
 
-    def test_src_repro_is_clean_with_an_empty_baseline(self):
+    def test_src_repro_is_clean(self):
         report = lint_repo(SRC_REPRO)
         assert len(report) == 0, to_text(report)
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics, emitters, baseline
+# Diagnostics and emitters
 # ---------------------------------------------------------------------------
 class TestDiagnosticsAndEmitters:
     def hostile_report(self) -> LintReport:
@@ -612,61 +544,10 @@ class TestDiagnosticsAndEmitters:
         with pytest.raises(ValueError, match="version"):
             from_json(json.dumps({"version": 99, "diagnostics": []}))
 
-    def test_markdown_escapes_hostile_names(self):
-        markdown = to_markdown(self.hostile_report())
-        assert "evil\\|file.va" in markdown
-        assert "&lt;name&gt;" in markdown
-        assert "\\`weird\\`" in markdown
-        # the newline must not break the table row
-        rows = [line for line in markdown.splitlines() if line.startswith("|")]
-        assert len(rows) == 2 + 3  # header + separator + one row per finding
-
     def test_text_format(self):
         text = to_text(self.hostile_report())
         assert "evil|file.va:3:7: error[floating-node]" in text
         assert "(hint: pipe | hint)" in text
-
-    def test_baseline_round_trip_and_suppression(self, tmp_path):
-        report = self.hostile_report()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, report)
-        keys = load_baseline(path)
-        assert len(keys) == 3
-        assert len(report.suppress(keys)) == 0
-        assert load_baseline(None) == frozenset()
-        assert load_baseline(tmp_path / "missing.json") == frozenset()
-
-    def test_baseline_keys_survive_line_renumbering(self, tmp_path):
-        # The suppression key is position-independent: an unrelated edit
-        # that shifts line numbers must not resurrect baselined findings.
-        report = self.hostile_report()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, report)
-        moved = LintReport()
-        for diagnostic in report:
-            moved.add(
-                diagnostic.rule,
-                diagnostic.severity,
-                diagnostic.message,
-                file=diagnostic.file,
-                line=diagnostic.line + 40,
-                column=diagnostic.column + 2,
-                hint=diagnostic.hint,
-            )
-        assert len(moved.suppress(load_baseline(path))) == 0
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_lint_error_carries_the_report(self):
-        report = self.hostile_report()
-        error = LintError(report)
-        assert isinstance(error, ReproError)
-        assert error.report is report
-        assert "floating-node" in str(error)
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +731,10 @@ class TestCliAndDashboard:
         capsys.readouterr()
         recovered = from_json(json_path.read_text())
         assert recovered.by_rule("nonphysical-value")
-        assert lint_main([str(source), "--format", "markdown"]) == 1
-        assert "| Location |" in capsys.readouterr().out
-
-    def test_baseline_workflow(self, tmp_path, capsys):
-        source = self.seeded_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(source), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert lint_main([str(source), "--baseline", str(baseline)]) == 0
-        assert "suppressed by baseline" in capsys.readouterr().err
+        assert lint_main([str(source), "--format", "json"]) == 1
+        assert from_json(capsys.readouterr().out).by_rule("nonphysical-value")
+        assert lint_main([str(source), "--format", "text"]) == 1
+        assert "error[nonphysical-value]" in capsys.readouterr().out
 
     def test_selfcheck_via_cli(self, capsys):
         assert lint_main(["--selfcheck", str(SRC_REPRO)]) == 0

@@ -165,6 +165,18 @@ class TestCompiledExecution:
                     )
         assert worst <= 1e-9, worst
 
+    def test_reassigned_variable_matches_the_interpreter(self, reassigned_model):
+        from repro.sim import SineWave
+
+        model = reassigned_model
+        stimulus = SineWave(amplitude=1.0, frequency=10e3)
+        times = np.arange(1, 201) * model.timestep
+        interpreted = model.run({"vin": stimulus}, 200 * model.timestep).waveform("V(out)")
+        instance = native_batch_model([model])
+        native = [float(instance.step_batch(stimulus(t), t)[0]) for t in times]
+        assert np.any(interpreted != 0.0)
+        np.testing.assert_allclose(native, interpreted, rtol=1e-12, atol=1e-15)
+
     def test_reset_restores_initial_state(self, rc_model):
         instance = native_batch_model([rc_model] * 3)
         first = instance.step_batch(np.ones(3), DT)
