@@ -8,7 +8,7 @@ wall-clock time; run it explicitly::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_gates.py
 
-It has six groups:
+It has seven groups:
 
 * **Committed floors** (``test_committed_floor``): fifteen metrics of four
   smoke-size microbenchmarks (ISS throughput per stepping tier, DE-kernel
@@ -32,6 +32,10 @@ It has six groups:
   a sweep's abstraction of a 64-scenario RC20 Monte-Carlo, which replays
   the first scenario's recipe, is at least 1.4x faster than a full flow
   per scenario.
+* **Stream-fed campaigns** (``test_stream_fed_campaign_beats_push_mode``):
+  a serial RC1 ``python`` fault campaign, its ADCs answering from one
+  precomputed analog stream per configuration, is at least 1.5x faster
+  than the same jobs with an analog ticker, with equal payloads.
 """
 
 from __future__ import annotations
@@ -47,11 +51,18 @@ import pytest
 
 import repro.sim.de.kernel as de_kernel_module
 import repro.vp.mips.cpu as mips_cpu_module
-from repro.circuits import build_rc_filter
+from repro.circuits import build_rc_filter, rc_benchmark
 from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE
 from repro.core import AbstractionFlow, abstract_circuit
 from repro.core.codegen import NativeGenerator, NumpyGenerator, toolchain_error
 from repro.experiments import table1, table2, table3
+from repro.fault import (
+    FaultCampaignRunner,
+    FaultCampaignSpec,
+    analog_fault_universe,
+    digital_fault_universe,
+)
+from repro.fault.campaign import FaultableCircuitFactory
 from repro.experiments.common import (
     PAPER_TABLE1_SIMULATED_TIME,
     PAPER_TABLE2_SIMULATED_TIME,
@@ -62,7 +73,7 @@ from repro.experiments.common import (
 )
 from repro.obs.tracer import TRACER
 from repro.sim import Kernel, PeriodicTicker, SquareWave
-from repro.sweep import MonteCarloSpec
+from repro.sweep import MonteCarloSpec, PlatformSweepRunner
 from repro.sweep.runner import RecipeTable
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.firmware import FIRMWARE_STYLE_LOOP, threshold_monitor_source
@@ -641,4 +652,62 @@ def test_sweep_replay_beats_a_full_flow_per_scenario():
         f"the recipe table abstracts 64 RC20 scenarios {speedup:.2f}x faster "
         f"than a full flow each ({1e3 * replayed:.0f} ms vs {1e3 * full:.0f} "
         f"ms); the floor is {MIN_REPLAY_SPEEDUP}x"
+    )
+
+
+# -- stream-fed campaigns ---------------------------------------------------------------
+
+#: The least speed-up of a serial ``python`` fault campaign, its ADCs fed
+#: from precomputed analog streams, over the same jobs in push mode.
+MIN_STREAM_CAMPAIGN_SPEEDUP = 1.5
+
+
+def test_stream_fed_campaign_beats_push_mode():
+    """A serial RC1 campaign through :class:`FaultCampaignRunner` is at least
+    1.5x faster than its jobs through a push-mode ``PlatformSweepRunner``.
+
+    The campaign is the golden run, the analog fault universe and the
+    digital one at two activation times, 100 us each.  Both sides run in one
+    process, interleaved, best of 3; the ratio is machine-relative, and the
+    payloads must be equal.  Jitter only inflates a measurement, so one
+    attempt of three reaching the floor passes (as in
+    ``_assert_disabled_overhead``).
+    """
+    bench = rc_benchmark(1)
+    stimuli = {"vin": SquareWave(period=4e-5, delay=PAPER_TIMESTEP / 2.0)}
+    spec = FaultCampaignSpec(
+        faults=[*analog_fault_universe(bench.circuit()), *digital_fault_universe()],
+        activation_times=(30e-6, 70e-6),
+    )
+    runs = spec.expand()
+    analog = {run.fault.name: run.fault for run in runs if run.fault is not None}
+    duration = 100e-6
+    payloads = {}
+
+    def streamed() -> None:
+        runner = FaultCampaignRunner(bench.build, "out", stimuli, progress=False)
+        payloads["stream"] = runner.run(spec, duration).results
+
+    def pushed() -> None:
+        runner = PlatformSweepRunner(
+            FaultableCircuitFactory(bench.build, analog),
+            "out",
+            stimuli,
+            capture_errors=True,
+            progress=False,
+        )
+        payloads["push"] = runner.run(runs, duration, firmwares=spec.firmware_table()).results
+
+    for _ in range(3):
+        push, stream = _interleaved_best(pushed, streamed, repeats=3)
+        assert [run.to_payload() for run in payloads["stream"]] == [
+            run.to_payload() for run in payloads["push"]
+        ]
+        speedup = push / stream
+        if speedup >= MIN_STREAM_CAMPAIGN_SPEEDUP:
+            return
+    raise AssertionError(
+        f"the stream-fed campaign runs {len(runs)} jobs {speedup:.2f}x faster "
+        f"than push mode ({1e3 * stream:.0f} ms vs {1e3 * push:.0f} ms); the "
+        f"floor is {MIN_STREAM_CAMPAIGN_SPEEDUP}x"
     )

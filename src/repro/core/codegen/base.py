@@ -10,6 +10,7 @@ of expression trees as Python or C++ source, and the
 from __future__ import annotations
 
 import keyword
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,6 +52,27 @@ def mangle(name: str) -> str:
         identifier = "q_" + identifier
     identifier = identifier.lower()
     return identifier + "_" if keyword.iskeyword(identifier) else identifier
+
+
+def c_declarations(model: SignalFlowModel) -> list[str]:
+    """The C++ prefix of each assignment's target, in assignment order.
+
+    A target assigned once is a ``const double``; a reassigned one is
+    declared ``double`` at its first assignment and assigned bare after it.
+    """
+    assigned = Counter(assignment.target for assignment in model.assignments)
+    declared: set[str] = set()
+    prefixes = []
+    for assignment in model.assignments:
+        target = assignment.target
+        if assigned[target] == 1:
+            prefixes.append("const double ")
+        elif target in declared:
+            prefixes.append("")
+        else:
+            declared.add(target)
+            prefixes.append("double ")
+    return prefixes
 
 
 def class_name(name: str, suffix: str) -> str:

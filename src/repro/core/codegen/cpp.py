@@ -11,7 +11,14 @@ emitted for inspection and regression-tested structurally, while the
 from __future__ import annotations
 
 from ..signalflow import TIME_VARIABLE, SignalFlowModel
-from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
+from .base import (
+    CodeGenerator,
+    ExpressionRenderer,
+    GeneratedCode,
+    c_declarations,
+    class_name,
+    mangle,
+)
 
 
 class CppGenerator(CodeGenerator):
@@ -60,9 +67,9 @@ class CppGenerator(CodeGenerator):
             lines.append(f"    double step({signature}) {{")
         else:
             lines.append(f"    void step({signature}, double outputs[{len(output_names)}]) {{")
-        for assignment in model.assignments:
+        for assignment, prefix in zip(model.assignments, c_declarations(model)):
             target = mangle(assignment.target)
-            lines.append(f"        const double {target} = {renderer.render(assignment.expression)};")
+            lines.append(f"        {prefix}{target} = {renderer.render(assignment.expression)};")
         for state in model.state_variables:
             lines.append(f"        prev_{mangle(state)} = {mangle(state)};")
         if len(output_names) == 1:

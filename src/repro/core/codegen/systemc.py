@@ -23,7 +23,14 @@ The executable counterparts used by the benchmarks are
 from __future__ import annotations
 
 from ..signalflow import SignalFlowModel
-from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
+from .base import (
+    CodeGenerator,
+    ExpressionRenderer,
+    GeneratedCode,
+    c_declarations,
+    class_name,
+    mangle,
+)
 
 
 class _SystemCGenerator(CodeGenerator):
@@ -87,10 +94,10 @@ class _SystemCGenerator(CodeGenerator):
         if not states:
             lines.append("        // stateless model")
         lines += ["    }", "", f"    void {self.process}() {{"]
-        for assignment in model.assignments:
+        for assignment, prefix in zip(model.assignments, c_declarations(model)):
             target = mangle(assignment.target)
             lines.append(
-                f"        const double {target} = {renderer.render(assignment.expression)};"
+                f"        {prefix}{target} = {renderer.render(assignment.expression)};"
             )
         lines += [f"        m_prev_{name} = {name};" for name in states]
         lines += [f"        {name}_out.write({name});" for name in output_names]

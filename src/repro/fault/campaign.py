@@ -24,13 +24,17 @@ A fault campaign *is* a platform sweep: :class:`FaultCampaignRunner` is a
 stream, builds circuits through the campaign's analog faults and captures
 errors, so a fault that takes the CPU down (or makes the faulted netlist
 unabstractable) is recorded as a crash outcome instead of aborting the
-campaign.  Its result, a :class:`~repro.fault.report.FaultCampaignResult`,
-is the sweep result plus per-fault verdicts, coverage matrices and reports.
+campaign.  Its ``python``-style runs read the ADC from one precomputed analog
+stream per analog configuration, with outcomes identical to the analog
+ticker's (see :meth:`PlatformSweepConfig.execute
+<repro.sweep.platform.PlatformSweepConfig.execute>`).  Its result, a
+:class:`~repro.fault.report.FaultCampaignResult`, is the sweep result plus
+per-fault verdicts, coverage matrices and reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,8 +242,10 @@ class FaultCampaignRunner(PlatformSweepRunner):
     """Expand a campaign spec, run every experiment, classify every fault.
 
     A :class:`~repro.sweep.platform.PlatformSweepRunner` with the ADC
-    stream recorded (it feeds the trace-divergence verdict) and error
-    capture on (a fault that takes the platform down is a crash outcome);
+    stream recorded (it feeds the trace-divergence verdict), error
+    capture on (a fault that takes the platform down is a crash outcome)
+    and ``python`` runs fed from precomputed analog streams (the analog
+    side is open loop, so each configuration's samples are computed once);
     every other parameter is the platform runner's, including
     ``store``/``resume``/``interrupt_after`` for durable campaigns whose
     resumed verdicts, coverage and reports are bit-identical to an
@@ -255,6 +261,7 @@ class FaultCampaignRunner(PlatformSweepRunner):
             raise FaultError("the NRMSE divergence threshold must be positive")
         self.nrmse_threshold = float(nrmse_threshold)
         super().__init__(*args, record_analog=True, capture_errors=True, **options)
+        self.engine = replace(self.engine, analog_streams=True)
 
     def run(self, spec: FaultCampaignSpec, duration: float) -> FaultCampaignResult:
         """Execute every run of ``spec`` for ``duration`` seconds each."""

@@ -15,7 +15,9 @@ configuration out:
   workers through the campaign executor (:mod:`repro.sweep.executor`:
   serial fallback, run store, resume) and runs each one through a fresh
   :class:`~repro.vp.platform.SmartSystemPlatform`, or through a clone of
-  its base run when the scenario has a fork time (time-gated faults);
+  its base run when the scenario has a fork time (time-gated faults); a
+  fault campaign's ``python`` runs read their ADC from one precomputed
+  analog stream per analog configuration;
 * :class:`PlatformSweepResult` aggregates the
   :class:`~repro.vp.platform.PlatformRunResult` of every scenario into
   Table-III-style per-style summaries — wall-clock time, speed-up versus the
@@ -45,12 +47,14 @@ from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER
 from ..sim.steps import resolve_steps
 from ..store import RunStore, fingerprint
+from ..vp.adc_bridge import AnalogStream
 from ..vp.platform import (
     ABSTRACTED_STYLES,
     ANALOG_STYLES,
     CPU_BLOCK_CYCLES,
     PlatformRunResult,
     SmartSystemPlatform,
+    python_stream,
 )
 from .executor import CampaignExecutor, SweepError
 from .results import csv_text, markdown_table
@@ -270,6 +274,12 @@ class PlatformSweepConfig:
     #: whole sweep.  Fault campaigns set this: an injected fault taking the
     #: CPU down is a *classification outcome* (crash-halt), not a sweep error.
     capture_errors: bool = False
+    #: Feed every ``python`` run's ADC from one precomputed stream per analog
+    #: configuration instead of an analog ticker (see
+    #: :meth:`~repro.vp.platform.SmartSystemPlatform.attach_analog_stream`);
+    #: outcomes are identical.  Fault campaigns set this; platform sweeps
+    #: keep push mode, the paper's measured integration.
+    analog_streams: bool = False
 
     def store_inputs(self, scenario: PlatformScenario) -> dict:
         """The full-input payload whose digest addresses one platform run.
@@ -328,13 +338,11 @@ class PlatformSweepConfig:
         the fork times in ascending order, and runs every member from a
         clone taken just before its fork time; a group whose base run
         raises runs its remaining members from scratch.  Every other
-        scenario runs from scratch.
+        scenario runs from scratch.  With :attr:`analog_streams`, every
+        ``python`` run of one analog configuration (parameters, stimulus,
+        seed) shares one analog stream, fork bases and clones included.
         """
-        # The abstracted model depends only on the analog parameters, so the
-        # three abstracted styles of one analog point share one abstraction;
-        # the recipe table replays one topology's choices across points.
-        model_memo: dict[tuple, SignalFlowModel] = {}
-        recipes = RecipeTable(self.timestep)
+        memo = _ChunkMemo(RecipeTable(self.timestep))
         groups: dict[tuple, list[int]] = {}
         for position in pending:
             scenario = scenarios[position]
@@ -347,15 +355,10 @@ class PlatformSweepConfig:
             group = grouped.get(position)
             if group is None:
                 outcomes = [
-                    (
-                        position,
-                        _run_platform_scenario(
-                            self, scenarios[position], model_memo, recipes
-                        ),
-                    )
+                    (position, _run_platform_scenario(self, scenarios[position], memo))
                 ]
             elif group[0] == position:
-                outcomes = _run_forked(self, scenarios, group, model_memo, recipes)
+                outcomes = _run_forked(self, scenarios, group, memo)
             else:
                 continue
             for done, (result, wall) in outcomes:
@@ -403,24 +406,81 @@ def _new_platform(
     )
 
 
+def _stimuli(config: PlatformSweepConfig, scenario: PlatformScenario) -> Stimuli:
+    family = config.stimuli[scenario.stimulus]
+    return family(scenario.seed) if callable(family) else family
+
+
+@dataclass
+class _ChunkMemo:
+    """What the runs of one :meth:`PlatformSweepConfig.execute` call share.
+
+    The abstracted model depends only on the analog parameters, so the
+    three abstracted styles of one analog point share one abstraction, and
+    the recipe table replays one topology's choices across points.  An
+    analog stream depends on the model, the stimulus family and the seed;
+    ``None`` marks a configuration whose stream raised.
+    """
+
+    recipes: RecipeTable
+    models: dict[tuple, SignalFlowModel] = field(default_factory=dict)
+    streams: dict[tuple, "AnalogStream | None"] = field(default_factory=dict)
+
+    def model(
+        self, config: PlatformSweepConfig, scenario: PlatformScenario
+    ) -> SignalFlowModel:
+        key = tuple(sorted(scenario.params.items()))
+        model = self.models.get(key)
+        if model is None:
+            circuit = config.factory(**scenario.params)
+            model = self.recipes.abstract(circuit, [config.output])
+            self.models[key] = model
+        return model
+
+    def stream(
+        self, config: PlatformSweepConfig, scenario: PlatformScenario
+    ) -> "AnalogStream | None":
+        """The scenario's analog stream, computed on its configuration's
+        first run; ``None`` when computing it raised, so the run takes push
+        mode and meets the same failure there."""
+        key = (tuple(sorted(scenario.params.items())), scenario.stimulus, scenario.seed)
+        if key not in self.streams:
+            start = TRACER.now() if TRACER.enabled else 0.0
+            try:
+                stream = python_stream(
+                    self.model(config, scenario),
+                    _stimuli(config, scenario),
+                    config.timestep,
+                    config.duration,
+                )
+            except Exception:
+                # Whatever failed here fails again in push mode, which
+                # records it as the run's crash or raises it, as before.
+                stream = None
+            else:
+                TRACER.add("platform.streams")
+                TRACER.end("platform.stream", start, "platform", samples=len(stream.times))
+            self.streams[key] = stream
+        return self.streams[key]
+
+
 def _attach(
     config: PlatformSweepConfig,
     scenario: PlatformScenario,
     platform: SmartSystemPlatform,
-    model_memo: dict,
-    recipes: RecipeTable,
+    memo: _ChunkMemo,
 ) -> None:
     """Attach the scenario's analog subsystem, driven by its stimulus family."""
-    family = config.stimuli[scenario.stimulus]
-    stimuli = family(scenario.seed) if callable(family) else family
+    if config.analog_streams and scenario.style == "python":
+        stream = memo.stream(config, scenario)
+        if stream is not None:
+            platform.attach_analog_stream(stream)
+            return
+    stimuli = _stimuli(config, scenario)
     if scenario.style in ABSTRACTED_STYLES:
-        key = tuple(sorted(scenario.params.items()))
-        model = model_memo.get(key)
-        if model is None:
-            circuit = config.factory(**scenario.params)
-            model = recipes.abstract(circuit, [config.output])
-            model_memo[key] = model
-        platform.attach_analog(scenario.style, stimuli, model=model)
+        platform.attach_analog(
+            scenario.style, stimuli, model=memo.model(config, scenario)
+        )
     else:
         platform.attach_analog(
             scenario.style,
@@ -433,8 +493,7 @@ def _attach(
 def _run_platform_scenario(
     config: PlatformSweepConfig,
     scenario: PlatformScenario,
-    model_memo: dict,
-    recipes: RecipeTable,
+    memo: _ChunkMemo,
     base: "SmartSystemPlatform | None" = None,
 ) -> tuple[PlatformRunResult, float]:
     """Build, attach and run one platform configuration; returns (result, wall).
@@ -451,7 +510,7 @@ def _run_platform_scenario(
         platform = base.clone()
     try:
         if base is None:
-            _attach(config, scenario, platform, model_memo, recipes)
+            _attach(config, scenario, platform, memo)
         scenario.prepare_platform(platform)
         if start is None:
             start = _time.perf_counter()
@@ -469,15 +528,14 @@ def _run_forked(
     config: PlatformSweepConfig,
     scenarios: Sequence[PlatformScenario],
     group: Sequence[int],
-    model_memo: dict,
-    recipes: RecipeTable,
+    memo: _ChunkMemo,
 ) -> Iterator[tuple[int, "tuple[PlatformRunResult, float]"]]:
     """Run one base configuration's forking scenarios from clones of its
     base run; each ``(position, outcome)`` is yielded as it ends."""
     order = sorted(group, key=lambda position: scenarios[position].fork_time())
     base = _new_platform(config, scenarios[order[0]])
     try:
-        _attach(config, scenarios[order[0]], base, model_memo, recipes)
+        _attach(config, scenarios[order[0]], base, memo)
     except ReproError:
         base = None
     while order and base is not None:
@@ -490,14 +548,12 @@ def _run_forked(
         while order and scenarios[order[0]].fork_time() == at:
             position = order.pop(0)
             yield position, _run_platform_scenario(
-                config, scenarios[position], model_memo, recipes, base
+                config, scenarios[position], memo, base
             )
     # What the base run could not reach runs from scratch, where its failure
     # is recorded (or raised) per scenario.
     for position in order:
-        yield position, _run_platform_scenario(
-            config, scenarios[position], model_memo, recipes
-        )
+        yield position, _run_platform_scenario(config, scenarios[position], memo)
 
 
 class PlatformSweepRunner:

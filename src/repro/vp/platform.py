@@ -13,6 +13,9 @@ analog integration style evaluated in Table III:
 * ``attach_analog_eln`` — the conservative ELN solver embedded in the kernel;
 * ``attach_analog_cosim`` — co-simulation with the reference Verilog-AMS
   engine through the marshalled bridge (the pre-abstraction configuration).
+
+``attach_analog_stream`` is the ``python`` style without a ticker: the ADC
+answers from the samples :func:`python_stream` computed ahead of the run.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from ..sim.integration import (
 )
 from ..sim.runners import _instantiate
 from ..sim.tdf import TdfCluster, TdfModule
-from .adc_bridge import AdcBridge
+from .adc_bridge import AdcBridge, AnalogStream, StreamAdcBridge
 from .apb import ApbBus
 from .firmware import (
     ADC_BASE,
@@ -215,6 +218,11 @@ class _CpuBlockDriver(Module):
         """
         insort(self._sync_times, time)
 
+    def scheduled(self) -> float:
+        """The time the running wake counts as scheduled at: its previous
+        clock cycle, the heap key the wake was pushed with."""
+        return quantize(self._grid_origin + (self.cycle - 1) * self.period)
+
     def _wake(self) -> None:
         kernel = self.kernel
         budget = self.block_cycles
@@ -279,6 +287,32 @@ class _PythonAnalog:
     def tick(self, now: float) -> None:
         result = self.step(*[waveform(now) for waveform in self.waveforms], now)
         self.push(result if self.single_output else result[0])
+
+
+def python_stream(
+    model: "SignalFlowModel | type | object",
+    stimuli: Stimuli,
+    timestep: float,
+    until: float,
+) -> AnalogStream:
+    """The samples :meth:`SmartSystemPlatform.attach_analog_python` pushes
+    into the ADC in a run up to the absolute time ``until``.
+
+    The model steps on the analog ticker's grid of a platform attached at
+    time 0 (tick ``k`` at ``quantize(dt + (k - 1) * dt)``), every tick the
+    kernel fires up to ``until`` included, and each value goes through the
+    bridge's own ``push_sample``.
+    """
+    adc = AdcBridge(record=True)
+    analog = _PythonAnalog(_instantiate(model), stimuli, adc)
+    end = quantize(until) + 1e-18  # Kernel.run's horizon
+    times = []
+    now = quantize(timestep)
+    while now <= end:
+        analog.tick(now)
+        times.append(now)
+        now = quantize(timestep + len(times) * timestep)
+    return AnalogStream(times, adc.history)
 
 
 class _AdcSampler(Module):
@@ -412,6 +446,30 @@ class SmartSystemPlatform:
         self._analog_modules.append(ticker)
         self.analog_style = "python"
 
+    def attach_analog_stream(self, stream: AnalogStream) -> None:
+        """Integrate the ``python`` style from its precomputed ADC samples.
+
+        ``stream`` is :func:`python_stream` of the model, stimuli and this
+        platform's analog timestep, up to at least the end of the run.  No
+        ticker steps the model: the ADC answers each access from the samples
+        the ticker would have pushed by then, so every run outcome equals
+        :meth:`attach_analog_python`'s.  That holds while nothing reaches
+        back from the CPU to the analog side.  Attach before the first run.
+        """
+        self._ensure_unattached()
+        if self.kernel.now != 0.0:
+            raise PlatformError("attach an analog stream before the platform runs")
+        adc = StreamAdcBridge(
+            stream,
+            self._cpu_driver,
+            self.adc.name,
+            self.adc.millivolts_per_unit,
+            record=self.adc.history is not None,
+        )
+        self.bus.interpose("adc0", lambda _pushed: adc)
+        self.adc = adc
+        self.analog_style = "python"
+
     def attach_analog_de(self, model: "SignalFlowModel | type | object", stimuli: Stimuli) -> None:
         """Integrate the generated model as a SystemC-DE style module."""
         self._ensure_unattached()
@@ -503,6 +561,16 @@ class SmartSystemPlatform:
         subsystem's equivalence guarantee rests on this.
         """
         self._cpu_driver.add_sync_point(time)
+        adc = self.adc
+        if isinstance(adc, StreamAdcBridge):
+            inject = action
+
+            def action() -> None:
+                # A crash raised here saw no tick of this instant yet.
+                adc.event_key = -math.inf
+                inject()
+                adc.event_key = None
+
         # Scheduled "before time began": the injection fires first at its
         # instant whether it was armed before the run or on a clone.
         self.kernel.schedule_abs(time, action, -math.inf)
@@ -516,15 +584,16 @@ class SmartSystemPlatform:
         how far a faulted platform got before the error.
         """
         counter_value = self.memory.read_word(CROSSING_COUNTER_ADDRESS)
+        samples, trace = self.adc.delivered()
         return PlatformRunResult(
             simulated_time=self.kernel.now,
             instructions=self.cpu.instruction_count,
             bus_transactions=self.bus.transaction_count,
             uart_output=self.uart.output_text(),
-            analog_samples=self.adc.sample_count,
+            analog_samples=samples,
             crossings_reported=counter_value,
             analog_style=self.analog_style or "unattached",
-            analog_trace=list(self.adc.history) if self.adc.history is not None else None,
+            analog_trace=trace,
             crashed=crashed,
         )
 
@@ -564,6 +633,18 @@ class SmartSystemPlatform:
             raise PlatformError(
                 "attach an analog subsystem before running the platform"
             )
+        adc = self.adc
+        if isinstance(adc, StreamAdcBridge):
+            # Inside the run every access is a CPU wake's.  A run that
+            # raises keeps that key, so its snapshot counts what the
+            # raising wake saw; a completed run saw every tick up to now.
+            adc.event_key = None
+            self._run_kernel(end_time)
+            adc.event_key = math.inf
+        else:
+            self._run_kernel(end_time)
+
+    def _run_kernel(self, end_time: float) -> None:
         tracer = TRACER
         if not tracer.enabled:
             self.kernel.run(until=end_time)

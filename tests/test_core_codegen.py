@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -268,6 +270,25 @@ class TestIdentifierClashes:
             else:
                 generator.generate(model)
 
-    def test_a_reassigned_quantity_is_not_a_clash(self, reassigned_model):
+    def test_a_reassigned_quantity_is_not_a_clash(self, reassigned_model, tmp_path):
         for name in ("python", "numpy", "native"):
             GENERATORS[name]().generate(reassigned_model)
+        targets = {mangle(a.target) for a in reassigned_model.assignments}
+        for name in ("cpp", "systemc_de", "systemc_tdf"):
+            source = GENERATORS[name]().generate(reassigned_model).source
+            for target in targets:
+                declarations = re.findall(rf"\bdouble {target} =", source)
+                assert len(declarations) == 1, (name, target, source)
+            assert re.search(r"^\s+x = x \* 2", source, re.MULTILINE), (name, source)
+            assert re.search(r"\bconst double v_out =", source), (name, source)
+        compiler = shutil.which("g++")
+        if compiler is None:
+            return
+        header = tmp_path / "reassign.hpp"
+        header.write_text(GENERATORS["cpp"]().generate(reassigned_model).source)
+        check = subprocess.run(
+            [compiler, "-std=c++17", "-fsyntax-only", "-x", "c++", str(header)],
+            capture_output=True,
+            text=True,
+        )
+        assert check.returncode == 0, check.stderr
