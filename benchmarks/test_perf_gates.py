@@ -8,7 +8,7 @@ wall-clock time; run it explicitly::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_gates.py
 
-It has seven groups:
+It has eight groups:
 
 * **Committed floors** (``test_committed_floor``): fifteen metrics of four
   smoke-size microbenchmarks (ISS throughput per stepping tier, DE-kernel
@@ -32,6 +32,10 @@ It has seven groups:
   a sweep's abstraction of a 64-scenario RC20 Monte-Carlo, which replays
   the first scenario's recipe, is at least 1.4x faster than a full flow
   per scenario.
+* **Replays as arrays** (``test_tape_beats_a_replay_per_scenario``): the
+  same chunk abstracted through its replay tape, one evaluation for the 63
+  later scenarios, is at least 3x faster than a replay per scenario, with
+  equal models.
 * **Stream-fed campaigns** (``test_stream_fed_campaign_beats_push_mode``):
   a serial RC1 ``python`` fault campaign, its ADCs answering from one
   precomputed analog stream per configuration, is at least 1.5x faster
@@ -54,7 +58,8 @@ import repro.vp.mips.cpu as mips_cpu_module
 from repro.circuits import build_rc_filter, rc_benchmark
 from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE
 from repro.core import AbstractionFlow, abstract_circuit
-from repro.core.codegen import NativeGenerator, NumpyGenerator, toolchain_error
+from repro.core.codegen import NativeGenerator, NumpyGenerator, PythonGenerator, toolchain_error
+from repro.core.flow import TapedModel
 from repro.experiments import table1, table2, table3
 from repro.fault import (
     FaultCampaignRunner,
@@ -74,7 +79,7 @@ from repro.experiments.common import (
 from repro.obs.tracer import TRACER
 from repro.sim import Kernel, PeriodicTicker, SquareWave
 from repro.sweep import MonteCarloSpec, PlatformSweepRunner
-from repro.sweep.runner import RecipeTable
+from repro.sweep.runner import RecipeTable, _model
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.firmware import FIRMWARE_STYLE_LOOP, threshold_monitor_source
 from repro.vp.platform import CPU_BLOCK_CYCLES, _CpuBlockDriver
@@ -652,6 +657,56 @@ def test_sweep_replay_beats_a_full_flow_per_scenario():
         f"the recipe table abstracts 64 RC20 scenarios {speedup:.2f}x faster "
         f"than a full flow each ({1e3 * replayed:.0f} ms vs {1e3 * full:.0f} "
         f"ms); the floor is {MIN_REPLAY_SPEEDUP}x"
+    )
+
+
+# -- replays as arrays -------------------------------------------------------------------
+
+#: The least speed-up of abstracting a Monte-Carlo chunk through its replay
+#: tape over replaying the recipe scenario by scenario.
+MIN_TAPE_SPEEDUP = 3.0
+
+
+def test_tape_beats_a_replay_per_scenario():
+    """Abstracting a 64-scenario RC20 Monte-Carlo chunk through
+    :meth:`RecipeTable.abstract_chunk` (one full flow, one tape, one
+    evaluation over the other 63) is at least 3x faster than
+    :meth:`RecipeTable.abstract` scenario by scenario, with equal models.
+
+    Both sides build every circuit from its parameters, in one process,
+    interleaved, best of 3; the ratio is machine-relative.
+    """
+    factory = partial(build_rc_filter, 20)
+    scenarios = MonteCarloSpec(
+        nominal={"resistance": DEFAULT_RESISTANCE, "capacitance": DEFAULT_CAPACITANCE},
+        tolerances={"resistance": 0.05, "capacitance": 0.1},
+        samples=64,
+        seed=2016,
+    ).expand()
+    models = {}
+
+    def replays() -> None:
+        recipes = RecipeTable(PAPER_TIMESTEP)
+        models["replays"] = [
+            recipes.abstract(factory(**scenario.params), ["out"]) for scenario in scenarios
+        ]
+
+    def taped() -> None:
+        models["tape"] = RecipeTable(PAPER_TIMESTEP).abstract_chunk(
+            [factory(**scenario.params) for scenario in scenarios], ["out"]
+        )
+
+    replayed, chunked = _interleaved_best(replays, taped, repeats=3)
+    assert all(isinstance(model, TapedModel) for model in models["tape"][1:])
+    generator = PythonGenerator()
+    assert [generator.generate(_model(model)).source for model in models["tape"]] == [
+        generator.generate(model).source for model in models["replays"]
+    ]
+    speedup = replayed / chunked
+    assert speedup >= MIN_TAPE_SPEEDUP, (
+        f"the tape abstracts 64 RC20 scenarios {speedup:.2f}x faster than a "
+        f"replay each ({1e3 * chunked:.0f} ms vs {1e3 * replayed:.0f} ms); "
+        f"the floor is {MIN_TAPE_SPEEDUP}x"
     )
 
 

@@ -28,6 +28,7 @@ from .native_backend import (
 )
 from .numpy_backend import (
     BatchArtifact,
+    BatchColumns,
     NumpyGenerator,
     compile_batch,
     structure_signature,
@@ -85,6 +86,7 @@ def generate_all(model) -> dict[str, GeneratedCode]:
 
 __all__ = [
     "BatchArtifact",
+    "BatchColumns",
     "CodeGenerator",
     "CppGenerator",
     "ExpressionRenderer",

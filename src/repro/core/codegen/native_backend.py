@@ -43,7 +43,7 @@ from ...obs.tracer import TRACER
 from ..signalflow import TIME_VARIABLE, SignalFlowModel
 from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
 from .cache import compile_cached, source_digest
-from .numpy_backend import PARAM_PREFIX, NumpyGenerator
+from .numpy_backend import PARAM_PREFIX, BatchColumns, NumpyGenerator
 
 #: Exported symbol of every generated shared object.  Each artefact lives in
 #: its own ``dlopen`` handle (RTLD_LOCAL), so the name never collides.
@@ -163,12 +163,15 @@ class NativeGenerator(CodeGenerator):
         """Single-model entry point of the registry: a batch of one."""
         return self.generate_batch([model]).code
 
-    def generate_batch(self, models: Sequence[SignalFlowModel]) -> NativeArtifact:
-        """Emit one C ``step_batch`` kernel covering every model in ``models``."""
+    def generate_batch(
+        self, models: "Sequence[SignalFlowModel] | BatchColumns"
+    ) -> NativeArtifact:
+        """Emit one C ``step_batch`` kernel covering every model in ``models``,
+        or every scenario of a :class:`~repro.core.codegen.numpy_backend.BatchColumns`."""
         # The NumPy artefact's lifted templates and parameter matrix are
         # reused verbatim, so both backends run on the same columns.
         numpy_artifact = NumpyGenerator().generate_batch(models)
-        first = models[0]
+        first = numpy_artifact.code.model
         source, entity = self._render_source(first, numpy_artifact.templates)
         code = GeneratedCode(
             language=self.language,
@@ -180,14 +183,14 @@ class NativeGenerator(CodeGenerator):
                 "backend": self.name,
                 "symbol": NATIVE_SYMBOL,
                 "n_parameters": str(len(numpy_artifact.parameters)),
-                "n_scenarios": str(len(models)),
+                "n_scenarios": str(numpy_artifact.n_scenarios),
             },
         )
         return NativeArtifact(
             code=code,
             parameters=numpy_artifact.parameters,
             initial_state=numpy_artifact.initial_state,
-            n_scenarios=len(models),
+            n_scenarios=numpy_artifact.n_scenarios,
         )
 
     # -- rendering --------------------------------------------------------------------

@@ -12,8 +12,12 @@ shape-``(n_scenarios,)`` NumPy arrays.
 Coefficients that differ between scenarios are *lifted* out of the expression
 trees into parameter arrays (rows of a ``(n_parameters, n_scenarios)``
 matrix); coefficients shared by every scenario stay baked into the source as
-literals.  Because the parameter values travel through the constructor rather
-than the source text, the generated source for a sweep depends only on the
+literals.  The lifting reads one template model and a value column per
+constant (:class:`BatchColumns`): :meth:`BatchColumns.from_models` builds
+them from a batch of models, and a sweep's replay tape
+(:class:`repro.core.flow.ReplayTape`) computes them without any model.
+Because the parameter values travel through the constructor rather than
+the source text, the generated source for a sweep depends only on the
 model *structure* — so the compile cache (:mod:`repro.core.codegen.cache`)
 hits for every re-run, every Monte-Carlo redraw and every chunk of a
 multiprocess sweep.
@@ -25,7 +29,7 @@ that single-model role it simply generates a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from ...expr.ast import (
     Previous,
     UnaryOp,
     Variable,
+    transform,
 )
 from ..signalflow import TIME_VARIABLE, SignalFlowModel
 from .base import CodeGenerator, ExpressionRenderer, GeneratedCode, class_name, mangle
@@ -97,59 +102,96 @@ def structure_signature(model: SignalFlowModel) -> tuple:
 # ---------------------------------------------------------------------------
 # Constant lifting
 # ---------------------------------------------------------------------------
-class _ParameterLifter:
-    """Collects per-scenario constant vectors, deduplicating identical ones."""
+@dataclass
+class BatchColumns:
+    """What a batch is generated from: one template model, and per scenario
+    the value of each of its constants and each state's initial value.
 
-    def __init__(self) -> None:
-        self.columns: list[tuple[float, ...]] = []
-        self._slots: dict[tuple[float, ...], int] = {}
+    Every scenario's model is the template with its own constants, in the
+    order of :meth:`SignalFlowModel.constants`.
+    """
 
-    def lift(self, values: tuple[float, ...]) -> Expr:
-        index = self._slots.get(values)
+    template: SignalFlowModel
+    #: Shape ``(n_constants, n_scenarios)``.
+    constants: np.ndarray
+    #: Shape ``(n_states, n_scenarios)``.
+    initial_state: np.ndarray
+
+    @property
+    def n_scenarios(self) -> int:
+        return self.constants.shape[1]
+
+    @classmethod
+    def from_models(cls, models: Sequence[SignalFlowModel]) -> "BatchColumns":
+        """The columns of structurally identical ``models``, the first one
+        the template."""
+        if not models:
+            raise CodeGenerationError("cannot generate a batch of zero models")
+        first = models[0]
+        signature = structure_signature(first)
+        for model in models[1:]:
+            if structure_signature(model) != signature:
+                raise CodeGenerationError(
+                    f"model {model.name!r} is not structurally identical to "
+                    f"{first.name!r}; split the sweep into structure groups"
+                )
+        return cls.stack(
+            first,
+            [model.constants() for model in models],
+            [model.initial_state for model in models],
+        )
+
+    @classmethod
+    def stack(
+        cls,
+        template: SignalFlowModel,
+        constants: Sequence[Sequence[float]],
+        initial_states: Sequence[Mapping[str, float]],
+    ) -> "BatchColumns":
+        """The columns of scenarios given by their constants, in the order of
+        :meth:`SignalFlowModel.constants`, and initial states (0 where one
+        has no entry)."""
+        initial = np.array(
+            [
+                [float(initial.get(state, 0.0)) for initial in initial_states]
+                for state in template.state_variables
+            ],
+            dtype=float,
+        )
+        return cls(
+            template,
+            np.array(constants, dtype=float).T,
+            initial.reshape(len(template.state_variables), len(initial_states)),
+        )
+
+
+def _lift(batch: BatchColumns) -> tuple[list[Expr], list[tuple[float, ...]]]:
+    """The template's assignments with each constant lifted, and the lifted columns.
+
+    A constant equal in every scenario stays a literal; the others become
+    ``PARAM_PREFIX`` parameter references, one per distinct column.
+    """
+    columns: list[tuple[float, ...]] = []
+    slots: dict[tuple[float, ...], int] = {}
+    rows = iter(batch.constants)
+
+    def lift(node: Expr) -> Expr:
+        if type(node) is not Constant:
+            return node
+        row = next(rows)
+        if (row == row[0]).all():
+            return Constant(float(row[0]))
+        values = tuple(row.tolist())
+        index = slots.get(values)
         if index is None:
-            index = len(self.columns)
-            self.columns.append(values)
-            self._slots[values] = index
+            index = slots[values] = len(columns)
+            columns.append(values)
         return Variable(f"{PARAM_PREFIX}{index}")
 
-
-def _merge(exprs: Sequence[Expr], lifter: _ParameterLifter) -> Expr:
-    """Merge structurally identical trees into one template expression.
-
-    Constants equal across every scenario stay literal; differing constants
-    become lifted parameter references.
-    """
-    first = exprs[0]
-    if isinstance(first, Constant):
-        values = tuple(expr.value for expr in exprs)  # type: ignore[union-attr]
-        if all(value == values[0] for value in values):
-            return first
-        return lifter.lift(values)
-    if isinstance(first, (Variable, Previous)):
-        return first
-    if isinstance(first, BinaryOp):
-        return BinaryOp(
-            first.op,
-            _merge([expr.lhs for expr in exprs], lifter),  # type: ignore[attr-defined]
-            _merge([expr.rhs for expr in exprs], lifter),  # type: ignore[attr-defined]
-        )
-    if isinstance(first, UnaryOp):
-        return UnaryOp(first.op, _merge([expr.operand for expr in exprs], lifter))  # type: ignore[attr-defined]
-    if isinstance(first, Call):
-        return Call(
-            first.func,
-            [
-                _merge([expr.args[i] for expr in exprs], lifter)  # type: ignore[attr-defined]
-                for i in range(len(first.args))
-            ],
-        )
-    if isinstance(first, Conditional):
-        return Conditional(
-            _merge([expr.condition for expr in exprs], lifter),  # type: ignore[attr-defined]
-            _merge([expr.then for expr in exprs], lifter),  # type: ignore[attr-defined]
-            _merge([expr.otherwise for expr in exprs], lifter),  # type: ignore[attr-defined]
-        )
-    raise CodeGenerationError(f"cannot merge node of type {type(first).__name__}")
+    templates = [
+        transform(assignment.expression, lift) for assignment in batch.template.assignments
+    ]
+    return templates, columns
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +228,15 @@ class NumpyGenerator(CodeGenerator):
         """Single-model entry point of the registry: a batch of one."""
         return self.generate_batch([model]).code
 
-    def generate_batch(self, models: Sequence[SignalFlowModel]) -> BatchArtifact:
-        """Emit one ``step_batch`` class covering every model in ``models``."""
-        if not models:
-            raise CodeGenerationError("cannot generate a batch of zero models")
-        first = models[0]
+    def generate_batch(
+        self, models: "Sequence[SignalFlowModel] | BatchColumns"
+    ) -> BatchArtifact:
+        """Emit one ``step_batch`` class covering every model in ``models``,
+        or every scenario of a :class:`BatchColumns`."""
+        batch = models if isinstance(models, BatchColumns) else BatchColumns.from_models(models)
+        first = batch.template
         self.check_model(first)
-        signature = structure_signature(first)
-        for model in models[1:]:
-            if structure_signature(model) != signature:
-                raise CodeGenerationError(
-                    f"model {model.name!r} is not structurally identical to "
-                    f"{first.name!r}; split the sweep into structure groups"
-                )
-
-        lifter = _ParameterLifter()
-        templates = [
-            _merge([model.assignments[i].expression for model in models], lifter)
-            for i in range(len(first.assignments))
-        ]
-        initial = np.array(
-            [
-                [float(model.initial_state.get(state, 0.0)) for model in models]
-                for state in first.state_variables
-            ],
-            dtype=float,
-        ).reshape(len(first.state_variables), len(models))
+        templates, lifted = _lift(batch)
 
         entity = class_name(first.name, "Batch")
         renderer = ExpressionRenderer(
@@ -247,7 +272,7 @@ class NumpyGenerator(CodeGenerator):
         lines.append(f"    OUTPUTS = {tuple(first.outputs)!r}")
         lines.append(f"    STATES = {tuple(first.state_variables)!r}")
         lines.append(f"    TIMESTEP = {first.timestep!r}")
-        lines.append(f"    N_PARAMETERS = {len(lifter.columns)}")
+        lines.append(f"    N_PARAMETERS = {len(lifted)}")
         lines.append("")
         lines.append("    def __init__(self, parameters, initial_state, n_scenarios):")
         lines.append("        self.n_scenarios = int(n_scenarios)")
@@ -298,18 +323,16 @@ class NumpyGenerator(CodeGenerator):
             model=first,
             metadata={
                 "backend": self.name,
-                "n_parameters": str(len(lifter.columns)),
-                "n_scenarios": str(len(models)),
+                "n_parameters": str(len(lifted)),
+                "n_scenarios": str(batch.n_scenarios),
             },
         )
-        parameters = np.array(lifter.columns, dtype=float).reshape(
-            len(lifter.columns), len(models)
-        )
+        parameters = np.array(lifted, dtype=float).reshape(len(lifted), batch.n_scenarios)
         return BatchArtifact(
             code=code,
             parameters=parameters,
-            initial_state=initial,
-            n_scenarios=len(models),
+            initial_state=batch.initial_state,
+            n_scenarios=batch.n_scenarios,
             templates=templates,
         )
 

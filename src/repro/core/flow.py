@@ -14,18 +14,24 @@ III.
 :class:`AbstractionRecipe` records what one full flow chose, and replays it
 on another circuit of the same topology when :func:`replay_skeleton`'s rule
 proves the full flow would choose the same; a sweep abstracts each topology
-once that way (:class:`repro.sweep.runner.RecipeTable`).
+once that way (:class:`repro.sweep.runner.RecipeTable`).  A
+:class:`ReplayTape` is one such replay recorded as float operations and
+guards (:mod:`repro.expr.tape`), which replays it on many circuits at once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from ..errors import AbstractionError
-from ..expr.ast import BinaryOp, Constant, Expr, Previous, UnaryOp, Variable
+import numpy as np
+
+from ..errors import AbstractionError, ReproError
+from ..expr.ast import BinaryOp, Constant, Expr, Previous, UnaryOp, Variable, transform
 from ..expr.discretize import Discretizer
 from ..expr.equation import Equation
+from ..expr.tape import Tape, Traced, plain
 from ..obs.tracer import TRACER
 from ..network.circuit import Circuit
 from ..vams.ast import VamsModule
@@ -343,7 +349,10 @@ class AbstractionRecipe:
         )
 
     def replay(
-        self, model: "Circuit | VamsModule | str", name: str | None = None
+        self,
+        model: "Circuit | VamsModule | str",
+        name: str | None = None,
+        tape: "Tape | None" = None,
     ) -> "SignalFlowModel | None":
         """The full flow's model of ``model``, or ``None`` outside the rule.
 
@@ -353,14 +362,19 @@ class AbstractionRecipe:
         passes :func:`replay_skeleton` with the recorded skeleton, the
         recorded forms are solved and the linear solve runs as in
         :meth:`AbstractionFlow.abstract`.  A recipe whose own equations
-        fail the rule replays nothing.
+        fail the rule replays nothing.  With a ``tape``, each constant of
+        the acquired equations becomes one of its inputs, in the order of
+        :func:`_acquired` (see :meth:`record_tape`).
         """
         if None in self.skeletons.values():
             return None
         acquisition = acquire(model)
+        equations = acquisition.dipole_equations
+        if tape is not None:
+            equations = _traced(equations, tape)
         discretizer = Discretizer(self.timestep)
         sources: dict[str, Equation] = {}
-        for equation in acquisition.dipole_equations:
+        for equation in equations:
             flattened, updates = discretize_equation(equation, discretizer)
             for source in (*updates, flattened):
                 skeleton = replay_skeleton(source)
@@ -385,6 +399,155 @@ class AbstractionRecipe:
             timestep=self.timestep,
             inputs=acquisition.inputs,
         )
+
+
+    def record_tape(self, model: "Circuit | VamsModule | str") -> "ReplayTape | None":
+        """This recipe's replay of ``model``, recorded on a tape.
+
+        ``None`` when the replay gives no model (outside the rule, or an
+        error) or a traced value escapes the tape.
+        """
+        tape = Tape()
+        try:
+            template = self.replay(model, tape=tape)
+        except (ReproError, ArithmeticError):
+            return None
+        if template is None or tape.escaped:
+            return None
+        constants = template.constants()
+        shape, _ = _acquired(acquire(model).dipole_equations)
+        return ReplayTape(
+            tape=tape,
+            shape=shape,
+            template=template.with_constants([plain(value) for value in constants]),
+            nodes=tuple(value.node if type(value) is Traced else None for value in constants),
+        )
+
+
+def _blank(node: Expr, values: list[float]):
+    """``node``'s structure with each constant blanked to ``None``, its value
+    appended to ``values``."""
+    kind = type(node)
+    if kind is Constant:
+        values.append(node.value)
+        return None
+    if kind is BinaryOp:
+        return (node.op, _blank(node.lhs, values), _blank(node.rhs, values))
+    if isinstance(node, (Variable, Previous)):
+        return node._key()
+    children = tuple(_blank(child, values) for child in node.children())
+    return (kind.__name__, getattr(node, "op", None), getattr(node, "func", None), children)
+
+
+def _acquired(equations: Sequence[Equation]) -> tuple[tuple, list[float]]:
+    """The shape of acquired equations and the values it blanks.
+
+    The shape is every equation's name, kind and origin and the structure
+    of both sides, each constant's value blanked; the values are those
+    constants' values, in pre-order.
+    """
+    values: list[float] = []
+    shape = tuple(
+        (
+            equation.name,
+            equation.kind,
+            equation.origin,
+            _blank(equation.lhs, values),
+            _blank(equation.rhs, values),
+        )
+        for equation in equations
+    )
+    return shape, values
+
+
+def _traced(equations: Sequence[Equation], tape: Tape) -> list[Equation]:
+    """``equations`` with each constant a new input of ``tape``, in the
+    order of :func:`_acquired`."""
+
+    def visit(node: Expr) -> Expr:
+        return Constant(tape.input(node.value)) if type(node) is Constant else node
+
+    return [
+        Equation(
+            transform(equation.lhs, visit),
+            transform(equation.rhs, visit),
+            kind=equation.kind,
+            name=equation.name,
+            origin=equation.origin,
+        )
+        for equation in equations
+    ]
+
+
+@dataclass(frozen=True)
+class TapedModel:
+    """A model a :class:`ReplayTape` admitted: the tape's template with the
+    scenario's own constant ``values`` (in the order of
+    :meth:`SignalFlowModel.constants`) and name."""
+
+    tape: "ReplayTape"
+    values: np.ndarray
+    name: str
+
+    @property
+    def initial_state(self) -> dict[str, float]:
+        return self.tape.template.initial_state
+
+    def model(self) -> SignalFlowModel:
+        """The model itself, equal to the one its replay gives."""
+        return self.tape.template.with_constants(self.values.tolist(), name=self.name)
+
+
+@dataclass(frozen=True)
+class ReplayTape:
+    """One replay recorded as a tape, evaluated over many circuits at once.
+
+    :meth:`AbstractionRecipe.record_tape` records it.  ``shape`` is the
+    recorded circuit's :func:`_acquired` shape; ``template`` is
+    its model; ``nodes`` gives, for each constant of the template, the tape
+    node computing it, or ``None`` for one no traced value reaches (the same
+    in every circuit).
+    """
+
+    tape: Tape
+    shape: tuple
+    template: SignalFlowModel
+    nodes: tuple
+
+    def evaluate(self, models: Sequence) -> "list[TapedModel | None]":
+        """What :meth:`AbstractionRecipe.replay` gives for each of ``models``,
+        as a :class:`TapedModel`, or ``None`` where the tape sends it back.
+
+        The tape sends back a circuit whose acquisition raises, whose
+        acquired equations have another shape, that fails a guard, whose
+        linear system is singular, or whose model would hold a non-finite
+        constant (:meth:`SignalFlowModel.validate` refuses it).  Its own
+        replay then raises or falls back as it does.
+        """
+        admitted: list = [None] * len(models)
+        matched, names, inputs = [], [], []
+        for index, model in enumerate(models):
+            try:
+                acquisition = acquire(model)
+            except Exception:  # raised again by the circuit's own replay
+                continue
+            shape, values = _acquired(acquisition.dipole_equations)
+            if shape == self.shape:
+                matched.append(index)
+                names.append(acquisition.circuit.name)
+                inputs.append(values)
+        if not matched:
+            return admitted
+        values, passed = self.tape.evaluate(np.array(inputs, dtype=float).T)
+        columns = np.repeat([self.template.constants()], len(matched), axis=0)
+        for row, node in enumerate(self.nodes):
+            if node is not None:
+                columns[:, row] = values[node]
+        passed &= np.isfinite(columns).all(axis=1)
+        for slot, index in enumerate(matched):
+            if passed[slot]:
+                admitted[index] = TapedModel(self, columns[slot], names[slot])
+        return admitted
 
 
 def abstract_circuit(

@@ -16,13 +16,13 @@ translated statement by statement, preserving their original order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..errors import AbstractionError
-from ..expr.ast import Conditional, Constant, Expr, Previous, Variable, substitute
+from ..expr.ast import Conditional, Constant, Expr, Previous, Variable, substitute, transform
 from ..expr.discretize import Discretizer
 from ..expr.evaluate import evaluate
 from ..expr.simplify import simplify
@@ -144,6 +144,37 @@ class SignalFlowModel:
                 raise AbstractionError(
                     f"initial state of {state!r} is non-finite ({value!r})"
                 )
+
+    # -- constants ------------------------------------------------------------------------
+    def constants(self) -> list[float]:
+        """The value of every constant of the assignments, in pre-order."""
+        return [
+            node.value
+            for assignment in self.assignments
+            for node in assignment.expression.walk()
+            if type(node) is Constant
+        ]
+
+    def with_constants(self, values, name: "str | None" = None) -> "SignalFlowModel":
+        """This model with its constants replaced by ``values``, in the order
+        of :meth:`constants`, and optionally renamed."""
+        feed = iter(values)
+
+        def visit(node: Expr) -> Expr:
+            return Constant(next(feed)) if type(node) is Constant else node
+
+        return replace(
+            self,
+            name=self.name if name is None else name,
+            inputs=list(self.inputs),
+            outputs=list(self.outputs),
+            assignments=[
+                Assignment(assignment.target, transform(assignment.expression, visit))
+                for assignment in self.assignments
+            ],
+            state_variables=list(self.state_variables),
+            initial_state=dict(self.initial_state),
+        )
 
     # -- execution ------------------------------------------------------------------------
     def create_state(self) -> dict[str, float]:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence, Union
 
+from .tape import Traced
+
 Number = Union[int, float]
 
 #: Binary arithmetic operators understood by the engine.
@@ -190,12 +192,16 @@ class Expr:
 
 
 class Constant(Expr):
-    """A literal numeric value (a *Value* leaf in the paper's AST)."""
+    """A literal numeric value (a *Value* leaf in the paper's AST).
+
+    A :class:`~repro.expr.tape.Traced` value is kept as it is, so that what
+    is computed from the constant is recorded on its tape.
+    """
 
     __slots__ = ("value",)
 
     def __init__(self, value: Number) -> None:
-        self.value = float(value)
+        self.value = value if type(value) is Traced else float(value)
 
     def _key(self) -> tuple:
         return ("const", self.value)

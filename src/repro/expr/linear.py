@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ..errors import NonLinearExpressionError, UnsolvableEquationError
 from .ast import BinaryOp, Call, Conditional, Constant, Derivative, Expr, Integral, Previous, UnaryOp, Variable
 from .simplify import constant_value, simplify
+from .tape import Traced, plain, solve_traced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -316,6 +317,8 @@ class AffineSolution:
     last column.  Entries with ``abs(c) <= tolerance`` count as zero, both in
     :meth:`expression` and in :meth:`previous_values`, so callers can ask
     which previous-step values are referenced before building any row.
+    A solve recorded on a tape holds ``values`` as an object array of
+    :class:`~repro.expr.tape.Traced` floats, so those tests are its guards.
     """
 
     unknowns: list[str]
@@ -375,14 +378,28 @@ def solve_affine(
                 atom_index[atom] = len(atoms)
                 atoms.append(atom)
 
+    # Each entry is written once: ``1 - c`` or ``0 - c`` into the identity,
+    # ``0 + c`` into the zeros.  A tape (``repro.expr.tape``) records these
+    # operations for a traced coefficient, and ``solve_traced`` the entries.
     matrix = np.eye(n)
     rhs = np.zeros((n, len(atoms) + 1))
+    traced = []
     for row, decomposition in enumerate(decompositions):
-        for name, value in decomposition.unknown_coefficients.items():
-            matrix[row, index[name]] -= value
-        for atom, value in decomposition.atom_coefficients.items():
-            rhs[row, atom_index[atom]] += value
-        rhs[row, -1] += decomposition.constant
+        entries = [
+            (False, row, index[name], (1.0 if index[name] == row else 0.0) - value)
+            for name, value in decomposition.unknown_coefficients.items()
+        ]
+        entries += [
+            (True, row, atom_index[atom], 0.0 + value)
+            for atom, value in decomposition.atom_coefficients.items()
+        ]
+        entries.append((True, row, len(atoms), 0.0 + decomposition.constant))
+        for entry in entries:
+            into_rhs, _, column, value = entry
+            if type(value) is Traced:
+                traced.append(entry)
+                value = plain(value)
+            (rhs if into_rhs else matrix)[row, column] = value
 
     try:
         solution = np.linalg.solve(matrix, rhs)
@@ -390,6 +407,8 @@ def solve_affine(
         raise UnsolvableEquationError(
             "the assembled algebraic system is singular"
         ) from exc
+    if traced:
+        solution = solve_traced(matrix, rhs, traced, solution)
     return AffineSolution(order, atoms, solution, tolerance)
 
 

@@ -43,7 +43,7 @@ from ..network.components import (
 from ..vp.adc_bridge import DATA as ADC_DATA
 from ..vp.apb import ApbPeripheral
 from ..vp.firmware import CROSSING_COUNTER_ADDRESS
-from ..vp.platform import SmartSystemPlatform
+from ..vp.platform import RAM_SIZE, SmartSystemPlatform
 from ..vp.uart import TX_DATA as UART_TX_DATA
 
 #: Attributes a component may carry its principal value in, probed in order
@@ -332,6 +332,16 @@ def _check_bit(bit: int, limit: int = 32) -> None:
         raise FaultError(f"bit index {bit} outside 0..{limit - 1}")
 
 
+def _check_ram(fault: DigitalFault, address: int, width: int) -> None:
+    """Refuse ``width`` bytes at ``address`` that leave the platform's RAM:
+    the injection itself would raise a bus error in every run."""
+    if address < 0 or address + width > RAM_SIZE:
+        raise FaultError(
+            f"fault {fault.name}: {width} byte(s) at {address:#x} leave the "
+            f"RAM [0, {RAM_SIZE:#x})"
+        )
+
+
 @dataclass(frozen=True)
 class AdcStuckBitFault(DigitalFault):
     """One bit of the ADC data register sticks at ``stuck_at`` (0 or 1).
@@ -429,6 +439,8 @@ class MemoryBitFlipFault(DigitalFault):
 
     def __post_init__(self) -> None:
         _check_bit(self.bit, 8)
+        if self.address is not None:
+            _check_ram(self, self.address, 1)
 
     @property
     def name(self) -> str:
@@ -494,6 +506,7 @@ class InstructionCorruptionFault(DigitalFault):
     def __post_init__(self) -> None:
         if self.address % 4 != 0:
             raise FaultError("instruction corruption needs a word-aligned address")
+        _check_ram(self, self.address, 4)
 
     @property
     def name(self) -> str:

@@ -10,6 +10,7 @@ Reads a Chrome ``trace_event`` JSON file produced by the ``--trace`` flag of
   ``campaign-smoke`` job runs,
 - ``--expect-counter NAME=VALUE`` asserts a merged counter's final value
   (exit code 1 on mismatch) — how CI reconciles event and scenario counts.
+  A counter that never moved is absent from the trace and reads 0.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     status = 0
     for name, expected in args.expect_counter:
-        actual = report.counters.get(name)
-        if actual is None or abs(actual - expected) > 1e-9:
+        # Traces carry only the counters that moved (``Tracer.collect``).
+        actual = report.counters.get(name, 0.0)
+        if abs(actual - expected) > 1e-9:
             print(
                 f"COUNTER MISMATCH: {name} expected {expected:g}, got "
-                f"{'missing' if actual is None else f'{actual:g}'}",
+                f"{f'{actual:g}' if name in report.counters else 'missing (0)'}",
                 file=sys.stderr,
             )
             status = 1

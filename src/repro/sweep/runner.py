@@ -6,8 +6,9 @@ waveforms:
 1. every scenario's circuit is built (``factory(**scenario.params)``) and
    abstracted into a signal-flow model: the first scenario of each
    topology through the full abstraction flow, the others by replaying its
-   recorded choices (:class:`RecipeTable`), or through the full flow again
-   when the replay rule does not hold for their parameter values;
+   recorded choices (:class:`RecipeTable`), all at once through that
+   replay's tape, or one by one, or through the full flow again when the
+   replay rule does not hold for their parameter values;
 2. scenarios whose models are structurally identical are grouped, and each
    group becomes one vectorized NumPy batch model
    (:mod:`repro.core.codegen.numpy_backend`) that advances *all* of the
@@ -32,14 +33,14 @@ import hashlib
 import time as _time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..core.codegen.native_backend import NativeGenerator, toolchain_error
-from ..core.codegen.numpy_backend import NumpyGenerator, structure_signature
+from ..core.codegen.numpy_backend import BatchColumns, NumpyGenerator, structure_signature
 from ..core.codegen.python_backend import compile_model_cached
-from ..core.flow import AbstractionFlow, AbstractionRecipe
+from ..core.flow import AbstractionFlow, AbstractionRecipe, TapedModel
 from ..core.signalflow import SignalFlowModel
 from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
@@ -140,20 +141,28 @@ class SweepConfig:
         backend yields scenario by scenario.
         """
         start = _time.perf_counter()
-        recipes = RecipeTable(self.timestep)
-        models = {}
-        for position in pending:
-            circuit = self.factory(**scenarios[position].params)
-            models[position] = recipes.abstract(circuit, self.outputs)
+        abstracted = RecipeTable(self.timestep).abstract_chunk(
+            (self.factory(**scenarios[position].params) for position in pending),
+            self.outputs,
+        )
+        models = dict(zip(pending, abstracted))
         abstract = _time.perf_counter() - start
         TRACER.complete(
             "sweep.abstract", start, abstract, "sweep", scenarios=len(pending)
         )
         TRACER.add("sweep.scenarios", float(len(pending)))
 
+        # A tape's models share its template's structure.
+        taped: dict[int, tuple] = {}
         groups: dict[object, tuple[tuple, list[int]]] = {}
         for position in pending:
-            signature = structure_signature(models[position])
+            model = models[position]
+            if isinstance(model, TapedModel):
+                signature = taped.get(id(model.tape))
+                if signature is None:
+                    signature = taped[id(model.tape)] = structure_signature(model.tape.template)
+            else:
+                signature = structure_signature(model)
             group = position if self.backend == "python" else signature
             groups.setdefault(group, (signature, []))[1].append(position)
         start = _time.perf_counter()
@@ -244,6 +253,8 @@ class RecipeTable:
     (:func:`~repro.core.flow.replay_skeleton`), runs the full flow again
     (``flow.replay_fallbacks``, besides the flow's own
     ``flow.abstractions``).  Either way the model is the full flow's.
+    :meth:`abstract_chunk` replays a whole chunk's later circuits of a
+    topology at once, through one :class:`~repro.core.flow.ReplayTape`.
     """
 
     timestep: float
@@ -264,6 +275,57 @@ class RecipeTable:
         if recipe is None:
             self.recipes[key] = AbstractionRecipe.record(report)
         return report.model
+
+    def abstract_chunk(
+        self, circuits: Iterable[Circuit], outputs: Sequence[str]
+    ) -> "list[SignalFlowModel | TapedModel]":
+        """What :meth:`abstract` gives for each of ``circuits``, in order.
+
+        A circuit whose topology has no recipe yet takes :meth:`abstract`
+        at once.  The later circuits of each topology are replayed together:
+        the recipe's replay of the topology's first circuit is recorded as a
+        tape (``flow.tapes``), and each circuit the tape admits is a
+        :class:`~repro.core.flow.TapedModel` (a ``flow.replays``).  Those
+        it sends back (``flow.tape_misses``) take :meth:`abstract`, in
+        order.  An error is raised after every earlier circuit has been
+        abstracted, so it is the one the first failing circuit raises.
+        """
+        built: list[Circuit] = []
+        models: list = []
+        firsts: dict[tuple, Circuit] = {}
+        later: dict[tuple, list[int]] = {}
+        failure = None
+        try:
+            for circuit in circuits:
+                key = topology_key(circuit, outputs)
+                if key in self.recipes:
+                    later.setdefault(key, []).append(len(built))
+                    models.append(None)
+                else:
+                    models.append(self.abstract(circuit, outputs))
+                    firsts.setdefault(key, circuit)
+                built.append(circuit)
+        except Exception as error:  # raised once the circuits before it are done
+            failure = error
+        sent_back: list[int] = []
+        for key, indices in later.items():
+            tape = self.recipes[key].record_tape(firsts.get(key, built[indices[0]]))
+            if tape is None:
+                sent_back += indices
+                continue
+            TRACER.add("flow.tapes")
+            for index, taped in zip(indices, tape.evaluate([built[index] for index in indices])):
+                if taped is None:
+                    sent_back.append(index)
+                    TRACER.add("flow.tape_misses")
+                else:
+                    models[index] = taped
+                    TRACER.add("flow.replays")
+        for index in sorted(sent_back):
+            models[index] = self.abstract(built[index], outputs)
+        if failure is not None:
+            raise failure
+        return models
 
 
 def _scenario_stimuli(config: SweepConfig, scenario: Scenario) -> Stimuli:
@@ -300,10 +362,29 @@ def _input_columns(
     return columns
 
 
+def _model(model: "SignalFlowModel | TapedModel") -> SignalFlowModel:
+    return model.model() if isinstance(model, TapedModel) else model
+
+
+def _batch(
+    models: "Sequence[SignalFlowModel | TapedModel]",
+) -> "Sequence[SignalFlowModel] | BatchColumns":
+    """A structure group as ``generate_batch`` takes it: the models, or,
+    when a tape admitted any, the first one's model as the template and
+    every scenario's constants."""
+    if not any(isinstance(model, TapedModel) for model in models):
+        return models
+    return BatchColumns.stack(
+        _model(models[0]),
+        [model.values if isinstance(model, TapedModel) else model.constants() for model in models],
+        [model.initial_state for model in models],
+    )
+
+
 def _simulate_group(
     config: SweepConfig,
     scenarios: Sequence[Scenario],
-    models: Sequence[SignalFlowModel],
+    models: "Sequence[SignalFlowModel | TapedModel]",
 ) -> dict[str, np.ndarray]:
     """Simulate one structure group into scenario-major output matrices.
 
@@ -312,13 +393,11 @@ def _simulate_group(
     scenario per group) runs the generated per-scenario ``step`` class.
     """
     if config.backend == "python":
-        instance = compile_model_cached(models[0])()
+        instance = compile_model_cached(_model(models[0]))()
         step = instance.step
-    elif config.backend == "native":
-        instance = NativeGenerator().generate_batch(models).instantiate()
-        step = instance.step_batch
     else:
-        instance = NumpyGenerator().generate_batch(models).instantiate()
+        generator = NativeGenerator() if config.backend == "native" else NumpyGenerator()
+        instance = generator.generate_batch(_batch(models)).instantiate()
         step = instance.step_batch
     steps = config.steps
     dt = float(config.timestep)

@@ -38,6 +38,7 @@ from repro.sim import SquareWave
 from repro.sweep import Scenario, SweepRunner
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.mips.isa import register_number
+from repro.vp.platform import RAM_SIZE
 
 TIMESTEP = 50e-9
 WAVE = {"vin": SquareWave(period=8e-6)}
@@ -91,6 +92,20 @@ class TestAnalogFaults:
             UartCorruptionFault(0)
         with pytest.raises(FaultError):
             InstructionCorruptionFault(address=2)
+
+    def test_fixed_addresses_outside_ram_are_refused(self):
+        """A fault that would poke outside RAM is refused when built, not
+        left to crash every run with the injection's own bus error."""
+        for address in (RAM_SIZE, -4, RAM_SIZE + 4):
+            with pytest.raises(FaultError, match="leave the RAM"):
+                InstructionCorruptionFault(address)
+            with pytest.raises(FaultError, match="leave the RAM"):
+                MemoryBitFlipFault(address, 0)
+        with pytest.raises(FaultError, match="leave the RAM"):
+            MemoryBitFlipFault(-1, 0)
+        InstructionCorruptionFault(RAM_SIZE - 4)
+        MemoryBitFlipFault(RAM_SIZE - 1, 7)
+        MemoryBitFlipFault(None, 7)
 
     @pytest.mark.parametrize(
         "fault_class, field, value, name",

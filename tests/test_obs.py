@@ -561,6 +561,13 @@ class TestTraceCli:
         assert status == 1
         assert "COUNTER MISMATCH" in capsys.readouterr().err
 
+    def test_absent_counter_reads_zero(self, tmp_path, capsys):
+        """A counter that never moved is not in the trace: it matches 0 only."""
+        path = self.exported(tmp_path)
+        assert trace_main([str(path), "--quiet", "--expect-counter", "never.moved=0"]) == 0
+        assert trace_main([str(path), "--quiet", "--expect-counter", "never.moved=1"]) == 1
+        assert "got missing (0)" in capsys.readouterr().err
+
     def test_invalid_payload_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"traceEvents": [{"ph": "X", "name": "a"}]}))

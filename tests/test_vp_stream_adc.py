@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.fault import (
     UartCorruptionFault,
 )
 from repro.fault.campaign import FaultableCircuitFactory
+from repro.fault.models import DigitalFault
 from repro.sim import SquareWave
 from repro.sweep import PlatformScenarioSpec, PlatformSweepRunner
 from repro.vp import SmartSystemPlatform, threshold_monitor_source
@@ -51,6 +53,22 @@ FIRMWARES = {
     "threshold": threshold_monitor_source(500),
     "averaging": averaging_monitor_source(),
 }
+
+
+@dataclass(frozen=True)
+class OutsideRamPoke(DigitalFault):
+    """A fault whose injection writes past the end of RAM: its run crashes
+    with the injection's own ``BusError``."""
+
+    kind = "outside-ram"
+
+    @property
+    def name(self) -> str:
+        return "poke:ram-end"
+
+    def arm(self, platform, at_time, rng) -> None:
+        memory = platform.memory
+        platform.schedule_injection(at_time, lambda: memory.poke(RAM_SIZE, b"\0" * 4))
 
 
 def trace_digest(values) -> str:
@@ -175,7 +193,7 @@ def generated_campaign(relation: str, firmware: str):
             MemoryBitFlipFault(address=None, bit=int(rng.integers(0, 8))),
             RegisterTransientFault(int(rng.integers(1, 32)), bit=int(rng.integers(0, 32))),
             InstructionCorruptionFault(accesses[instant]),
-            InstructionCorruptionFault(RAM_SIZE),
+            OutsideRamPoke(),
         ],
         activation_times=tuple(times),
         scenarios=PlatformScenarioSpec(firmwares={firmware: FIRMWARES[firmware]}),
