@@ -8,7 +8,7 @@ wall-clock time; run it explicitly::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_gates.py
 
-It has eight groups:
+It has seven groups:
 
 * **Committed floors** (``test_committed_floor``): fifteen metrics of four
   smoke-size microbenchmarks (ISS throughput per stepping tier, DE-kernel
@@ -28,14 +28,10 @@ It has eight groups:
   plain-code model beats the SystemC-AMS/ELN solve on each paper component.
 * **Table III speed-ups** (``test_table3_cpp_beats_cosim``): the platform
   with the generated model beats Verilog-AMS co-simulation by more than 2x.
-* **Replay per topology** (``test_sweep_replay_beats_a_full_flow_per_scenario``):
-  a sweep's abstraction of a 64-scenario RC20 Monte-Carlo, which replays
-  the first scenario's recipe, is at least 1.4x faster than a full flow
-  per scenario.
-* **Replays as arrays** (``test_tape_beats_a_replay_per_scenario``): the
-  same chunk abstracted through its replay tape, one evaluation for the 63
-  later scenarios, is at least 3x faster than a replay per scenario, with
-  equal models.
+* **One abstraction per topology** (``test_chunk_abstraction_beats_a_full_flow_per_scenario``):
+  a sweep chunk's abstraction of a 64-scenario RC20 Monte-Carlo, one full
+  flow recorded as a tape and one evaluation for the 63 later scenarios,
+  is at least 8x faster than a full flow per scenario, with equal models.
 * **Stream-fed campaigns** (``test_stream_fed_campaign_beats_push_mode``):
   a serial RC1 ``python`` fault campaign, its ADCs answering from one
   precomputed analog stream per configuration, is at least 1.5x faster
@@ -79,7 +75,7 @@ from repro.experiments.common import (
 from repro.obs.tracer import TRACER
 from repro.sim import Kernel, PeriodicTicker, SquareWave
 from repro.sweep import MonteCarloSpec, PlatformSweepRunner
-from repro.sweep.runner import RecipeTable, _model
+from repro.sweep.runner import _model, abstract_chunk
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.firmware import FIRMWARE_STYLE_LOOP, threshold_monitor_source
 from repro.vp.platform import CPU_BLOCK_CYCLES, _CpuBlockDriver
@@ -617,61 +613,18 @@ def test_table3_cpp_beats_cosim(prepared_models, component):
     )
 
 
-# -- replay per topology ----------------------------------------------------------------
+# -- one abstraction per topology --------------------------------------------------------
 
-#: The least speed-up of a sweep's abstraction, one full flow and a replay per
-#: further scenario, over a full abstraction flow per scenario.
-MIN_REPLAY_SPEEDUP = 1.4
-
-
-def test_sweep_replay_beats_a_full_flow_per_scenario():
-    """Abstracting a 64-scenario RC20 Monte-Carlo through the sweep's recipe
-    table is at least 1.4x faster than 64 ``AbstractionFlow.abstract`` calls.
-
-    Both sides build every circuit from its parameters, in one process,
-    interleaved; the ratio is machine-relative.
-    """
-    factory = partial(build_rc_filter, 20)
-    scenarios = MonteCarloSpec(
-        nominal={"resistance": DEFAULT_RESISTANCE, "capacitance": DEFAULT_CAPACITANCE},
-        tolerances={"resistance": 0.05, "capacitance": 0.1},
-        samples=64,
-        seed=2016,
-    ).expand()
-
-    def full_flows() -> None:
-        flow = AbstractionFlow(PAPER_TIMESTEP)
-        for scenario in scenarios:
-            circuit = factory(**scenario.params)
-            flow.abstract(circuit, "out", name=circuit.name)
-
-    def replays() -> None:
-        recipes = RecipeTable(PAPER_TIMESTEP)
-        for scenario in scenarios:
-            circuit = factory(**scenario.params)
-            recipes.abstract(circuit, ["out"])
-
-    full, replayed = _interleaved_best(full_flows, replays, repeats=3)
-    speedup = full / replayed
-    assert speedup >= MIN_REPLAY_SPEEDUP, (
-        f"the recipe table abstracts 64 RC20 scenarios {speedup:.2f}x faster "
-        f"than a full flow each ({1e3 * replayed:.0f} ms vs {1e3 * full:.0f} "
-        f"ms); the floor is {MIN_REPLAY_SPEEDUP}x"
-    )
+#: The least speed-up of abstracting a Monte-Carlo chunk through one
+#: recorded full flow over a full flow per scenario.
+MIN_CHUNK_SPEEDUP = 8.0
 
 
-# -- replays as arrays -------------------------------------------------------------------
-
-#: The least speed-up of abstracting a Monte-Carlo chunk through its replay
-#: tape over replaying the recipe scenario by scenario.
-MIN_TAPE_SPEEDUP = 3.0
-
-
-def test_tape_beats_a_replay_per_scenario():
+def test_chunk_abstraction_beats_a_full_flow_per_scenario():
     """Abstracting a 64-scenario RC20 Monte-Carlo chunk through
-    :meth:`RecipeTable.abstract_chunk` (one full flow, one tape, one
-    evaluation over the other 63) is at least 3x faster than
-    :meth:`RecipeTable.abstract` scenario by scenario, with equal models.
+    :func:`abstract_chunk` (one full flow recorded as a tape, one evaluation
+    over the other 63) is at least 8x faster than
+    ``AbstractionFlow.abstract`` scenario by scenario, with equal models.
 
     Both sides build every circuit from its parameters, in one process,
     interleaved, best of 3; the ratio is machine-relative.
@@ -685,28 +638,28 @@ def test_tape_beats_a_replay_per_scenario():
     ).expand()
     models = {}
 
-    def replays() -> None:
-        recipes = RecipeTable(PAPER_TIMESTEP)
-        models["replays"] = [
-            recipes.abstract(factory(**scenario.params), ["out"]) for scenario in scenarios
+    def full_flows() -> None:
+        flow = AbstractionFlow(PAPER_TIMESTEP)
+        models["full"] = [
+            flow.abstract(factory(**scenario.params), "out").model for scenario in scenarios
         ]
 
-    def taped() -> None:
-        models["tape"] = RecipeTable(PAPER_TIMESTEP).abstract_chunk(
-            [factory(**scenario.params) for scenario in scenarios], ["out"]
+    def chunk() -> None:
+        models["chunk"] = abstract_chunk(
+            [factory(**scenario.params) for scenario in scenarios], ["out"], PAPER_TIMESTEP
         )
 
-    replayed, chunked = _interleaved_best(replays, taped, repeats=3)
-    assert all(isinstance(model, TapedModel) for model in models["tape"][1:])
+    full, chunked = _interleaved_best(full_flows, chunk, repeats=3)
+    assert all(isinstance(model, TapedModel) for model in models["chunk"][1:])
     generator = PythonGenerator()
-    assert [generator.generate(_model(model)).source for model in models["tape"]] == [
-        generator.generate(model).source for model in models["replays"]
+    assert [generator.generate(_model(model)).source for model in models["chunk"]] == [
+        generator.generate(model).source for model in models["full"]
     ]
-    speedup = replayed / chunked
-    assert speedup >= MIN_TAPE_SPEEDUP, (
-        f"the tape abstracts 64 RC20 scenarios {speedup:.2f}x faster than a "
-        f"replay each ({1e3 * chunked:.0f} ms vs {1e3 * replayed:.0f} ms); "
-        f"the floor is {MIN_TAPE_SPEEDUP}x"
+    speedup = full / chunked
+    assert speedup >= MIN_CHUNK_SPEEDUP, (
+        f"the chunk abstracts 64 RC20 scenarios {speedup:.2f}x faster than a "
+        f"full flow each ({1e3 * chunked:.0f} ms vs {1e3 * full:.0f} ms); "
+        f"the floor is {MIN_CHUNK_SPEEDUP}x"
     )
 
 

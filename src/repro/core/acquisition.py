@@ -2,10 +2,11 @@
 
 The acquisition step takes the conservative description — either a typed
 :class:`~repro.network.circuit.Circuit`, a parsed Verilog-AMS module, or raw
-Verilog-AMS source text — parses the right-hand side of every dipole equation
-into an AST, stores the equations in the multimap, and retrieves the topology
-graph ``G = (N, B)`` of the electrical network.  Its cost is linear in the
-number of dipole equations, O(|B|).
+Verilog-AMS source text — and parses the right-hand side of every dipole
+equation into an AST.  Its cost is linear in the number of dipole equations,
+O(|B|).  The enrichment step stores the equations in its multimap and builds
+the topology graph ``G = (N, B)`` it needs for the mesh analysis; ``|N|`` and
+``|B|`` are read off the circuit.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 from ..errors import AcquisitionError
 from ..expr.equation import Equation
 from ..network.circuit import Circuit
-from ..network.graph import CircuitGraph
 from ..vams.ast import VamsModule
 from ..vams.classify import classify_module
 from ..vams.netlist import to_circuit
 from ..vams.parser import parse_module
-from .table import EquationTable
 
 
 @dataclass
@@ -31,10 +30,6 @@ class AcquisitionResult:
     ----------
     circuit:
         The typed netlist of the conservative description.
-    graph:
-        The topology graph ``G = (N, B)``.
-    table:
-        The equation multimap populated with the dipole equations.
     dipole_equations:
         The dipole equations, in branch declaration order.
     inputs:
@@ -42,20 +37,18 @@ class AcquisitionResult:
     """
 
     circuit: Circuit
-    graph: CircuitGraph
-    table: EquationTable
     dipole_equations: list[Equation]
     inputs: list[str]
 
     @property
     def node_count(self) -> int:
         """``|N|``, the number of circuit nodes (including ground)."""
-        return self.graph.node_count
+        return len(self.circuit.node_names())
 
     @property
     def branch_count(self) -> int:
         """``|B|``, the number of circuit branches."""
-        return self.graph.branch_count
+        return len(self.circuit)
 
 
 def _coerce_circuit(model: "Circuit | VamsModule | str") -> Circuit:
@@ -89,7 +82,7 @@ def acquire(model: "Circuit | VamsModule | str") -> AcquisitionResult:
     Returns
     -------
     AcquisitionResult
-        The populated equation table and topology graph.
+        The circuit, its dipole equations and its inputs.
 
     Raises
     ------
@@ -102,15 +95,8 @@ def acquire(model: "Circuit | VamsModule | str") -> AcquisitionResult:
     except Exception as exc:
         raise AcquisitionError(f"invalid circuit topology: {exc}") from exc
 
-    table = EquationTable()
-    dipole_equations = circuit.dipole_equations()
-    for equation in dipole_equations:
-        table.insert(equation)
-    graph = CircuitGraph(circuit)
     return AcquisitionResult(
         circuit=circuit,
-        graph=graph,
-        table=table,
-        dipole_equations=dipole_equations,
+        dipole_equations=circuit.dipole_equations(),
         inputs=circuit.input_names(),
     )

@@ -13,10 +13,7 @@ the paper removes in Figure 7) are eliminated afterwards by
 
 The selection is a depth-first search with backtracking: whenever a greedy
 choice leaves some quantity without an available definition, the most recent
-choice is undone and the next candidate is tried.  Each resolution records
-the table entry it came from, so the result also says which source equation
-defines each quantity and for which term it was solved
-(:attr:`AssembledModel.choices`).
+choice is undone and the next candidate is tried.
 """
 
 from __future__ import annotations
@@ -35,20 +32,13 @@ MAX_TRIALS = 200_000
 
 @dataclass
 class AssembledModel:
-    """Outcome of the assemble step: one chosen definition per unknown.
-
-    ``choices`` maps each resolved quantity to the origin of its source
-    equation and the term that equation was solved for (``None`` when the
-    equation is used as written): solving each source equation of the
-    enriched table for its recorded term rebuilds ``resolutions``.
-    """
+    """Outcome of the assemble step: one chosen definition per unknown."""
 
     outputs: list[str]
     resolutions: dict[str, Expr]
     order: list[str]
     used_origins: set[str] = field(default_factory=set)
     dropped_unknowns: set[str] = field(default_factory=set)
-    choices: dict[str, tuple[str, str | None]] = field(default_factory=dict)
 
     @property
     def cone_size(self) -> int:
@@ -86,7 +76,7 @@ class Assembler:
     def assemble(self, outputs: list[str]) -> AssembledModel:
         """Resolve the cone of influence of ``outputs``."""
         self.table.reset_disabled()
-        resolutions: dict[str, TableEntry] = {}
+        resolutions: dict[str, Expr] = {}
         order: list[str] = []
         journal: list[tuple[str, str]] = []
         self._trials = 0
@@ -109,18 +99,17 @@ class Assembler:
         dropped = set(self.enrichment.unknowns) - set(resolutions)
         return AssembledModel(
             outputs=list(outputs),
-            resolutions={name: entry.equation.rhs for name, entry in resolutions.items()},
+            resolutions=resolutions,
             order=order,
             used_origins=used_origins,
             dropped_unknowns=dropped,
-            choices={name: (entry.origin, entry.term) for name, entry in resolutions.items()},
         )
 
     # -- resolution ---------------------------------------------------------------------
     def _resolve(
         self,
         name: str,
-        resolutions: dict[str, TableEntry],
+        resolutions: dict[str, Expr],
         order: list[str],
         journal: list[tuple[str, str]],
         resolving: set[str],
@@ -155,7 +144,7 @@ class Assembler:
                         success = False
                         break
                 if success:
-                    resolutions[name] = entry
+                    resolutions[name] = entry.equation.rhs
                     order.append(name)
                     journal.append(("resolution", name))
                     return True
@@ -168,7 +157,7 @@ class Assembler:
         self,
         journal: list[tuple[str, str]],
         mark: int,
-        resolutions: dict[str, TableEntry],
+        resolutions: dict[str, Expr],
         order: list[str],
     ) -> None:
         while len(journal) > mark:
@@ -189,7 +178,7 @@ class Assembler:
     def _ranked_candidates(
         self,
         name: str,
-        resolutions: dict[str, TableEntry],
+        resolutions: dict[str, Expr],
         resolving: set[str],
     ) -> list[TableEntry]:
         candidates = self.table.candidates(name)

@@ -14,8 +14,8 @@ trees into parameter arrays (rows of a ``(n_parameters, n_scenarios)``
 matrix); coefficients shared by every scenario stay baked into the source as
 literals.  The lifting reads one template model and a value column per
 constant (:class:`BatchColumns`): :meth:`BatchColumns.from_models` builds
-them from a batch of models, and a sweep's replay tape
-(:class:`repro.core.flow.ReplayTape`) computes them without any model.
+them from a batch of models, and a sweep's recording of the abstraction
+flow (:class:`repro.core.flow.ReplayTape`) computes them without any model.
 Because the parameter values travel through the constructor rather than
 the source text, the generated source for a sweep depends only on the
 model *structure* — so the compile cache (:mod:`repro.core.codegen.cache`)

@@ -60,32 +60,6 @@ class EnrichmentResult:
         }
 
 
-def discretize_equation(
-    equation: Equation, discretizer: Discretizer
-) -> tuple[Equation, list[Equation]]:
-    """``equation`` with its ``ddt``/``idt`` operators discretised, and the
-    update equation of every integrator state its ``idt`` operators introduce.
-
-    The discretised equation keeps the name, kind and origin of ``equation``;
-    an update equation defines its accumulator and is its own origin
-    (``idt:<name>``).
-    """
-    lhs = discretizer.discretize(equation.lhs)
-    rhs = discretizer.discretize(equation.rhs)
-    updates = [
-        Equation(Variable(name), update, kind=DERIVED, name=f"idt:{name}", origin=f"idt:{name}")
-        for name, update in {**lhs.integrator_updates, **rhs.integrator_updates}.items()
-    ]
-    flattened = Equation(
-        lhs.expression,
-        rhs.expression,
-        kind=equation.kind,
-        name=equation.name,
-        origin=equation.origin,
-    )
-    return flattened, updates
-
-
 def enrich(acquisition: AcquisitionResult, timestep: float) -> EnrichmentResult:
     """Run the enrichment step.
 
@@ -112,10 +86,21 @@ def enrich(acquisition: AcquisitionResult, timestep: float) -> EnrichmentResult:
     integrator_updates: dict[str, Equation] = {}
     discretized: list[Equation] = []
     for equation in source_equations:
-        flattened, updates = discretize_equation(equation, discretizer)
-        for update in updates:
-            integrator_updates[update.lhs.name] = update
-            table.insert(update)
+        lhs = discretizer.discretize(equation.lhs)
+        rhs = discretizer.discretize(equation.rhs)
+        for name, update in {**lhs.integrator_updates, **rhs.integrator_updates}.items():
+            update_equation = Equation(
+                Variable(name), update, kind=DERIVED, name=f"idt:{name}", origin=f"idt:{name}"
+            )
+            integrator_updates[name] = update_equation
+            table.insert(update_equation)
+        flattened = Equation(
+            lhs.expression,
+            rhs.expression,
+            kind=equation.kind,
+            name=equation.name,
+            origin=equation.origin,
+        )
         discretized.append(flattened)
         table.insert(flattened)
 
@@ -129,7 +114,7 @@ def enrich(acquisition: AcquisitionResult, timestep: float) -> EnrichmentResult:
                 solved = equation.solved_for(term)
             except UnsolvableEquationError:
                 continue
-            table.insert(solved, term=term)
+            table.insert(solved)
             solved_count += 1
 
     if solved_count == 0:

@@ -11,25 +11,25 @@ models go through the abstraction methodology, signal-flow models are
 converted directly (Section III.A), mirroring the classification of Section
 III.
 
-:class:`AbstractionRecipe` records what one full flow chose, and replays it
-on another circuit of the same topology when :func:`replay_skeleton`'s rule
-proves the full flow would choose the same; a sweep abstracts each topology
-once that way (:class:`repro.sweep.runner.RecipeTable`).  A
-:class:`ReplayTape` is one such replay recorded as float operations and
-guards (:mod:`repro.expr.tape`), which replays it on many circuits at once.
+Run with a :class:`~repro.expr.tape.Tape`, the flow records itself: each
+constant of the acquired dipole equations is a traced input, so every float
+operation of enrichment, assemble and the solve, and every comparison a
+choice of theirs makes on a value, is on the tape.  A :class:`ReplayTape`
+is such a recording, evaluated over many circuits of the recorded topology
+at once; a sweep abstracts each topology's later circuits that way
+(:func:`repro.sweep.runner.abstract_chunk`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import AbstractionError, ReproError
-from ..expr.ast import BinaryOp, Constant, Expr, Previous, UnaryOp, Variable, transform
-from ..expr.discretize import Discretizer
+from ..errors import AbstractionError
+from ..expr.ast import BinaryOp, Constant, Expr, Previous, Variable, transform
 from ..expr.equation import Equation
 from ..expr.tape import Tape, Traced, plain
 from ..obs.tracer import TRACER
@@ -39,7 +39,7 @@ from ..vams.classify import classify_module
 from ..vams.parser import parse_module
 from .acquisition import AcquisitionResult, acquire
 from .assemble import AssembledModel, Assembler, normalise_output
-from .enrichment import EnrichmentResult, discretize_equation, enrich
+from .enrichment import EnrichmentResult, enrich
 from .linsolve import to_signal_flow
 from .signalflow import SignalFlowModel, convert_signal_flow
 
@@ -108,8 +108,14 @@ class AbstractionFlow:
         outputs: list[str] | str,
         name: str | None = None,
         initial_state: dict[str, float] | None = None,
+        tape: "Tape | None" = None,
     ) -> AbstractionReport:
-        """Abstract a conservative description for the given outputs of interest."""
+        """Abstract a conservative description for the given outputs of interest.
+
+        With a ``tape`` (see :meth:`ReplayTape.record`), each constant of the
+        acquired dipole equations becomes one of its inputs, in the order of
+        :func:`_acquired`, and the flow runs on those traced values.
+        """
         if isinstance(outputs, str):
             outputs = [outputs]
 
@@ -117,6 +123,10 @@ class AbstractionFlow:
 
         start = time.perf_counter()
         acquisition = acquire(model)
+        if tape is not None:
+            acquisition = replace(
+                acquisition, dipole_equations=_traced(acquisition.dipole_equations, tape)
+            )
         timings["acquisition"] = time.perf_counter() - start
 
         ground = acquisition.circuit.ground
@@ -208,222 +218,6 @@ class AbstractionFlow:
         return self.abstract(module if module is not None else model, outputs, name=name)
 
 
-#: The magnitudes of the nonzero constants :func:`replay_skeleton` admits,
-#: and the most ``*``/``/`` nodes it admits above a node: a product of that
-#: many admitted constants is a finite nonzero double.
-REPLAY_SMALLEST = 2.0**-200
-REPLAY_LARGEST = 2.0**200
-REPLAY_MAX_FACTORS = 5
-
-
-def replay_skeleton(equation: Equation) -> "tuple | None":
-    """The skeleton of a discretised source equation, or ``None`` outside the replay rule.
-
-    The skeleton is the equation's tree in pre-order with each constant's
-    value blanked to whether it is zero.  :meth:`AbstractionRecipe.replay`
-    replays a recipe on a circuit only when this function admits each of
-    the circuit's parameter-dependent source equations (discretised dipole
-    equations and integrator updates) with the skeleton it gave the
-    recorded circuit's, so both circuits obey the rule:
-
-    1. the equation uses only ``+``, ``-``, ``*``, ``/`` and negation; every
-       ``*`` has a nonzero constant operand and every ``/`` a nonzero
-       constant divisor;
-    2. no quantity, input or previous value occurs twice in it;
-    3. every constant is zero, or finite with a magnitude in
-       [2^-200, 2^200], and no node lies under more than five ``*``/``/``
-       nodes.
-
-    Why the rule implies the full flow's choices.  The assembler reads, of
-    each table entry, its names (defined variable, origin, equation name),
-    its place in the table, and the sets of variables and of previous
-    values on its right side: two tables equal in these give equal
-    choices.  The Kirchhoff equations depend on the topology alone.  Equal
-    skeletons give the equations as written equal names, sets and places.
-    The table's other entries are each equation ``E`` solved for each of
-    its unknowns ``t``; under the rule that solve succeeds and yields a
-    right side with the variables of ``E`` but ``t`` and the previous values
-    of ``E``, whatever the constants' values:
-
-    * ``t`` occurs once (2), never in a divisor nor in a product of two
-      non-constant factors (1), so it occurs linearly, and its coefficient
-      is the product of the constants of the ``*``/``/`` nodes above it.
-      With at most five factors in the window (3) it folds to a finite
-      nonzero number: the solve succeeds.
-    * The remainder is ``lhs - rhs`` with ``t`` replaced by zero.  The only
-      simplifier rules that drop a subtree are ``0 * x``, ``x * 0``,
-      ``0 / x`` and ``x - x``.  The subtrees off the path from ``t`` to the
-      root are already simplified (the discretiser simplifies each side);
-      on the path a ``*`` or ``/`` joins the ``t`` side to a nonzero
-      constant, so no variable is dropped there, and ``x - x`` would need
-      a leaf twice (2).  A fold whose result depends on the values (a sum
-      that cancels, say) yields a constant and changes no set.
-    * The solution divides the negated remainder by the nonzero
-      coefficient, which keeps every leaf.
-
-    Both circuits' tables therefore agree in all the assembler reads, so it
-    makes the same choices.  The replay solves the circuit's own
-    discretised equations for the recorded terms with
-    :meth:`~repro.expr.equation.Equation.solved_for`, as enrichment would,
-    and runs the same linear solve: the model is the full flow's.
-    """
-    tokens: list = []
-    seen: set[tuple[bool, str]] = set()
-
-    def admits(node: Expr, factors: int) -> bool:
-        kind = type(node)
-        if kind is Constant:
-            value = node.value
-            tokens.append("0" if value == 0.0 else "c")
-            return value == 0.0 or REPLAY_SMALLEST <= abs(value) <= REPLAY_LARGEST
-        if isinstance(node, (Variable, Previous)):
-            leaf = (kind is Previous, node.name)
-            if leaf in seen:
-                return False
-            seen.add(leaf)
-            tokens.append(leaf)
-            return True
-        if kind is UnaryOp and node.op == "-":
-            tokens.append("neg")
-            return admits(node.operand, factors)
-        if kind is not BinaryOp:
-            return False
-        op = node.op
-        if op in ("*", "/"):
-            factors += 1
-            constants = (node.rhs,) if op == "/" else (node.lhs, node.rhs)
-            if factors > REPLAY_MAX_FACTORS or not any(
-                type(operand) is Constant and operand.value != 0.0
-                for operand in constants
-            ):
-                return False
-        elif op not in ("+", "-"):
-            return False
-        tokens.append(op)
-        return admits(node.lhs, factors) and admits(node.rhs, factors)
-
-    if admits(equation.lhs, 0) and admits(equation.rhs, 0):
-        return tuple(tokens)
-    return None
-
-
-@dataclass(frozen=True)
-class AbstractionRecipe:
-    """What one full flow chose, replayable on circuits of its topology.
-
-    :meth:`record` takes it from an :class:`AbstractionReport`.
-    ``choices`` maps each quantity of ``order`` to its source equation's
-    origin and the term the assembler solved it for
-    (:attr:`AssembledModel.choices`); ``skeletons`` holds the
-    :func:`replay_skeleton` of each parameter-dependent source equation by
-    origin; ``fixed`` holds the resolutions solved from Kirchhoff
-    equations, which depend on the topology alone.
-    """
-
-    timestep: float
-    outputs: tuple[str, ...]
-    order: tuple[str, ...]
-    choices: dict[str, tuple[str, "str | None"]]
-    skeletons: dict[str, "tuple | None"]
-    fixed: dict[str, Expr]
-
-    @classmethod
-    def record(cls, report: AbstractionReport) -> "AbstractionRecipe":
-        """The recipe of a full flow's report."""
-        enrichment, assembled = report.enrichment, report.assembled
-        written = {entry.origin: entry.equation for entry in enrichment.table if entry.term is None}
-        dependent = [equation.origin for equation in report.acquisition.dipole_equations]
-        dependent += [update.origin for update in enrichment.integrator_updates.values()]
-        skeletons = {origin: replay_skeleton(written[origin]) for origin in dependent}
-        return cls(
-            timestep=enrichment.discretizer.timestep,
-            outputs=tuple(assembled.outputs),
-            order=tuple(assembled.order),
-            choices=dict(assembled.choices),
-            skeletons=skeletons,
-            fixed={
-                name: assembled.resolutions[name]
-                for name in assembled.order
-                if assembled.choices[name][0] not in skeletons
-            },
-        )
-
-    def replay(
-        self,
-        model: "Circuit | VamsModule | str",
-        name: str | None = None,
-        tape: "Tape | None" = None,
-    ) -> "SignalFlowModel | None":
-        """The full flow's model of ``model``, or ``None`` outside the rule.
-
-        ``model`` must have the recorded topology: the same branches,
-        terminals, component kinds, control nodes and inputs.  Its circuit
-        is acquired and its dipole equations are discretised; when each
-        passes :func:`replay_skeleton` with the recorded skeleton, the
-        recorded forms are solved and the linear solve runs as in
-        :meth:`AbstractionFlow.abstract`.  A recipe whose own equations
-        fail the rule replays nothing.  With a ``tape``, each constant of
-        the acquired equations becomes one of its inputs, in the order of
-        :func:`_acquired` (see :meth:`record_tape`).
-        """
-        if None in self.skeletons.values():
-            return None
-        acquisition = acquire(model)
-        equations = acquisition.dipole_equations
-        if tape is not None:
-            equations = _traced(equations, tape)
-        discretizer = Discretizer(self.timestep)
-        sources: dict[str, Equation] = {}
-        for equation in equations:
-            flattened, updates = discretize_equation(equation, discretizer)
-            for source in (*updates, flattened):
-                skeleton = replay_skeleton(source)
-                if skeleton is None or skeleton != self.skeletons.get(source.origin):
-                    return None
-                sources[source.origin] = source
-        if len(sources) != len(self.skeletons):
-            return None
-        resolutions = dict(self.fixed)
-        for quantity in self.order:
-            origin, term = self.choices[quantity]
-            if origin in sources:
-                source = sources[origin]
-                resolutions[quantity] = source.rhs if term is None else source.solved_for(term).rhs
-        assembled = AssembledModel(
-            outputs=list(self.outputs), resolutions=resolutions, order=list(self.order)
-        )
-        return to_signal_flow(
-            assembled,
-            None,
-            name=name or acquisition.circuit.name,
-            timestep=self.timestep,
-            inputs=acquisition.inputs,
-        )
-
-
-    def record_tape(self, model: "Circuit | VamsModule | str") -> "ReplayTape | None":
-        """This recipe's replay of ``model``, recorded on a tape.
-
-        ``None`` when the replay gives no model (outside the rule, or an
-        error) or a traced value escapes the tape.
-        """
-        tape = Tape()
-        try:
-            template = self.replay(model, tape=tape)
-        except (ReproError, ArithmeticError):
-            return None
-        if template is None or tape.escaped:
-            return None
-        constants = template.constants()
-        shape, _ = _acquired(acquire(model).dipole_equations)
-        return ReplayTape(
-            tape=tape,
-            shape=shape,
-            template=template.with_constants([plain(value) for value in constants]),
-            nodes=tuple(value.node if type(value) is Traced else None for value in constants),
-        )
-
-
 def _blank(node: Expr, values: list[float]):
     """``node``'s structure with each constant blanked to ``None``, its value
     appended to ``values``."""
@@ -494,19 +288,18 @@ class TapedModel:
         return self.tape.template.initial_state
 
     def model(self) -> SignalFlowModel:
-        """The model itself, equal to the one its replay gives."""
+        """The model itself, equal to the one the full flow gives."""
         return self.tape.template.with_constants(self.values.tolist(), name=self.name)
 
 
 @dataclass(frozen=True)
 class ReplayTape:
-    """One replay recorded as a tape, evaluated over many circuits at once.
+    """One full flow recorded as a tape, evaluated over many circuits at once.
 
-    :meth:`AbstractionRecipe.record_tape` records it.  ``shape`` is the
-    recorded circuit's :func:`_acquired` shape; ``template`` is
-    its model; ``nodes`` gives, for each constant of the template, the tape
-    node computing it, or ``None`` for one no traced value reaches (the same
-    in every circuit).
+    :meth:`record` records it.  ``shape`` is the recorded circuit's
+    :func:`_acquired` shape; ``template`` is its model; ``nodes`` gives, for
+    each constant of the template, the tape node computing it, or ``None``
+    for one no traced value reaches (the same in every circuit).
     """
 
     tape: Tape
@@ -514,22 +307,51 @@ class ReplayTape:
     template: SignalFlowModel
     nodes: tuple
 
-    def evaluate(self, models: Sequence) -> "list[TapedModel | None]":
-        """What :meth:`AbstractionRecipe.replay` gives for each of ``models``,
-        as a :class:`TapedModel`, or ``None`` where the tape sends it back.
+    @classmethod
+    def record(
+        cls, flow: AbstractionFlow, circuit: Circuit, outputs: Sequence[str]
+    ) -> "ReplayTape | None":
+        """``flow``'s abstraction of ``circuit`` for ``outputs``, recorded.
 
-        The tape sends back a circuit whose acquisition raises, whose
-        acquired equations have another shape, that fails a guard, whose
-        linear system is singular, or whose model would hold a non-finite
-        constant (:meth:`SignalFlowModel.validate` refuses it).  Its own
-        replay then raises or falls back as it does.
+        ``None`` when the flow raises or a traced value escapes the tape;
+        otherwise the template is the model the flow gives ``circuit``
+        untraced.
         """
-        admitted: list = [None] * len(models)
+        tape = Tape()
+        try:
+            report = flow.abstract(circuit, outputs, tape=tape)
+        except Exception:  # raised again by the circuit's own full flow
+            return None
+        if tape.escaped:
+            return None
+        constants = report.model.constants()
+        shape, _ = _acquired(report.acquisition.dipole_equations)
+        return cls(
+            tape=tape,
+            shape=shape,
+            template=report.model.with_constants([plain(value) for value in constants]),
+            nodes=tuple(value.node if type(value) is Traced else None for value in constants),
+        )
+
+    def evaluate(self, circuits: Sequence[Circuit]) -> "list[TapedModel | None]":
+        """What the full flow gives each of ``circuits``, as a
+        :class:`TapedModel`, or ``None`` where the tape sends it back.
+
+        ``circuits`` must have the recorded circuit's topology and outputs
+        (:func:`repro.sweep.runner.topology_key`): the flow reads nothing
+        else of a circuit but its acquired equations.  The tape sends back a
+        circuit whose acquisition raises, whose acquired equations have
+        another shape, that fails a guard, whose linear system is singular,
+        or whose model would hold a non-finite constant
+        (:meth:`SignalFlowModel.validate` refuses it).  Its own full flow
+        then raises or gives its model.
+        """
+        admitted: list = [None] * len(circuits)
         matched, names, inputs = [], [], []
-        for index, model in enumerate(models):
+        for index, circuit in enumerate(circuits):
             try:
-                acquisition = acquire(model)
-            except Exception:  # raised again by the circuit's own replay
+                acquisition = acquire(circuit)
+            except Exception:  # raised again by the circuit's own full flow
                 continue
             shape, values = _acquired(acquisition.dipole_equations)
             if shape == self.shape:

@@ -26,10 +26,9 @@ from .signalflow import Assignment, SignalFlowModel
 
 def to_signal_flow(
     assembled: AssembledModel,
-    enrichment: "EnrichmentResult | None",
+    enrichment: EnrichmentResult,
     name: str,
     timestep: float,
-    inputs: list[str] | None = None,
     initial_state: dict[str, float] | None = None,
 ) -> SignalFlowModel:
     """Solve the assembled relations and build the signal-flow model.
@@ -46,15 +45,12 @@ def to_signal_flow(
     assembled:
         Result of :class:`repro.core.assemble.Assembler`.
     enrichment:
-        The enrichment result the assembly was computed from; only its
-        inputs are read, so it may be ``None`` when ``inputs`` is given.
+        The enrichment result the assembly was computed from.
     name:
         Name given to the generated model.
     timestep:
         The fixed timestep the model is generated for (must match the
         discretisation used during enrichment).
-    inputs:
-        Stimulus names; defaults to the ones recorded during acquisition.
     initial_state:
         Optional initial values ``X0`` for the state variables.
     """
@@ -78,7 +74,7 @@ def to_signal_flow(
 
     model = SignalFlowModel(
         name=name,
-        inputs=list(inputs if inputs is not None else enrichment.inputs),
+        inputs=list(enrichment.inputs),
         outputs=list(assembled.outputs),
         assignments=kept,
         state_variables=sorted(states),

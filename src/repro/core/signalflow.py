@@ -92,8 +92,8 @@ class SignalFlowModel:
 
         A quantity may be assigned more than once per step; each assignment
         reads the latest value, as the direct conversion emits it.  Each
-        assignment's expression is walked once, because a sweep validates
-        the model of every scenario it replays.
+        assignment's expression is walked once, because every abstraction
+        validates its model.
 
         Raises
         ------

@@ -24,13 +24,10 @@ class TableEntry:
     re-solving the same source relation shares the origin of that relation,
     so using any member of the class "consumes" the underlying physical
     constraint and the whole class must be disabled (``element.disable()`` in
-    Algorithm 2 of the paper).  ``term`` is the unknown the enrichment step
-    solved the origin's equation for to obtain this entry; ``None`` when the
-    entry is the equation as written.
+    Algorithm 2 of the paper).
     """
 
     equation: Equation
-    term: str | None = None
 
     @property
     def origin(self) -> str:
@@ -46,13 +43,9 @@ class EquationTable:
         self._disabled_origins: set[str] = set()
 
     # -- insertion -----------------------------------------------------------------
-    def insert(self, equation: Equation, term: str | None = None) -> TableEntry:
-        """Insert an equation; it is indexed by its defined variable, if any.
-
-        ``term`` marks an equation solved for that unknown (see
-        :class:`TableEntry`).
-        """
-        entry = TableEntry(equation, term=term)
+    def insert(self, equation: Equation) -> TableEntry:
+        """Insert an equation; it is indexed by its defined variable, if any."""
+        entry = TableEntry(equation)
         self._all.append(entry)
         variable = equation.defined_variable()
         if variable is not None:

@@ -1,17 +1,17 @@
 """Tapes: one run of a symbolic computation, replayed over arrays of values.
 
-A sweep replays one topology's abstraction recipe on many circuits that
-differ only in their parameter values (:class:`repro.core.flow.ReplayTape`).
-Recording runs that replay once with each parameter constant a
-:class:`Traced` float.  Every float operation on a traced value is appended
-to the :class:`Tape`, and every comparison a branch makes on one is appended
-as a *guard*: its outcome at the recording point.  :func:`solve_traced`
-records the numeric linear solve as one instruction.  :meth:`Tape.evaluate`
-then runs the instructions over columns of inputs as NumPy arrays, one
-scenario per element and one stacked solve for all of them; a scenario whose
-guards all hold took every branch the recording took, so its values are the
-ones its own replay computes, bit for bit: the array operations are the same
-IEEE operations, performed in the same order.
+A sweep abstracts many circuits of one topology that differ only in their
+parameter values (:class:`repro.core.flow.ReplayTape`).  Recording runs the
+full abstraction flow once with each parameter constant a :class:`Traced`
+float.  Every float operation on a traced value is appended to the
+:class:`Tape`, and every comparison a branch makes on one is appended as a
+*guard*: its outcome at the recording point.  :func:`solve_traced` records
+the numeric linear solve as one instruction.  :meth:`Tape.evaluate` then runs
+the instructions over columns of inputs as NumPy arrays, one scenario per
+element and one stacked solve for all of them; a scenario whose guards all
+hold took every branch the recording took, so its values are the ones its
+own flow computes, bit for bit: the array operations are the same IEEE
+operations, performed in the same order.
 
 A traced value that leaves the tape unrecorded (converted by ``float()`` or
 ``int()``, hashed, raised to a power...) marks the tape :attr:`Tape.escaped`,

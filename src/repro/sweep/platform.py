@@ -15,9 +15,11 @@ configuration out:
   workers through the campaign executor (:mod:`repro.sweep.executor`:
   serial fallback, run store, resume) and runs each one through a fresh
   :class:`~repro.vp.platform.SmartSystemPlatform`, or through a clone of
-  its base run when the scenario has a fork time (time-gated faults); a
-  fault campaign's ``python`` runs read their ADC from one precomputed
-  analog stream per analog configuration;
+  its base run when the scenario has a fork time (time-gated faults); the
+  full abstraction flow runs once per analog configuration of a worker
+  chunk, its model shared by the integration styles, and a fault
+  campaign's ``python`` runs read their ADC from one precomputed analog
+  stream per analog configuration;
 * :class:`PlatformSweepResult` aggregates the
   :class:`~repro.vp.platform.PlatformRunResult` of every scenario into
   Table-III-style per-style summaries — wall-clock time, speed-up versus the
@@ -39,6 +41,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..core.flow import AbstractionFlow
 from ..core.signalflow import SignalFlowModel
 from ..errors import ReproError, SimulationError
 from ..metrics.nrmse import nrmse
@@ -58,7 +61,6 @@ from ..vp.platform import (
 )
 from .executor import CampaignExecutor, SweepError
 from .results import csv_text, markdown_table
-from .runner import RecipeTable
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
 
@@ -342,7 +344,7 @@ class PlatformSweepConfig:
         ``python`` run of one analog configuration (parameters, stimulus,
         seed) shares one analog stream, fork bases and clones included.
         """
-        memo = _ChunkMemo(RecipeTable(self.timestep))
+        memo = _ChunkMemo()
         groups: dict[tuple, list[int]] = {}
         for position in pending:
             scenario = scenarios[position]
@@ -416,13 +418,11 @@ class _ChunkMemo:
     """What the runs of one :meth:`PlatformSweepConfig.execute` call share.
 
     The abstracted model depends only on the analog parameters, so the
-    three abstracted styles of one analog point share one abstraction, and
-    the recipe table replays one topology's choices across points.  An
-    analog stream depends on the model, the stimulus family and the seed;
-    ``None`` marks a configuration whose stream raised.
+    three abstracted styles of one analog point share one full abstraction
+    flow.  An analog stream depends on the model, the stimulus family and
+    the seed; ``None`` marks a configuration whose stream raised.
     """
 
-    recipes: RecipeTable
     models: dict[tuple, SignalFlowModel] = field(default_factory=dict)
     streams: dict[tuple, "AnalogStream | None"] = field(default_factory=dict)
 
@@ -433,7 +433,7 @@ class _ChunkMemo:
         model = self.models.get(key)
         if model is None:
             circuit = config.factory(**scenario.params)
-            model = self.recipes.abstract(circuit, [config.output])
+            model = AbstractionFlow(config.timestep).abstract(circuit, [config.output]).model
             self.models[key] = model
         return model
 

@@ -4,11 +4,10 @@
 waveforms:
 
 1. every scenario's circuit is built (``factory(**scenario.params)``) and
-   abstracted into a signal-flow model: the first scenario of each
-   topology through the full abstraction flow, the others by replaying its
-   recorded choices (:class:`RecipeTable`), all at once through that
-   replay's tape, or one by one, or through the full flow again when the
-   replay rule does not hold for their parameter values;
+   abstracted into a signal-flow model (:func:`abstract_chunk`): the first
+   scenario of each topology through the full abstraction flow, recorded as
+   a tape, the others all at once through that tape, or through the full
+   flow when the tape sends them back;
 2. scenarios whose models are structurally identical are grouped, and each
    group becomes one vectorized NumPy batch model
    (:mod:`repro.core.codegen.numpy_backend`) that advances *all* of the
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 from ..core.codegen.native_backend import NativeGenerator, toolchain_error
 from ..core.codegen.numpy_backend import BatchColumns, NumpyGenerator, structure_signature
 from ..core.codegen.python_backend import compile_model_cached
-from ..core.flow import AbstractionFlow, AbstractionRecipe, TapedModel
+from ..core.flow import AbstractionFlow, ReplayTape, TapedModel
 from ..core.signalflow import SignalFlowModel
 from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
@@ -141,9 +140,10 @@ class SweepConfig:
         backend yields scenario by scenario.
         """
         start = _time.perf_counter()
-        abstracted = RecipeTable(self.timestep).abstract_chunk(
+        abstracted = abstract_chunk(
             (self.factory(**scenarios[position].params) for position in pending),
             self.outputs,
+            self.timestep,
         )
         models = dict(zip(pending, abstracted))
         abstract = _time.perf_counter() - start
@@ -222,11 +222,10 @@ def _signature_digest(signature: tuple) -> str:
 
 
 def topology_key(circuit: Circuit, outputs: Sequence[str]) -> tuple:
-    """What an :class:`~repro.core.flow.AbstractionRecipe` is keyed on in a
-    :class:`RecipeTable`, read off the circuit before abstraction: its
-    ground, nodes and, per branch, name, terminals, component kind, control
-    nodes and input name, plus the outputs.  Parameter values are left
-    out."""
+    """What :func:`abstract_chunk` groups circuits by, read off the circuit
+    before abstraction: its ground, nodes and, per branch, name, terminals,
+    component kind, control nodes and input name, plus the outputs.
+    Parameter values are left out."""
     branches = tuple(
         (
             name,
@@ -242,90 +241,48 @@ def topology_key(circuit: Circuit, outputs: Sequence[str]) -> tuple:
     return (circuit.ground, tuple(circuit.nodes), branches, tuple(outputs))
 
 
-@dataclass
-class RecipeTable:
-    """The sweep layer's one abstraction path, one table per ``execute`` call.
+def abstract_chunk(
+    circuits: Iterable[Circuit], outputs: Sequence[str], timestep: float
+) -> "list[SignalFlowModel | TapedModel]":
+    """The full flow's model of each of ``circuits`` for ``outputs``, in order.
 
-    The first circuit of each topology (:func:`topology_key`) runs the full
-    :class:`~repro.core.flow.AbstractionFlow` and records its recipe; every
-    later one replays that recipe (counted as ``flow.replays``), or, when
-    its values fall outside the replay rule
-    (:func:`~repro.core.flow.replay_skeleton`), runs the full flow again
-    (``flow.replay_fallbacks``, besides the flow's own
-    ``flow.abstractions``).  Either way the model is the full flow's.
-    :meth:`abstract_chunk` replays a whole chunk's later circuits of a
-    topology at once, through one :class:`~repro.core.flow.ReplayTape`.
+    Circuits are grouped by :func:`topology_key`.  A topology with one
+    circuit takes the full :class:`~repro.core.flow.AbstractionFlow`.  For
+    one with more, the full flow of its first circuit is recorded as a tape
+    (``flow.tapes``, :meth:`~repro.core.flow.ReplayTape.record`), whose
+    template is that circuit's model, and each later circuit the tape admits
+    is a :class:`~repro.core.flow.TapedModel` (a ``flow.replays``).  Those
+    it sends back (``flow.tape_misses``) take the full flow, as does the
+    whole topology when its recording raises or escapes.  An error is
+    raised after every earlier circuit has been abstracted, so it is the
+    one the first failing circuit raises.
     """
-
-    timestep: float
-    recipes: dict[tuple, AbstractionRecipe] = field(default_factory=dict)
-
-    def abstract(self, circuit: Circuit, outputs: Sequence[str]) -> SignalFlowModel:
-        """The signal-flow model of ``circuit`` for ``outputs``, named after
-        the circuit."""
-        key = topology_key(circuit, outputs)
-        recipe = self.recipes.get(key)
-        if recipe is not None:
-            model = recipe.replay(circuit)
-            if model is not None:
-                TRACER.add("flow.replays")
-                return model
-            TRACER.add("flow.replay_fallbacks")
-        report = AbstractionFlow(self.timestep).abstract(circuit, outputs)
-        if recipe is None:
-            self.recipes[key] = AbstractionRecipe.record(report)
-        return report.model
-
-    def abstract_chunk(
-        self, circuits: Iterable[Circuit], outputs: Sequence[str]
-    ) -> "list[SignalFlowModel | TapedModel]":
-        """What :meth:`abstract` gives for each of ``circuits``, in order.
-
-        A circuit whose topology has no recipe yet takes :meth:`abstract`
-        at once.  The later circuits of each topology are replayed together:
-        the recipe's replay of the topology's first circuit is recorded as a
-        tape (``flow.tapes``), and each circuit the tape admits is a
-        :class:`~repro.core.flow.TapedModel` (a ``flow.replays``).  Those
-        it sends back (``flow.tape_misses``) take :meth:`abstract`, in
-        order.  An error is raised after every earlier circuit has been
-        abstracted, so it is the one the first failing circuit raises.
-        """
-        built: list[Circuit] = []
-        models: list = []
-        firsts: dict[tuple, Circuit] = {}
-        later: dict[tuple, list[int]] = {}
-        failure = None
-        try:
-            for circuit in circuits:
-                key = topology_key(circuit, outputs)
-                if key in self.recipes:
-                    later.setdefault(key, []).append(len(built))
-                    models.append(None)
-                else:
-                    models.append(self.abstract(circuit, outputs))
-                    firsts.setdefault(key, circuit)
-                built.append(circuit)
-        except Exception as error:  # raised once the circuits before it are done
-            failure = error
-        sent_back: list[int] = []
-        for key, indices in later.items():
-            tape = self.recipes[key].record_tape(firsts.get(key, built[indices[0]]))
-            if tape is None:
-                sent_back += indices
-                continue
-            TRACER.add("flow.tapes")
-            for index, taped in zip(indices, tape.evaluate([built[index] for index in indices])):
-                if taped is None:
-                    sent_back.append(index)
-                    TRACER.add("flow.tape_misses")
-                else:
-                    models[index] = taped
-                    TRACER.add("flow.replays")
-        for index in sorted(sent_back):
-            models[index] = self.abstract(built[index], outputs)
-        if failure is not None:
-            raise failure
-        return models
+    flow = AbstractionFlow(timestep)
+    built: list[Circuit] = []
+    groups: dict[tuple, list[int]] = {}
+    failure = None
+    try:
+        for circuit in circuits:
+            groups.setdefault(topology_key(circuit, outputs), []).append(len(built))
+            built.append(circuit)
+    except Exception as error:  # raised once the circuits before it are done
+        failure = error
+    models: list = [None] * len(built)
+    for first, *later in groups.values():
+        tape = ReplayTape.record(flow, built[first], outputs) if later else None
+        if tape is None:
+            continue
+        TRACER.add("flow.tapes")
+        models[first] = tape.template
+        for index, taped in zip(later, tape.evaluate([built[index] for index in later])):
+            models[index] = taped
+            TRACER.add("flow.tape_misses" if taped is None else "flow.replays")
+    for index, model in enumerate(models):
+        if model is None:
+            models[index] = flow.abstract(built[index], outputs).model
+    if failure is not None:
+        raise failure
+    return models
 
 
 def _scenario_stimuli(config: SweepConfig, scenario: Scenario) -> Stimuli:

@@ -7,15 +7,12 @@ takes the long way: every row through :func:`solve_affine_system`, each
 simplified a second time, states collected from every row, then filtered.
 The generated Python source and the state list must match exactly.
 
-The replay gate pins the other shortcut, a sweep's replay of one topology's
-recipe (:class:`~repro.core.flow.AbstractionRecipe`): recorded on each
-corpus circuit, replayed over scaled and adversarial draws of its values,
-every draw must give the full flow's model or fall back to the full flow.
-
-The tape differential test pins the replay over a whole chunk at once
-(:class:`~repro.core.flow.ReplayTape`): each draw the tape admits must get
-its per-scenario model, and the batch built from the tape's columns must be
-the batch of the replayed models.
+The tape gate pins the other shortcut, a sweep's recording of one
+topology's full flow (:class:`~repro.core.flow.ReplayTape`): recorded on
+each corpus circuit, its template must be the plain flow's model, and each
+scaled or adversarial draw of its values that the tape admits must get the
+full flow's model.  The batch built from the tape's columns must be the
+batch of the full flow's models.
 """
 
 from __future__ import annotations
@@ -30,14 +27,16 @@ from repro.circuits.rc_filter import DEFAULT_CAPACITANCE, DEFAULT_RESISTANCE, bu
 from repro.core import AbstractionFlow
 from repro.core.codegen import PythonGenerator
 from repro.core.codegen import NativeGenerator, NumpyGenerator
-from repro.core.flow import AbstractionRecipe, TapedModel
+from repro.core.flow import ReplayTape, TapedModel
 from repro.core.signalflow import Assignment, SignalFlowModel
 from repro.errors import ReproError
+from repro.expr.tape import Traced
 from repro.expr import simplify, solve_affine_system
 from repro.network.circuit import Circuit
+from repro.obs import TRACER, disable_tracing, enable_tracing
 from repro.network.components import VCVS
 from repro.sweep import MonteCarloSpec
-from repro.sweep.runner import RecipeTable, _batch, _model
+from repro.sweep.runner import _batch, _model, abstract_chunk
 from repro.vams import parse_module, to_circuit
 from repro.zoo import generate_netlist, render, zoo_entries
 
@@ -101,23 +100,27 @@ def test_model_matches_full_solve(timestep, build, output):
 
 @pytest.mark.parametrize("timestep", TIMESTEPS)
 @pytest.mark.parametrize("build, output", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS])
-def test_recorded_choices_rebuild_the_resolutions(timestep, build, output):
-    """Solving each choice's source equation for its term gives the resolution."""
+def test_each_resolution_is_an_entry_of_its_own_class(timestep, build, output):
+    """Assemble (Algorithm 2) takes each resolution from the enriched table:
+    the right side of an entry defining its name, one equivalence class per
+    resolution, and those classes are the used origins."""
     report = AbstractionFlow(timestep).abstract(build(), output)
     assembled = report.assembled
-    written = {
-        entry.origin: entry.equation for entry in report.enrichment.table if entry.term is None
-    }
-    rebuilt = {}
+    picked = []
     for name in assembled.order:
-        origin, term = assembled.choices[name]
-        equation = written[origin]
-        rebuilt[name] = equation.rhs if term is None else equation.solved_for(term).rhs
-    assert list(assembled.choices) == assembled.order
-    assert rebuilt == assembled.resolutions
+        (origin,) = {
+            entry.origin
+            for entry in report.enrichment.table
+            if entry.origin in assembled.used_origins
+            and entry.equation.defined_variable() == name
+            and entry.equation.rhs == assembled.resolutions[name]
+        }
+        picked.append(origin)
+    assert list(assembled.resolutions) == assembled.order
+    assert sorted(picked) == sorted(assembled.used_origins)
 
 
-# -- replay gate -------------------------------------------------------------------------
+# -- tape gate ---------------------------------------------------------------------------
 
 #: The value attributes of the network components, and those of the gains.
 VALUES = ("resistance", "capacitance", "inductance", "dc_value", "gain", "transconductance")
@@ -170,46 +173,28 @@ def _draws(build, seed: int):
 
 
 def _outcome(produce) -> tuple:
-    """The generated source and states of ``produce()``'s model, or its error."""
+    """The generated source, states and constants of ``produce()``'s model,
+    or its error."""
     try:
         model = produce()
-        if model is None:
-            return ("fallback",)
-        return ("model", PythonGenerator().generate(model).source, model.state_variables)
+        return (
+            "model",
+            PythonGenerator().generate(model).source,
+            model.state_variables,
+            np.array(model.constants()).tobytes(),
+        )
     except ReproError as error:
         return ("error", type(error).__name__, str(error))
 
 
 @pytest.mark.parametrize("timestep", TIMESTEPS)
-@pytest.mark.parametrize(
-    "index, build, output",
-    [(index, *case[1:]) for index, case in enumerate(CORPUS)],
-    ids=[case[0] for case in CORPUS],
-)
-def test_replay_gives_the_full_flow_model_or_falls_back(index, timestep, build, output):
+@pytest.mark.parametrize("build, output", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS])
+def test_traced_flow_gives_the_plain_flow_model(timestep, build, output):
+    """Every corpus circuit records a tape, whose template is its model."""
     flow = AbstractionFlow(timestep)
-    recipe = AbstractionRecipe.record(flow.abstract(build(), output))
-    fallbacks = []
-    for kind, circuit in _draws(build, seed=index):
-        replayed = _outcome(lambda: recipe.replay(circuit))
-        if replayed == ("fallback",):
-            fallbacks.append(kind)
-        else:
-            assert replayed == _outcome(lambda: flow.abstract(circuit, output).model), kind
-    # Magnitudes beyond the rule's window take the full flow; a Monte-Carlo
-    # draw of RC20 never does.
-    assert fallbacks.count("extreme") == 2
-    if CORPUS[index][0].startswith("rc20-mc"):
-        assert "scaled" not in fallbacks
-
-
-# -- tape differential test --------------------------------------------------------------
-
-
-def _per_scenario(recipe, flow, circuit, output):
-    """What :meth:`RecipeTable.abstract` gives a later circuit: the replay, or the full flow."""
-    model = recipe.replay(circuit)
-    return model if model is not None else flow.abstract(circuit, output).model
+    tape = ReplayTape.record(flow, build(), [output])
+    assert tape is not None
+    assert _outcome(lambda: tape.template) == _outcome(lambda: flow.abstract(build(), output).model)
 
 
 @pytest.mark.parametrize("timestep", TIMESTEPS)
@@ -218,24 +203,55 @@ def _per_scenario(recipe, flow, circuit, output):
     [(index, *case[1:]) for index, case in enumerate(CORPUS)],
     ids=[case[0] for case in CORPUS],
 )
-def test_tape_admits_only_draws_it_replays_exactly(index, timestep, build, output):
-    """All draws of the replay gate as one chunk through the recipe's tape:
-    each admitted draw's model is its per-scenario model."""
+def test_tape_admits_only_draws_the_full_flow_gives(index, timestep, build, output):
+    """All draws of a corpus circuit as one chunk through its tape: each
+    admitted draw's model is the full flow's."""
     flow = AbstractionFlow(timestep)
-    recipe = AbstractionRecipe.record(flow.abstract(build(), output))
-    tape = recipe.record_tape(build())
-    if tape is None:
-        # A recipe outside the replay rule replays nothing, so it has no tape.
-        assert recipe.replay(build()) is None
-        return
+    tape = ReplayTape.record(flow, build(), [output])
     draws = list(_draws(build, seed=index))
     admitted = tape.evaluate([circuit for _, circuit in draws])
     for (kind, circuit), taped in zip(draws, admitted):
         if taped is not None:
-            per_scenario = _outcome(lambda: _per_scenario(recipe, flow, circuit, output))
-            assert _outcome(taped.model) == per_scenario, kind
-    # The window of the replay rule is a guard.
-    assert all(taped is None for (kind, _), taped in zip(draws, admitted) if kind == "extreme")
+            assert _outcome(taped.model) == _outcome(lambda: flow.abstract(circuit, output).model), kind
+
+
+@pytest.mark.parametrize("timestep", TIMESTEPS)
+@pytest.mark.parametrize(
+    "index, build, output",
+    [(index, *case[1:]) for index, case in enumerate(CORPUS)],
+    ids=[case[0] for case in CORPUS],
+)
+def test_chunk_gives_every_draw_the_full_flow_outcome(index, timestep, build, output):
+    """A corpus circuit and all its draws as one sweep chunk: admitted or
+    sent back, every draw's model is the full flow's, in scenario order, and
+    a chunk holding failing draws raises the first one's error."""
+    flow = AbstractionFlow(timestep)
+    circuits = [build(), *(circuit for _, circuit in _draws(build, seed=index))]
+    expected = [_outcome(lambda: flow.abstract(circuit, output).model) for circuit in circuits]
+    errors = [outcome for outcome in expected if outcome[0] == "error"]
+    if errors:
+        with pytest.raises(ReproError) as raised:
+            abstract_chunk(circuits, [output], timestep)
+        assert ("error", type(raised.value).__name__, str(raised.value)) == errors[0]
+    abstracted = [circuit for circuit, outcome in zip(circuits, expected) if outcome[0] == "model"]
+    models = abstract_chunk(abstracted, [output], timestep)
+    assert [_outcome(lambda: _model(model)) for model in models] == [
+        outcome for outcome in expected if outcome[0] == "model"
+    ]
+
+
+def test_a_conditional_gain_records_a_tape_that_admits_its_draws():
+    """``cond_gain``'s full flow records a tape, and the tape admits draws
+    of its values with the full flow's models."""
+    (entry,) = [entry for entry in zoo_entries() if entry.name == "cond_gain"]
+    flow = AbstractionFlow(50e-9)
+    tape = ReplayTape.record(flow, entry.circuit(), [entry.output])
+    draws = [circuit for _, circuit in _draws(entry.circuit, seed=0)]
+    admitted = tape.evaluate(draws)
+    assert any(taped is not None for taped in admitted)
+    for circuit, taped in zip(draws, admitted):
+        if taped is not None:
+            assert _outcome(taped.model) == _outcome(lambda: flow.abstract(circuit, entry.output).model)
 
 
 def _rc20_chunk(samples: int = 64) -> list:
@@ -250,16 +266,15 @@ def _rc20_chunk(samples: int = 64) -> list:
 
 
 @pytest.mark.parametrize("generator", [NumpyGenerator, NativeGenerator], ids=["numpy", "native"])
-def test_tape_batch_artefacts_equal_the_replayed_models_batch(generator):
+def test_tape_batch_artefacts_equal_the_full_flow_models_batch(generator):
     """A Monte-Carlo chunk's batch built from the tape's columns is the batch
-    ``generate_batch`` builds from the replayed models, byte for byte."""
+    ``generate_batch`` builds from the full flow's models, byte for byte."""
     circuits = _rc20_chunk()
-    models = RecipeTable(50e-9).abstract_chunk(circuits, ["out"])
+    models = abstract_chunk(circuits, ["out"], 50e-9)
     assert all(isinstance(model, TapedModel) for model in models[1:])
-    recipes = RecipeTable(50e-9)
-    replayed = [recipes.abstract(circuit, ["out"]) for circuit in circuits]
+    flow = AbstractionFlow(50e-9)
     taped = generator().generate_batch(_batch(models))
-    reference = generator().generate_batch(replayed)
+    reference = generator().generate_batch([flow.abstract(circuit, "out").model for circuit in circuits])
     assert taped.code.source == reference.code.source
     assert taped.parameters.tobytes() == reference.parameters.tobytes()
     assert taped.initial_state.tobytes() == reference.initial_state.tobytes()
@@ -278,26 +293,70 @@ def _feedback_amplifier(gain: float):
 
 def test_singular_draw_in_a_chunk_takes_its_own_path():
     """One singular system in the stacked solve fails its draw alone: every
-    draw gets its per-scenario outcome."""
+    draw gets its full flow's outcome."""
     flow = AbstractionFlow(50e-9)
-    recipe = AbstractionRecipe.record(flow.abstract(_feedback_amplifier(-3.0), "out"))
-    tape = recipe.record_tape(_feedback_amplifier(-3.0))
+    tape = ReplayTape.record(flow, _feedback_amplifier(-3.0), ["out"])
     gains = (-3.5, -2.0, -4.0, -2.5)
     admitted = tape.evaluate([_feedback_amplifier(gain) for gain in gains])
     assert [taped is not None for taped in admitted] == [True, False, True, True]
-    singular = _outcome(lambda: recipe.replay(_feedback_amplifier(-2.0)))
+    singular = _outcome(lambda: flow.abstract(_feedback_amplifier(-2.0), "out").model)
     assert singular[0] == "error" and "singular" in singular[2]
     for gain, taped in zip(gains, admitted):
         if taped is not None:
-            replayed = _outcome(lambda: recipe.replay(_feedback_amplifier(gain)))
-            assert _outcome(taped.model) == replayed
+            full = _outcome(lambda: flow.abstract(_feedback_amplifier(gain), "out").model)
+            assert _outcome(taped.model) == full
+
+
+def test_a_failing_first_circuit_sends_its_topology_to_the_full_flow():
+    """When the first circuit of a topology fails, no tape is recorded and
+    each circuit takes the full flow in scenario order: the chunk raises the
+    failing circuit's error once every circuit ahead of it is abstracted."""
+    chunk = [build_rc_filter(1), *(_feedback_amplifier(gain) for gain in (-2.0, -3.0, -4.0))]
+    expected = _outcome(lambda: AbstractionFlow(50e-9).abstract(chunk[1], "out").model)
+    enable_tracing(reset=True)
+    try:
+        with pytest.raises(ReproError) as raised:
+            abstract_chunk(chunk, ["out"], 50e-9)
+        counters = dict(TRACER.counters)
+    finally:
+        disable_tracing()
+        TRACER.reset()
+    assert ("error", type(raised.value).__name__, str(raised.value)) == expected
+    assert counters == {"flow.abstractions": 1.0}
+
+
+def test_an_escaped_recording_sends_its_topology_to_the_full_flow(monkeypatch):
+    """A recording whose traced values leave the tape unrecorded gives no
+    tape: every circuit of the topology takes the full flow."""
+    abstract = AbstractionFlow.abstract
+
+    def escaping(self, model, outputs, name=None, initial_state=None, tape=None):
+        report = abstract(self, model, outputs, name, initial_state, tape)
+        if tape is not None:
+            float(next(value for value in report.model.constants() if type(value) is Traced))
+        return report
+
+    monkeypatch.setattr(AbstractionFlow, "abstract", escaping)
+    circuits = _rc20_chunk(4)
+    enable_tracing(reset=True)
+    try:
+        models = abstract_chunk(circuits, ["out"], 50e-9)
+        counters = dict(TRACER.counters)
+    finally:
+        disable_tracing()
+        TRACER.reset()
+    assert not any(isinstance(model, TapedModel) for model in models)
+    assert counters == {"flow.abstractions": 5.0}
+    flow = AbstractionFlow(50e-9)
+    for model, circuit in zip(models, circuits):
+        assert _outcome(lambda: model) == _outcome(lambda: flow.abstract(circuit, "out").model)
 
 
 def test_tape_of_equal_values_gives_distinct_draws_their_models():
     """Recorded on nominal RC20, whose stages are all equal, the tape admits
     a draw with distinct stage values only if it passes every guard: narrow
     draws do, wide ones move coefficients of the solution across its zero
-    tolerance and are sent back.  Every draw gets its per-scenario model."""
+    tolerance and are sent back.  Every draw gets its full flow's model."""
     rng = np.random.default_rng(7)
     draws = []
     for spread in (1.1, 2.0, 1.1, 2.0):
@@ -305,9 +364,9 @@ def test_tape_of_equal_values_gives_distinct_draws_their_models():
         _scale(circuit, lambda: rng.uniform(1.0 / spread, spread))
         draws.append(circuit)
     circuits = [build_rc_filter(20), *draws]
-    models = RecipeTable(50e-9).abstract_chunk(circuits, ["out"])
+    models = abstract_chunk(circuits, ["out"], 50e-9)
     assert [isinstance(model, TapedModel) for model in models[1:]] == [True, False, True, False]
-    recipes = RecipeTable(50e-9)
+    flow = AbstractionFlow(50e-9)
     for model, circuit in zip(models, circuits):
-        expected = _outcome(lambda: recipes.abstract(circuit, ["out"]))
+        expected = _outcome(lambda: flow.abstract(circuit, "out").model)
         assert _outcome(lambda: _model(model)) == expected

@@ -34,9 +34,9 @@ class TestAcquisition:
 
     def test_table_indexed_by_defined_variable(self, rc1_circuit):
         result = acquire(rc1_circuit)
-        # Dipole equations have composite left-hand sides, so nothing is
-        # indexed yet; indexing happens for the solved forms added later.
-        assert len(result.table) == 3
+        # Acquisition keeps the dipole equations; enrichment indexes them,
+        # with their solved forms, in its table.
+        assert len(result.dipole_equations) == 3
 
     def test_signal_flow_module_rejected(self):
         source = (

@@ -1,8 +1,9 @@
 """Tapes record float operations and guards, and replay them over arrays.
 
-:mod:`repro.expr.tape` underlies a sweep's replay of one recipe over a
-whole chunk (:class:`repro.core.flow.ReplayTape`, pinned against the
-per-scenario path by ``tests/test_abstraction_identity.py``).  These tests
+:mod:`repro.expr.tape` underlies a sweep's recording of one full
+abstraction flow, evaluated over a whole chunk
+(:class:`repro.core.flow.ReplayTape`, pinned against the full flow by
+``tests/test_abstraction_identity.py``).  These tests
 pin the tape's own contract: an evaluated column equals what the recorded
 Python computation gives for its inputs, bit for bit, exactly when every
 guard holds.

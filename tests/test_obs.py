@@ -366,10 +366,11 @@ class TestCounterReconciliation:
         assert result.telemetry is not None
         counters = result.telemetry.counters
         assert counters["sweep.scenarios"] == result.executed_count
-        # One full abstraction flow for the topology, a replay for the rest.
+        # One full abstraction flow for the topology, recorded as a tape that
+        # admits the rest.
         assert counters["flow.abstractions"] == 1
         assert counters["flow.abstractions"] + counters["flow.replays"] == result.executed_count
-        assert "flow.replay_fallbacks" not in counters
+        assert "flow.tape_misses" not in counters
 
     def test_multiprocess_fault_campaign_reconciles_exactly(self):
         """The acceptance criterion: merged worker telemetry == result counts."""
