@@ -176,7 +176,9 @@ def _simplify_unary(node: UnaryOp) -> Expr:
 def _simplify_call(node: Call) -> Expr:
     if all(isinstance(arg, Constant) for arg in node.args) and node.func in FUNCTION_TABLE:
         try:
-            value = FUNCTION_TABLE[node.func](*[arg.value for arg in node.args])
+            # ``float()`` marks a traced argument's tape escaped: the math
+            # functions read a float subclass's value without recording it.
+            value = FUNCTION_TABLE[node.func](*[float(arg.value) for arg in node.args])
         except (ValueError, OverflowError, ZeroDivisionError):
             return node
         if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):

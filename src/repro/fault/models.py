@@ -451,7 +451,7 @@ class MemoryBitFlipFault(DigitalFault):
         memory = platform.memory
         address = self.address
         if address is None:
-            address = memory.base + int(rng.integers(0, memory.size))
+            address = int(rng.integers(0, memory.size))
         platform.schedule_injection(
             at_time, lambda: memory.flip_bit(address, self.bit)
         )

@@ -9,6 +9,7 @@ conservative solvers (:mod:`repro.network.mna`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,6 +35,12 @@ def branch_voltage(positive: str, negative: str, ground: str = "gnd") -> Expr:
 def branch_current(branch_name: str) -> Variable:
     """Return the flow variable ``I(branch)`` of a branch."""
     return Variable(f"I({branch_name})")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a value the solvers cannot use: it must be finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -67,8 +74,7 @@ class Resistor(Component):
     type_code = "R"
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0.0:
-            raise ValueError("resistance must be positive")
+        _check_positive("resistance", self.resistance)
 
     def dipole_equation(self, branch: "Branch", ground: str = "gnd") -> Equation:
         voltage = branch_voltage(branch.positive, branch.negative, ground)
@@ -81,12 +87,10 @@ class Capacitor(Component):
     """An ideal capacitor: ``I(branch) = C * ddt(V(p) - V(n))``."""
 
     capacitance: float
-    initial_voltage: float = 0.0
     type_code = "C"
 
     def __post_init__(self) -> None:
-        if self.capacitance <= 0.0:
-            raise ValueError("capacitance must be positive")
+        _check_positive("capacitance", self.capacitance)
 
     def dipole_equation(self, branch: "Branch", ground: str = "gnd") -> Equation:
         voltage = branch_voltage(branch.positive, branch.negative, ground)
@@ -101,12 +105,10 @@ class Inductor(Component):
     """An ideal inductor: ``V(p) - V(n) = L * ddt(I(branch))``."""
 
     inductance: float
-    initial_current: float = 0.0
     type_code = "L"
 
     def __post_init__(self) -> None:
-        if self.inductance <= 0.0:
-            raise ValueError("inductance must be positive")
+        _check_positive("inductance", self.inductance)
 
     def dipole_equation(self, branch: "Branch", ground: str = "gnd") -> Equation:
         voltage = branch_voltage(branch.positive, branch.negative, ground)

@@ -48,7 +48,6 @@ class AdcBridge(ApbPeripheral):
         self._raw_value = 0.0
         self._valid = False
         self.sample_count = 0
-        self.read_count = 0
         #: Every pushed sample in arrival order when ``record`` is set (the
         #: platform sweep layer uses this to compare analog styles), else None.
         self.history: list[float] | None = [] if record else None
@@ -79,7 +78,6 @@ class AdcBridge(ApbPeripheral):
     # -- register interface -----------------------------------------------------------------
     def read_register(self, offset: int) -> int:
         if offset == DATA:
-            self.read_count += 1
             millivolts = int(round(self._raw_value * 1000.0 / self.millivolts_per_unit))
             return millivolts & 0xFFFFFFFF
         if offset == STATUS:

@@ -8,11 +8,10 @@ from ..errors import BusError
 
 
 class Memory:
-    """A little-endian RAM of fixed size.
+    """A little-endian RAM of fixed size, mapped at address 0.
 
     The CPU fetches instructions and performs data accesses here; the
-    ``load_image`` helper installs an assembled firmware image at its base
-    address.
+    ``load_image`` helper installs an assembled firmware image.
 
     Writes can be observed through :meth:`add_write_watcher`; the CPU uses
     this to invalidate its predecoded-instruction cache when anything else
@@ -24,24 +23,18 @@ class Memory:
     path bypasses these watchers and maintains its cache invalidation
     directly — watchers see every *external* write.
 
-    :meth:`poke` and :meth:`peek` are the host-side mutation/inspection API:
-    they skip the access statistics (so instrumentation does not perturb
-    platform metrics), and ``poke`` notifies watchers unless the caller
+    :meth:`poke` and :meth:`peek` are the host-side mutation/inspection API
+    for raw byte strings; ``poke`` notifies watchers unless the caller
     explicitly opts out with ``notify=False`` — bypassing watchers on a write
     into code leaves stale decoded instructions behind, which is only ever
     correct for observers that want to model exactly that staleness.
     """
 
-    def __init__(self, size: int = 64 * 1024, base: int = 0) -> None:
+    def __init__(self, size: int = 64 * 1024) -> None:
         if size <= 0 or size % 4 != 0:
             raise ValueError("memory size must be a positive multiple of 4")
-        if base % 4 != 0:
-            raise ValueError("memory base address must be word-aligned")
-        self.base = base
         self.size = size
         self._data = bytearray(size)
-        self.read_count = 0
-        self.write_count = 0
         self._write_watchers: list[Callable[[int, int], None]] = []
 
     # -- write observation -------------------------------------------------------------
@@ -58,60 +51,50 @@ class Memory:
         """Notify watchers with the word-aligned covering span of a write."""
         start = address & ~0x3
         span = ((address + width + 3) & ~0x3) - start
-        if start < self.base:
-            span -= self.base - start
-            start = self.base
-        end = self.base + self.size
-        if start + span > end:
-            span = end - start
+        if start + span > self.size:
+            span = self.size - start
         for watcher in self._write_watchers:
             watcher(start, span)
 
     # -- address checking --------------------------------------------------------------
-    def _offset(self, address: int, width: int) -> int:
-        offset = address - self.base
-        if offset < 0 or offset + width > self.size:
+    def _check(self, address: int, width: int) -> None:
+        if address < 0 or address + width > self.size:
             raise BusError(
                 f"memory access at {address:#010x} (width {width}) is outside "
-                f"the {self.size}-byte RAM at {self.base:#010x}"
+                f"the {self.size}-byte RAM at 0x00000000"
             )
-        return offset
 
     # -- word access ----------------------------------------------------------------------
     def read_word(self, address: int) -> int:
         """Read a 32-bit little-endian word."""
-        offset = self._offset(address, 4)
-        self.read_count += 1
-        return int.from_bytes(self._data[offset : offset + 4], "little")
+        self._check(address, 4)
+        return int.from_bytes(self._data[address : address + 4], "little")
 
     def write_word(self, address: int, value: int) -> None:
         """Write a 32-bit little-endian word."""
-        offset = self._offset(address, 4)
-        self.write_count += 1
-        self._data[offset : offset + 4] = int(value & 0xFFFFFFFF).to_bytes(4, "little")
+        self._check(address, 4)
+        self._data[address : address + 4] = int(value & 0xFFFFFFFF).to_bytes(4, "little")
         if self._write_watchers:
             self._notify(address, 4)
 
     # -- byte access -----------------------------------------------------------------------
     def read_byte(self, address: int) -> int:
         """Read one byte."""
-        offset = self._offset(address, 1)
-        self.read_count += 1
-        return self._data[offset]
+        self._check(address, 1)
+        return self._data[address]
 
     def write_byte(self, address: int, value: int) -> None:
         """Write one byte."""
-        offset = self._offset(address, 1)
-        self.write_count += 1
-        self._data[offset] = value & 0xFF
+        self._check(address, 1)
+        self._data[address] = value & 0xFF
         if self._write_watchers:
             self._notify(address, 1)
 
     # -- host-side mutation and inspection ----------------------------------------------
     def peek(self, address: int, width: int = 1) -> bytes:
-        """Read ``width`` raw bytes without touching the access statistics."""
-        offset = self._offset(address, width)
-        return bytes(self._data[offset : offset + width])
+        """Read ``width`` raw bytes."""
+        self._check(address, width)
+        return bytes(self._data[address : address + width])
 
     def poke(
         self,
@@ -121,12 +104,10 @@ class Memory:
     ) -> None:
         """Write raw bytes from the host side (fault injectors, debuggers).
 
-        ``data`` may be a single byte value or a bytes-like object.  The
-        access statistics are left untouched, so instrumentation does not
-        perturb the metrics of the run it observes.  Watchers are notified
-        (word-aligned, like every write) unless ``notify=False`` is passed
-        explicitly — only do that when stale downstream caches (the CPU's
-        decoded instructions) are the *intended* semantics.
+        ``data`` may be a single byte value or a bytes-like object.  Watchers
+        are notified (word-aligned, like every write) unless ``notify=False``
+        is passed explicitly — only do that when stale downstream caches (the
+        CPU's decoded instructions) are the *intended* semantics.
         """
         if isinstance(data, int):
             if not 0 <= data <= 0xFF:
@@ -137,8 +118,8 @@ class Memory:
             data = bytes((data,))
         if not data:
             return
-        offset = self._offset(address, len(data))
-        self._data[offset : offset + len(data)] = data
+        self._check(address, len(data))
+        self._data[address : address + len(data)] = data
         if notify and self._write_watchers:
             self._notify(address, len(data))
 
@@ -149,26 +130,23 @@ class Memory:
         """
         if not 0 <= bit <= 7:
             raise ValueError("bit index must be in 0..7 (per-byte flip)")
-        offset = self._offset(address, 1)
-        value = self._data[offset] ^ (1 << bit)
-        self._data[offset] = value
+        self._check(address, 1)
+        value = self._data[address] ^ (1 << bit)
+        self._data[address] = value
         if notify and self._write_watchers:
             self._notify(address, 1)
         return value
 
     # -- bulk helpers ------------------------------------------------------------------------
-    def load_image(self, image: bytes, address: int | None = None) -> None:
-        """Copy a binary image into memory (default: at the RAM base)."""
-        address = self.base if address is None else address
-        offset = self._offset(address, len(image))
-        self._data[offset : offset + len(image)] = image
+    def load_image(self, image: bytes, address: int = 0) -> None:
+        """Copy a binary image into memory at ``address``."""
+        self._check(address, len(image))
+        self._data[address : address + len(image)] = image
         if self._write_watchers and image:
             self._notify(address, len(image))
 
     def clear(self) -> None:
         """Zero the whole memory."""
         self._data = bytearray(self.size)
-        self.read_count = 0
-        self.write_count = 0
         if self._write_watchers:
-            self._notify(self.base, self.size)
+            self._notify(0, self.size)

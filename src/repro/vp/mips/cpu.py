@@ -15,7 +15,7 @@ resolved at decode time) cached per word address.  :meth:`MipsCpu.run_block`
 then executes decoded instructions in a tight local loop — registers, memory
 and the decode cache bound to locals, taken branches followed in place —
 yielding back only when it reaches a peripheral-window load/store that is not
-the first instruction of the block, the halt flag, or the cycle budget.
+the first instruction of the block, or the cycle budget.
 Peripheral accesses are therefore always the *first* instruction of a block,
 which is what lets the platform's block driver schedule them on exactly the
 same clock cycle as the classic one-instruction-per-tick interpreter.
@@ -24,6 +24,11 @@ The decode cache is invalidated by the CPU's own stores (inline, in the hot
 loop) and by a :meth:`~repro.vp.memory.Memory.add_write_watcher` hook for
 external writes (firmware reloads via ``load_image``, ``clear``, tests poking
 at code), so self-modifying code re-decodes and stays architecturally exact.
+
+Besides its caches, the CPU keeps its architectural state (pc, registers,
+HI/LO and the instruction count; RAM, at address 0, is the ``Memory``'s) and
+the block, decode and superblock counters that a traced platform run
+reports.
 """
 
 from __future__ import annotations
@@ -227,8 +232,6 @@ class MipsCpu:
         self.lo = 0
         self.pc = 0
         self.instruction_count = 0
-        self.load_count = 0
-        self.store_count = 0
         # Observability counters.  Maintained unconditionally — but only in
         # branches that are already rare (decode misses, code-word stores,
         # external writes, end-of-block flush), so the hot dispatch loop is
@@ -236,7 +239,6 @@ class MipsCpu:
         self.block_count = 0
         self.decode_miss_count = 0
         self.decode_invalidation_count = 0
-        self.halted = False
         #: Lazily filled decode cache, one slot per RAM word.
         self._decoded: list[tuple | None] = [None] * (memory.size // 4)
         # Superblock tier (see vp/mips/superblock.py): hot block-entry pcs
@@ -255,11 +257,9 @@ class MipsCpu:
         self._sb_spans: dict[int, tuple[int, int]] = {}
         #: word index -> set of entry pcs whose superblock covers that word.
         self._sb_cover: list[set | None] = [None] * (memory.size // 4)
-        # Bumped on every superblock drop; running superblocks compare it
-        # after bus callbacks to detect that they may have been invalidated.
-        self._sb_epoch = 0
-        #: Scratch list through which superblocks flush pc and counters.
-        self._sb_out: list[int] = [0] * 7
+        #: Scratch list through which superblocks flush pc, the instruction
+        #: count and decode invalidations.
+        self._sb_out: list[int] = [0] * 3
         memory.add_write_watcher(self._on_external_write)
 
     def __deepcopy__(self, memo: dict) -> "MipsCpu":
@@ -306,29 +306,20 @@ class MipsCpu:
         self.lo = 0
         self.pc = pc
         self.instruction_count = 0
-        self.load_count = 0
-        self.store_count = 0
         self.block_count = 0
         self.decode_miss_count = 0
         self.decode_invalidation_count = 0
         self.superblock_compile_count = 0
         self.superblock_hit_count = 0
         self.superblock_invalidation_count = 0
-        self.halted = False
 
     # -- decode-cache maintenance --------------------------------------------------------
     def _on_external_write(self, address: int, width: int) -> None:
-        """Memory write watcher: drop decoded entries covering the write."""
+        """Memory write watcher: drop decoded entries covering the write
+        (``Memory`` reports only nonempty word spans inside the RAM)."""
         decoded = self._decoded
-        base = self.memory.base
-        first = (address - base) >> 2
-        last = (address + width - 1 - base) >> 2
-        if first < 0:
-            first = 0
-        if last >= len(decoded):
-            last = len(decoded) - 1
-        if first > last:
-            return
+        first = address >> 2
+        last = (address + width - 1) >> 2
         span = decoded[first : last + 1]
         invalidated = sum(1 for entry in span if entry is not None)
         self.decode_invalidation_count += invalidated
@@ -350,7 +341,6 @@ class MipsCpu:
         self._superblocks.pop(entry_pc, None)
         span = self._sb_spans.pop(entry_pc, None)
         self.superblock_invalidation_count += 1
-        self._sb_epoch += 1
         if span is not None:
             cover = self._sb_cover
             for index in range(span[0], span[1] + 1):
@@ -391,14 +381,13 @@ class MipsCpu:
         * a peripheral-window load/store that is **not** the first
           instruction of the block (left unexecuted, so the caller can
           reschedule it on its exact clock cycle);
-        * the ``halted`` flag;
         * the instruction budget.
 
         Returns the number of instructions actually executed.  Architectural
         state (``pc``, counters) is flushed back even when an instruction
         faults mid-block, leaving exactly the same state as single-stepping.
         """
-        if self.halted or max_instructions <= 0:
+        if max_instructions <= 0:
             return 0
         # Everything the hot loop touches is bound to locals — including the
         # kind constants, so every dispatch comparison is a LOAD_FAST.
@@ -418,20 +407,15 @@ class MipsCpu:
         mem = self.memory
         data = mem._data
         words = memoryview(data).cast("I") if _NATIVE_LITTLE_ENDIAN else None
-        mbase = mem.base
         msize = mem.size
         periph = self.peripheral_base
         # The word fast path must never swallow a peripheral access, so its
         # window ends at the peripheral base even if (in exotic configs) the
         # RAM range overlaps the peripheral window: at or above the
         # peripheral base every access goes to the bus.
-        msize4 = min(msize, periph - mbase) - 4
+        msize4 = min(msize, periph) - 4
         pc = self.pc
         executed = 0
-        loads = 0
-        stores = 0
-        mem_reads = 0
-        mem_writes = 0
         misses = 0
         invalidations = 0
         M = WORD_MASK
@@ -470,29 +454,23 @@ class MipsCpu:
                     try:
                         sb_stop = function(
                             self, reg, decoded, data, words, cover, mem,
-                            max_instructions, executed, loads, stores,
-                            mem_reads, mem_writes, invalidations, out,
+                            max_instructions, executed, invalidations, out,
                         )
                     finally:
                         pc = out[0]
                         executed = out[1]
-                        loads = out[2]
-                        stores = out[3]
-                        mem_reads = out[4]
-                        mem_writes = out[5]
-                        invalidations = out[6]
+                        invalidations = out[2]
                     if sb_stop:
                         break
                 if hits:
                     self.superblock_hit_count += hits
                 if sb_stop:
-                    # A peripheral access is pending (or the CPU halted):
-                    # yield the block; the finally clause flushes state.
+                    # A peripheral access is pending: yield the block; the
+                    # finally clause flushes state.
                     return executed
             while executed < max_instructions:
-                offset = pc - mbase
-                if 0 <= offset < msize and not offset & 3:
-                    index = offset >> 2
+                if 0 <= pc < msize and not pc & 3:
+                    index = pc >> 2
                     entry = decoded[index]
                     if entry is None:
                         misses += 1
@@ -507,26 +485,20 @@ class MipsCpu:
 
                 if k == K_LW:
                     address = (reg[b] + c) & M
-                    offset = address - mbase
-                    if 0 <= offset <= msize4 and not offset & 3 and words is not None:
-                        loads += 1
-                        mem_reads += 1
-                        reg[a] = words[offset >> 2]
+                    if address <= msize4 and not address & 3 and words is not None:
+                        reg[a] = words[address >> 2]
                     elif address >= periph:
                         if executed:
                             break
-                        loads += 1
                         if self.bus_read is None:
                             raise CpuFault(
                                 f"load from unmapped peripheral address {address:#x}"
                             )
                         reg[a] = self.bus_read(address) & M
                     else:
-                        loads += 1
-                        if offset < 0 or offset + 4 > msize:
+                        if address + 4 > msize:
                             mem.read_word(address)  # raises BusError
-                        mem_reads += 1
-                        reg[a] = int.from_bytes(data[offset : offset + 4], "little")
+                        reg[a] = int.from_bytes(data[address : address + 4], "little")
                     pc += 4
                 elif k == K_BEQ:
                     pc = c if reg[a] == reg[b] else pc + 4
@@ -538,12 +510,9 @@ class MipsCpu:
                     pc += 4
                 elif k == K_SW:
                     address = (reg[b] + c) & M
-                    offset = address - mbase
-                    if 0 <= offset <= msize4 and not offset & 3 and words is not None:
-                        stores += 1
-                        mem_writes += 1
-                        words[offset >> 2] = reg[a]
-                        index = offset >> 2
+                    if address <= msize4 and not address & 3 and words is not None:
+                        index = address >> 2
+                        words[index] = reg[a]
                         if decoded[index] is not None:
                             decoded[index] = None
                             invalidations += 1
@@ -552,25 +521,22 @@ class MipsCpu:
                     elif address >= periph:
                         if executed:
                             break
-                        stores += 1
                         if self.bus_write is None:
                             raise CpuFault(
                                 f"store to unmapped peripheral address {address:#x}"
                             )
                         self.bus_write(address, reg[a])
                     else:
-                        stores += 1
-                        if offset < 0 or offset + 4 > msize:
+                        if address + 4 > msize:
                             mem.write_word(address, reg[a])  # raises BusError
-                        data[offset : offset + 4] = reg[a].to_bytes(4, "little")
-                        mem_writes += 1
-                        index = offset >> 2
+                        data[address : address + 4] = reg[a].to_bytes(4, "little")
+                        index = address >> 2
                         if decoded[index] is not None:
                             decoded[index] = None
                             invalidations += 1
                         if sb_cover[index] is not None:
                             self._drop_superblocks_at(index)
-                        index = (offset + 3) >> 2
+                        index = (address + 3) >> 2
                         if decoded[index] is not None:
                             decoded[index] = None
                             invalidations += 1
@@ -654,19 +620,15 @@ class MipsCpu:
                     if address >= periph:
                         if executed:
                             break
-                        loads += 1
                         if self.bus_read is None:
                             raise CpuFault(
                                 f"load from unmapped peripheral address {address:#x}"
                             )
                         value = (self.bus_read(address & ~0x3) >> (8 * (address & 0x3))) & 0xFF
                     else:
-                        loads += 1
-                        offset = address - mbase
-                        if offset < 0 or offset >= msize:
+                        if address >= msize:
                             mem.read_byte(address)  # raises BusError
-                        mem_reads += 1
-                        value = data[offset]
+                        value = data[address]
                     if k == K_LB and value & 0x80:
                         value = (value - 0x100) & M
                     reg[a] = value
@@ -676,20 +638,16 @@ class MipsCpu:
                     if address >= periph:
                         if executed:
                             break
-                        stores += 1
                         if self.bus_write is None:
                             raise CpuFault(
                                 f"store to unmapped peripheral address {address:#x}"
                             )
                         self.bus_write(address, reg[a] & 0xFF)
                     else:
-                        stores += 1
-                        offset = address - mbase
-                        if offset < 0 or offset >= msize:
+                        if address >= msize:
                             mem.write_byte(address, reg[a])  # raises BusError
-                        data[offset] = reg[a] & 0xFF
-                        mem_writes += 1
-                        index = offset >> 2
+                        data[address] = reg[a] & 0xFF
+                        index = address >> 2
                         if decoded[index] is not None:
                             decoded[index] = None
                             invalidations += 1
@@ -757,20 +715,10 @@ class MipsCpu:
                     pc += 4
 
                 executed += 1
-                # Peripheral accesses only execute as a block's first
-                # instruction, so a bus callback that halts the CPU (a
-                # power/halt control register) can only have fired here —
-                # one cheap comparison keeps mid-block halts per-tick exact.
-                if executed == 1 and self.halted:
-                    break
         finally:
             self.pc = pc
             self.instruction_count += executed
-            self.load_count += loads
-            self.store_count += stores
             self.block_count += 1
             self.decode_miss_count += misses
             self.decode_invalidation_count += invalidations
-            mem.read_count += mem_reads
-            mem.write_count += mem_writes
         return executed

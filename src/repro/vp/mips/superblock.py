@@ -10,9 +10,9 @@ it in the CPU's per-entry-pc cache.  A conditional branch whose taken target
 is the entry pc is fused into a ``while True`` loop, so hot firmware loops
 execute entire iterations per Python-level jump.
 
-Architectural exactness is the contract (the block-step test compares
-``pc``/registers/``hi``/``lo``/instruction, load and store counts and memory
-bytes against per-tick stepping):
+Architectural exactness is the contract (the block-step tests compare
+``pc``/registers/``hi``/``lo``/instruction count, memory bytes and the bus
+log against per-tick stepping):
 
 * the instruction budget is respected exactly: the caller only enters a
   superblock when the remaining budget covers one full pass, and a fused
@@ -21,7 +21,7 @@ bytes against per-tick stepping):
 * ``executed`` is correct at every point an exception can surface or a bus
   callback can observe the CPU, so mid-superblock faults leave exactly the
   per-tick architectural state (the generated ``try/finally`` flushes
-  registers, pc and counters on every exit, including raises);
+  registers, pc and the instruction count on every exit, including raises);
 * peripheral-window accesses keep the block contract: they only execute as
   the first instruction of a block (``executed == 0``), otherwise the
   superblock returns with the access unexecuted so the platform driver can
@@ -85,40 +85,39 @@ MAX_SUPERBLOCK = 64
 MIN_SUPERBLOCK = 2
 
 _CONTROL = frozenset((_JR, _JALR, _BEQ, _BNE, _BLEZ, _BGTZ, _J, _JAL))
-_MEMORY = frozenset((_LW, _LB, _LBU, _SW, _SB))
 
 _M = WORD_MASK
 
 
 class _Emitter:
-    """Collects generated source lines with static counter batching.
+    """Collects generated source lines with a static instruction count.
 
-    All five architectural counters (``executed``, ``loads``, ``stores``,
-    ``mem_reads``, ``mem_writes``) are tracked as *codegen-time* constants:
-    straight-line fast paths carry no counter statements at all, and the
-    accumulated totals are materialized as ``+=`` statements only on exit and
-    raise paths (where the ``finally`` clause makes them architecturally
-    observable).  Inside a fused loop the materialized constants are
-    per-iteration deltas — the terminal branch materializes the full body
-    before ``continue``, so counters are exact at every loop top.
+    The instruction count ``executed`` is tracked as a *codegen-time*
+    constant: straight-line fast paths carry no counter statements at all,
+    and the accumulated total is materialized as an ``executed +=``
+    statement only on exit and raise paths (where the ``finally`` clause
+    makes it architecturally observable).  Inside a fused loop the
+    materialized constant covers the current iteration only; completed
+    iterations are added as ``it`` times the run length, so the count is
+    exact at every loop top.
 
     ``bounds`` tracks a sound inclusive upper bound for each register local
     (registers always hold values in ``[0, WORD_MASK]``), letting the emitter
     drop ``& 0xFFFFFFFF`` masks that provably cannot change the result.
     """
 
-    COUNTERS = ("executed", "loads", "stores", "mem_reads", "mem_writes")
-
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.pending = dict.fromkeys(self.COUNTERS, 0)
+        #: Instructions completed on the straight line so far (this
+        #: iteration, in a fused loop).
+        self.pending = 0
         self.used: set[int] = set()
         self.written: set[int] = set()
         self.bounds: dict[int, int] = {}
-        #: Fused loops only: per-full-iteration counter deltas; exits emit
-        #: ``counter += it * scale + partial`` so the loop body itself carries
-        #: no counter statements at all.
-        self.iter_counts: "dict[str, int] | None" = None
+        #: Fused loops only: the run length; exits emit
+        #: ``executed += it * length + partial`` so the loop body itself
+        #: carries no counter statements at all.
+        self.iter_length = 0
         #: ``(base_reg, displacement) -> [index_local, forwarded_value]`` for
         #: word accesses whose fast-window guard already passed and whose base
         #: register is unmodified since: repeat accesses skip the guard, and a
@@ -129,30 +128,24 @@ class _Emitter:
     def emit(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def materialize(self, indent: int, **extra: int) -> None:
-        """Emit the batched counter totals plus ``extra``, without resetting.
+    def materialize(self, indent: int, extra: int = 0) -> None:
+        """Emit the batched instruction count plus ``extra``, without resetting.
 
-        Exit paths branch off the straight line, so the static totals keep
+        Exit paths branch off the straight line, so the static count keeps
         accumulating for the fall-through path after the branch.  Inside a
-        fused loop the totals only cover the current (partial) iteration;
+        fused loop it only covers the current (partial) iteration;
         completed iterations are added back via the ``it`` counter.
         """
-        for name in self.COUNTERS:
-            constant = self.pending[name] + extra.get(name, 0)
-            scale = self.iter_counts[name] if self.iter_counts else 0
-            scaled = "it" if scale == 1 else f"it * {scale}"
-            if scale and constant:
-                self.emit(indent, f"{name} += {scaled} + {constant}")
-            elif scale:
-                self.emit(indent, f"{name} += {scaled}")
-            elif constant:
-                self.emit(indent, f"{name} += {constant}")
+        constant = self.pending + extra
+        terms = [f"it * {self.iter_length}"] if self.iter_length else []
+        if constant:
+            terms.append(str(constant))
+        if terms:
+            self.emit(indent, f"executed += {' + '.join(terms)}")
 
-    def complete(self, **counts: int) -> None:
-        """Record one completed instruction's counts into the static batch."""
-        self.pending["executed"] += 1
-        for name, value in counts.items():
-            self.pending[name] += value
+    def complete(self) -> None:
+        """Count one completed instruction into the static batch."""
+        self.pending += 1
 
     def read(self, index: int) -> str:
         """Source text reading register ``index`` ($zero folds to literal 0)."""
@@ -193,27 +186,22 @@ def _scan(cpu, entry_pc):
 
     Returns ``None`` when no compilable run exists (unaligned/out-of-window
     entry, undecodable first word, or a run shorter than
-    :data:`MIN_SUPERBLOCK`).  Decoded entries are filled into the CPU's
-    decode cache via non-counting peeks, so scanning never perturbs
-    memory-access statistics.
+    :data:`MIN_SUPERBLOCK`).  Words read straight from RAM are decoded into
+    the CPU's decode cache.
     """
     mem = cpu.memory
-    mbase = mem.base
-    msize = mem.size
-    periph = cpu.peripheral_base
-    msize4 = min(msize, periph - mbase) - 4
+    msize4 = min(mem.size, cpu.peripheral_base) - 4
     decoded = cpu._decoded
     data = mem._data
     run = []
     pc = entry_pc
     while len(run) < MAX_SUPERBLOCK:
-        offset = pc - mbase
-        if offset < 0 or offset > msize4 or offset & 3:
+        if pc < 0 or pc > msize4 or pc & 3:
             break
-        index = offset >> 2
+        index = pc >> 2
         entry = decoded[index]
         if entry is None:
-            word = int.from_bytes(data[offset : offset + 4], "little")
+            word = int.from_bytes(data[pc : pc + 4], "little")
             try:
                 entry = decode_word(word, pc)
             except CpuFault:
@@ -250,13 +238,11 @@ def _generate(cpu, entry_pc, run) -> str:
     peripheral-access protocol (any later instruction statically implies
     ``executed > 0``, which per the block contract yields the access).
     """
-    mem = cpu.memory
-    mbase = mem.base
-    msize = mem.size
+    msize = cpu.memory.size
     periph = cpu.peripheral_base
-    msize4 = min(msize, periph - mbase) - 4
-    span_lo = (run[0][0] - mbase) >> 2
-    span_hi = (run[-1][0] - mbase) >> 2
+    msize4 = min(msize, periph) - 4
+    span_lo = run[0][0] >> 2
+    span_hi = run[-1][0] >> 2
     length = len(run)
     terminal_kind = run[-1][2][0]
     fused = (
@@ -266,25 +252,11 @@ def _generate(cpu, entry_pc, run) -> str:
     out = _Emitter()
     body = 3 if fused else 2  # def(0) / try(1) / [while True(2)] / body
     if fused:
-        iter_scale = dict.fromkeys(_Emitter.COUNTERS, 0)
-        iter_scale["executed"] = length
-        for _, _, fentry in run:
-            fkind = fentry[0]
-            if fkind in (_LW, _LB, _LBU):
-                iter_scale["loads"] += 1
-                iter_scale["mem_reads"] += 1
-            elif fkind in (_SW, _SB):
-                iter_scale["stores"] += 1
-                iter_scale["mem_writes"] += 1
-        out.iter_counts = iter_scale
+        out.iter_length = length
 
     def flush_iterations(indent):
         """Flush exactly ``it`` completed fused iterations (terminal exits)."""
-        for name, scale in iter_scale.items():
-            if scale == 1:
-                out.emit(indent, f"{name} += it")
-            elif scale:
-                out.emit(indent, f"{name} += it * {scale}")
+        out.emit(indent, f"executed += it * {length}")
 
     def address_of(base_reg, displacement):
         """Emit the effective-address computation; returns (expr, bound).
@@ -306,15 +278,8 @@ def _generate(cpu, entry_pc, run) -> str:
 
     def word_guards(addr, addr_bound):
         """Fast-window and raise guards for a word access at ``addr``."""
-        if mbase == 0:
-            window = "" if addr_bound <= msize4 else f"{addr} <= {msize4} and "
-            return addr, f"{window}not {addr} & 3", f"{addr} + 4 > {msize}"
-        out.emit(body, f"offset = {addr} - {mbase}")
-        return (
-            "offset",
-            f"0 <= offset <= {msize4} and not offset & 3",
-            f"offset < 0 or offset + 4 > {msize}",
-        )
+        window = "" if addr_bound <= msize4 else f"{addr} <= {msize4} and "
+        return f"{window}not {addr} & 3", f"{addr} + 4 > {msize}"
 
     def peripheral_yield(indent, pc):
         """Yield the block with the peripheral access unexecuted."""
@@ -322,7 +287,7 @@ def _generate(cpu, entry_pc, run) -> str:
         out.emit(indent, f"pc = {pc}")
         out.emit(indent, "return True")
 
-    def peripheral_entry(indent, next_pc, counter, lines):
+    def peripheral_entry(indent, next_pc, lines):
         """Full peripheral protocol for the entry instruction.
 
         ``executed``/pc are architecturally exact here without any flush: no
@@ -338,13 +303,10 @@ def _generate(cpu, entry_pc, run) -> str:
         else:
             out.emit(indent, "if executed:")
             out.emit(indent + 1, "return True")
-        out.emit(indent, f"{counter} += 1")
         for line in lines:
             out.emit(indent, line)
         out.emit(indent, "executed += 1")
         out.emit(indent, f"pc = {next_pc}")
-        out.emit(indent, "if cpu.halted:")
-        out.emit(indent + 1, "return True")
         out.emit(indent, "return False  # cold path: back to dispatch")
 
     for pc, _, entry in run:
@@ -500,8 +462,7 @@ def _generate(cpu, entry_pc, run) -> str:
             # The fast-window guard for this (base, displacement) pair already
             # passed and the base register is unchanged since, so the address
             # class cannot differ; after a store to the same slot the loaded
-            # value is simply the stored register (counters stay exact — they
-            # are tracked statically regardless of how the value arrives).
+            # value is simply the stored register.
             index_name, forwarded = out.verified[(b, c)]
             if forwarded is not None:
                 out.emit(body, f"{out.write(a)} = {forwarded}")
@@ -510,27 +471,26 @@ def _generate(cpu, entry_pc, run) -> str:
             survivor = out.verified.get((b, c))
             if survivor is not None:
                 survivor[1] = f"r{a}"
-            out.complete(loads=1, mem_reads=1)
+            out.complete()
         elif kind == _LW:
             addr, abound = address_of(b, c)
-            off, fast_guard, slow_guard = word_guards(addr, abound)
+            fast_guard, slow_guard = word_guards(addr, abound)
             out.index_seq += 1
             index_name = f"index{out.index_seq}"
             out.emit(body, f"if {fast_guard}:")
-            out.emit(body + 1, f"{index_name} = {off} >> 2")
+            out.emit(body + 1, f"{index_name} = {addr} >> 2")
             out.verified[(b, c)] = [index_name, None]
             out.emit(body + 1, f"{out.write(a)} = words[{index_name}]")
             survivor = out.verified.get((b, c))
             if survivor is not None:
                 survivor[1] = f"r{a}"
             out.emit(body, f"elif {addr} >= {periph}:")
-            if out.pending["executed"]:
+            if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 peripheral_entry(
                     body + 1,
                     next_pc,
-                    "loads",
                     [
                         "if cpu.bus_read is None:",
                         "    raise CpuFault("
@@ -539,23 +499,22 @@ def _generate(cpu, entry_pc, run) -> str:
                     ],
                 )
             out.emit(body, "else:")
-            out.materialize(body + 1, loads=1)
+            out.materialize(body + 1)
             out.emit(body + 1, f"pc = {pc}")
             out.emit(body + 1, f"if {slow_guard}:")
             out.emit(body + 2, f"mem.read_word({addr})  # raises BusError")
-            out.emit(body + 1, "mem_reads += 1")
             out.emit(
                 body + 1,
-                f"{out.write(a)} = int.from_bytes(data[{off} : {off} + 4], 'little')",
+                f"{out.write(a)} = int.from_bytes(data[{addr} : {addr} + 4], 'little')",
             )
             out.emit(body + 1, "executed += 1")
             out.emit(body + 1, f"pc = {next_pc}")
             out.emit(body + 1, "return False  # cold path: back to dispatch")
-            out.complete(loads=1, mem_reads=1)
+            out.complete()
         elif kind == _LB or kind == _LBU:
             addr, abound = address_of(b, c)
             out.emit(body, f"if {addr} >= {periph}:")
-            if out.pending["executed"]:
+            if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 lines = [
@@ -569,28 +528,22 @@ def _generate(cpu, entry_pc, run) -> str:
                     lines.append("if value & 0x80:")
                     lines.append(f"    value = (value - 0x100) & {_M}")
                 lines.append(f"{out.write(a)} = value")
-                peripheral_entry(body + 1, next_pc, "loads", lines)
+                peripheral_entry(body + 1, next_pc, lines)
             out.emit(body, "else:")
-            if mbase == 0:
-                off = addr
-                raise_guard = None if abound < msize else f"{addr} >= {msize}"
-            else:
-                out.emit(body + 1, f"offset = {addr} - {mbase}")
-                off = "offset"
-                raise_guard = f"offset < 0 or offset >= {msize}"
+            raise_guard = None if abound < msize else f"{addr} >= {msize}"
             if raise_guard:
                 out.emit(body + 1, f"if {raise_guard}:")
-                out.materialize(body + 2, loads=1)
+                out.materialize(body + 2)
                 out.emit(body + 2, f"pc = {pc}")
                 out.emit(body + 2, f"mem.read_byte({addr})  # raises BusError")
             if kind == _LB:
-                out.emit(body + 1, f"value = data[{off}]")
+                out.emit(body + 1, f"value = data[{addr}]")
                 out.emit(body + 1, "if value & 0x80:")
                 out.emit(body + 2, f"value = (value - 0x100) & {_M}")
                 out.emit(body + 1, f"{out.write(a)} = value")
             else:
-                out.emit(body + 1, f"{out.write(a, 0xFF)} = data[{off}]")
-            out.complete(loads=1, mem_reads=1)
+                out.emit(body + 1, f"{out.write(a, 0xFF)} = data[{addr}]")
+            out.complete()
         elif kind == _SW and (b, c) in out.verified:
             value = out.read(a)
             out.clobber_memory(except_key=(b, c))
@@ -603,20 +556,20 @@ def _generate(cpu, entry_pc, run) -> str:
             out.emit(body, f"if cover[{index_name}] is not None:")
             out.emit(body + 1, f"cpu._drop_superblocks_at({index_name})")
             out.emit(body, f"if {span_lo} <= {index_name} <= {span_hi}:")
-            out.materialize(body + 1, executed=1, stores=1, mem_writes=1)
+            out.materialize(body + 1, 1)
             out.emit(body + 1, f"pc = {next_pc}")
             out.emit(body + 1, "return False  # stale self: back to dispatch")
             known[1] = value
-            out.complete(stores=1, mem_writes=1)
+            out.complete()
         elif kind == _SW:
             value = out.read(a)
             out.clobber_memory()
             addr, abound = address_of(b, c)
-            off, fast_guard, slow_guard = word_guards(addr, abound)
+            fast_guard, slow_guard = word_guards(addr, abound)
             out.index_seq += 1
             index_name = f"index{out.index_seq}"
             out.emit(body, f"if {fast_guard}:")
-            out.emit(body + 1, f"{index_name} = {off} >> 2")
+            out.emit(body + 1, f"{index_name} = {addr} >> 2")
             out.emit(body + 1, f"words[{index_name}] = {value}")
             out.emit(body + 1, f"if decoded[{index_name}] is not None:")
             out.emit(body + 2, f"decoded[{index_name}] = None")
@@ -624,18 +577,17 @@ def _generate(cpu, entry_pc, run) -> str:
             out.emit(body + 1, f"if cover[{index_name}] is not None:")
             out.emit(body + 2, f"cpu._drop_superblocks_at({index_name})")
             out.emit(body + 1, f"if {span_lo} <= {index_name} <= {span_hi}:")
-            out.materialize(body + 2, executed=1, stores=1, mem_writes=1)
+            out.materialize(body + 2, 1)
             out.emit(body + 2, f"pc = {next_pc}")
             out.emit(body + 2, "return False  # stale self: back to dispatch")
             out.verified[(b, c)] = [index_name, value]
             out.emit(body, f"elif {addr} >= {periph}:")
-            if out.pending["executed"]:
+            if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 peripheral_entry(
                     body + 1,
                     next_pc,
-                    "stores",
                     [
                         "if cpu.bus_write is None:",
                         "    raise CpuFault("
@@ -644,22 +596,21 @@ def _generate(cpu, entry_pc, run) -> str:
                     ],
                 )
             out.emit(body, "else:")
-            out.materialize(body + 1, stores=1)
+            out.materialize(body + 1)
             out.emit(body + 1, f"pc = {pc}")
             out.emit(body + 1, f"if {slow_guard}:")
             out.emit(body + 2, f"mem.write_word({addr}, {value})  # raises BusError")
             out.emit(
                 body + 1,
-                f"data[{off} : {off} + 4] = ({value}).to_bytes(4, 'little')",
+                f"data[{addr} : {addr} + 4] = ({value}).to_bytes(4, 'little')",
             )
-            out.emit(body + 1, "mem_writes += 1")
-            out.emit(body + 1, f"index = {off} >> 2")
+            out.emit(body + 1, f"index = {addr} >> 2")
             out.emit(body + 1, "if decoded[index] is not None:")
             out.emit(body + 2, "decoded[index] = None")
             out.emit(body + 2, "invalidations += 1")
             out.emit(body + 1, "if cover[index] is not None:")
             out.emit(body + 2, "cpu._drop_superblocks_at(index)")
-            out.emit(body + 1, f"index2 = ({off} + 3) >> 2")
+            out.emit(body + 1, f"index2 = ({addr} + 3) >> 2")
             out.emit(body + 1, "if decoded[index2] is not None:")
             out.emit(body + 2, "decoded[index2] = None")
             out.emit(body + 2, "invalidations += 1")
@@ -668,20 +619,19 @@ def _generate(cpu, entry_pc, run) -> str:
             out.emit(body + 1, "executed += 1")
             out.emit(body + 1, f"pc = {next_pc}")
             out.emit(body + 1, "return False  # cold path: back to dispatch")
-            out.complete(stores=1, mem_writes=1)
+            out.complete()
         elif kind == _SB:
             value = out.read(a)
             vmask = "" if out.bound(a) <= 0xFF else " & 0xFF"
             out.clobber_memory()
             addr, abound = address_of(b, c)
             out.emit(body, f"if {addr} >= {periph}:")
-            if out.pending["executed"]:
+            if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 peripheral_entry(
                     body + 1,
                     next_pc,
-                    "stores",
                     [
                         "if cpu.bus_write is None:",
                         "    raise CpuFault("
@@ -690,37 +640,31 @@ def _generate(cpu, entry_pc, run) -> str:
                     ],
                 )
             out.emit(body, "else:")
-            if mbase == 0:
-                off = addr
-                raise_guard = None if abound < msize else f"{addr} >= {msize}"
-            else:
-                out.emit(body + 1, f"offset = {addr} - {mbase}")
-                off = "offset"
-                raise_guard = f"offset < 0 or offset >= {msize}"
+            raise_guard = None if abound < msize else f"{addr} >= {msize}"
             if raise_guard:
                 out.emit(body + 1, f"if {raise_guard}:")
-                out.materialize(body + 2, stores=1)
+                out.materialize(body + 2)
                 out.emit(body + 2, f"pc = {pc}")
                 out.emit(body + 2, f"mem.write_byte({addr}, {value})  # raises BusError")
-            out.emit(body + 1, f"data[{off}] = {value}{vmask}")
-            out.emit(body + 1, f"index = {off} >> 2")
+            out.emit(body + 1, f"data[{addr}] = {value}{vmask}")
+            out.emit(body + 1, f"index = {addr} >> 2")
             out.emit(body + 1, "if decoded[index] is not None:")
             out.emit(body + 2, "decoded[index] = None")
             out.emit(body + 2, "invalidations += 1")
             out.emit(body + 1, "if cover[index] is not None:")
             out.emit(body + 2, "cpu._drop_superblocks_at(index)")
             out.emit(body + 1, f"if {span_lo} <= index <= {span_hi}:")
-            out.materialize(body + 2, executed=1, stores=1, mem_writes=1)
+            out.materialize(body + 2, 1)
             out.emit(body + 2, f"pc = {next_pc}")
             out.emit(body + 2, "return False  # stale self: back to dispatch")
-            out.complete(stores=1, mem_writes=1)
+            out.complete()
         elif kind in (_BEQ, _BNE):
             assert is_terminal
             operator = "==" if kind == _BEQ else "!="
             if fused:
                 out.emit(body, "it += 1")
             else:
-                out.materialize(body, executed=1)
+                out.materialize(body, 1)
             out.emit(body, f"if {out.read(a)} {operator} {out.read(b)}:")
             if fused:
                 out.emit(body + 1, "if it < limit:")
@@ -739,7 +683,7 @@ def _generate(cpu, entry_pc, run) -> str:
             if fused:
                 out.emit(body, "it += 1")
             else:
-                out.materialize(body, executed=1)
+                out.materialize(body, 1)
             out.emit(body, f"s = {out.read(a)}")
             if kind == _BLEZ:
                 out.emit(body, "if s == 0 or s > 0x7FFFFFFF:")
@@ -766,23 +710,23 @@ def _generate(cpu, entry_pc, run) -> str:
                 flush_iterations(body)
                 out.emit(body, f"pc = {entry_pc}")
             else:
-                out.materialize(body, executed=1)
+                out.materialize(body, 1)
                 out.emit(body, f"pc = {a}")
             out.emit(body, "return False")
         elif kind == _JAL:
             assert is_terminal
-            out.materialize(body, executed=1)
+            out.materialize(body, 1)
             out.emit(body, f"{out.write(31, b)} = {b}")
             out.emit(body, f"pc = {a}")
             out.emit(body, "return False")
         elif kind == _JR:
             assert is_terminal
-            out.materialize(body, executed=1)
+            out.materialize(body, 1)
             out.emit(body, f"pc = {out.read(a)}")
             out.emit(body, "return False")
         elif kind == _JALR:
             assert is_terminal
-            out.materialize(body, executed=1)
+            out.materialize(body, 1)
             out.emit(body, f"pc = {out.read(b)}")
             out.emit(body, f"{out.write(a, c)} = {c}")
             out.emit(body, "return False")
@@ -800,7 +744,7 @@ def _generate(cpu, entry_pc, run) -> str:
     header: list[str] = []
     header.append(
         f"def {name}(cpu, reg, decoded, data, words, cover, mem, budget, "
-        "executed, loads, stores, mem_reads, mem_writes, invalidations, out):"
+        "executed, invalidations, out):"
     )
     for index in sorted(out.used):
         header.append(f"    r{index} = reg[{index}]")
@@ -817,11 +761,7 @@ def _generate(cpu, entry_pc, run) -> str:
         footer.append(f"        reg[{index}] = r{index}")
     footer.append("        out[0] = pc")
     footer.append("        out[1] = executed")
-    footer.append("        out[2] = loads")
-    footer.append("        out[3] = stores")
-    footer.append("        out[4] = mem_reads")
-    footer.append("        out[5] = mem_writes")
-    footer.append("        out[6] = invalidations")
+    footer.append("        out[2] = invalidations")
     return "\n".join(header + out.lines + footer) + "\n"
 
 
@@ -834,12 +774,10 @@ def install_superblock(cpu, entry_pc):
     rewritten) when no compilable run starts there.
     """
     run = _scan(cpu, entry_pc)
-    mbase = cpu.memory.base
     if run is None:
         cpu._superblocks[entry_pc] = False
-        offset = entry_pc - mbase
-        if 0 <= offset < cpu.memory.size and not offset & 3:
-            _register_span(cpu, entry_pc, offset >> 2, offset >> 2)
+        if 0 <= entry_pc < cpu.memory.size and not entry_pc & 3:
+            _register_span(cpu, entry_pc, entry_pc >> 2, entry_pc >> 2)
         return False
     source = _generate(cpu, entry_pc, run)
     name = f"_sb_{entry_pc:08x}"
@@ -849,9 +787,7 @@ def install_superblock(cpu, entry_pc):
     function.__source__ = source  # introspection/debugging aid
     entry = (function, len(run))
     cpu._superblocks[entry_pc] = entry
-    span_lo = (run[0][0] - mbase) >> 2
-    span_hi = (run[-1][0] - mbase) >> 2
-    _register_span(cpu, entry_pc, span_lo, span_hi)
+    _register_span(cpu, entry_pc, run[0][0] >> 2, run[-1][0] >> 2)
     cpu.superblock_compile_count += 1
     return entry
 

@@ -249,12 +249,7 @@ class _CpuBlockDriver(Module):
                 fit = 1
             if fit < budget:
                 budget = fit
-        executed = self.cpu.run_block(budget)
-        if executed < 1:
-            # Halted CPU: let the idle cycles pass in bulk (the per-tick
-            # ticker would fire on each of them and do nothing).
-            executed = budget
-        cycle = self.cycle + executed
+        cycle = self.cycle + self.cpu.run_block(budget)
         self.cycle = cycle
         origin = self._grid_origin
         period = self.period
@@ -369,7 +364,7 @@ class SmartSystemPlatform:
         self.cpu_clock_hz = float(cpu_clock_hz)
         self.cpu_period = 1.0 / float(cpu_clock_hz)
 
-        self.memory = Memory(size=RAM_SIZE, base=0)
+        self.memory = Memory(size=RAM_SIZE)
         self.bus = ApbBus(PERIPHERAL_BASE)
         self.uart = Uart()
         self.adc = AdcBridge(record=record_analog)

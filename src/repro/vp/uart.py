@@ -30,8 +30,6 @@ class Uart(ApbPeripheral):
         self.name = name
         self.transmitted: list[int] = []
         self._receive_queue: list[int] = []
-        self.tx_count = 0
-        self.rx_count = 0
         self.baud_divisor = 0
 
     # -- register interface ------------------------------------------------------------------
@@ -43,7 +41,6 @@ class Uart(ApbPeripheral):
             return status
         if offset == RX_DATA:
             if self._receive_queue:
-                self.rx_count += 1
                 return self._receive_queue.pop(0)
             return 0
         if offset == TX_DATA:
@@ -55,7 +52,6 @@ class Uart(ApbPeripheral):
     def write_register(self, offset: int, value: int) -> None:
         if offset == TX_DATA:
             self.transmitted.append(value & 0xFF)
-            self.tx_count += 1
         elif offset == BAUD_DIV:
             self.baud_divisor = value & 0xFFFF
 

@@ -16,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.expr.ast import Constant
+from repro.expr.ast import Call, Constant
+from repro.expr.simplify import constant_value, simplify
 from repro.expr.tape import Tape, Traced, plain
 
 
@@ -100,6 +101,14 @@ def test_an_untraced_use_marks_the_tape_escaped(escape):
     value = tape.input(3.0)
     escape(value)
     assert tape.escaped
+
+
+@pytest.mark.parametrize("fold", [simplify, constant_value], ids=["simplify", "constant_value"])
+def test_folding_a_call_of_a_traced_constant_marks_the_tape_escaped(fold):
+    tape = Tape()
+    folded = fold(Call("exp", (Constant(tape.input(0.5)),)))
+    assert tape.escaped
+    assert float(getattr(folded, "value", folded)) == math.exp(0.5)
 
 
 def test_a_constant_keeps_its_traced_value():

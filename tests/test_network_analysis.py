@@ -123,6 +123,38 @@ class TestMnaSolutions:
         trace = model.run({"u": lambda t: 1.0}, 8 * tau, ["I(L1)"])["I(L1)"]
         assert trace.values[-1] == pytest.approx(1.0 / 100.0, rel=1e-2)
 
+    @pytest.mark.parametrize(
+        "method, ratio", [(TRAPEZOIDAL, (3.5, 4.5)), (BACKWARD_EULER, (1.8, 2.2))]
+    )
+    def test_rl_inductor_companion_converges_at_its_order(self, method, ratio):
+        # A sine from rest keeps the zero initial state consistent with the
+        # input, so the error shows the rule's order, not the half-step
+        # shift a step at t = 0 gives the trapezoidal rule.
+        resistance, inductance, omega = 100.0, 1e-3, 2 * math.pi * 20e3
+        reactance = omega * inductance
+        norm = resistance**2 + reactance**2
+
+        def analytic(t):
+            return (
+                resistance * np.sin(omega * t)
+                - reactance * np.cos(omega * t)
+                + reactance * np.exp(-resistance * t / inductance)
+            ) / norm
+
+        errors = []
+        for dt in (100e-9, 50e-9, 25e-9):
+            circuit = Circuit("rl")
+            circuit.add_voltage_source("in", "gnd", input_signal="u")
+            circuit.add_resistor("in", "mid", resistance)
+            circuit.add_inductor("mid", "gnd", inductance, name="L1")
+            model = ElnModel(circuit, dt, method=method)
+            stimulus = {"u": lambda t: math.sin(omega * t)}
+            trace = model.run(stimulus, 100e-6, ["I(L1)"])["I(L1)"]
+            times = np.asarray(trace.times)
+            errors.append(np.max(np.abs(np.asarray(trace.values) - analytic(times))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert ratio[0] <= coarse / fine <= ratio[1], errors
+
     def test_vcvs_amplifier_gain(self):
         circuit = Circuit("amp")
         circuit.add_voltage_source("in", "gnd", input_signal="u")

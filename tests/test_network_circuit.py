@@ -9,6 +9,7 @@ from repro.network import (
     Capacitor,
     Circuit,
     CircuitGraph,
+    Inductor,
     Resistor,
     VoltageSource,
     count_state_variables,
@@ -38,6 +39,22 @@ class TestCircuitConstruction:
             Resistor(-1.0)
         with pytest.raises(ValueError):
             Capacitor(0.0)
+
+    @pytest.mark.parametrize("component", [Resistor, Capacitor, Inductor])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_component_values_are_refused(self, component, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            component(value)
+
+    @pytest.mark.parametrize(
+        "component, initial",
+        [(Capacitor, "initial_voltage"), (Inductor, "initial_current")],
+    )
+    def test_components_take_no_initial_condition(self, component, initial):
+        # Every solver starts from zero, so a set initial condition would be
+        # silently ignored.
+        with pytest.raises(TypeError):
+            component(1e-6, **{initial: 1.0})
 
     def test_branches_at_and_other_end(self):
         circuit = Circuit("c")

@@ -31,7 +31,6 @@ class TestPeripherals:
         uart.write_register(TX_DATA, ord("H"))
         uart.write_register(TX_DATA, ord("i"))
         assert uart.output_text() == "Hi"
-        assert uart.tx_count == 2
 
     def test_uart_receive_queue(self):
         uart = Uart()
