@@ -25,6 +25,7 @@ import dataclasses
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappush
 from typing import Callable, Mapping
 
@@ -172,7 +173,10 @@ class _CpuBlockDriver(Module):
       is unobservable;
     * the block budget is clamped to the kernel's ``end_time`` horizon so a
       bounded ``run(duration)`` retires exactly as many instructions as the
-      per-tick model would.
+      per-tick model would;
+    * an instruction that raises after the burst retired others raises again
+      from an event on its own clock cycle, keyed as its per-tick wake, so
+      everything the per-tick model fires before the crash fires first.
 
     ``block_cycles=1`` degenerates to the historical per-tick behaviour.
     """
@@ -249,7 +253,18 @@ class _CpuBlockDriver(Module):
                 fit = 1
             if fit < budget:
                 budget = fit
-        cycle = self.cycle + self.cpu.run_block(budget)
+        cpu = self.cpu
+        before = cpu.instruction_count
+        action = self._action
+        try:
+            cycle = self.cycle + cpu.run_block(budget)
+        except Exception as error:
+            if cpu.instruction_count == before:
+                raise
+            # The raising instruction's cycle lies ahead of ``now``: it
+            # raises again from an event on that cycle, not from this one.
+            cycle = self.cycle + cpu.instruction_count - before
+            action = partial(_reraise, error)
         self.cycle = cycle
         origin = self._grid_origin
         period = self.period
@@ -264,9 +279,13 @@ class _CpuBlockDriver(Module):
                 quantize(origin + cycle * period),
                 quantize(origin + (cycle - 1) * period),
                 sequence,
-                self._action,
+                action,
             ),
         )
+
+
+def _reraise(error: Exception) -> None:
+    raise error
 
 
 class _PythonAnalog:
