@@ -139,9 +139,10 @@ class PlatformRunResult:
 
 
 #: Default cap on the instructions :class:`_CpuBlockDriver` retires per
-#: kernel event.  Any cap gives identical run fingerprints; larger ones are
-#: faster.
-CPU_BLOCK_CYCLES = 256
+#: kernel event.  Any cap gives identical runs, crashed ones included;
+#: compute-bound firmware runs faster with larger ones (see "Basic-block
+#: stepping" in ``docs/performance.md``).
+CPU_BLOCK_CYCLES = 4096
 
 #: Bytes of RAM, mapped at address 0: the firmware image and its data.
 RAM_SIZE = 64 * 1024
