@@ -19,6 +19,7 @@ import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING, NamedTuple
 
+from ..errors import PlatformError
 from .apb import ApbPeripheral
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (the platform imports us)
@@ -78,7 +79,13 @@ class AdcBridge(ApbPeripheral):
     # -- register interface -----------------------------------------------------------------
     def read_register(self, offset: int) -> int:
         if offset == DATA:
-            millivolts = int(round(self._raw_value * 1000.0 / self.millivolts_per_unit))
+            try:
+                millivolts = int(round(self._raw_value * 1000.0 / self.millivolts_per_unit))
+            except (ValueError, OverflowError):
+                raise PlatformError(
+                    f"{self.name}: sample {self.sample_count} is {self._raw_value!r}, "
+                    "which has no millivolt reading"
+                ) from None
             return millivolts & 0xFFFFFFFF
         if offset == STATUS:
             return STATUS_VALID if self._valid else 0

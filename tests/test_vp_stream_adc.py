@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -275,3 +276,32 @@ class TestStreamAgainstPushMode:
         assert crash.crashed.startswith("BusError")
         assert crash.simulated_time == instant
         assert crash.analog_samples == before
+
+
+def fails_after_5us(time: float) -> float:
+    """A sensor input that turns NaN 5 us into the run."""
+    return math.nan if time > 5e-6 else 1.0
+
+
+class TestNonFiniteSamples:
+    def test_a_nan_sample_crashes_push_and_stream_runs_alike(self):
+        """Reading a NaN sample is the run's ``PlatformError``, recorded as
+        its crash in push and stream mode alike, not an error that aborts
+        the campaign."""
+        stimuli = {"vin": fails_after_5us}
+        spec = FaultCampaignSpec(
+            faults=[UartCorruptionFault(0x20)],
+            activation_times=(2e-6,),
+            scenarios=PlatformScenarioSpec(firmwares={"threshold": FIRMWARES["threshold"]}),
+        )
+        reference = push_mode_payloads(spec, 20e6, 50e-9, stimuli)
+        result = FaultCampaignRunner(BENCH.build, "out", stimuli, progress=False).run(
+            spec, DURATION
+        )
+        payloads = [run.to_payload() for run in result.results]
+        # The traces end in NaN, which equals nothing: compare their JSON.
+        assert json.dumps(payloads) == json.dumps(reference)
+        for payload in payloads:
+            assert payload["crashed"].startswith("PlatformError: adc0: sample ")
+            assert "is nan" in payload["crashed"]
+            assert payload["simulated_time"] < DURATION
