@@ -6,7 +6,7 @@ completed unit of work, named by the digest of the unit's full inputs (see
 
     <campaign-dir>/
         store.json            # format marker
-        runs/<sha256>.json    # {"format": 3, "key": ..., "inputs": ..., "record": ...}
+        runs/<sha256>.json    # {"format": 4, "key": ..., "inputs": ..., "record": ...}
         blocks/<sha256>.f64   # little-endian float64 samples, named by their digest
 
 Properties the batch engines rely on:
@@ -52,8 +52,10 @@ from .atomic import atomic_write_bytes, atomic_write_json
 from .keys import digest_key
 
 #: Schema version written into the marker and every record.  Format 3
-#: writes each distinct float sequence once, as a content-addressed block.
-STORE_FORMAT = 3
+#: writes each distinct float sequence once, as a content-addressed block;
+#: format 4 records a crash mid-burst at the raising instruction's cycle,
+#: where a format-3 record may hold the burst's start.
+STORE_FORMAT = 4
 
 #: The key of a block reference; a record may not use it otherwise.
 BLOCK = "$f64"
