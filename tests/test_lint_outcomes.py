@@ -11,7 +11,10 @@ table instead.  It holds:
   planted ``BREAKABLE_RULES`` defect;
 * for every one of those netlists that elaborates, a digest of its
   ``to_circuit`` result: the circuit name, ground and nodes, and each
-  branch's name, terminals and component repr.
+  branch's name, component type and constitutive relation
+  (``component.dipole_equation``).  The relation, not the component's
+  fields, is what the abstraction reads, so a component field that changes
+  no relation changes no digest.
 
 The table was recorded before the linter read the builder's recognition.
 Re-record it only for a deliberate change of lint findings or of
@@ -69,10 +72,12 @@ def circuit_digest(source: str) -> "str | None":
         for module in parse_source(source):
             circuit = to_circuit(module)
             lines.append(f"{circuit.name} {circuit.ground} {circuit.node_names()}")
-            lines.extend(
-                f"{branch.name} {branch.positive} {branch.negative} {branch.component!r}"
-                for branch in circuit
-            )
+            for branch in circuit:
+                relation = branch.component.dipole_equation(branch, circuit.ground)
+                lines.append(
+                    f"{branch.name} {type(branch.component).__name__} "
+                    f"{relation.lhs} == {relation.rhs}"
+                )
     except (ReproError, ValueError):
         return None
     return digest("\n".join(lines))
