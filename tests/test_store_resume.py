@@ -27,6 +27,7 @@ from repro.fault import (
     AdcStuckBitFault,
     FaultCampaignRunner,
     FaultCampaignSpec,
+    InstructionCorruptionFault,
     MemoryBitFlipFault,
     ParameterDriftFault,
     UartCorruptionFault,
@@ -143,15 +144,26 @@ class TestPlatformSweepResume:
         assert again.fingerprints() == first.fingerprints()
 
     def test_records_are_shared_across_block_sizes(self, tmp_path):
-        # Block-stepped execution is bit-identical at any block size (the
-        # PR-3 guarantee), so cpu_block_cycles is deliberately not part of
-        # the content key: a store filled at 256 serves a resume at 1.
-        spec = platform_spec(styles=("python",))
-        platform_runner(store=tmp_path, cpu_block_cycles=256).run(spec, DURATION)
-        per_tick = platform_runner(
+        # Runs are bit-identical at any block size, crashed ones included,
+        # so cpu_block_cycles is deliberately not part of the content key: a
+        # store filled at the default cap serves a resume at 1.  Both code
+        # words follow an ADC read in its burst, so their runs crash inside
+        # a burst.
+        spec = FaultCampaignSpec(
+            faults=[InstructionCorruptionFault(0x38), InstructionCorruptionFault(0x40)],
+            activation_times=(ACTIVATION,),
+            scenarios=PlatformScenarioSpec(firmwares=FIRMWARES),
+        )
+        filled = campaign_runner(store=tmp_path).run(spec, CAMPAIGN_DURATION)
+        payloads = [run.to_payload() for run in filled.results]
+        assert sum(payload["crashed"] is not None for payload in payloads) == 2
+        per_tick = campaign_runner(
             store=tmp_path, resume=True, cpu_block_cycles=1
-        ).run(spec, DURATION)
+        ).run(spec, CAMPAIGN_DURATION)
         assert per_tick.executed_count == 0
+        assert [run.to_payload() for run in per_tick.results] == payloads
+        fresh = campaign_runner(cpu_block_cycles=1).run(spec, CAMPAIGN_DURATION)
+        assert [run.to_payload() for run in fresh.results] == payloads
 
     def test_store_key_separates_styles_firmware_and_duration(self, tmp_path):
         spec = platform_spec(styles=("python",))

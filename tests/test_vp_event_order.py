@@ -34,7 +34,7 @@ FIRMWARES = {
     "threshold": threshold_monitor_source(500),
     "averaging": averaging_monitor_source(),
 }
-BLOCKS = (1, 7, 256)
+BLOCKS = (1, 7, 256, 4096)
 DURATION = 30e-6
 
 BENCH = rc_benchmark(1)

@@ -158,7 +158,7 @@ class TestSmartSystemPlatform:
 
         duration = 60e-6 if style == "cosim" else 120e-6
         outcomes = []
-        for block in (1, 7, 256):
+        for block in (1, 7, 256, 4096):
             stimuli = {"vin": SquareWave(period=40e-6)}
             platform = SmartSystemPlatform(
                 firmware=threshold_monitor_source(100),
@@ -173,7 +173,7 @@ class TestSmartSystemPlatform:
                 )
             result = platform.run(duration)
             outcomes.append((result.fingerprint(), tuple(result.analog_trace)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[1:] == outcomes[:1] * 3
 
     def test_cpu_block_cycles_must_be_positive(self):
         with pytest.raises(ValueError):

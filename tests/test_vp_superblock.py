@@ -310,13 +310,15 @@ loop:   {op:5} $s1, 0($s0)
         j     loop
 """
 
-#: Burst sizes of each tier.  The superblock schedule mixes short bursts, so
-#: that every pc of a loop becomes a hot burst entry, with long ones that
-#: run the compiled (and fused) code.
+#: Burst sizes of each tier; 4096 is the platform's default cap.  The
+#: superblock schedule mixes short bursts, so that every pc of a loop becomes
+#: a hot burst entry, with long ones that run the compiled (and fused) code.
+#: A burst that enters uncompiled code heats one pc only, so three rounds of
+#: short bursts come before each 4096-instruction one.
 TIER_CHUNKS = {
     "tick": (1,),
-    "block": (256, 7, 64),
-    "superblock": (3, 5, 7, 11, 13, 2, 17, 64, 256),
+    "block": (4096, 256, 7, 64),
+    "superblock": 3 * (3, 5, 7, 11, 13, 2, 17, 64, 256) + (4096,),
 }
 
 #: program -> (source, instructions to run, kinds that must be compiled).
@@ -352,6 +354,9 @@ def _kind(mnemonic: str) -> int:
 #: Instructions between two digests of a run: a result overwritten later in
 #: its loop is still compared, at whichever digest falls before that.
 DIGEST_EVERY = 257
+#: A digest interval no run reaches.  A digest cuts the burst it falls in,
+#: so only at this interval does every burst of a schedule run whole.
+WHOLE_BURSTS = 1 << 20
 
 
 def run_through_tier(source: str, tier: str, total: int, every: int = DIGEST_EVERY):
@@ -424,10 +429,11 @@ class TestEveryKindThroughEveryTier:
     """Each decoded kind runs per tick, block-stepped with superblocks off,
     and compiled after warm-up; all three leave the same state and bus log."""
 
+    @pytest.mark.parametrize("every", [DIGEST_EVERY, WHOLE_BURSTS])
     @pytest.mark.parametrize("name", sorted(KIND_PROGRAMS))
-    def test_tiers_agree(self, name):
+    def test_tiers_agree(self, name, every):
         source, total, mnemonics = KIND_PROGRAMS[name]
-        runs = {tier: run_through_tier(source, tier, total) for tier in TIER_CHUNKS}
+        runs = {tier: run_through_tier(source, tier, total, every) for tier in TIER_CHUNKS}
         reference = runs["tick"]
         assert reference[3] is None
         assert reference[1][-1][4] == total
@@ -437,6 +443,9 @@ class TestEveryKindThroughEveryTier:
             assert runs[tier][1] == reference[1], tier
             assert runs[tier][2] == reference[2], tier
             assert runs[tier][3] is None, tier
+        if every == WHOLE_BURSTS:
+            # A 4096-instruction burst can finish a loop before it is hot.
+            return
         cpu = runs["superblock"][0]
         missing = {m for m in mnemonics.split() if _kind(m) not in compiled_kinds(cpu)}
         assert not missing, f"never compiled: {sorted(missing)}"
