@@ -425,30 +425,40 @@ def compiled_kinds(cpu: MipsCpu) -> set[int]:
     }
 
 
+def assert_tiers_agree(name: str, every: int) -> MipsCpu:
+    """Run a :data:`KIND_PROGRAMS` program through every tier with digests
+    every ``every`` instructions; all must match the per-tick run.  Returns
+    the superblock tier's CPU."""
+    source, total, _ = KIND_PROGRAMS[name]
+    runs = {tier: run_through_tier(source, tier, total, every) for tier in TIER_CHUNKS}
+    reference = runs["tick"]
+    assert reference[3] is None
+    assert reference[1][-1][4] == total
+    if name == "memory":
+        assert len(reference[2]) == 5 * 300
+    for tier in ("block", "superblock"):
+        assert runs[tier][1] == reference[1], tier
+        assert runs[tier][2] == reference[2], tier
+        assert runs[tier][3] is None, tier
+    return runs["superblock"][0]
+
+
 class TestEveryKindThroughEveryTier:
     """Each decoded kind runs per tick, block-stepped with superblocks off,
     and compiled after warm-up; all three leave the same state and bus log."""
 
-    @pytest.mark.parametrize("every", [DIGEST_EVERY, WHOLE_BURSTS])
     @pytest.mark.parametrize("name", sorted(KIND_PROGRAMS))
-    def test_tiers_agree(self, name, every):
-        source, total, mnemonics = KIND_PROGRAMS[name]
-        runs = {tier: run_through_tier(source, tier, total, every) for tier in TIER_CHUNKS}
-        reference = runs["tick"]
-        assert reference[3] is None
-        assert reference[1][-1][4] == total
-        if name == "memory":
-            assert len(reference[2]) == 5 * 300
-        for tier in ("block", "superblock"):
-            assert runs[tier][1] == reference[1], tier
-            assert runs[tier][2] == reference[2], tier
-            assert runs[tier][3] is None, tier
-        if every == WHOLE_BURSTS:
-            # A 4096-instruction burst can finish a loop before it is hot.
-            return
-        cpu = runs["superblock"][0]
+    def test_tiers_agree(self, name):
+        cpu = assert_tiers_agree(name, DIGEST_EVERY)
+        mnemonics = KIND_PROGRAMS[name][2]
         missing = {m for m in mnemonics.split() if _kind(m) not in compiled_kinds(cpu)}
         assert not missing, f"never compiled: {sorted(missing)}"
+
+    @pytest.mark.parametrize("name", sorted(KIND_PROGRAMS))
+    def test_tiers_agree_in_whole_bursts(self, name):
+        # No digest cuts a burst, so each 4096-instruction one runs whole.
+        # It can finish a loop before the loop is hot: no kind must compile.
+        assert_tiers_agree(name, WHOLE_BURSTS)
 
     def test_fused_loops_and_the_size_cap_are_compiled(self):
         fused = set()
