@@ -11,10 +11,10 @@ table instead.  It holds:
   planted ``BREAKABLE_RULES`` defect;
 * for every one of those netlists that elaborates, a digest of its
   ``to_circuit`` result: the circuit name, ground and nodes, and each
-  branch's name, component type and constitutive relation
-  (``component.dipole_equation``).  The relation, not the component's
-  fields, is what the abstraction reads, so a component field that changes
-  no relation changes no digest.
+  branch's name, terminals, component type and constitutive relation
+  (``component.dipole_equation``).  A source's relation need not name its
+  own terminals, so they are digested too; the component's fields are not,
+  so a field that changes no relation changes no digest.
 
 The table was recorded before the linter read the builder's recognition.
 Re-record it only for a deliberate change of lint findings or of
@@ -75,8 +75,8 @@ def circuit_digest(source: str) -> "str | None":
             for branch in circuit:
                 relation = branch.component.dipole_equation(branch, circuit.ground)
                 lines.append(
-                    f"{branch.name} {type(branch.component).__name__} "
-                    f"{relation.lhs} == {relation.rhs}"
+                    f"{branch.name} {branch.positive} {branch.negative} "
+                    f"{type(branch.component).__name__} {relation.lhs} == {relation.rhs}"
                 )
     except (ReproError, ValueError):
         return None
