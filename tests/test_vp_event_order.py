@@ -7,6 +7,13 @@ schedules it, so an access cycle that shares an instant with an analog tick
 sees the ADC in the same state at every block size.  The generated matrix
 below crosses integration styles, analog/CPU period ratios (including exact
 multiples, where the instants coincide), firmwares and block sizes.
+
+A burst runs ahead of the kernel clock, so an instruction that raises after
+others retired raises again from an event on its own clock cycle, keyed as
+its per-tick wake.  The generated crash matrix arms seeded code-word
+corruptions and register flips on the same platforms, ``python`` pushed and
+stream-fed, and requires every crashed run's ``to_payload()`` (time, ADC
+sample count and trace) to be block 1's.
 """
 
 from __future__ import annotations
@@ -18,24 +25,89 @@ import pytest
 
 from repro.circuits import rc_benchmark
 from repro.core.flow import AbstractionFlow
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
+from repro.fault import InstructionCorruptionFault, RegisterTransientFault
 from repro.network.circuit import canonical_quantity
 from repro.sim import Kernel, SquareWave
 from repro.sim.de.simtime import RESOLUTION, quantize
-from repro.vp import SmartSystemPlatform, threshold_monitor_source
-from repro.vp.firmware import averaging_monitor_source
+from repro.vp import SmartSystemPlatform, assemble, threshold_monitor_source
+from repro.vp.firmware import (
+    ADC_COUNT_OFFSET,
+    ADC_DATA_OFFSET,
+    CROSSING_COUNTER_ADDRESS,
+    averaging_monitor_source,
+)
+from repro.vp.platform import python_stream
 
 CPU_HZ = 20e6
 CPU_PERIOD = 1.0 / CPU_HZ
 #: Analog timestep as a multiple of the CPU period.
 RATIOS = (1.0, 3.0, 1.0 / 3.0, 2.5, 20.0)
 STYLES = ("python", "tdf", "de", "eln")
+
+
+def fir_source(taps: int) -> str:
+    """A FIR over a RAM ring of the latest ``taps`` ADC samples: twelve
+    instructions per tap between two ADC polls."""
+    ring_mask = 4 * taps - 1
+    table = "\n".join(f"        .word {3 * tap - 40}" for tap in range(taps))
+    return f"""        .text
+main:
+        lui   $t0, 0x1000
+        li    $s0, 0
+        li    $s2, {CROSSING_COUNTER_ADDRESS:#x}
+        li    $s3, 0x8000            # the sample ring
+        li    $s4, 0
+        la    $s5, coeffs
+poll:
+        lw    $t5, {ADC_COUNT_OFFSET:#x}($t0)
+        beq   $t5, $s0, poll
+        move  $s0, $t5
+        lw    $t1, {ADC_DATA_OFFSET:#x}($t0)
+        addu  $t2, $s3, $s4
+        sw    $t1, 0($t2)
+        addiu $s4, $s4, 4
+        andi  $s4, $s4, {ring_mask}
+        li    $t3, 0
+        li    $t4, 0
+        move  $t6, $s4
+tap:
+        addu  $t7, $s5, $t4
+        lw    $t8, 0($t7)
+        addu  $t9, $s3, $t6
+        lw    $t9, 0($t9)
+        mult  $t8, $t9
+        mflo  $t7
+        addu  $t3, $t3, $t7
+        addiu $t6, $t6, 4
+        andi  $t6, $t6, {ring_mask}
+        addiu $t4, $t4, 4
+        slti  $t7, $t4, {4 * taps}
+        bne   $t7, $zero, tap
+        sra   $t3, $t3, 4
+        sw    $t3, 0($s2)
+        j     poll
+coeffs:
+{table}
+"""
+
+
+#: The FIR works longer than 256 instructions per sample.
 FIRMWARES = {
     "threshold": threshold_monitor_source(500),
     "averaging": averaging_monitor_source(),
+    "fir": fir_source(32),
+}
+#: Registers each firmware keeps an address or an address offset in.
+ADDRESS_REGISTERS = {
+    "threshold": (8, 18),
+    "averaging": (8, 19),
+    "fir": (8, 10, 14, 15, 18, 19, 20, 21, 25),
 }
 BLOCKS = (1, 7, 256, 4096)
 DURATION = 30e-6
+#: Generated crash cases per integration style.
+CRASH_CASES = 30
 
 BENCH = rc_benchmark(1)
 
@@ -81,7 +153,9 @@ class TestKernelSameInstantOrder:
             Kernel().run(1e-6, until=2e-6)
 
 
-def platform(style, ratio, firmware, blocks, models):
+def platform(style, ratio, firmware, blocks, models, stream=False):
+    """A seeded platform; ``stream`` feeds the ``python`` style's ADC from a
+    precomputed analog stream instead of the analog ticker."""
     timestep = CPU_PERIOD * ratio
     # Seeded stimulus per style and ratio; edges half a step off the grid.
     rng = np.random.default_rng([STYLES.index(style), RATIOS.index(ratio)])
@@ -99,13 +173,46 @@ def platform(style, ratio, firmware, blocks, models):
         record_analog=True,
         cpu_block_cycles=blocks,
     )
-    if style == "eln":
+    if stream:
+        vp.attach_analog_stream(python_stream(models[ratio], stimuli, timestep, DURATION))
+    elif style == "eln":
         vp.attach_analog(
             style, stimuli, circuit=BENCH.build(), output=canonical_quantity("out")
         )
     else:
         vp.attach_analog(style, stimuli, model=models[ratio])
     return vp
+
+
+def crash_case(style, index):
+    """A seeded firmware, period ratio, fault and activation time."""
+    # Seeds past the per-ratio stimulus seeds of ``platform``.
+    rng = np.random.default_rng([STYLES.index(style), len(RATIOS) + index])
+    firmware = str(rng.choice(list(FIRMWARES)))
+    ratio = float(rng.choice(RATIOS))
+    program = assemble(FIRMWARES[firmware])
+    if rng.random() < 0.5:
+        # A word of the main loop, which runs after the activation time.
+        end = program.symbols.get("coeffs", len(program.to_bytes()))
+        first = program.symbols["poll"]
+        fault = InstructionCorruptionFault(4 * int(rng.integers(first // 4, end // 4)))
+    else:
+        fault = RegisterTransientFault(
+            int(rng.choice(ADDRESS_REGISTERS[firmware])),
+            int(rng.choice([0, 1, 15, 16, 20, 28, 31])),
+        )
+    at = float(rng.uniform(0.05, 0.5)) * DURATION
+    if rng.random() < 0.5:
+        at = round(at / CPU_PERIOD) * CPU_PERIOD  # on a CPU cycle
+    return firmware, ratio, fault, at
+
+
+def payload(vp) -> dict:
+    """A run's payload; a crash is captured as the campaigns capture it."""
+    try:
+        return vp.run(DURATION).to_payload()
+    except ReproError as error:
+        return vp.snapshot(crashed=f"{type(error).__name__}: {error}").to_payload()
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +261,46 @@ class TestBlockSteppedOrder:
                     blocks,
                 )
                 assert result.analog_trace == reference.analog_trace, (firmware, blocks)
+
+    @pytest.mark.parametrize("style", STYLES)
+    def test_crashed_runs_match_per_tick(self, style, models):
+        runs = [(blocks, False) for blocks in BLOCKS]
+        if style == "python":
+            runs += [(blocks, True) for blocks in BLOCKS]
+        crashes = []
+        for index in range(CRASH_CASES):
+            firmware, ratio, fault, at = case = crash_case(style, index)
+            payloads = []
+            for blocks, stream in runs:
+                vp = platform(style, ratio, firmware, blocks, models, stream)
+                fault.arm(vp, at, None)
+                payloads.append(payload(vp))
+            for (blocks, stream), result in zip(runs[1:], payloads[1:]):
+                assert result == payloads[0], (index, case, blocks, stream)
+            crashes.append(payloads[0]["crashed"])
+        crashed = [crash for crash in crashes if crash is not None]
+        assert len(crashed) >= CRASH_CASES // 4, crashes
+        assert {crash.split(":")[0] for crash in crashed} == {"CpuFault", "BusError"}
+
+    def test_register_flip_reproducer(self, models):
+        """``$s2`` bit 16 at 1 us sends the threshold firmware's counter
+        store outside RAM one cycle later: it crashes at 1.05 us with 20
+        samples at every block size.  A burst that reported its own start
+        gave 1.00 us and 19 samples."""
+        outcomes = set()
+        for blocks in BLOCKS:
+            vp = SmartSystemPlatform(
+                firmware=threshold_monitor_source(500), cpu_block_cycles=blocks
+            )
+            vp.attach_analog_python(models[1.0], {"vin": SquareWave(period=40e-6)})
+            RegisterTransientFault(18, 16).arm(vp, 1e-6, None)
+            with pytest.raises(ReproError, match="outside the 65536-byte RAM"):
+                vp.run(5e-6)
+            result = vp.snapshot()
+            outcomes.add((result.simulated_time, result.analog_samples, result.instructions))
+        assert len(outcomes) == 1
+        (time, samples, _), = outcomes
+        assert time == pytest.approx(1.05e-6) and samples == 20
 
 
 class TestPlatformSchedulerEntry:
