@@ -9,8 +9,8 @@ golden run and classified into silent / trace-divergent / firmware-detected /
 crash.
 
 ``--smoke`` runs the CI-sized campaign and *asserts* the classification is
-alive — at least one detected and at least one silent fault — so a broken
-detectability analysis fails the pipeline instead of printing garbage
+alive — at least one silent, one detected and one crashing fault — so a
+broken detectability analysis fails the pipeline instead of printing garbage
 coverage numbers.
 
 ``--store DIR`` makes the campaign durable: every completed run is
@@ -39,17 +39,19 @@ from ..sim.sources import SquareWave
 from ..store import CampaignInterrupted, RunStore
 from ..sweep.platform import PlatformScenarioSpec
 from ..vp.firmware import threshold_monitor_source
+from ..vp.mips import assemble
 from .campaign import FaultCampaignRunner, FaultCampaignSpec
 from ..errors import FaultError
 from .models import (
     AdcStuckBitFault,
+    InstructionCorruptionFault,
     MemoryBitFlipFault,
     ParameterDriftFault,
     UartCorruptionFault,
     analog_fault_universe,
     digital_fault_universe,
 )
-from .report import VERDICT_SILENT, VERDICTS, FaultCampaignResult
+from .report import VERDICT_CRASH, VERDICT_SILENT, VERDICTS, FaultCampaignResult
 
 
 def silent_sentinel(circuit) -> ParameterDriftFault:
@@ -85,6 +87,10 @@ def smoke_problems(result: FaultCampaignResult) -> list[str]:
     if detected < 1:
         problems.append(
             "no fault was detected — the stuck ADC bit must perturb the firmware"
+        )
+    if counts[VERDICT_CRASH] < 1:
+        problems.append(
+            "no fault crashed the platform — the corrupted poll word must"
         )
     return problems
 
@@ -201,13 +207,16 @@ def main(argv: "list[str] | None" = None) -> int:
     stimuli = {name: SquareWave(period=4e-5) for name in bench.stimuli}
 
     sentinel = silent_sentinel(bench.circuit())
+    firmware = threshold_monitor_source(arguments.threshold_mv)
     if arguments.smoke:
+        poll = assemble(firmware).symbols["poll"]
         faults = [
             sentinel,  # below any threshold: silent
             ParameterDriftFault(sentinel.branch, 2.0),  # visible analog divergence
             AdcStuckBitFault(bit=9, stuck_at=1),  # +512 mV: firmware must react
             MemoryBitFlipFault(bit=0),  # crossing-counter upset
             UartCorruptionFault(0x20),  # serial-link corruption
+            InstructionCorruptionFault(poll),  # illegal opcode: crash
         ]
     else:
         faults = [
@@ -221,7 +230,7 @@ def main(argv: "list[str] | None" = None) -> int:
         activation_times=tuple(activation),
         scenarios=PlatformScenarioSpec(
             styles=tuple(arguments.styles.split(",")),
-            firmwares={"threshold": threshold_monitor_source(arguments.threshold_mv)},
+            firmwares={"threshold": firmware},
         ),
         seed=arguments.seed,
     )
@@ -315,7 +324,7 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"SMOKE FAILURE: {problem}")
         if problems:
             return 1
-        print("smoke campaign healthy: detected and silent faults both present")
+        print("smoke campaign healthy: silent, detected and crashing faults present")
     return 0
 
 

@@ -54,8 +54,10 @@ from .keys import digest_key
 #: Schema version written into the marker and every record.  Format 3
 #: writes each distinct float sequence once, as a content-addressed block;
 #: format 4 records a crash mid-burst at the raising instruction's cycle,
-#: where a format-3 record may hold the burst's start.
-STORE_FORMAT = 4
+#: where a format-3 record may hold the burst's start; format 5 records a
+#: misaligned RAM word access or fetch as an address-error crash, where a
+#: format-4 record holds the run that went on with shifted bytes.
+STORE_FORMAT = 5
 
 #: The key of a block reference; a record may not use it otherwise.
 BLOCK = "$f64"

@@ -92,7 +92,7 @@ class AdcBridge(ApbPeripheral):
         if offset == SAMPLE_COUNT:
             return self.sample_count & 0xFFFFFFFF
         if offset == SCALE:
-            return int(self.millivolts_per_unit * 1000.0) & 0xFFFFFFFF
+            return round(self.millivolts_per_unit * 1000.0) & 0xFFFFFFFF
         return 0
 
     def write_register(self, offset: int, value: int) -> None:

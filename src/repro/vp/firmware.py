@@ -125,9 +125,11 @@ def default_firmware() -> str:
     return threshold_monitor_source()
 
 
-#: A firmware-style compute/memory/branch loop: the instruction mix of the
-#: threshold-monitor firmware (ALU ops, a RAM store + load, a backward
-#: branch) without the peripheral polling, so it measures the ISS itself.
+#: A firmware-style compute/memory/branch loop for the ISS benchmarks: ALU
+#: ops, a store and a load of one RAM slot and a backward branch, without
+#: peripheral polling, so it measures the ISS itself.  It is not the
+#: threshold monitor's mix: that firmware polls the ADC and only stores its
+#: crossing counter, and no firmware here loads a slot it just stored.
 FIRMWARE_STYLE_LOOP = """
         li    $t0, 0
         li    $t1, 0x2000

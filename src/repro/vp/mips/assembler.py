@@ -144,11 +144,13 @@ class Assembler:
                 spec = INSTRUCTIONS[mnemonic]
                 target = self._value(operands[0], symbols)
                 return [encode_j(spec.opcode, target >> 2)]
-            if mnemonic in ("jr", "jalr"):
-                spec = INSTRUCTIONS[mnemonic]
-                rs = register_number(operands[0])
-                rd = 31 if mnemonic == "jalr" and len(operands) == 1 else 0
-                return [encode_r(spec.funct, rs, 0, rd)]
+            if mnemonic == "jr":
+                (rs,) = operands
+                return [encode_r(INSTRUCTIONS["jr"].funct, register_number(rs), 0, 0)]
+            if mnemonic == "jalr":  # jalr rs (links $ra) or jalr rd, rs
+                rd, rs = operands if len(operands) == 2 else ("$ra", *operands)
+                funct = INSTRUCTIONS["jalr"].funct
+                return [encode_r(funct, register_number(rs), 0, register_number(rd))]
             if mnemonic in ("sll", "srl", "sra"):
                 spec = INSTRUCTIONS[mnemonic]
                 rd, rt, shamt = operands

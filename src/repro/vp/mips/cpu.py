@@ -25,6 +25,11 @@ loop) and by a :meth:`~repro.vp.memory.Memory.add_write_watcher` hook for
 external writes (firmware reloads via ``load_image``, ``clear``, tests poking
 at code), so self-modifying code re-decodes and stays architecturally exact.
 
+In every tier (per tick, block-stepped, superblocks) a word load, store or
+fetch has three outcomes: the aligned in-RAM fast path, the bus (at or above
+``peripheral_base``), or a fault — the MIPS-I address error (AdEL/AdES, a
+:class:`CpuFault`) for a misaligned address, ``BusError`` outside RAM.
+
 Besides its caches, the CPU keeps its architectural state (pc, registers,
 HI/LO and the instruction count; RAM, at address 0, is the ``Memory``'s) and
 the block, decode and superblock counters that a traced platform run
@@ -43,7 +48,7 @@ from .isa import WORD_MASK
 
 #: Aligned word accesses go through a ``memoryview(...).cast("I")`` of the
 #: RAM, which needs native little-endian byte order (every supported target);
-#: on a big-endian host the executor falls back to the byte-wise path.
+#: on a big-endian host they go through ``Memory.read_word``/``write_word``.
 _NATIVE_LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Decoded-instruction kinds.  Loads/stores and branches get their own kinds
@@ -111,6 +116,23 @@ _I_ALU = {
 }
 
 
+def address_error(access: str, address: int, pc: int) -> CpuFault:
+    """The MIPS-I address error of a misaligned word load, store or fetch."""
+    code = "AdES" if access == "store" else "AdEL"
+    return CpuFault(
+        f"address error ({code}): word {access} at misaligned address "
+        f"{address:#010x}, pc {pc:#010x}"
+    )
+
+
+def _unmapped_read(address: int) -> int:
+    raise CpuFault(f"load from unmapped peripheral address {address:#x}")
+
+
+def _unmapped_write(address: int, value: int) -> None:
+    raise CpuFault(f"store to unmapped peripheral address {address:#x}")
+
+
 def decode_word(word: int, pc: int) -> tuple:
     """Decode one 32-bit instruction word fetched from address ``pc``.
 
@@ -141,7 +163,7 @@ def decode_word(word: int, pc: int) -> tuple:
         if funct == 0x08:  # jr
             return (_JR, rs, 0, 0)
         if funct == 0x09:  # jalr
-            return (_JALR, rd if rd else 31, rs, (pc + 4) & WORD_MASK)
+            return (_JALR, dest, rs, (pc + 4) & WORD_MASK)
         if funct == 0x18:  # mult
             return (_MULT, rs, rt, 0)
         if funct == 0x19:  # multu
@@ -208,7 +230,8 @@ class MipsCpu:
     memory:
         Backing RAM holding code and data.
     bus_read / bus_write:
-        Callables used for addresses at or above ``peripheral_base``.
+        Callables used for addresses at or above ``peripheral_base``; the
+        defaults raise :class:`CpuFault` (no peripheral is mapped).
     peripheral_base:
         Start of the memory-mapped peripheral window.
     """
@@ -216,8 +239,8 @@ class MipsCpu:
     def __init__(
         self,
         memory: Memory,
-        bus_read: Callable[[int], int] | None = None,
-        bus_write: Callable[[int, int], None] | None = None,
+        bus_read: Callable[[int], int] = _unmapped_read,
+        bus_write: Callable[[int, int], None] = _unmapped_write,
         peripheral_base: int = 0x1000_0000,
         superblocks: bool = True,
     ) -> None:
@@ -476,11 +499,10 @@ class MipsCpu:
                         misses += 1
                         entry = decode_word(mem.read_word(pc), pc)
                         decoded[index] = entry
+                elif pc & 3:
+                    raise address_error("fetch", pc, pc)
                 else:
-                    # Unaligned or out-of-range pc: decode uncached (the
-                    # fetch itself raises BusError when out of range).
-                    misses += 1
-                    entry = decode_word(mem.read_word(pc), pc)
+                    mem.read_word(pc)  # raises BusError: pc is outside RAM
                 k, a, b, c = entry
 
                 if k == K_LW:
@@ -490,15 +512,11 @@ class MipsCpu:
                     elif address >= periph:
                         if executed:
                             break
-                        if self.bus_read is None:
-                            raise CpuFault(
-                                f"load from unmapped peripheral address {address:#x}"
-                            )
                         reg[a] = self.bus_read(address) & M
-                    else:
-                        if address + 4 > msize:
-                            mem.read_word(address)  # raises BusError
-                        reg[a] = int.from_bytes(data[address : address + 4], "little")
+                    elif address & 3:
+                        raise address_error("load", address, pc)
+                    else:  # BusError outside RAM; big-endian hosts read here
+                        reg[a] = mem.read_word(address)
                     pc += 4
                 elif k == K_BEQ:
                     pc = c if reg[a] == reg[b] else pc + 4
@@ -521,27 +539,11 @@ class MipsCpu:
                     elif address >= periph:
                         if executed:
                             break
-                        if self.bus_write is None:
-                            raise CpuFault(
-                                f"store to unmapped peripheral address {address:#x}"
-                            )
                         self.bus_write(address, reg[a])
-                    else:
-                        if address + 4 > msize:
-                            mem.write_word(address, reg[a])  # raises BusError
-                        data[address : address + 4] = reg[a].to_bytes(4, "little")
-                        index = address >> 2
-                        if decoded[index] is not None:
-                            decoded[index] = None
-                            invalidations += 1
-                        if sb_cover[index] is not None:
-                            self._drop_superblocks_at(index)
-                        index = (address + 3) >> 2
-                        if decoded[index] is not None:
-                            decoded[index] = None
-                            invalidations += 1
-                        if sb_cover[index] is not None:
-                            self._drop_superblocks_at(index)
+                    elif address & 3:
+                        raise address_error("store", address, pc)
+                    else:  # BusError outside RAM; big-endian hosts write here
+                        mem.write_word(address, reg[a])
                     pc += 4
                 elif k == K_ANDI:
                     reg[a] = reg[b] & c
@@ -620,10 +622,6 @@ class MipsCpu:
                     if address >= periph:
                         if executed:
                             break
-                        if self.bus_read is None:
-                            raise CpuFault(
-                                f"load from unmapped peripheral address {address:#x}"
-                            )
                         value = (self.bus_read(address & ~0x3) >> (8 * (address & 0x3))) & 0xFF
                     else:
                         if address >= msize:
@@ -638,10 +636,6 @@ class MipsCpu:
                     if address >= periph:
                         if executed:
                             break
-                        if self.bus_write is None:
-                            raise CpuFault(
-                                f"store to unmapped peripheral address {address:#x}"
-                            )
                         self.bus_write(address, reg[a] & 0xFF)
                     else:
                         if address >= msize:

@@ -26,6 +26,9 @@ log against per-tick stepping):
   the first instruction of a block (``executed == 0``), otherwise the
   superblock returns with the access unexecuted so the platform driver can
   reschedule it on its exact clock cycle;
+* a word access that is neither RAM's aligned fast path nor a bus access
+  raises where it stands (the MIPS-I address error or ``BusError``), with
+  the dispatch loop's text and flushed state;
 * stores invalidate both the decode cache (inline, same as the interpreter)
   and any superblock whose span covers the written word; a store into the
   *running* superblock's own span additionally bails out after the store so
@@ -75,6 +78,7 @@ from .cpu import (
     _SW,
     _XOR,
     _XORI,
+    address_error,
     decode_word,
 )
 from .isa import WORD_MASK
@@ -118,12 +122,6 @@ class _Emitter:
         #: ``executed += it * length + partial`` so the loop body itself
         #: carries no counter statements at all.
         self.iter_length = 0
-        #: ``(base_reg, displacement) -> [index_local, forwarded_value]`` for
-        #: word accesses whose fast-window guard already passed and whose base
-        #: register is unmodified since: repeat accesses skip the guard, and a
-        #: load after a store to the same slot becomes a register copy.
-        self.verified: dict[tuple[int, int], list] = {}
-        self.index_seq = 0
 
     def emit(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -165,20 +163,7 @@ class _Emitter:
         self.used.add(index)
         self.written.add(index)
         self.bounds[index] = min(bound, _M)
-        name = f"r{index}"
-        for key in list(self.verified):
-            entry = self.verified[key]
-            if key[0] == index:
-                del self.verified[key]
-            elif entry[1] == name:
-                entry[1] = None
-        return name
-
-    def clobber_memory(self, except_key=None) -> None:
-        """Drop forwarded store values (a store may alias any other slot)."""
-        for key, entry in self.verified.items():
-            if key != except_key:
-                entry[1] = None
+        return f"r{index}"
 
 
 def _scan(cpu, entry_pc):
@@ -192,7 +177,6 @@ def _scan(cpu, entry_pc):
     mem = cpu.memory
     msize4 = min(mem.size, cpu.peripheral_base) - 4
     decoded = cpu._decoded
-    data = mem._data
     run = []
     pc = entry_pc
     while len(run) < MAX_SUPERBLOCK:
@@ -201,9 +185,8 @@ def _scan(cpu, entry_pc):
         index = pc >> 2
         entry = decoded[index]
         if entry is None:
-            word = int.from_bytes(data[pc : pc + 4], "little")
             try:
-                entry = decode_word(word, pc)
+                entry = decode_word(mem.read_word(pc), pc)
             except CpuFault:
                 break
             decoded[index] = entry
@@ -231,12 +214,13 @@ def _loop_target(entry) -> "int | None":
 def _generate(cpu, entry_pc, run) -> str:
     """Emit the specialized function source for the scanned ``run``.
 
-    Cold paths (peripheral-window accesses, misaligned/out-of-window word
-    accesses) return to the ordinary dispatch loop after executing at most
-    one instruction, so the hot straight line never materializes counters
-    mid-block and only the entry instruction ever needs the full
-    peripheral-access protocol (any later instruction statically implies
-    ``executed > 0``, which per the block contract yields the access).
+    A peripheral-window access returns to the ordinary dispatch loop after
+    executing at most one instruction, so the hot straight line never
+    materializes counters mid-block and only the entry instruction ever
+    needs the full peripheral-access protocol (any later instruction
+    statically implies ``executed > 0``, which per the block contract
+    yields the access).  A word access outside both RAM's fast path and
+    the bus flushes the count and pc, then raises.
     """
     msize = cpu.memory.size
     periph = cpu.peripheral_base
@@ -276,10 +260,32 @@ def _generate(cpu, entry_pc, run) -> str:
         out.emit(body, f"address = ({source} + {displacement}) & {_M}")
         return "address", _M
 
-    def word_guards(addr, addr_bound):
-        """Fast-window and raise guards for a word access at ``addr``."""
+    def fast_guard(addr, addr_bound):
+        """The aligned in-RAM guard of a word access at ``addr``."""
         window = "" if addr_bound <= msize4 else f"{addr} <= {msize4} and "
-        return f"{window}not {addr} & 3", f"{addr} + 4 > {msize}"
+        return f"{window}not {addr} & 3"
+
+    def word_fault(pc, addr, access, fault):
+        """Raise for a word access neither RAM nor the bus takes."""
+        out.emit(body, "else:")
+        out.materialize(body + 1)
+        out.emit(body + 1, f"pc = {pc}")
+        out.emit(body + 1, f"if {addr} & 3:")
+        out.emit(body + 2, f"raise address_error({access!r}, {addr}, {pc})")
+        out.emit(body + 1, f"{fault}  # raises BusError outside RAM")
+
+    def stored(next_pc):
+        """Drop decoded and compiled code of the stored word ``index``; a
+        store into this superblock's own span returns after the store."""
+        out.emit(body + 1, "if decoded[index] is not None:")
+        out.emit(body + 2, "decoded[index] = None")
+        out.emit(body + 2, "invalidations += 1")
+        out.emit(body + 1, "if cover[index] is not None:")
+        out.emit(body + 2, "cpu._drop_superblocks_at(index)")
+        out.emit(body + 1, f"if {span_lo} <= index <= {span_hi}:")
+        out.materialize(body + 2, 1)
+        out.emit(body + 2, f"pc = {next_pc}")
+        out.emit(body + 2, "return False  # stale self: back to dispatch")
 
     def peripheral_yield(indent, pc):
         """Yield the block with the peripheral access unexecuted."""
@@ -458,32 +464,10 @@ def _generate(cpu, entry_pc, run) -> str:
         elif kind == _LUI:
             out.emit(body, f"{out.write(a, b)} = {b}")
             out.complete()
-        elif kind == _LW and (b, c) in out.verified:
-            # The fast-window guard for this (base, displacement) pair already
-            # passed and the base register is unchanged since, so the address
-            # class cannot differ; after a store to the same slot the loaded
-            # value is simply the stored register.
-            index_name, forwarded = out.verified[(b, c)]
-            if forwarded is not None:
-                out.emit(body, f"{out.write(a)} = {forwarded}")
-            else:
-                out.emit(body, f"{out.write(a)} = words[{index_name}]")
-            survivor = out.verified.get((b, c))
-            if survivor is not None:
-                survivor[1] = f"r{a}"
-            out.complete()
         elif kind == _LW:
             addr, abound = address_of(b, c)
-            fast_guard, slow_guard = word_guards(addr, abound)
-            out.index_seq += 1
-            index_name = f"index{out.index_seq}"
-            out.emit(body, f"if {fast_guard}:")
-            out.emit(body + 1, f"{index_name} = {addr} >> 2")
-            out.verified[(b, c)] = [index_name, None]
-            out.emit(body + 1, f"{out.write(a)} = words[{index_name}]")
-            survivor = out.verified.get((b, c))
-            if survivor is not None:
-                survivor[1] = f"r{a}"
+            out.emit(body, f"if {fast_guard(addr, abound)}:")
+            out.emit(body + 1, f"{out.write(a)} = words[{addr} >> 2]")
             out.emit(body, f"elif {addr} >= {periph}:")
             if out.pending:
                 peripheral_yield(body + 1, pc)
@@ -491,25 +475,9 @@ def _generate(cpu, entry_pc, run) -> str:
                 peripheral_entry(
                     body + 1,
                     next_pc,
-                    [
-                        "if cpu.bus_read is None:",
-                        "    raise CpuFault("
-                        f"'load from unmapped peripheral address %#x' % {addr})",
-                        f"{out.write(a)} = cpu.bus_read({addr}) & {_M}",
-                    ],
+                    [f"{out.write(a)} = cpu.bus_read({addr}) & {_M}"],
                 )
-            out.emit(body, "else:")
-            out.materialize(body + 1)
-            out.emit(body + 1, f"pc = {pc}")
-            out.emit(body + 1, f"if {slow_guard}:")
-            out.emit(body + 2, f"mem.read_word({addr})  # raises BusError")
-            out.emit(
-                body + 1,
-                f"{out.write(a)} = int.from_bytes(data[{addr} : {addr} + 4], 'little')",
-            )
-            out.emit(body + 1, "executed += 1")
-            out.emit(body + 1, f"pc = {next_pc}")
-            out.emit(body + 1, "return False  # cold path: back to dispatch")
+            word_fault(pc, addr, "load", f"mem.read_word({addr})")
             out.complete()
         elif kind == _LB or kind == _LBU:
             addr, abound = address_of(b, c)
@@ -518,9 +486,6 @@ def _generate(cpu, entry_pc, run) -> str:
                 peripheral_yield(body + 1, pc)
             else:
                 lines = [
-                    "if cpu.bus_read is None:",
-                    "    raise CpuFault("
-                    f"'load from unmapped peripheral address %#x' % {addr})",
                     f"value = (cpu.bus_read({addr} & 4294967292)"
                     f" >> (8 * ({addr} & 0x3))) & 0xFF",
                 ]
@@ -544,100 +509,32 @@ def _generate(cpu, entry_pc, run) -> str:
             else:
                 out.emit(body + 1, f"{out.write(a, 0xFF)} = data[{addr}]")
             out.complete()
-        elif kind == _SW and (b, c) in out.verified:
-            value = out.read(a)
-            out.clobber_memory(except_key=(b, c))
-            known = out.verified[(b, c)]
-            index_name = known[0]
-            out.emit(body, f"words[{index_name}] = {value}")
-            out.emit(body, f"if decoded[{index_name}] is not None:")
-            out.emit(body + 1, f"decoded[{index_name}] = None")
-            out.emit(body + 1, "invalidations += 1")
-            out.emit(body, f"if cover[{index_name}] is not None:")
-            out.emit(body + 1, f"cpu._drop_superblocks_at({index_name})")
-            out.emit(body, f"if {span_lo} <= {index_name} <= {span_hi}:")
-            out.materialize(body + 1, 1)
-            out.emit(body + 1, f"pc = {next_pc}")
-            out.emit(body + 1, "return False  # stale self: back to dispatch")
-            known[1] = value
-            out.complete()
         elif kind == _SW:
             value = out.read(a)
-            out.clobber_memory()
             addr, abound = address_of(b, c)
-            fast_guard, slow_guard = word_guards(addr, abound)
-            out.index_seq += 1
-            index_name = f"index{out.index_seq}"
-            out.emit(body, f"if {fast_guard}:")
-            out.emit(body + 1, f"{index_name} = {addr} >> 2")
-            out.emit(body + 1, f"words[{index_name}] = {value}")
-            out.emit(body + 1, f"if decoded[{index_name}] is not None:")
-            out.emit(body + 2, f"decoded[{index_name}] = None")
-            out.emit(body + 2, "invalidations += 1")
-            out.emit(body + 1, f"if cover[{index_name}] is not None:")
-            out.emit(body + 2, f"cpu._drop_superblocks_at({index_name})")
-            out.emit(body + 1, f"if {span_lo} <= {index_name} <= {span_hi}:")
-            out.materialize(body + 2, 1)
-            out.emit(body + 2, f"pc = {next_pc}")
-            out.emit(body + 2, "return False  # stale self: back to dispatch")
-            out.verified[(b, c)] = [index_name, value]
+            out.emit(body, f"if {fast_guard(addr, abound)}:")
+            out.emit(body + 1, f"index = {addr} >> 2")
+            out.emit(body + 1, f"words[index] = {value}")
+            stored(next_pc)
             out.emit(body, f"elif {addr} >= {periph}:")
             if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 peripheral_entry(
-                    body + 1,
-                    next_pc,
-                    [
-                        "if cpu.bus_write is None:",
-                        "    raise CpuFault("
-                        f"'store to unmapped peripheral address %#x' % {addr})",
-                        f"cpu.bus_write({addr}, {value})",
-                    ],
+                    body + 1, next_pc, [f"cpu.bus_write({addr}, {value})"]
                 )
-            out.emit(body, "else:")
-            out.materialize(body + 1)
-            out.emit(body + 1, f"pc = {pc}")
-            out.emit(body + 1, f"if {slow_guard}:")
-            out.emit(body + 2, f"mem.write_word({addr}, {value})  # raises BusError")
-            out.emit(
-                body + 1,
-                f"data[{addr} : {addr} + 4] = ({value}).to_bytes(4, 'little')",
-            )
-            out.emit(body + 1, f"index = {addr} >> 2")
-            out.emit(body + 1, "if decoded[index] is not None:")
-            out.emit(body + 2, "decoded[index] = None")
-            out.emit(body + 2, "invalidations += 1")
-            out.emit(body + 1, "if cover[index] is not None:")
-            out.emit(body + 2, "cpu._drop_superblocks_at(index)")
-            out.emit(body + 1, f"index2 = ({addr} + 3) >> 2")
-            out.emit(body + 1, "if decoded[index2] is not None:")
-            out.emit(body + 2, "decoded[index2] = None")
-            out.emit(body + 2, "invalidations += 1")
-            out.emit(body + 1, "if cover[index2] is not None:")
-            out.emit(body + 2, "cpu._drop_superblocks_at(index2)")
-            out.emit(body + 1, "executed += 1")
-            out.emit(body + 1, f"pc = {next_pc}")
-            out.emit(body + 1, "return False  # cold path: back to dispatch")
+            word_fault(pc, addr, "store", f"mem.write_word({addr}, {value})")
             out.complete()
         elif kind == _SB:
             value = out.read(a)
             vmask = "" if out.bound(a) <= 0xFF else " & 0xFF"
-            out.clobber_memory()
             addr, abound = address_of(b, c)
             out.emit(body, f"if {addr} >= {periph}:")
             if out.pending:
                 peripheral_yield(body + 1, pc)
             else:
                 peripheral_entry(
-                    body + 1,
-                    next_pc,
-                    [
-                        "if cpu.bus_write is None:",
-                        "    raise CpuFault("
-                        f"'store to unmapped peripheral address %#x' % {addr})",
-                        f"cpu.bus_write({addr}, {value}{vmask})",
-                    ],
+                    body + 1, next_pc, [f"cpu.bus_write({addr}, {value}{vmask})"]
                 )
             out.emit(body, "else:")
             raise_guard = None if abound < msize else f"{addr} >= {msize}"
@@ -648,15 +545,7 @@ def _generate(cpu, entry_pc, run) -> str:
                 out.emit(body + 2, f"mem.write_byte({addr}, {value})  # raises BusError")
             out.emit(body + 1, f"data[{addr}] = {value}{vmask}")
             out.emit(body + 1, f"index = {addr} >> 2")
-            out.emit(body + 1, "if decoded[index] is not None:")
-            out.emit(body + 2, "decoded[index] = None")
-            out.emit(body + 2, "invalidations += 1")
-            out.emit(body + 1, "if cover[index] is not None:")
-            out.emit(body + 2, "cpu._drop_superblocks_at(index)")
-            out.emit(body + 1, f"if {span_lo} <= index <= {span_hi}:")
-            out.materialize(body + 2, 1)
-            out.emit(body + 2, f"pc = {next_pc}")
-            out.emit(body + 2, "return False  # stale self: back to dispatch")
+            stored(next_pc)
             out.complete()
         elif kind in (_BEQ, _BNE):
             assert is_terminal
@@ -781,7 +670,7 @@ def install_superblock(cpu, entry_pc):
         return False
     source = _generate(cpu, entry_pc, run)
     name = f"_sb_{entry_pc:08x}"
-    namespace = {"CpuFault": CpuFault}
+    namespace = {"address_error": address_error}
     exec(compile(source, f"<superblock:{entry_pc:#010x}>", "exec"), namespace)
     function = namespace[name]
     function.__source__ = source  # introspection/debugging aid

@@ -94,11 +94,13 @@ def campaign_runner(**options) -> FaultCampaignRunner:
     return FaultCampaignRunner(BENCH.build, "out", WAVE, progress=False, **options)
 
 
-def from_scratch_payloads(spec: FaultCampaignSpec, duration: float) -> list[dict]:
+def from_scratch_payloads(
+    spec: FaultCampaignSpec, duration: float, **options
+) -> list[dict]:
     """Every job of ``spec`` through the from-scratch path, one by one."""
     scenarios = [FromScratch(**vars(run)) for run in spec.expand()]
     runner = PlatformSweepRunner(
-        BENCH.build, "out", WAVE, capture_errors=True, progress=False
+        BENCH.build, "out", WAVE, capture_errors=True, progress=False, **options
     )
     result = runner.run(scenarios, duration, firmwares=spec.firmware_table())
     return [run.to_payload() for run in result.results]
@@ -205,3 +207,28 @@ class TestCheckpointedCampaigns:
         counters = result.telemetry.counters
         assert counters["platform.checkpoints"] == 1
         assert counters["de.runs"] == len(spec) + 1
+
+    def test_a_misaligned_counter_pointer_crashes_alike_on_every_path(self):
+        # $s2 bit 1 at 1 us moves the threshold firmware's counter pointer
+        # two bytes into its word just before a crossing: the counter store
+        # raises the MIPS-I address error.  Campaign runs (stream-fed,
+        # forked from the golden prefix) and from-scratch push-fed runs, at
+        # bursts of 1 and 4096 instructions, all record the same crash.
+        spec = FaultCampaignSpec(
+            faults=[RegisterTransientFault(18, bit=1)],
+            activation_times=(1e-6,),
+            scenarios=PlatformScenarioSpec(
+                styles=("python",), firmwares={"threshold": FIRMWARES["threshold"]}
+            ),
+        )
+        outcomes = []
+        for blocks in (1, 4096):
+            campaign = campaign_runner(cpu_block_cycles=blocks).run(spec, DURATION)
+            outcomes.append(payloads(campaign))
+            outcomes.append(from_scratch_payloads(spec, DURATION, cpu_block_cycles=blocks))
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+        assert [payload["crashed"] for payload in outcomes[0]] == [
+            None,
+            "CpuFault: address error (AdES): word store at misaligned address "
+            "0x0000f002, pc 0x00000050",
+        ]

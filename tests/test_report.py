@@ -4,7 +4,7 @@ The layer's guarantees: every chart primitive HTML-escapes the dynamic
 text it embeds (span names, fault names, netlist names — ``<``, ``&`` and
 quotes included), the rendered page is fully self-contained (no external
 reference of any kind, machine-checked), and the acceptance path —
-``repro-faults --smoke --report``, a six-run traced fault campaign —
+``repro-faults --smoke --report``, a seven-run traced fault campaign —
 produces one HTML file holding an envelope plot, a coverage matrix and a
 span timeline.
 """
@@ -249,9 +249,9 @@ class TestSmokeAcceptance:
         assert code == 0
         assert verify_dashboard(page, ("faults", "telemetry")) == []
 
-    def test_six_run_campaign_rendered(self, smoke):
+    def test_seven_run_campaign_rendered(self, smoke):
         _, page = smoke
-        assert "ADC stream envelope across 6 runs" in page
+        assert "ADC stream envelope across 7 runs" in page
 
     def test_envelope_coverage_and_timeline_all_present(self, smoke):
         _, page = smoke
@@ -271,7 +271,7 @@ class TestFaultSectionUnit:
         body = page.split('<section id="faults">', 1)[1].split("</section>", 1)[0]
         assert "coverage" in body.lower()
         assert "<svg" in body  # the envelope plot
-        assert "ADC stream envelope across 6 runs" in body
+        assert "ADC stream envelope across 7 runs" in body
 
 
 class TestStoreSection:

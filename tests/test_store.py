@@ -244,7 +244,7 @@ class TestRunStore:
         rows = np.linspace(0.0, 1.0, BLOCK_MIN, dtype=np.float32)
         store.commit(key, {"result": {"trace": trace}, "rows": rows})
         on_disk = json.loads(store.path_for(key).read_text())
-        assert on_disk["format"] == STORE_FORMAT == 4
+        assert on_disk["format"] == STORE_FORMAT == 5
         assert set(on_disk["record"]["result"]["trace"]) == {BLOCK}
         assert set(on_disk["record"]["rows"]) == {BLOCK}
         block = store.block_path(on_disk["record"]["result"]["trace"][BLOCK])

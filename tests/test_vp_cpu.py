@@ -82,6 +82,17 @@ class TestAssembler:
         with pytest.raises(AssemblerError):
             assemble(source)
 
+    def test_jalr_takes_rd_then_rs(self):
+        # jalr $t0, $s6: rs = $s6 (22), rd = $t0 (8); one operand links $ra.
+        assert assemble("jalr $t0, $s6\n").words == [0x02C04009]
+        assert assemble("jalr $s6\n").words == [0x02C0F809]
+        assert assemble("jr $s6\n").words == [0x02C00008]
+
+    @pytest.mark.parametrize("source", ["jr $t0, $s6", "jalr $t0, $s6, $s7", "jalr"])
+    def test_jump_register_operand_count_checked(self, source):
+        with pytest.raises(AssemblerError):
+            assemble(source + "\n")
+
     def test_image_is_little_endian(self):
         program = assemble(".word 0x11223344\n")
         assert program.to_bytes() == bytes([0x44, 0x33, 0x22, 0x11])
@@ -242,6 +253,36 @@ class TestCpuInstructions:
         # Division by zero leaves hi/lo cleared (the documented model).
         assert cpu.read_register(register_number("$s2")) == 0
         assert cpu.read_register(register_number("$s3")) == 0
+
+    def test_jalr_links_the_named_register(self):
+        cpu = run_program(
+            """
+                    la    $s6, target
+                    jalr  $t0, $s6
+                    li    $t1, 1              # jumped over
+            target: li    $t2, 2
+            halt:   beq   $zero, $zero, halt
+            """
+        )
+        assert cpu.read_register(register_number("$t0")) == 12
+        assert cpu.read_register(register_number("$ra")) == 0
+        assert cpu.read_register(register_number("$t1")) == 0
+        assert cpu.read_register(register_number("$t2")) == 2
+
+    def test_jalr_to_zero_links_nowhere(self):
+        cpu = run_program(
+            """
+                    la    $s6, target
+                    .word 0x02C00009          # jalr $zero, $s6
+                    li    $t1, 1              # jumped over
+            target: li    $t2, 2
+            halt:   beq   $zero, $zero, halt
+            """
+        )
+        expected = [0] * 32  # $zero and $ra included
+        expected[register_number("$s6")] = 20
+        expected[register_number("$t2")] = 2
+        assert cpu.registers[:32] == expected
 
     def test_register_zero_is_immutable(self):
         cpu = run_program(

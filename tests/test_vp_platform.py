@@ -17,7 +17,7 @@ from repro.vp import (
     averaging_monitor_source,
     threshold_monitor_source,
 )
-from repro.vp.adc_bridge import DATA, SAMPLE_COUNT, STATUS, STATUS_VALID
+from repro.vp.adc_bridge import DATA, SAMPLE_COUNT, SCALE, STATUS, STATUS_VALID
 from repro.vp.uart import STATUS_TX_READY, TX_DATA
 from repro.vp.uart import STATUS as UART_STATUS
 
@@ -49,6 +49,15 @@ class TestPeripherals:
         assert adc.read_register(SAMPLE_COUNT) == 1
         adc.push_sample(-0.5)
         assert adc.read_register(DATA) == (-500) & 0xFFFFFFFF
+
+    def test_adc_scale_reads_back_what_was_written(self):
+        adc = AdcBridge()
+        misread = []
+        for value in range(1, 200_000):
+            adc.write_register(SCALE, value)
+            if adc.read_register(SCALE) != value:
+                misread.append(value)
+        assert misread == []
 
     def test_apb_decoding_and_statistics(self):
         bus = ApbBus()

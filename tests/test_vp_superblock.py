@@ -14,7 +14,7 @@ import traceback
 
 import pytest
 
-from repro.errors import BusError
+from repro.errors import BusError, CpuFault, ReproError
 from repro.obs.tracer import TRACER, disable_tracing, enable_tracing
 from repro.vp import Memory, MipsCpu, SmartSystemPlatform, assemble
 from repro.vp.mips import cpu as iss
@@ -214,10 +214,9 @@ loop:   addiu $s0, $s0, 0x1357
 halt:   beq   $zero, $zero, halt
 """
 
-#: Word and byte traffic to the peripheral window and to RAM, the verified
-#: ``(base, offset)`` slots (``again`` re-loads ``0($s1)``, ``restore``
-#: stores to the already loaded ``4($s1)`` and ``reload`` reads the stored
-#: value back), absolute and bounded addresses, and misaligned word accesses.
+#: Word and byte traffic to the peripheral window and to RAM, repeated
+#: accesses of one ``(base, offset)`` slot (a re-load, a store to a loaded
+#: slot and a load of the stored value), and absolute and bounded addresses.
 MEMORY_KINDS = """
         lui   $s0, 0x1000         # the peripheral window
         li    $s1, 0x3000         # RAM data
@@ -231,13 +230,11 @@ loop:   lw    $t0, 0($s0)
         sb    $t3, 1($s1)
         lb    $t4, 1($s1)
         lbu   $t5, 3($s1)
-check:  lw    $t6, 0($s1)
-again:  lw    $t7, 0($s1)
+        lw    $t6, 0($s1)
+        lw    $t7, 0($s1)
         lw    $t8, 4($s1)
-restore: sw   $t3, 4($s1)
-reload: lw    $a0, 4($s1)
-        lw    $t9, 2($s1)         # misaligned, inside RAM
-        sw    $t0, 9($s1)         # misaligned, inside RAM
+        sw    $t3, 4($s1)
+        lw    $a0, 4($s1)
         sw    $t3, 0x7000($zero)
         lw    $a1, 0x7000($zero)
         andi  $a2, $s7, 0x3F
@@ -310,6 +307,36 @@ loop:   {op:5} $s1, 0($s0)
         j     loop
 """
 
+#: A fused loop whose word access moves two bytes into its word after 600
+#: aligned iterations: it raises the MIPS-I address error there (in the
+#: superblock tier, inside the compiled loop).
+MISALIGNED_ACCESS = """
+        li    $s0, 0x4000
+loop:   sltiu $t0, $s4, 600
+        xori  $t0, $t0, 1
+        sll   $t0, $t0, 1         # 0, then 2
+        addu  $s3, $s0, $t0
+        {op:5} $s1, 0($s3)
+        addiu $s1, $s1, 1
+        addiu $s0, $s0, 4
+        addiu $s4, $s4, 1
+        j     loop
+"""
+
+#: Chained superblocks whose ``jr`` jumps two bytes into ``back``'s word
+#: once the count runs out: the fetch there raises the address error.
+MISALIGNED_FETCH = """
+        la    $s6, back
+        li    $s7, 800
+loop:   addiu $s7, $s7, -1
+        sltiu $t0, $s7, 1
+        sll   $t0, $t0, 1         # 0, then 2
+        addu  $t1, $s6, $t0
+        jr    $t1
+back:   addiu $t2, $t2, 3
+        j     loop
+"""
+
 #: Burst sizes of each tier; 4096 is the platform's default cap.  The
 #: superblock schedule mixes short bursts, so that every pc of a loop becomes
 #: a hot burst entry, with long ones that run the compiled (and fused) code.
@@ -364,7 +391,8 @@ def run_through_tier(source: str, tier: str, total: int, every: int = DIGEST_EVE
 
     Returns the CPU, its architectural digests (pc, registers, HI/LO,
     instruction count, RAM bytes) every ``every`` instructions and at the
-    end, the bus log and the ``BusError`` that stopped the run, if any.
+    end, the bus log and the error (a ``BusError`` or a ``CpuFault``) that
+    stopped the run, if any.
     Each bus access is logged with the CPU's pc and instruction count at
     that moment: a block only ever starts with a peripheral access, so
     both name the accessing instruction exactly.
@@ -402,7 +430,7 @@ def run_through_tier(source: str, tier: str, total: int, every: int = DIGEST_EVE
             done += cpu.run_block(min(chunk, total - done, every - done % every))
             if done % every == 0:
                 digests.append(digest())
-    except BusError as exc:
+    except ReproError as exc:
         error = exc
     digests.append(digest())
     return cpu, digests, log, error
@@ -475,34 +503,68 @@ class TestEveryKindThroughEveryTier:
         lengths = [entry[1] for entry in cpu._superblocks.values() if entry]
         assert MAX_SUPERBLOCK in lengths
 
-    def test_verified_slots_are_compiled_with_their_first_access(self):
-        source, total, _ = KIND_PROGRAMS["memory"]
-        symbols = assemble(source).symbols
-        cpu = run_through_tier(source, "superblock", total)[0]
-        spans = compiled_spans(cpu)
-        for first_access, repeat in (("check", "again"), ("check", "reload")):
-            words = (symbols[first_access] >> 2, symbols[repeat] >> 2)
-            assert any(lo <= min(words) and max(words) <= hi for _, lo, hi in spans)
-
     @pytest.mark.parametrize("op", ["lw", "sw", "lb", "lbu", "sb"])
     def test_out_of_ram_access_raises_with_the_same_state(self, op):
-        source = OUT_OF_RAM.format(op=op)
-        # One digest, at the raise: bursts cut at digests would keep the
-        # faulting access out of compiled code.
-        runs = {
-            tier: run_through_tier(source, tier, 10_000, every=10_000)
-            for tier in TIER_CHUNKS
-        }
+        runs = tiers_raising_alike(OUT_OF_RAM.format(op=op))
         reference = runs["tick"]
         assert isinstance(reference[3], BusError)
         assert reference[1][-1][0] == 4 * 2  # the faulting access, not past it
-        for tier in ("block", "superblock"):
-            assert runs[tier][1] == reference[1], tier
-            assert str(runs[tier][3]) == str(reference[3]), tier
         cpu, _, _, error = runs["superblock"]
         assert _kind(op) in compiled_kinds(cpu)
-        frames = [frame.f_code.co_filename for frame, _ in traceback.walk_tb(error.__traceback__)]
-        assert any(name.startswith("<superblock:") for name in frames), frames
+        assert raised_in_a_superblock(error)
+
+    @pytest.mark.parametrize("op", ["lw", "sw"])
+    def test_misaligned_ram_access_raises_an_address_error(self, op):
+        runs = tiers_raising_alike(MISALIGNED_ACCESS.format(op=op))
+        reference = runs["tick"]
+        assert isinstance(reference[3], CpuFault)
+        code = "AdES" if op == "sw" else "AdEL"
+        assert str(reference[3]) == (
+            f"address error ({code}): word {'store' if op == 'sw' else 'load'} "
+            "at misaligned address 0x00004962, pc 0x00000018"
+        )
+        assert reference[1][-1][0] == 0x18  # the faulting access, not past it
+        assert reference[1][-1][4] == 2 + 600 * 9 + 4
+        cpu, _, _, error = runs["superblock"]
+        assert _kind(op) in compiled_kinds(cpu)
+        assert raised_in_a_superblock(error)
+
+    def test_misaligned_fetch_raises_an_address_error(self):
+        runs = tiers_raising_alike(MISALIGNED_FETCH)
+        reference = runs["tick"]
+        back = assemble(MISALIGNED_FETCH).symbols["back"]
+        assert isinstance(reference[3], CpuFault)
+        assert str(reference[3]) == (
+            f"address error (AdEL): word fetch at misaligned address "
+            f"{back + 2:#010x}, pc {back + 2:#010x}"
+        )
+        assert reference[1][-1][0] == back + 2
+        assert reference[1][-1][4] == 4 + 800 * 7 - 2
+        # The jump ran compiled: the superblock loop looked its misaligned
+        # target up (one heat) before the dispatch loop raised at the fetch.
+        cpu = runs["superblock"][0]
+        assert _kind("jr") in compiled_kinds(cpu)
+        assert cpu._sb_heat.get(back + 2) == 1
+
+
+def tiers_raising_alike(source: str) -> dict:
+    """Run ``source`` through every tier with one digest, at the raise
+    (bursts cut at digests would keep the faulting access out of compiled
+    code); the block and superblock tiers must leave the per-tick run's
+    states and error text.  Returns the runs by tier."""
+    runs = {
+        tier: run_through_tier(source, tier, 10_000, every=10_000) for tier in TIER_CHUNKS
+    }
+    reference = runs["tick"]
+    for tier in ("block", "superblock"):
+        assert runs[tier][1] == reference[1], tier
+        assert str(runs[tier][3]) == str(reference[3]), tier
+    return runs
+
+
+def raised_in_a_superblock(error: BaseException) -> bool:
+    frames = [frame.f_code.co_filename for frame, _ in traceback.walk_tb(error.__traceback__)]
+    return any(name.startswith("<superblock:") for name in frames)
 
 
 @pytest.fixture(scope="module")
